@@ -13,7 +13,7 @@ int main() {
   bench::RunContext ctx = bench::runStandard(
       "Ablation: announcement count vs announced space");
 
-  const auto& schedule = ctx.experiment->schedule();
+  const auto& schedule = ctx.runner->schedule();
   const auto& sessions = ctx.summary.telescope(core::T1).sessions128;
 
   analysis::TextTable table{{"cycle", "announced prefixes",

@@ -19,7 +19,7 @@ int main() {
   analysis::TextTable shapes{{"telescope", "none", "horizontal", "vertical",
                               "mixed", "sequential-port sessions"}};
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& packets = ctx.experiment->telescope(t).capture().packets();
+    const auto& packets = ctx.runner->capture(t).packets();
     const auto& sessions = ctx.summary.telescope(t).sessions128;
     std::uint64_t byShape[4] = {};
     std::uint64_t sequential = 0;
@@ -28,7 +28,7 @@ int main() {
       ++byShape[static_cast<std::size_t>(profile.shape)];
       sequential += profile.sequentialPorts ? 1 : 0;
     }
-    shapes.addRow({ctx.experiment->telescope(t).name(),
+    shapes.addRow({ctx.runner->telescopeName(t),
                    analysis::withThousands(byShape[0]),
                    analysis::withThousands(byShape[1]),
                    analysis::withThousands(byShape[2]),
@@ -43,7 +43,7 @@ int main() {
   analysis::TextTable live{{"telescope", "exact /128", "HLL /128", "err %",
                             "exact /64", "HLL /64", "err %"}};
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& capture = ctx.experiment->telescope(t).capture();
+    const auto& capture = ctx.runner->capture(t);
     telescope::LiveStats stats;
     for (const auto& p : capture.packets()) stats.observe(p);
     const double exact128 =
@@ -53,7 +53,7 @@ int main() {
       return exact == 0.0 ? 0.0 : 100.0 * std::abs(estimate - exact) / exact;
     };
     live.addRow(
-        {ctx.experiment->telescope(t).name(),
+        {ctx.runner->telescopeName(t),
          analysis::withThousands(capture.distinctSources128()),
          analysis::fixed(stats.estimatedSources128(), 0),
          analysis::fixed(err(stats.estimatedSources128(), exact128), 2),

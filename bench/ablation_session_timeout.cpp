@@ -11,7 +11,7 @@ int main() {
   bench::RunContext ctx =
       bench::runStandard("Ablation: sessionization timeout");
 
-  const auto& packets = ctx.experiment->telescope(core::T1).capture().packets();
+  const auto& packets = ctx.runner->capture(core::T1).packets();
 
   analysis::TextTable table{{"timeout", "sessions /128", "sessions /64",
                              "one-off scn", "periodic scn",

@@ -14,7 +14,7 @@ int main() {
       bench::runStandard("Ablation: source aggregation level");
 
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& capture = ctx.experiment->telescope(t).capture();
+    const auto& capture = ctx.runner->capture(t);
     if (capture.packetCount() == 0) continue;
     analysis::TextTable table{{"aggregation", "sources", "sessions",
                                "max sources merged into one key"}};
@@ -40,7 +40,7 @@ int main() {
                     analysis::withThousands(sessions.size()),
                     std::to_string(worst)});
     }
-    std::cout << ctx.experiment->telescope(t).name() << ":\n";
+    std::cout << ctx.runner->telescopeName(t) << ":\n";
     table.render(std::cout);
   }
   std::cout << "expected shape: T2 shows the strongest /128-vs-/64 "

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       bench::runStandard("analysis_speedup: parallel pipeline vs serial");
   const unsigned threads = bench::analysisThreads();
 
-  const auto& capture = ctx.experiment->telescope(core::T1).capture();
+  const auto& capture = ctx.runner->capture(core::T1);
   const auto& sessions = ctx.summary.telescope(core::T1).sessions128;
   std::cout << "workload: T1 whole period, " << capture.packetCount()
             << " packets, " << sessions.size() << " sessions, threads="
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
             << sessions.size() << " sessions)\n";
 
   const analysis::CaptureIndex index{capture.packets(), sessions};
-  const auto* schedule = &ctx.experiment->schedule();
+  const auto* schedule = &ctx.runner->schedule();
 
   // --- classify stage, serial reference vs parallel ---
   const auto c0 = Clock::now();

@@ -10,7 +10,6 @@
 int main() {
   using namespace v6t;
   bench::RunContext ctx = bench::runStandard("calibration overview");
-  const auto& experiment = *ctx.experiment;
 
   analysis::TextTable table{{"metric", "T1", "T2", "T3", "T4"}};
   const core::Period initial = ctx.initialPeriod();
@@ -22,25 +21,24 @@ int main() {
     table.addRow(cells);
   };
 
-  std::array<telescope::Telescope const*, 4> ts = experiment.telescopes();
   row("packets (initial 12w)", [&](std::size_t i) {
     return analysis::withThousands(
-        ctx.summary.windowStats(experiment, i, initial).packets);
+        ctx.summary.windowStats(ctx.runner->capture(i), i, initial).packets);
   });
   row("packets (full)", [&](std::size_t i) {
-    return analysis::withThousands(ts[i]->capture().packetCount());
+    return analysis::withThousands(ctx.runner->capture(i).packetCount());
   });
   row("/128 sources (initial)", [&](std::size_t i) {
     return std::to_string(
-        ctx.summary.windowStats(experiment, i, initial).sources128);
+        ctx.summary.windowStats(ctx.runner->capture(i), i, initial).sources128);
   });
   row("/64 sources (initial)", [&](std::size_t i) {
     return std::to_string(
-        ctx.summary.windowStats(experiment, i, initial).sources64);
+        ctx.summary.windowStats(ctx.runner->capture(i), i, initial).sources64);
   });
   row("ASNs (initial)", [&](std::size_t i) {
     return std::to_string(
-        ctx.summary.windowStats(experiment, i, initial).asns);
+        ctx.summary.windowStats(ctx.runner->capture(i), i, initial).asns);
   });
   row("sessions /128 (full)", [&](std::size_t i) {
     return analysis::withThousands(
@@ -52,19 +50,19 @@ int main() {
   });
   row("/128 sources (full)", [&](std::size_t i) {
     return std::to_string(
-        ctx.summary.windowStats(experiment, i, whole).sources128);
+        ctx.summary.windowStats(ctx.runner->capture(i), i, whole).sources128);
   });
   table.render(std::cout);
 
   // Protocol mix across all telescopes.
   std::uint64_t perProto[3] = {0, 0, 0};
   std::uint64_t total = 0;
-  for (const auto* t : ts) {
+  for (const telescope::CaptureStore* capture : ctx.runner->captures()) {
     for (int p = 0; p < 3; ++p) {
       perProto[p] +=
-          t->capture().packetsPerProtocol(static_cast<net::Protocol>(p));
+          capture->packetsPerProtocol(static_cast<net::Protocol>(p));
     }
-    total += t->capture().packetCount();
+    total += capture->packetCount();
   }
   std::cout << "\nprotocol mix (paper: ICMPv6 66.2% / UDP 23.4% / TCP 10.5%)\n";
   for (int p = 0; p < 3; ++p) {
@@ -73,8 +71,13 @@ int main() {
               << "%\n";
   }
 
-  std::cout << "\nfabric: sent=" << experiment.fabric().sentPackets()
-            << " noRoute=" << experiment.fabric().droppedNoRoute()
-            << " void=" << experiment.fabric().deliveredToVoid() << "\n";
+  const core::RunnerStats& stats = ctx.runner->stats();
+  std::cout << "\nfabric: sent="
+            << static_cast<std::uint64_t>(
+                   ctx.runner->metrics()
+                       .value("fabric.packets_sent_total")
+                       .value_or(0.0))
+            << " noRoute=" << stats.droppedNoRoute
+            << " void=" << stats.deliveredToVoid << "\n";
   return 0;
 }

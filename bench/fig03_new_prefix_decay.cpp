@@ -12,7 +12,7 @@ int main() {
       "Fig. 3: new source prefixes per day after the first announcement");
 
   const core::Period initial = ctx.initialPeriod();
-  const auto& packets = ctx.experiment->telescope(core::T1).capture().packets();
+  const auto& packets = ctx.runner->capture(core::T1).packets();
 
   std::set<net::Ipv6Address> seen;
   std::map<std::int64_t, std::uint64_t> freshPerDay;

@@ -23,7 +23,7 @@ int main() {
 
   for (std::size_t t = 0; t < 4; ++t) {
     for (const net::Packet& p :
-         ctx.experiment->telescope(t).capture().packets()) {
+         ctx.runner->capture(t).packets()) {
       const std::int64_t week = p.ts.weekIndex();
       ++packetsPerWeek[week];
       src128.emplace_back(week, p.src);
@@ -62,7 +62,7 @@ int main() {
 
   analysis::TextTable table{{"week", "packets", "ASes", "src /128",
                              "src /64", "sess /128", "sess /64"}};
-  const std::int64_t weeks = ctx.experiment->experimentEnd().weekIndex();
+  const std::int64_t weeks = ctx.runner->experimentEnd().weekIndex();
   for (std::int64_t w = 0; w <= weeks; w += 2) {
     table.addRow({std::to_string(w), analysis::fixed(at(packetSeries, w), 3),
                   analysis::fixed(at(asSeries, w), 3),

@@ -11,11 +11,11 @@ int main() {
 
   analysis::TextTable table{{"Telescope", "Source", "AS type", "Packets",
                              "share %", "Sessions", "days active", "rDNS"}};
-  const auto& registry = ctx.experiment->population().asRegistry;
-  const auto& rdns = ctx.experiment->population().rdns;
+  const auto& registry = ctx.runner->asRegistry();
+  const auto& rdns = ctx.runner->rdns();
   int total = 0;
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& capture = ctx.experiment->telescope(t).capture();
+    const auto& capture = ctx.runner->capture(t);
     analysis::PipelineOptions opts;
     opts.taxonomy = false;
     opts.fingerprint = false;
@@ -26,7 +26,7 @@ int main() {
     for (const auto& h : hitters) {
       ++total;
       const auto name = rdns.lookup(h.source);
-      table.addRow({ctx.experiment->telescope(t).name(),
+      table.addRow({ctx.runner->telescopeName(t),
                     h.source.toString(),
                     std::string{net::toString(registry.typeOf(h.asn))},
                     analysis::withThousands(h.packets),

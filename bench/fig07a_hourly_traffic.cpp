@@ -17,7 +17,7 @@ int main() {
   analysis::TextTable table{{"Telescope", "active hours", "mean pkts/h",
                              "p95", "max", "total"}};
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& hourly = ctx.experiment->telescope(t).capture().hourlyCounts();
+    const auto& hourly = ctx.runner->capture(t).hourlyCounts();
     std::vector<std::uint64_t> counts;
     std::uint64_t total = 0;
     for (const auto& [hour, count] : hourly) {
@@ -29,7 +29,7 @@ int main() {
     const std::uint64_t p95 =
         counts.empty() ? 0 : counts[counts.size() * 95 / 100];
     const std::uint64_t max = counts.empty() ? 0 : counts.back();
-    table.addRow({ctx.experiment->telescope(t).name(),
+    table.addRow({ctx.runner->telescopeName(t),
                   std::to_string(counts.size()),
                   analysis::fixed(hours == 0
                                       ? 0.0
@@ -45,12 +45,12 @@ int main() {
   // the higher peaks from the DNS-attractor crowd).
   std::cout << "\nweekly packet profile (# = share of week's max)\n";
   for (std::size_t t = 0; t < 2; ++t) {
-    const auto& weekly = ctx.experiment->telescope(t).capture().weeklyCounts();
+    const auto& weekly = ctx.runner->capture(t).weeklyCounts();
     std::uint64_t peak = 1;
     for (const auto& [week, count] : weekly) {
       if (week < initial.to.weekIndex()) peak = std::max(peak, count);
     }
-    std::cout << ctx.experiment->telescope(t).name() << ":\n";
+    std::cout << ctx.runner->telescopeName(t) << ":\n";
     for (const auto& [week, count] : weekly) {
       if (week >= initial.to.weekIndex()) break;
       std::cout << "  w" << week << " "

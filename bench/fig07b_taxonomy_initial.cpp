@@ -14,7 +14,7 @@ int main() {
   analysis::TextTable table{{"Telescope", "Temporal", "structured", "random",
                              "unknown", "sessions"}};
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& capture = ctx.experiment->telescope(t).capture();
+    const auto& capture = ctx.runner->capture(t);
     const auto sessions =
         core::sessionsIn(ctx.summary.telescope(t).sessions128, initial);
     analysis::PipelineOptions opts;
@@ -37,7 +37,7 @@ int main() {
           total += profile.sessionsByAddrSel[sel];
         }
       }
-      table.addRow({ctx.experiment->telescope(t).name(),
+      table.addRow({ctx.runner->telescopeName(t),
                     std::string{analysis::toString(cls)},
                     std::to_string(bySel[0]), std::to_string(bySel[1]),
                     std::to_string(bySel[2]), std::to_string(total)});

@@ -16,7 +16,8 @@ int main() {
   {
     std::vector<std::set<std::uint32_t>> sets;
     for (std::size_t t = 0; t < 4; ++t) {
-      sets.push_back(ctx.summary.sourceAsns(*ctx.experiment, t, initial));
+      sets.push_back(
+          core::ExperimentSummary::sourceAsns(ctx.runner->capture(t), initial));
     }
     const auto result =
         analysis::upset(std::span<const std::set<std::uint32_t>>{sets});
@@ -36,7 +37,8 @@ int main() {
   {
     std::vector<std::set<net::Ipv6Address>> sets;
     for (std::size_t t = 0; t < 4; ++t) {
-      sets.push_back(ctx.summary.sources128(*ctx.experiment, t, initial));
+      sets.push_back(
+          core::ExperimentSummary::sources128(ctx.runner->capture(t), initial));
     }
     const auto result =
         analysis::upset(std::span<const std::set<net::Ipv6Address>>{sets});

@@ -11,8 +11,8 @@ int main() {
   bench::RunContext ctx = bench::runStandard(
       "Fig. 10: cumulative sessions per most-specific prefix at T1");
 
-  const auto& schedule = ctx.experiment->schedule();
-  const auto& packets = ctx.experiment->telescope(core::T1).capture().packets();
+  const auto& schedule = ctx.runner->schedule();
+  const auto& packets = ctx.runner->capture(core::T1).packets();
   const auto& sessions = ctx.summary.telescope(core::T1).sessions128;
 
   // Attribute each session to the most specific *ever announced* prefix

@@ -13,7 +13,7 @@ int main() {
   bench::RunContext ctx = bench::runStandard(
       "Fig. 11: bi-weekly sessions/sources, T1 vs other telescopes");
 
-  const std::int64_t totalWeeks = ctx.experiment->experimentEnd().weekIndex();
+  const std::int64_t totalWeeks = ctx.runner->experimentEnd().weekIndex();
   analysis::TextTable table{{"weeks", "T1 sessions", "T1 sources",
                              "T2-T4 sessions", "T2-T4 sources"}};
 
@@ -23,7 +23,7 @@ int main() {
     sessions +=
         core::sessionsIn(ctx.summary.telescope(t).sessions128, period).size();
     for (const net::Packet& p :
-         ctx.experiment->telescope(t).capture().packets()) {
+         ctx.runner->capture(t).packets()) {
       if (period.contains(p.ts)) sources.insert(p.src);
     }
   };
@@ -34,7 +34,7 @@ int main() {
   double t1SplitSources = 0;
   int baselineBins = 0;
   int splitBins = 0;
-  const std::int64_t baselineWeeks = ctx.experiment->baselineEnd().weekIndex();
+  const std::int64_t baselineWeeks = ctx.baselineEnd().weekIndex();
 
   for (std::int64_t w = 0; w < totalWeeks; w += 2) {
     const core::Period bin{sim::kEpoch + sim::weeks(w),

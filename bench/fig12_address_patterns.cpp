@@ -43,7 +43,7 @@ int main() {
   bench::RunContext ctx = bench::runStandard(
       "Fig. 12/13: structured vs randomized target generation");
 
-  const auto& packets = ctx.experiment->telescope(core::T1).capture().packets();
+  const auto& packets = ctx.runner->capture(core::T1).packets();
   const auto& sessions = ctx.summary.telescope(core::T1).sessions128;
 
   // Pick the largest structured and the largest random session (>= 100

@@ -13,7 +13,7 @@ int main() {
       "Fig. 14: packets per scanner type across /48 subnets of T1");
 
   const core::Period split = ctx.splitPeriod();
-  const auto& capture = ctx.experiment->telescope(core::T1).capture();
+  const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
   analysis::Pipeline pipeline{capture.packets(), sessions};
@@ -21,7 +21,7 @@ int main() {
   opts.threads = bench::analysisThreads();
   opts.heavyHitters = false;
   opts.fingerprint = false;
-  const auto taxonomy = pipeline.run(&ctx.experiment->schedule(), opts).taxonomy;
+  const auto taxonomy = pipeline.run(&ctx.runner->schedule(), opts).taxonomy;
 
   // subnet key: the /48 index within the /32 (16 bits). The per-session
   // target lists come straight from the shared index — no second walk

@@ -19,7 +19,8 @@ int main() {
   // (a) sources seen at all four telescopes.
   std::set<net::Ipv6Address> perTelescope[4];
   for (std::size_t t = 0; t < 4; ++t) {
-    perTelescope[t] = ctx.summary.sources128(*ctx.experiment, t, whole);
+    perTelescope[t] =
+        core::ExperimentSummary::sources128(ctx.runner->capture(t), whole);
   }
   std::vector<net::Ipv6Address> everywhere;
   for (const auto& src : perTelescope[0]) {
@@ -30,12 +31,12 @@ int main() {
   }
   std::cout << "(a) /128 sources observed at all four telescopes: "
             << everywhere.size() << " (paper: 10 over the full period)\n";
-  const auto& registry = ctx.experiment->population().asRegistry;
+  const auto& registry = ctx.runner->asRegistry();
   for (const auto& src : everywhere) {
     // Find its AS annotation from any capture.
     net::Asn asn;
     for (const auto& p :
-         ctx.experiment->telescope(core::T1).capture().packets()) {
+         ctx.runner->capture(core::T1).packets()) {
       if (p.src == src) {
         asn = p.srcAsn;
         break;
@@ -50,7 +51,7 @@ int main() {
     std::map<net::Ipv6Address, std::set<std::int64_t>> daysAt[2];
     for (std::size_t t = 0; t < 2; ++t) {
       for (const net::Packet& p :
-           ctx.experiment->telescope(t).capture().packets()) {
+           ctx.runner->capture(t).packets()) {
         if (period.contains(p.ts)) daysAt[t][p.src].insert(p.ts.dayIndex());
       }
     }

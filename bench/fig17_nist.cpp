@@ -14,7 +14,7 @@ int main() {
       "Fig. 17: NIST randomness tests on IID vs subnet bits (T1)");
 
   const core::Period split = ctx.splitPeriod();
-  const auto& capture = ctx.experiment->telescope(core::T1).capture();
+  const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
   analysis::PipelineOptions opts;
@@ -23,7 +23,7 @@ int main() {
   opts.nistBattery = true;
   opts.nistMinPackets = 100;
   const auto report = bench::analyzeWindow(
-      capture.packets(), sessions, &ctx.experiment->schedule(), opts);
+      capture.packets(), sessions, &ctx.runner->schedule(), opts);
   const auto& taxonomy = report.taxonomy;
 
   // Session -> owning scanner's temporal class (every session belongs to

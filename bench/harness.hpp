@@ -12,7 +12,6 @@
 #include <string>
 #include <thread>
 
-#include "core/experiment.hpp"
 #include "core/runner.hpp"
 #include "core/summary.hpp"
 #include "analysis/pipeline.hpp"
@@ -56,89 +55,48 @@ inline analysis::PipelineResult analyzeWindow(
 }
 
 struct RunContext {
-  std::unique_ptr<core::Experiment> experiment;
-  core::ExperimentSummary summary;
-
-  [[nodiscard]] core::Period wholePeriod() const {
-    return {sim::kEpoch, experiment->experimentEnd()};
-  }
-  [[nodiscard]] core::Period initialPeriod() const {
-    return {sim::kEpoch, experiment->baselineEnd()};
-  }
-  [[nodiscard]] core::Period splitPeriod() const {
-    return {experiment->baselineEnd(), experiment->experimentEnd()};
-  }
-};
-
-/// Run the standard experiment once (tens of seconds at default scale).
-inline RunContext runStandard(const char* benchName) {
-  std::cout << "== " << benchName << " ==\n";
-  core::ExperimentConfig config = standardConfig();
-  std::cout << "running calibrated simulation (seed=" << config.seed
-            << ", sourceScale=" << config.sourceScale
-            << ", volumeScale=" << config.volumeScale << ") ...\n";
-  RunContext ctx;
-  ctx.experiment = std::make_unique<core::Experiment>(config);
-  // Bench wall-clock flows through the metrics registry (`bench.*`), the
-  // same channel `--metrics-out` exports, so calibration scripts can read
-  // timings from the snapshot instead of scraping stdout.
-  obs::Span runSpan(ctx.experiment->metrics(), "bench.run_seconds");
-  ctx.experiment->run();
-  const double runSeconds = runSpan.stop();
-  obs::Span analyzeSpan(ctx.experiment->metrics(), "bench.analyze_seconds");
-  ctx.summary = core::ExperimentSummary::compute(*ctx.experiment);
-  const double analyzeSeconds = analyzeSpan.stop();
-  std::cout << "simulated " << sim::toString(ctx.experiment->experimentEnd())
-            << ", events=" << ctx.experiment->engine().executedEvents()
-            << ", agents=" << ctx.experiment->population().size()
-            << " (run " << runSeconds << "s, analyze " << analyzeSeconds
-            << "s)\n\n";
-  return ctx;
-}
-
-/// Run the standard experiment through the sharded ExperimentRunner with
-/// `threads` worker shards (V6T_THREADS overrides) and report per-shard
-/// wall time plus the speedup over the aggregated shard work — the
-/// merged result is bitwise-identical for every thread count, so benches
-/// are free to pick whatever parallelism the host offers.
-struct ShardedRunContext {
   std::unique_ptr<core::ExperimentRunner> runner;
   core::ExperimentSummary summary;
+
+  [[nodiscard]] sim::SimTime baselineEnd() const {
+    return sim::kEpoch + runner->config().experiment.baseline;
+  }
+  [[nodiscard]] core::Period wholePeriod() const {
+    return {sim::kEpoch, runner->experimentEnd()};
+  }
+  [[nodiscard]] core::Period initialPeriod() const {
+    return {sim::kEpoch, baselineEnd()};
+  }
+  [[nodiscard]] core::Period splitPeriod() const {
+    return {baselineEnd(), runner->experimentEnd()};
+  }
 };
 
-inline ShardedRunContext runSharded(const char* benchName, unsigned threads) {
-  if (const char* s = std::getenv("V6T_THREADS")) {
-    threads = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  }
-  if (threads == 0) threads = 1;
+/// Run the standard experiment once through the ExperimentRunner (one
+/// shard; the merged result is identical at any shard count) and
+/// sessionize its captures. A few seconds at default scale.
+inline RunContext runStandard(const char* benchName) {
   std::cout << "== " << benchName << " ==\n";
   core::RunnerConfig config;
   config.experiment = standardConfig();
-  config.experiment.threads = threads;
-  std::cout << "running sharded simulation (seed=" << config.experiment.seed
-            << ", threads=" << threads << ") ...\n";
-  ShardedRunContext ctx;
+  std::cout << "running calibrated simulation (seed=" << config.experiment.seed
+            << ", sourceScale=" << config.experiment.sourceScale
+            << ", volumeScale=" << config.experiment.volumeScale << ") ...\n";
+  RunContext ctx;
   ctx.runner = std::make_unique<core::ExperimentRunner>(config);
+  // Bench wall-clock flows through the metrics registry (`bench.*`), the
+  // same channel `--metrics-out` exports, so calibration scripts can read
+  // timings from the snapshot instead of scraping stdout.
   obs::Span runSpan(ctx.runner->metrics(), "bench.run_seconds");
   ctx.runner->run();
-  runSpan.stop();
+  const double runSeconds = runSpan.stop();
   obs::Span analyzeSpan(ctx.runner->metrics(), "bench.analyze_seconds");
   ctx.summary = core::ExperimentSummary::compute(*ctx.runner);
-  analyzeSpan.stop();
-  const core::RunnerStats& stats = ctx.runner->stats();
-  double shardWorkSeconds = 0;
-  for (const core::ShardStats& shard : stats.shards) {
-    std::cout << "shard " << shard.shardId << ": scanners=" << shard.scanners
-              << " events=" << shard.events << " wall=" << shard.wallSeconds
-              << "s\n";
-    shardWorkSeconds += shard.wallSeconds;
-  }
-  std::cout << "shards=" << stats.shards.size() << " run="
-            << stats.runWallSeconds << "s merge=" << stats.mergeWallSeconds
-            << "s speedup=" << (stats.runWallSeconds > 0
-                                    ? shardWorkSeconds / stats.runWallSeconds
-                                    : 0.0)
-            << "x (total shard work " << shardWorkSeconds << "s)\n\n";
+  const double analyzeSeconds = analyzeSpan.stop();
+  std::cout << "simulated " << sim::toString(ctx.runner->experimentEnd())
+            << ", events=" << ctx.runner->stats().totalEvents
+            << ", agents=" << ctx.runner->populationSize() << " (run "
+            << runSeconds << "s, analyze " << analyzeSeconds << "s)\n\n";
   return ctx;
 }
 

@@ -13,10 +13,10 @@ int main() {
   bench::RunContext ctx =
       bench::runStandard("Headline: scanner adaption to BGP signals");
 
-  const auto& config = ctx.experiment->config();
-  const auto& schedule = ctx.experiment->schedule();
+  const auto& config = ctx.runner->config().experiment;
+  const auto& schedule = ctx.runner->schedule();
   const core::Period split = ctx.splitPeriod();
-  const auto& packets = ctx.experiment->telescope(core::T1).capture().packets();
+  const auto& packets = ctx.runner->capture(core::T1).packets();
 
   // 1. Split /33 vs companion /33 packet counts during the split period.
   const auto [companion, splitSide] = config.t1Base.split();
@@ -63,7 +63,7 @@ int main() {
   }
   std::cout << "sources reliably arriving < 30 min after announcements: "
             << liveMonitors << " (paper: 18; scaled by sourceScale="
-            << ctx.experiment->config().sourceScale << ")\n\n";
+            << ctx.runner->config().experiment.sourceScale << ")\n\n";
 
   // 3. Hitlist non-effect: packet rate in the week before vs after each
   // prefix's hitlist listing (excluding listings that coincide with the
@@ -71,16 +71,14 @@ int main() {
   double before = 0;
   double after = 0;
   int samples = 0;
-  for (const auto& prefix :
-       ctx.experiment->hitlist().listedPrefixes(ctx.wholePeriod().to)) {
-    const auto listedAt = ctx.experiment->hitlist().listedAt(prefix);
-    if (!listedAt || !config.t1Base.covers(prefix)) continue;
+  for (const auto& [prefix, listedAt] : ctx.runner->hitlistListings()) {
+    if (!config.t1Base.covers(prefix)) continue;
     std::uint64_t b = 0;
     std::uint64_t a = 0;
     for (const net::Packet& p : packets) {
       if (!prefix.contains(p.dst)) continue;
-      if (p.ts >= *listedAt - sim::days(4) && p.ts < *listedAt) ++b;
-      if (p.ts >= *listedAt && p.ts < *listedAt + sim::days(4)) ++a;
+      if (p.ts >= listedAt - sim::days(4) && p.ts < listedAt) ++b;
+      if (p.ts >= listedAt && p.ts < listedAt + sim::days(4)) ++a;
     }
     before += static_cast<double>(b);
     after += static_cast<double>(a);

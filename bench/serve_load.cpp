@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "bgp/splitter.hpp"
-#include "core/experiment.hpp"
+#include "core/runner.hpp"
 #include "obs/metrics.hpp"
 #include "serve/query.hpp"
 #include "serve/server.hpp"
@@ -245,9 +245,11 @@ int main(int argc, char** argv) {
   std::cout << "running calibrated simulation (seed=" << config.seed
             << ", sourceScale=" << config.sourceScale
             << ", volumeScale=" << config.volumeScale << ") ...\n";
-  core::Experiment experiment{config};
-  experiment.run();
-  const auto& capture = experiment.telescope(core::T1).capture();
+  core::RunnerConfig runnerConfig;
+  runnerConfig.experiment = config;
+  core::ExperimentRunner runner{runnerConfig};
+  runner.run();
+  const auto& capture = runner.capture(core::T1);
   const auto sessions =
       telescope::sessionize(capture.packets(), telescope::SourceAgg::Addr128);
   std::cout << "workload: T1, " << capture.packetCount() << " packets, "
@@ -256,7 +258,7 @@ int main(int argc, char** argv) {
   serve::QueryEngineOptions engineOptions;
   engineOptions.analysisThreads = analysisThreads;
   const serve::QueryEngine engine{capture.packets(), sessions,
-                                  &experiment.schedule(), engineOptions};
+                                  &runner.schedule(), engineOptions};
 
   // Busiest source for the /sources target — a real key, not a 404.
   std::map<net::Ipv6Address, std::uint64_t> bySource;

@@ -19,7 +19,7 @@ int main() {
   std::unordered_set<net::Ipv6Address> allSources;
 
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& capture = ctx.experiment->telescope(t).capture();
+    const auto& capture = ctx.runner->capture(t);
     for (const net::Packet& p : capture.packets()) {
       ++packets[static_cast<std::size_t>(p.proto)];
       ++totalPackets;

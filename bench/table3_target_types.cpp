@@ -21,7 +21,7 @@ int main() {
 
   for (std::size_t t = 0; t < 4; ++t) {
     for (const net::Packet& p :
-         ctx.experiment->telescope(t).capture().packets()) {
+         ctx.runner->capture(t).packets()) {
       const auto type =
           static_cast<std::size_t>(analysis::classifyAddress(p.dst));
       ++packets[type];

@@ -17,7 +17,7 @@ int main() {
     std::map<std::string, std::pair<std::uint64_t, double>> merged;
     std::uint64_t sessionsWithProto = 0;
     for (std::size_t t = 0; t < 4; ++t) {
-      const auto& capture = ctx.experiment->telescope(t).capture();
+      const auto& capture = ctx.runner->capture(t);
       const auto& sessions = ctx.summary.telescope(t).sessions64;
       const auto ranks = analysis::topPorts(capture.packets(), sessions,
                                             proto, 100);
@@ -35,7 +35,7 @@ int main() {
     // Recompute shares against the total sessions carrying this protocol.
     std::uint64_t carrying = 0;
     for (std::size_t t = 0; t < 4; ++t) {
-      const auto& capture = ctx.experiment->telescope(t).capture();
+      const auto& capture = ctx.runner->capture(t);
       for (const auto& s : ctx.summary.telescope(t).sessions64) {
         for (std::uint32_t idx : s.packetIdx) {
           if (capture.packets()[idx].proto == proto) {

@@ -17,7 +17,7 @@ int main() {
   analysis::TextTable a{{"", "T1", "T2", "T3", "T4", "paper (T1..T4)"}};
   core::TelescopeSummary::WindowStats stats[4];
   for (std::size_t t = 0; t < 4; ++t) {
-    stats[t] = ctx.summary.windowStats(*ctx.experiment, t, initial);
+    stats[t] = ctx.summary.windowStats(ctx.runner->capture(t), t, initial);
   }
   auto row = [&](const std::string& label, auto getter, const char* paper) {
     std::vector<std::string> cells{label};
@@ -49,7 +49,7 @@ int main() {
   std::unordered_set<net::Ipv6Address> all[4];
   for (std::size_t t = 0; t < 4; ++t) {
     for (const net::Packet& p :
-         ctx.experiment->telescope(t).capture().packets()) {
+         ctx.runner->capture(t).packets()) {
       if (!initial.contains(p.ts)) continue;
       perProto[t][static_cast<std::size_t>(p.proto)].insert(p.src);
       all[t].insert(p.src);

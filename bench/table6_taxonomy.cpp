@@ -11,7 +11,7 @@ int main() {
       "Table 6: taxonomy of T1 scanners during the split period");
 
   const core::Period split = ctx.splitPeriod();
-  const auto& capture = ctx.experiment->telescope(core::T1).capture();
+  const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
   analysis::PipelineOptions opts;
@@ -19,7 +19,7 @@ int main() {
   opts.fingerprint = false;
   const auto taxonomy =
       bench::analyzeWindow(capture.packets(), sessions,
-                           &ctx.experiment->schedule(), opts)
+                           &ctx.runner->schedule(), opts)
           .taxonomy;
 
   const auto scanners = taxonomy.profiles.size();

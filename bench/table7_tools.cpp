@@ -11,11 +11,11 @@ int main() {
       bench::runStandard("Table 7: identified scan tools at T1");
 
   const core::Period split = ctx.splitPeriod();
-  const auto& capture = ctx.experiment->telescope(core::T1).capture();
+  const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
   const auto result = analysis::fingerprintSessions(
-      capture.packets(), sessions, &ctx.experiment->population().rdns);
+      capture.packets(), sessions, &ctx.runner->rdns());
 
   std::uint64_t totalScanners = 0;
   for (const auto& [tool, count] : result.byTool) {

@@ -14,8 +14,8 @@ int main() {
       bench::runStandard("Table 8: network types of scan sources at T1");
 
   const core::Period split = ctx.splitPeriod();
-  const auto& capture = ctx.experiment->telescope(core::T1).capture();
-  const auto& registry = ctx.experiment->population().asRegistry;
+  const auto& capture = ctx.runner->capture(core::T1);
+  const auto& registry = ctx.runner->asRegistry();
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
   analysis::PipelineOptions hitterOpts;

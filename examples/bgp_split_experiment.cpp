@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "analysis/report.hpp"
-#include "core/experiment.hpp"
+#include "core/runner.hpp"
 #include "core/summary.hpp"
 
 int main() {
@@ -22,13 +22,15 @@ int main() {
 
   std::cout << "running " << config.splits << " split cycles on "
             << config.t1Base.toString() << " ...\n\n";
-  core::Experiment experiment{config};
-  experiment.run();
-  const auto summary = core::ExperimentSummary::compute(experiment);
+  core::RunnerConfig runnerConfig;
+  runnerConfig.experiment = config;
+  core::ExperimentRunner runner{runnerConfig};
+  runner.run();
+  const auto summary = core::ExperimentSummary::compute(runner);
 
   // The announcement timeline.
   std::cout << "announcement schedule (Fig. 2 logic):\n";
-  for (const auto& cycle : experiment.schedule().cycles()) {
+  for (const auto& cycle : runner.schedule().cycles()) {
     std::cout << "  cycle " << cycle.index << " @ "
               << sim::toString(cycle.announceAt) << ": "
               << cycle.announced.size() << " prefixes";
@@ -44,9 +46,10 @@ int main() {
   std::cout << "\nT1 packets and sessions per cycle:\n";
   analysis::TextTable table{{"cycle", "prefixes", "packets", "sessions",
                              "sources"}};
-  for (const auto& cycle : experiment.schedule().cycles()) {
+  for (const auto& cycle : runner.schedule().cycles()) {
     const core::Period period{cycle.announceAt, cycle.endsAt};
-    const auto stats = summary.windowStats(experiment, core::T1, period);
+    const auto stats =
+        summary.windowStats(runner.capture(core::T1), core::T1, period);
     table.addRow({std::to_string(cycle.index),
                   std::to_string(cycle.announced.size()),
                   analysis::withThousands(stats.packets),
@@ -55,15 +58,13 @@ int main() {
   }
   table.render(std::cout);
 
-  std::cout << "\nfinal RIB (" << experiment.rib().size()
-            << " routes):\n";
-  for (const auto& prefix : experiment.rib().announcedPrefixes()) {
+  const auto& finalSet = runner.schedule().cycles().back().announced;
+  std::cout << "\nfinal T1 announcement set (" << finalSet.size()
+            << " prefixes):\n";
+  for (const auto& prefix : finalSet) {
     std::cout << "  " << prefix.toString() << "\n";
   }
-  std::cout << "\nhitlist knows "
-            << experiment.hitlist()
-                   .listedPrefixes(experiment.experimentEnd())
-                   .size()
+  std::cout << "\nhitlist knows " << runner.hitlistListings().size()
             << " of our prefixes (listings lag announcements by ~5 days)\n";
   return 0;
 }

@@ -10,7 +10,7 @@
 #include "analysis/fingerprint.hpp"
 #include "analysis/report.hpp"
 #include "analysis/taxonomy.hpp"
-#include "core/experiment.hpp"
+#include "core/runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace v6t;
@@ -25,13 +25,14 @@ int main(int argc, char** argv) {
     config.baseline = sim::weeks(2);
     config.splits = 3;
     config.routeObjectAt = sim::weeks(3);
-    core::Experiment experiment{config};
-    experiment.run();
+    core::RunnerConfig runnerConfig;
+    runnerConfig.experiment = config;
+    core::ExperimentRunner runner{runnerConfig};
+    runner.run();
 
     std::ofstream out{path, std::ios::binary};
-    experiment.telescope(core::T1).capture().writeTo(out);
-    std::cout << "wrote "
-              << experiment.telescope(core::T1).capture().packetCount()
+    runner.capture(core::T1).writeTo(out);
+    std::cout << "wrote " << runner.capture(core::T1).packetCount()
               << " records to " << path << "\n";
   }
 

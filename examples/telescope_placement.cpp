@@ -4,7 +4,7 @@
 //   ./telescope_placement
 #include <iostream>
 
-#include "core/experiment.hpp"
+#include "analysis/taxonomy.hpp"
 #include "core/guidance.hpp"
 #include "core/summary.hpp"
 
@@ -20,11 +20,17 @@ int main() {
   config.routeObjectAt = sim::weeks(8);
 
   std::cout << "simulating a telescope deployment study ...\n\n";
-  core::Experiment experiment{config};
-  experiment.run();
-  const auto summary = core::ExperimentSummary::compute(experiment);
+  core::RunnerConfig runnerConfig;
+  runnerConfig.experiment = config;
+  core::ExperimentRunner runner{runnerConfig};
+  runner.run();
+  const auto summary = core::ExperimentSummary::compute(runner);
+  const auto t1Taxonomy = analysis::classifyCapture(
+      runner.capture(core::T1).packets(),
+      summary.telescope(core::T1).sessions128, &runner.schedule());
 
-  const auto findings = core::GuidanceEngine::derive(experiment, summary);
+  const auto findings =
+      core::GuidanceEngine::derive(runner, summary, t1Taxonomy);
   std::cout << "operational guidance, derived from this run:\n\n";
   int index = 1;
   for (const auto& finding : findings) {

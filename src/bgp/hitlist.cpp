@@ -4,7 +4,7 @@ namespace v6t::bgp {
 
 namespace {
 /// Stable feed-stream key of the hitlist service, outside the scanner-id
-/// range so sharded and serial runs draw identical collection lags.
+/// range so runs at every shard count draw identical collection lags.
 constexpr std::uint64_t kHitlistStreamKey = 0x484954'4c495354ULL; // "HITLIST"
 } // namespace
 
@@ -29,26 +29,6 @@ void HitlistService::handleUpdate(const BgpUpdate& update) {
     listed_.emplace(prefix, now);
     for (const auto& cb : consumers_) cb(prefix, now);
   });
-}
-
-std::vector<net::Prefix> HitlistService::listedPrefixes(sim::SimTime t) const {
-  std::vector<net::Prefix> out;
-  for (const auto& [prefix, when] : listed_) {
-    if (when <= t) out.push_back(prefix);
-  }
-  return out;
-}
-
-bool HitlistService::isListed(const net::Prefix& prefix, sim::SimTime t) const {
-  const auto it = listed_.find(prefix);
-  return it != listed_.end() && it->second <= t;
-}
-
-std::optional<sim::SimTime> HitlistService::listedAt(
-    const net::Prefix& prefix) const {
-  const auto it = listed_.find(prefix);
-  if (it == listed_.end()) return std::nullopt;
-  return it->second;
 }
 
 } // namespace v6t::bgp

@@ -31,14 +31,10 @@ public:
   HitlistService(sim::Engine& engine, BgpFeed& feed, Params params,
                  std::uint64_t seed);
 
-  /// Prefixes listed at time `t`.
-  [[nodiscard]] std::vector<net::Prefix> listedPrefixes(sim::SimTime t) const;
-
-  [[nodiscard]] bool isListed(const net::Prefix& prefix, sim::SimTime t) const;
-
-  /// When a prefix became listed (nullopt if never).
-  [[nodiscard]] std::optional<sim::SimTime> listedAt(
-      const net::Prefix& prefix) const;
+  /// Every listed prefix with the time it became listed.
+  [[nodiscard]] const std::map<net::Prefix, sim::SimTime>& listings() const {
+    return listed_;
+  }
 
   /// Register a consumer notified at publication time of each new prefix.
   void onListed(std::function<void(const net::Prefix&, sim::SimTime)> cb) {

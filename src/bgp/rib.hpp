@@ -56,7 +56,7 @@ public:
   [[nodiscard]] std::size_t size() const { return table_.size(); }
 
   // Instrumentation counters, sampled into the obs registry by whoever
-  // owns the RIB (the runner per shard; the serial Experiment at end).
+  // owns the RIB (the runner, per shard, at every epoch boundary).
   [[nodiscard]] std::uint64_t announceCount() const { return announces_; }
   [[nodiscard]] std::uint64_t withdrawCount() const { return withdraws_; }
   /// LPM lookups served (capture-path routability checks dominate).

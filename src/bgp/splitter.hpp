@@ -30,8 +30,8 @@ struct AnnouncementCycle {
   std::vector<net::Prefix> announced; // full set live during this cycle
 };
 
-/// Static computation of the whole schedule. Pure data; the controller
-/// below replays it against a BgpFeed.
+/// Static computation of the whole schedule. Pure data; the runner's
+/// control-plane script and the controller below replay it.
 class SplitSchedule {
 public:
   struct Params {
@@ -67,7 +67,10 @@ private:
 
 /// Drives a BgpFeed through a SplitSchedule: schedules every withdraw-day
 /// and announcement on the engine. This is the stand-in for the authors'
-/// automated FRR reconfiguration.
+/// automated FRR reconfiguration. The experiment runner does not use it —
+/// it replays core::controlPlaneScript() instead — so the controller is
+/// kept as that script's oracle: test_fault checks that both send the
+/// same ordered update sequence.
 class SplitController {
 public:
   SplitController(sim::Engine& engine, BgpFeed& feed, SplitSchedule schedule,

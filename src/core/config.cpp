@@ -14,6 +14,8 @@ std::string trim(std::string_view text) {
   return std::string{text.substr(first, last - first + 1)};
 }
 
+} // namespace
+
 bool parseU64(const std::string& text, std::uint64_t& out) {
   const char* begin = text.data();
   const char* end = begin + text.size();
@@ -30,8 +32,6 @@ bool parseDouble(const std::string& text, double& out) {
     return false;
   }
 }
-
-} // namespace
 
 ConfigParseResult parseExperimentConfig(std::istream& in) {
   ConfigParseResult result;

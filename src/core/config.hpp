@@ -43,4 +43,11 @@ struct ConfigParseResult {
 /// parser).
 [[nodiscard]] std::string formatExperimentConfig(const ExperimentConfig& c);
 
+/// The checked number parsers behind every numeric config key and
+/// command-line flag. The whole text must be the number: parseU64 takes
+/// decimal digits only, parseDouble what std::stod takes with nothing left
+/// over. Both return false on malformed input ("abc", "12x", "4x").
+[[nodiscard]] bool parseU64(const std::string& text, std::uint64_t& out);
+[[nodiscard]] bool parseDouble(const std::string& text, double& out);
+
 } // namespace v6t::core

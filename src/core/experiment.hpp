@@ -1,30 +1,24 @@
-// v6t::core — the paper's experiment, end to end.
+// v6t::core — the paper's experiment: its configuration and the four
+// telescopes.
 //
-// Experiment wires together everything: the BGP control plane with the
-// Fig. 2 split schedule, the four telescopes, the delivery fabric, the
-// hitlist service, the IRR registry, and the calibrated scanner
-// population. run() executes the full 44-week timeline on the simulated
-// clock; afterwards the telescopes' capture stores hold the dataset that
-// every table/figure is computed from.
+// ExperimentConfig describes one run end to end: the BGP control plane
+// with the Fig. 2 split schedule, the four telescopes, the calibrated
+// scanner population, and the run-time knobs (shards, analysis workers,
+// capture spill, faults, tracing). core::ExperimentRunner (runner.hpp)
+// executes it; afterwards its merged captures hold the dataset that every
+// table/figure is computed from.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "analysis/parallel.hpp"
-#include "bgp/feed.hpp"
-#include "bgp/hitlist.hpp"
-#include "bgp/rib.hpp"
-#include "bgp/route_object.hpp"
-#include "bgp/splitter.hpp"
 #include "fault/spec.hpp"
-#include "obs/metrics.hpp"
-#include "scanner/population.hpp"
-#include "sim/engine.hpp"
-#include "telescope/fabric.hpp"
+#include "net/asn.hpp"
+#include "net/prefix.hpp"
+#include "sim/time.hpp"
 #include "telescope/telescope.hpp"
 
 namespace v6t::core {
@@ -63,9 +57,9 @@ struct ExperimentConfig {
   /// runs the complete schedule.
   std::optional<sim::Duration> runLimit;
 
-  /// Worker shards for the parallel ExperimentRunner; the serial Experiment
-  /// ignores it. The runner's results are bitwise-identical for every value
-  /// — see DESIGN.md's determinism contract.
+  /// Worker shards of the ExperimentRunner, one thread each. Results are
+  /// bitwise-identical for every value — see DESIGN.md's determinism
+  /// contract.
   unsigned threads = 1;
 
   /// Worker threads for the post-run analysis pipeline (taxonomy, NIST
@@ -82,7 +76,7 @@ struct ExperimentConfig {
   std::uint64_t analysisMinSplitCost = analysis::kDefaultMinSplitCost;
 
   /// Out-of-core capture spill (DESIGN.md §15). When non-empty, the
-  /// parallel runner streams each shard's telescope captures into v6tseg
+  /// runner streams each shard's telescope captures into v6tseg
   /// segment stores under `<dir>/shard-<s>/<telescope>` at every epoch
   /// boundary instead of accumulating them in memory, and analysis runs
   /// the streaming windowed path over the merged segment cursors. Results
@@ -106,10 +100,10 @@ struct ExperimentConfig {
   unsigned serveMaxRequestBytes = 8192;
   unsigned serveIdleTimeoutSeconds = 30;
 
-  /// Fault-injection spec, honored by the parallel ExperimentRunner (the
-  /// serial Experiment is kept fault-free as the pristine reference). An
-  /// empty spec leaves every output bitwise-identical to a build without
-  /// the fault layer.
+  /// Fault-injection spec, applied by the ExperimentRunner at its three
+  /// seams (control-plane script, fabric tap, epoch barrier). An empty
+  /// spec leaves every output bitwise-identical to a build without the
+  /// fault layer.
   fault::FaultSpec faults;
   /// Seed for the keyed fault streams — independent of `seed` so the same
   /// world can be replayed under different fault draws and vice versa.
@@ -125,73 +119,13 @@ struct ExperimentConfig {
   bool traceRetainAll = false;
 };
 
-/// Indexes into telescopes().
+/// Indexes into the runner's captures (and makeTelescopes()).
 enum TelescopeIndex : std::size_t { T1 = 0, T2 = 1, T3 = 2, T4 = 3 };
 
-/// The four observation points of §3.1 for a given address plan. Shared by
-/// the serial Experiment and every shard of the parallel runner, so the
-/// two worlds can never drift apart.
+/// The four observation points of §3.1 for a given address plan. Every
+/// shard of the runner builds its telescopes here, and tests use it to
+/// check what a telescope owns.
 [[nodiscard]] std::array<std::unique_ptr<telescope::Telescope>, 4>
 makeTelescopes(const ExperimentConfig& config);
-
-class Experiment {
-public:
-  explicit Experiment(ExperimentConfig config);
-
-  /// Execute the full timeline. Call once.
-  void run();
-
-  [[nodiscard]] const ExperimentConfig& config() const { return config_; }
-  [[nodiscard]] const bgp::SplitSchedule& schedule() const {
-    return controller_->schedule();
-  }
-  [[nodiscard]] const telescope::Telescope& telescope(std::size_t i) const {
-    return *telescopes_[i];
-  }
-  [[nodiscard]] std::array<const telescope::Telescope*, 4> telescopes() const;
-  [[nodiscard]] const bgp::Rib& rib() const { return rib_; }
-  [[nodiscard]] const bgp::HitlistService& hitlist() const {
-    return *hitlist_;
-  }
-  [[nodiscard]] const bgp::IrrRegistry& irr() const { return irr_; }
-  [[nodiscard]] const telescope::DeliveryFabric& fabric() const {
-    return *fabric_;
-  }
-  [[nodiscard]] const scanner::Population& population() const {
-    return population_;
-  }
-  [[nodiscard]] const sim::Engine& engine() const { return engine_; }
-  /// Run-time metrics: live convergence-delay histogram plus a full
-  /// component sample taken at the end of run(). Mutable so callers can
-  /// add analysis-phase metrics before exporting.
-  [[nodiscard]] obs::Registry& metrics() { return metrics_; }
-  [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
-  /// The experiment's flight recorder (always constructed; recording is
-  /// gated by config.traceEnabled).
-  [[nodiscard]] obs::trace::Tracer& tracer() { return *tracer_; }
-  [[nodiscard]] const obs::trace::Tracer& tracer() const { return *tracer_; }
-
-  /// Boundary between the initial observation period and the BGP
-  /// experiment.
-  [[nodiscard]] sim::SimTime baselineEnd() const {
-    return sim::kEpoch + config_.baseline;
-  }
-  [[nodiscard]] sim::SimTime experimentEnd() const;
-
-private:
-  ExperimentConfig config_;
-  obs::Registry metrics_; // declared before the components that bind to it
-  std::unique_ptr<obs::trace::Tracer> tracer_; // likewise bound into below
-  sim::Engine engine_;
-  bgp::Rib rib_;
-  bgp::IrrRegistry irr_;
-  std::unique_ptr<bgp::BgpFeed> feed_;
-  std::unique_ptr<bgp::HitlistService> hitlist_;
-  std::unique_ptr<telescope::DeliveryFabric> fabric_;
-  std::array<std::unique_ptr<telescope::Telescope>, 4> telescopes_;
-  std::unique_ptr<bgp::SplitController> controller_;
-  scanner::Population population_;
-  bool ran_ = false;
-};
 
 } // namespace v6t::core

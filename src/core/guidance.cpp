@@ -5,19 +5,19 @@
 
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
-#include "analysis/taxonomy.hpp"
 
 namespace v6t::core {
 
-std::vector<Finding> GuidanceEngine::derive(const Experiment& experiment,
-                                            const ExperimentSummary& summary) {
+std::vector<Finding> GuidanceEngine::derive(
+    const ExperimentRunner& runner, const ExperimentSummary& summary,
+    const analysis::TaxonomyResult& t1Taxonomy) {
   std::vector<Finding> findings;
-  const Period whole{sim::kEpoch, experiment.experimentEnd()};
+  const Period whole{sim::kEpoch, runner.experimentEnd()};
 
-  const auto t1 = summary.windowStats(experiment, T1, whole);
-  const auto t2 = summary.windowStats(experiment, T2, whole);
-  const auto t3 = summary.windowStats(experiment, T3, whole);
-  const auto t4 = summary.windowStats(experiment, T4, whole);
+  const auto t1 = summary.windowStats(runner.capture(T1), T1, whole);
+  const auto t2 = summary.windowStats(runner.capture(T2), T2, whole);
+  const auto t3 = summary.windowStats(runner.capture(T3), T3, whole);
+  const auto t4 = summary.windowStats(runner.capture(T4), T4, whole);
 
   // (i) Announce your prefix: separately announced vs. covered-only space.
   {
@@ -41,10 +41,9 @@ std::vector<Finding> GuidanceEngine::derive(const Experiment& experiment,
   // (ii) Number of announced prefixes beats prefix size: compare /48
   // session share before vs. after the subnets became prefixes.
   {
-    const auto& schedule = experiment.schedule();
-    const auto& cycles = schedule.cycles();
+    const auto& cycles = runner.schedule().cycles();
     const auto& sessions = summary.telescope(T1).sessions128;
-    const auto& packets = experiment.telescope(T1).capture().packets();
+    const auto& packets = runner.capture(T1).packets();
     // The most specific prefixes the schedule ever announces (the /48s in
     // the paper's full 16-split configuration).
     unsigned deepest = 0;
@@ -86,8 +85,10 @@ std::vector<Finding> GuidanceEngine::derive(const Experiment& experiment,
 
   // (iii) Different attractors draw different scanners.
   {
-    const auto t1Sources = summary.sources128(experiment, T1, whole);
-    const auto t2Sources = summary.sources128(experiment, T2, whole);
+    const auto t1Sources =
+        ExperimentSummary::sources128(runner.capture(T1), whole);
+    const auto t2Sources =
+        ExperimentSummary::sources128(runner.capture(T2), whole);
     std::size_t shared = 0;
     for (const auto& s : t1Sources) shared += t2Sources.contains(s) ? 1 : 0;
     const std::size_t unionSize =
@@ -123,16 +124,14 @@ std::vector<Finding> GuidanceEngine::derive(const Experiment& experiment,
 
   // (v) Structured target addresses dominate scanner behavior.
   {
-    const auto& packets = experiment.telescope(T1).capture().packets();
+    const auto& packets = runner.capture(T1).packets();
     const auto& sessions = summary.telescope(T1).sessions128;
     std::uint64_t structured = 0;
     std::uint64_t lowByteScanners = 0;
-    const analysis::TaxonomyResult taxonomy = analysis::classifyCapture(
-        packets, sessions, nullptr);
-    for (const auto& s : taxonomy.sessionAddrSel) {
+    for (const auto& s : t1Taxonomy.sessionAddrSel) {
       if (s == analysis::AddressSelection::Structured) ++structured;
     }
-    for (const auto& profile : taxonomy.profiles) {
+    for (const auto& profile : t1Taxonomy.profiles) {
       // A scanner counts as low-byte-seeking if any of its sessions
       // contains a low-byte target.
       bool hit = false;
@@ -153,12 +152,12 @@ std::vector<Finding> GuidanceEngine::derive(const Experiment& experiment,
         "Populate (or monitor) structured addresses: low-byte and other "
         "predictable IIDs are what most scanners try first.",
         analysis::fixed(
-            analysis::percent(structured, taxonomy.sessionAddrSel.size()),
+            analysis::percent(structured, t1Taxonomy.sessionAddrSel.size()),
             1) +
             "% of T1 sessions use structured target selection; " +
             analysis::fixed(
                 analysis::percent(lowByteScanners,
-                                  taxonomy.profiles.size()),
+                                  t1Taxonomy.profiles.size()),
                 1) +
             "% of scanners probe at least one low-byte address"});
   }

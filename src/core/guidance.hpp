@@ -9,7 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "analysis/taxonomy.hpp"
+#include "core/runner.hpp"
 #include "core/summary.hpp"
 
 namespace v6t::core {
@@ -22,9 +23,14 @@ struct Finding {
 
 class GuidanceEngine {
 public:
-  /// Derive the §8 guidance from a completed experiment.
+  /// Derive the §8 guidance from a finished in-memory run. `t1Taxonomy` is
+  /// the caller's classification of T1 over `summary`'s /128 sessions;
+  /// guidance reads only its per-session address selection and per-source
+  /// session lists, so a taxonomy built with or without the schedule will
+  /// do.
   [[nodiscard]] static std::vector<Finding> derive(
-      const Experiment& experiment, const ExperimentSummary& summary);
+      const ExperimentRunner& runner, const ExperimentSummary& summary,
+      const analysis::TaxonomyResult& t1Taxonomy);
 };
 
 } // namespace v6t::core

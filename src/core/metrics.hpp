@@ -5,7 +5,6 @@
 // fabric drops, telescope captures); ComponentSampler copies them into
 // named registry metrics as *deltas*, so it can be re-run at every epoch
 // boundary — the runner's live-snapshot refresh — without double counting.
-// The serial Experiment samples once at the end of run().
 //
 // Metric naming scheme (DESIGN.md §9): `<component>.<metric>`, dots as
 // separators, `_total` suffix on monotonic counters, `_seconds` on

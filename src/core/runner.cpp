@@ -21,18 +21,9 @@
 
 namespace v6t::core {
 
-namespace {
-
-/// The full control-plane script, chronological: the static t = 0
-/// announcements plus everything the SplitController would do. Pure data —
-/// shards replay it against their private feeds, so no shard ever talks to
-/// another shard's control plane. Expressed as fault::FeedOp so the fault
-/// layer can rewrite it (drop/duplicate/delay/flap) before broadcast.
-std::vector<fault::FeedOp> feedScript(const ExperimentConfig& config,
-                                      const bgp::SplitSchedule& schedule) {
+std::vector<fault::FeedOp> controlPlaneScript(
+    const ExperimentConfig& config, const bgp::SplitSchedule& schedule) {
   std::vector<fault::FeedOp> script;
-  // The long-standing announcements exist from the first instant, in the
-  // same order Experiment::run issues them.
   script.push_back({sim::kEpoch, true, config.t2Prefix, config.ourAsn});
   script.push_back({sim::kEpoch, true, config.covering, config.coveringAsn});
   for (const bgp::AnnouncementCycle& cycle : schedule.cycles()) {
@@ -50,9 +41,16 @@ std::vector<fault::FeedOp> feedScript(const ExperimentConfig& config,
   return script;
 }
 
+namespace {
+
+/// Barrier interval: control-plane actions are broadcast to the shards one
+/// epoch at a time, and no shard's clock may run ahead of a slower shard
+/// by more than this.
+constexpr sim::Duration kEpochLength = sim::weeks(1);
+
 /// A shard's private world: the complete control plane plus its population
-/// slice. Mirrors Experiment's construction exactly (same seeds, same
-/// component order) so threads=1 reproduces the serial environment.
+/// slice. Every shard builds it with the same seeds and component order, so
+/// the shared (keyed) randomness is identical across shards.
 struct ShardWorld {
   sim::Engine engine;
   bgp::Rib rib;
@@ -150,7 +148,7 @@ ExperimentRunner::ExperimentRunner(RunnerConfig config)
   epochsDone_.reset(new std::atomic<std::uint64_t>[shardCount]);
   for (unsigned s = 0; s < shardCount; ++s) epochsDone_[s] = 0;
   const std::int64_t spanMs = (experimentEnd() - sim::kEpoch).millis();
-  const std::int64_t epochMs = std::max<std::int64_t>(1, config_.epoch.millis());
+  const std::int64_t epochMs = kEpochLength.millis();
   totalEpochs_ = static_cast<std::uint64_t>((spanMs + epochMs - 1) / epochMs);
 }
 
@@ -257,7 +255,7 @@ std::string ExperimentRunner::progressLine() const {
   }
   const double elapsed = secondsSince(runStart_);
   const double simWeeks = static_cast<double>(minEpochs) *
-                          static_cast<double>(config_.epoch.millis()) /
+                          static_cast<double>(kEpochLength.millis()) /
                           static_cast<double>(sim::weeks(1).millis());
   std::string line = "progress epochs=" + std::to_string(minEpochs) + "/" +
                      std::to_string(totalEpochs_) +
@@ -288,7 +286,7 @@ void ExperimentRunner::run() {
   const fault::FaultSpec& faults = config_.experiment.faults;
   fault::ScriptFaultStats scriptFaults;
   const std::vector<fault::FeedOp> script = fault::applyBgpFaults(
-      feedScript(config_.experiment, schedule_), faults,
+      controlPlaneScript(config_.experiment, schedule_), faults,
       config_.experiment.faultSeed, config_.experiment.covering,
       &scriptFaults);
   if (!faults.empty()) {
@@ -397,7 +395,7 @@ void ExperimentRunner::run() {
       // The first epoch's broadcast happens before any agent comes online:
       // the t = 0 announcements must be queued ahead of the scanners'
       // bootstrap events so the RIB is populated when they first send.
-      inject(std::min(sim::kEpoch + config_.epoch, end));
+      inject(std::min(sim::kEpoch + kEpochLength, end));
       world->population.startAll(world->feed.get(), world->hitlist.get(),
                                  shardTracers_[shardId].get());
 
@@ -416,7 +414,7 @@ void ExperimentRunner::run() {
       };
 
       shard.events = world->engine.runEpochs(
-          end, config_.epoch, [&](int epochIndex, sim::SimTime sliceEnd) {
+          end, kEpochLength, [&](int epochIndex, sim::SimTime sliceEnd) {
             if (epochIndex > 0) {
               closeEpoch();
               epochsDone_[shardId].store(
@@ -457,6 +455,7 @@ void ExperimentRunner::run() {
       shard.droppedNoRoute = world->fabric->droppedNoRoute();
       shard.deliveredToVoid = world->fabric->deliveredToVoid();
       shard.queueDepthHighWater = world->engine.queueDepthHighWater();
+      if (shardId == 0) hitlistListings_ = world->hitlist->listings();
       worlds[shardId] = std::move(world);
     } catch (...) {
       {

@@ -1,17 +1,19 @@
-// v6t::core — the sharded parallel experiment runner.
+// v6t::core — the experiment runner: the one way to build and run the
+// world.
 //
-// ExperimentRunner executes the same 44-week timeline as Experiment, but
-// partitioned across N worker shards. Each shard owns a complete private
-// replica of the control plane — engine, RIB, BGP feed, hitlist service,
-// delivery fabric, and all four telescopes — and runs a 1/N slice of the
-// scanner population (spec i lands in shard i mod N). The control-plane
-// actions (the split schedule's announcements/withdraws and the static
-// t = 0 announcements) are precomputed once from the SplitSchedule and
-// broadcast read-only to every shard at epoch boundaries; a std::barrier
-// keeps the shards' simulated clocks within one epoch of each other.
+// ExperimentRunner executes the paper's 44-week timeline partitioned
+// across N worker shards (N = ExperimentConfig::threads, default 1). Each
+// shard owns a complete private replica of the control plane — engine,
+// RIB, BGP feed, hitlist service, delivery fabric, and all four
+// telescopes — and runs a 1/N slice of the scanner population (spec i
+// lands in shard i mod N). The control-plane actions (the split
+// schedule's announcements/withdraws and the static t = 0 announcements)
+// are precomputed once as controlPlaneScript() and broadcast read-only to
+// every shard at epoch boundaries; a std::barrier keeps the shards'
+// simulated clocks within one epoch of each other.
 //
-// Determinism contract: the merged result is bitwise-identical to the
-// serial run for ANY thread count. Two properties make this hold:
+// Determinism contract: the merged result is bitwise-identical for ANY
+// shard count. Two properties make this hold:
 //
 //   1. Scanners are mutually independent given the control plane. Every
 //      cross-agent randomness source is keyed, not shared: a scanner's
@@ -21,19 +23,19 @@
 //   2. Each packet carries (originId, originSeq) — the emitting scanner
 //      and its emission counter — giving every capture a unique canonical
 //      order (ts, originId, originSeq). The merge stage k-way-merges the
-//      per-shard buffers into that order; the serial path canonicalizes
-//      the same way, so equal shard interleavings are guaranteed rather
-//      than hoped for.
+//      per-shard buffers into that order, for one shard as for many, so
+//      equal shard interleavings are guaranteed rather than hoped for.
 //
-// The reference for equivalence tests is runner(threads=1); the classic
-// Experiment is kept unchanged as the single-engine reference
-// implementation for the existing benches and examples.
+// The reference for equivalence tests is runner(threads=1). No shard
+// world outlives run(): what callers read afterwards (merged captures,
+// hitlist listings, stats, metrics) is copied out first.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,6 +44,7 @@
 #include "bgp/route_object.hpp"
 #include "bgp/splitter.hpp"
 #include "core/experiment.hpp"
+#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scanner/population.hpp"
@@ -52,11 +55,16 @@ namespace v6t::core {
 
 struct RunnerConfig {
   ExperimentConfig experiment; // `experiment.threads` is the shard count
-  /// Barrier interval: control-plane actions are broadcast to the shards
-  /// one epoch at a time, and no shard's clock may run ahead of a slower
-  /// shard by more than this.
-  sim::Duration epoch = sim::weeks(1);
 };
+
+/// The full control-plane script, chronological: the static t = 0
+/// announcements of T2's /48 and the covering /29, then every withdraw and
+/// announcement of the split schedule. Pure data — shards replay it
+/// against their private feeds, so no shard ever talks to another shard's
+/// control plane. Expressed as fault::FeedOp so the fault layer can
+/// rewrite it (drop/duplicate/delay/flap) before broadcast.
+[[nodiscard]] std::vector<fault::FeedOp> controlPlaneScript(
+    const ExperimentConfig& config, const bgp::SplitSchedule& schedule);
 
 /// What one worker shard did, for the timing/speedup report.
 struct ShardStats {
@@ -145,6 +153,13 @@ public:
   [[nodiscard]] const net::RdnsRegistry& rdns() const { return plan_.rdns; }
   [[nodiscard]] const bgp::IrrRegistry& irr() const { return irr_; }
   [[nodiscard]] std::size_t populationSize() const { return plan_.size(); }
+  /// Hitlist listings (prefix -> time it became listed) at the end of the
+  /// run. Every shard's hitlist sees the same script and draws the same
+  /// keyed lags, so shard 0's map is the run's.
+  [[nodiscard]] const std::map<net::Prefix, sim::SimTime>& hitlistListings()
+      const {
+    return hitlistListings_;
+  }
   [[nodiscard]] const RunnerStats& stats() const { return stats_; }
   [[nodiscard]] sim::SimTime experimentEnd() const;
 
@@ -185,6 +200,7 @@ private:
       spillStores_;
   std::array<std::string, 4> names_{"T1", "T2", "T3", "T4"};
   bgp::IrrRegistry irr_;
+  std::map<net::Prefix, sim::SimTime> hitlistListings_;
   RunnerStats stats_;
   bool ran_ = false;
 

@@ -8,19 +8,6 @@ namespace v6t::core {
 
 ExperimentSummary ExperimentSummary::compute(
     const std::array<const telescope::CaptureStore*, 4>& captures,
-    const std::array<std::string, 4>& names) {
-  return compute(captures, names, fault::FaultSpec{});
-}
-
-ExperimentSummary ExperimentSummary::compute(
-    const std::array<const telescope::CaptureStore*, 4>& captures,
-    const std::array<std::string, 4>& names,
-    const fault::FaultSpec& faults) {
-  return compute(captures, names, faults, 1);
-}
-
-ExperimentSummary ExperimentSummary::compute(
-    const std::array<const telescope::CaptureStore*, 4>& captures,
     const std::array<std::string, 4>& names,
     const fault::FaultSpec& faults, unsigned threads) {
   ExperimentSummary summary;
@@ -41,21 +28,6 @@ ExperimentSummary ExperimentSummary::compute(
     }
   });
   return summary;
-}
-
-ExperimentSummary ExperimentSummary::compute(const Experiment& experiment) {
-  std::array<const telescope::CaptureStore*, 4> captures{};
-  std::array<std::string, 4> names;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const telescope::Telescope& t = experiment.telescope(i);
-    captures[i] = &t.capture();
-    names[i] = t.name();
-  }
-  return compute(captures, names);
-}
-
-ExperimentSummary ExperimentSummary::compute(const ExperimentRunner& runner) {
-  return compute(runner, 1);
 }
 
 ExperimentSummary ExperimentSummary::compute(const ExperimentRunner& runner,
@@ -92,13 +64,6 @@ TelescopeSummary::WindowStats ExperimentSummary::windowStats(
   return stats;
 }
 
-TelescopeSummary::WindowStats ExperimentSummary::windowStats(
-    const Experiment& experiment, std::size_t telescopeIdx,
-    Period period) const {
-  return windowStats(experiment.telescope(telescopeIdx).capture(),
-                     telescopeIdx, period);
-}
-
 std::set<net::Ipv6Address> ExperimentSummary::sources128(
     const telescope::CaptureStore& capture, Period period) {
   std::set<net::Ipv6Address> out;
@@ -117,18 +82,6 @@ std::set<std::uint32_t> ExperimentSummary::sourceAsns(
     }
   }
   return out;
-}
-
-std::set<net::Ipv6Address> ExperimentSummary::sources128(
-    const Experiment& experiment, std::size_t telescopeIdx,
-    Period period) const {
-  return sources128(experiment.telescope(telescopeIdx).capture(), period);
-}
-
-std::set<std::uint32_t> ExperimentSummary::sourceAsns(
-    const Experiment& experiment, std::size_t telescopeIdx,
-    Period period) const {
-  return sourceAsns(experiment.telescope(telescopeIdx).capture(), period);
 }
 
 std::vector<telescope::Session> sessionsIn(

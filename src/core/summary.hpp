@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/runner.hpp"
 #include "telescope/session.hpp"
 
@@ -52,52 +51,31 @@ struct TelescopeSummary {
 
 class ExperimentSummary {
 public:
-  /// Sessionize all four captures (both aggregation levels). The three
-  /// overloads are interchangeable views of the same computation: a serial
-  /// Experiment, a (merged) parallel ExperimentRunner, or bare capture
-  /// stores with display names. The runner overload honors the config's
-  /// declared capture gaps (gap-aware session closing); the spec overload
-  /// lets callers pass them explicitly.
-  /// The `threads` overloads fan the eight independent sessionization
-  /// tasks (4 telescopes x 2 aggregation levels) over the analysis
-  /// work-queue; each task writes only its own summary slot, so the
-  /// result is identical for every thread count. The thread-less
-  /// overloads are the serial (threads = 1) reference.
-  static ExperimentSummary compute(const Experiment& experiment);
-  static ExperimentSummary compute(const ExperimentRunner& runner);
+  /// Sessionize all four captures (both aggregation levels), gap-aware
+  /// against the declared capture gaps. The two overloads are views of the
+  /// same computation: a finished ExperimentRunner (its merged captures and
+  /// configured fault spec), or bare capture stores with display names.
+  /// `threads` fans the eight independent sessionization tasks (4
+  /// telescopes x 2 aggregation levels) over the analysis work-queue; each
+  /// task writes only its own summary slot, so the result is identical for
+  /// every thread count.
   static ExperimentSummary compute(const ExperimentRunner& runner,
-                                   unsigned threads);
-  static ExperimentSummary compute(
-      const std::array<const telescope::CaptureStore*, 4>& captures,
-      const std::array<std::string, 4>& names);
+                                   unsigned threads = 1);
   static ExperimentSummary compute(
       const std::array<const telescope::CaptureStore*, 4>& captures,
       const std::array<std::string, 4>& names,
-      const fault::FaultSpec& faults);
-  static ExperimentSummary compute(
-      const std::array<const telescope::CaptureStore*, 4>& captures,
-      const std::array<std::string, 4>& names,
-      const fault::FaultSpec& faults, unsigned threads);
+      const fault::FaultSpec& faults, unsigned threads = 1);
 
   [[nodiscard]] const TelescopeSummary& telescope(std::size_t i) const {
     return telescopes_[i];
   }
 
   [[nodiscard]] TelescopeSummary::WindowStats windowStats(
-      const Experiment& experiment, std::size_t telescopeIdx,
-      Period period) const;
-  [[nodiscard]] TelescopeSummary::WindowStats windowStats(
       const telescope::CaptureStore& capture, std::size_t telescopeIdx,
       Period period) const;
 
-  /// Distinct /128 sources (or origin ASes) seen at a telescope in a
-  /// window — used by the overlap analyses (Fig. 8/16).
-  [[nodiscard]] std::set<net::Ipv6Address> sources128(
-      const Experiment& experiment, std::size_t telescopeIdx,
-      Period period) const;
-  [[nodiscard]] std::set<std::uint32_t> sourceAsns(
-      const Experiment& experiment, std::size_t telescopeIdx,
-      Period period) const;
+  /// Distinct /128 sources (or origin ASes) seen in a capture window —
+  /// used by the overlap analyses (Fig. 8/16).
   [[nodiscard]] static std::set<net::Ipv6Address> sources128(
       const telescope::CaptureStore& capture, Period period);
   [[nodiscard]] static std::set<std::uint32_t> sourceAsns(

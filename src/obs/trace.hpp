@@ -140,8 +140,8 @@ struct TracerOptions {
   /// Keep every sim-domain event in an unbounded side vector for export
   /// (--trace-out); the ring stays bounded for the post-mortem dump.
   bool retainAll = false;
-  /// Exactly one tracer per run owns the control plane (shard 0 / the
-  /// serial Experiment) and emits BgpUpdateRoot events; the replicas that
+  /// Exactly one tracer per run owns the control plane (shard 0) and
+  /// emits BgpUpdateRoot events; the replicas that
   /// replay the script stay silent, so every update has exactly one root.
   bool controlPlaneOwner = true;
 };

@@ -100,7 +100,7 @@ public:
       : params_(std::move(params)) {}
 
   /// Generate every scanner config. Deterministic in `params_` alone: no
-  /// engine is involved, so serial and sharded runs share one plan.
+  /// engine is involved, so every shard instantiates from one plan.
   [[nodiscard]] PopulationPlan plan();
 
 private:

@@ -35,7 +35,7 @@ private:
 /// Derive the seed of an independent stream identified by (seed, streamKey).
 /// The mapping depends only on its two inputs — never on how many other
 /// streams exist or in which order they are derived — which is what makes
-/// sharded runs reproduce serial ones: a consumer keyed by a stable id draws
+/// runs agree at every shard count: a consumer keyed by a stable id draws
 /// the same sequence no matter which shard it lands on.
 [[nodiscard]] constexpr std::uint64_t deriveStreamSeed(std::uint64_t seed,
                                                        std::uint64_t key) {

@@ -86,7 +86,7 @@ public:
 
   /// Which slice of the population feeds this fabric. The sharded runner
   /// replicates one fabric per worker and tags it so drop/void counters can
-  /// be attributed per shard; the default (0 of 1) is the serial world.
+  /// be attributed per shard; the default (0 of 1) is a one-shard world.
   void setShard(unsigned shardId, unsigned shardCount) {
     shardId_ = shardId;
     shardCount_ = shardCount;

@@ -224,14 +224,13 @@ TEST(Hitlist, ListsAfterDelay) {
   const Prefix p = Prefix::mustParse("2001:db8::/32");
   engine.schedule(sim::SimTime{0}, [&] { feed.announce(p, net::Asn{65001}); });
   engine.run(sim::kEpoch + sim::days(4));
-  EXPECT_FALSE(hitlist.isListed(p, engine.now()));
+  EXPECT_FALSE(hitlist.listings().contains(p));
   engine.run(sim::kEpoch + sim::days(10));
   ASSERT_EQ(listed.size(), 1u);
-  EXPECT_TRUE(hitlist.isListed(p, engine.now()));
   EXPECT_GE(listed[0].second, sim::kEpoch + sim::days(5));
   EXPECT_LE(listed[0].second, sim::kEpoch + sim::days(7) + sim::hours(1));
-  ASSERT_TRUE(hitlist.listedAt(p).has_value());
-  EXPECT_EQ(*hitlist.listedAt(p), listed[0].second);
+  ASSERT_TRUE(hitlist.listings().contains(p));
+  EXPECT_EQ(hitlist.listings().at(p), listed[0].second);
 }
 
 TEST(Hitlist, ReannouncementKeepsEntry) {
@@ -242,14 +241,14 @@ TEST(Hitlist, ReannouncementKeepsEntry) {
   const Prefix p = Prefix::mustParse("2001:db8::/32");
   engine.schedule(sim::SimTime{0}, [&] { feed.announce(p, net::Asn{65001}); });
   engine.run(sim::kEpoch + sim::days(14));
-  const auto first = hitlist.listedAt(p);
-  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(hitlist.listings().contains(p));
+  const sim::SimTime first = hitlist.listings().at(p);
   // Withdraw + re-announce: the listing time must not change.
   feed.withdraw(p);
   feed.announce(p, net::Asn{65001});
   engine.run(sim::kEpoch + sim::days(30));
-  EXPECT_EQ(hitlist.listedAt(p), first);
-  EXPECT_EQ(hitlist.listedPrefixes(engine.now()).size(), 1u);
+  EXPECT_EQ(hitlist.listings().at(p), first);
+  EXPECT_EQ(hitlist.listings().size(), 1u);
 }
 
 // ------------------------------------------------------------ IRR / RPKI

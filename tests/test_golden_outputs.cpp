@@ -12,7 +12,7 @@
 
 #include "analysis/fingerprint.hpp"
 #include "analysis/taxonomy.hpp"
-#include "core/experiment.hpp"
+#include "core/runner.hpp"
 #include "core/summary.hpp"
 
 namespace v6t::core {
@@ -30,13 +30,15 @@ ExperimentConfig goldenConfig() {
 }
 
 std::string goldenReport() {
-  Experiment experiment{goldenConfig()};
-  experiment.run();
-  const ExperimentSummary summary = ExperimentSummary::compute(experiment);
+  RunnerConfig config;
+  config.experiment = goldenConfig();
+  ExperimentRunner runner{config};
+  runner.run();
+  const ExperimentSummary summary = ExperimentSummary::compute(runner);
 
   std::ostringstream out;
   for (std::size_t t = 0; t < 4; ++t) {
-    const telescope::CaptureStore& capture = experiment.telescope(t).capture();
+    const telescope::CaptureStore& capture = runner.capture(t);
     const TelescopeSummary& ts = summary.telescope(t);
     out << ts.name << " packets=" << capture.packetCount()
         << " src128=" << capture.distinctSources128()
@@ -47,8 +49,8 @@ std::string goldenReport() {
   }
 
   const analysis::TaxonomyResult taxonomy = analysis::classifyCapture(
-      experiment.telescope(T1).capture().packets(),
-      summary.telescope(T1).sessions128, &experiment.schedule());
+      runner.capture(T1).packets(), summary.telescope(T1).sessions128,
+      &runner.schedule());
   out << "T1 temporal oneoff=" << taxonomy.scannersOf(
              analysis::TemporalClass::OneOff)
       << "/" << taxonomy.sessionsOf(analysis::TemporalClass::OneOff)
@@ -67,8 +69,8 @@ std::string goldenReport() {
       << taxonomy.scannersOf(analysis::NetworkSelection::Inconsistent) << "\n";
 
   const analysis::FingerprintResult fingerprint = analysis::fingerprintSessions(
-      experiment.telescope(T1).capture().packets(),
-      summary.telescope(T1).sessions128, &experiment.population().rdns);
+      runner.capture(T1).packets(), summary.telescope(T1).sessions128,
+      &runner.rdns());
   out << "T1 fingerprint clusters=" << fingerprint.clusterCount
       << " hoplimit=" << fingerprint.hopLimitAttributions
       << " payloadSessions=" << fingerprint.payloadSessions << "\n";

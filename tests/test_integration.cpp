@@ -1,15 +1,17 @@
-// End-to-end integration tests: a scaled-down Experiment run, checked for
-// the paper's qualitative results and for generator/estimator consistency.
-// One simulation is shared across the suite (it takes a second or two).
+// End-to-end integration tests: a scaled-down ExperimentRunner run, checked
+// for the paper's qualitative results and for generator/estimator
+// consistency. One simulation is shared across the suite (it takes a second
+// or two).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "analysis/fingerprint.hpp"
 #include "analysis/heavy_hitter.hpp"
 #include "analysis/taxonomy.hpp"
-#include "core/experiment.hpp"
 #include "core/guidance.hpp"
+#include "core/runner.hpp"
 #include "core/summary.hpp"
 
 namespace v6t::core {
@@ -26,35 +28,42 @@ ExperimentConfig smallConfig() {
   return config;
 }
 
+std::unique_ptr<ExperimentRunner> runConfig(const ExperimentConfig& config) {
+  RunnerConfig runnerConfig;
+  runnerConfig.experiment = config;
+  auto runner = std::make_unique<ExperimentRunner>(runnerConfig);
+  runner->run();
+  return runner;
+}
+
 class ExperimentTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    experiment_ = new Experiment(smallConfig());
-    experiment_->run();
-    summary_ = new ExperimentSummary(ExperimentSummary::compute(*experiment_));
+    runner_ = runConfig(smallConfig()).release();
+    summary_ = new ExperimentSummary(ExperimentSummary::compute(*runner_));
   }
   static void TearDownTestSuite() {
     delete summary_;
-    delete experiment_;
+    delete runner_;
     summary_ = nullptr;
-    experiment_ = nullptr;
+    runner_ = nullptr;
   }
 
-  static Experiment* experiment_;
+  static ExperimentRunner* runner_;
   static ExperimentSummary* summary_;
 };
 
-Experiment* ExperimentTest::experiment_ = nullptr;
+ExperimentRunner* ExperimentTest::runner_ = nullptr;
 ExperimentSummary* ExperimentTest::summary_ = nullptr;
 
 TEST_F(ExperimentTest, TelescopeOrdering) {
   // The paper's headline volume ordering: announced telescopes (T1, T2)
   // receive orders of magnitude more than covered-only ones; the reactive
   // T4 beats the silent T3 by a wide margin.
-  const auto t1 = experiment_->telescope(T1).capture().packetCount();
-  const auto t2 = experiment_->telescope(T2).capture().packetCount();
-  const auto t3 = experiment_->telescope(T3).capture().packetCount();
-  const auto t4 = experiment_->telescope(T4).capture().packetCount();
+  const auto t1 = runner_->capture(T1).packetCount();
+  const auto t2 = runner_->capture(T2).packetCount();
+  const auto t3 = runner_->capture(T3).packetCount();
+  const auto t4 = runner_->capture(T4).packetCount();
   // (T3/T4-grade traffic is never scaled down, while T1/T2 shrink with
   // sourceScale/volumeScale, so the margin here is smaller than at full
   // scale — the default-scale margins are checked in the benches.)
@@ -66,18 +75,18 @@ TEST_F(ExperimentTest, TelescopeOrdering) {
 TEST_F(ExperimentTest, AllCapturedPacketsAreRoutable) {
   // Capture implies a covering route existed at arrival: spot-check that
   // every captured destination lies in the telescope's own space.
+  const auto telescopes = makeTelescopes(runner_->config().experiment);
   for (std::size_t i = 0; i < 4; ++i) {
-    const auto& telescope = experiment_->telescope(i);
-    for (const auto& p : telescope.capture().packets()) {
-      ASSERT_TRUE(telescope.owns(p.dst))
-          << telescope.name() << " captured " << p.dst.toString();
+    for (const auto& p : runner_->capture(i).packets()) {
+      ASSERT_TRUE(telescopes[i]->owns(p.dst))
+          << telescopes[i]->name() << " captured " << p.dst.toString();
     }
   }
 }
 
 TEST_F(ExperimentTest, CapturesAreTimeOrdered) {
   for (std::size_t i = 0; i < 4; ++i) {
-    const auto& packets = experiment_->telescope(i).capture().packets();
+    const auto& packets = runner_->capture(i).packets();
     for (std::size_t k = 1; k < packets.size(); ++k) {
       ASSERT_LE(packets[k - 1].ts, packets[k].ts);
     }
@@ -87,8 +96,8 @@ TEST_F(ExperimentTest, CapturesAreTimeOrdered) {
 TEST_F(ExperimentTest, WithdrawDaysAreDark) {
   // During each withdraw gap, T1 receives (almost) nothing — only packets
   // already in flight.
-  const auto& cycles = experiment_->schedule().cycles();
-  const auto& packets = experiment_->telescope(T1).capture().packets();
+  const auto& cycles = runner_->schedule().cycles();
+  const auto& packets = runner_->capture(T1).packets();
   for (std::size_t c = 1; c < cycles.size(); ++c) {
     const sim::SimTime from = cycles[c].withdrawAt + sim::minutes(5);
     const sim::SimTime to = cycles[c].announceAt;
@@ -103,11 +112,13 @@ TEST_F(ExperimentTest, WithdrawDaysAreDark) {
 TEST_F(ExperimentTest, SplitPeriodAttractsMoreSources) {
   // Weekly average of distinct /128 sources grows substantially once the
   // splitting starts (paper: +275%).
-  const Period baseline{sim::kEpoch, experiment_->baselineEnd()};
-  const Period split{experiment_->baselineEnd(),
-                     experiment_->experimentEnd()};
-  const auto before = summary_->windowStats(*experiment_, T1, baseline);
-  const auto after = summary_->windowStats(*experiment_, T1, split);
+  const sim::SimTime baselineEnd =
+      sim::kEpoch + runner_->config().experiment.baseline;
+  const Period baseline{sim::kEpoch, baselineEnd};
+  const Period split{baselineEnd, runner_->experimentEnd()};
+  const telescope::CaptureStore& t1 = runner_->capture(T1);
+  const auto before = summary_->windowStats(t1, T1, baseline);
+  const auto after = summary_->windowStats(t1, T1, split);
   const double weeksBefore = (baseline.to - baseline.from).days() / 7.0;
   const double weeksAfter = (split.to - split.from).days() / 7.0;
   const double rateBefore =
@@ -119,25 +130,26 @@ TEST_F(ExperimentTest, SplitPeriodAttractsMoreSources) {
 TEST_F(ExperimentTest, HitlistListsPrefixesAfterDays) {
   // The /32 appears on the hitlist ~5 days after its announcement and
   // the split children follow each cycle.
-  const auto listedAt =
-      experiment_->hitlist().listedAt(experiment_->config().t1Base);
-  ASSERT_TRUE(listedAt.has_value());
-  EXPECT_GE(*listedAt, sim::kEpoch + sim::days(5));
-  EXPECT_LE(*listedAt, sim::kEpoch + sim::days(8));
-  const auto listed =
-      experiment_->hitlist().listedPrefixes(experiment_->experimentEnd());
-  EXPECT_GT(listed.size(), 6u);
+  const auto& listings = runner_->hitlistListings();
+  const auto t1Base = listings.find(runner_->config().experiment.t1Base);
+  ASSERT_NE(t1Base, listings.end());
+  EXPECT_GE(t1Base->second, sim::kEpoch + sim::days(5));
+  EXPECT_LE(t1Base->second, sim::kEpoch + sim::days(8));
+  EXPECT_GT(listings.size(), 6u);
+  for (const auto& [prefix, listedAt] : listings) {
+    EXPECT_LE(listedAt, runner_->experimentEnd()) << prefix.toString();
+  }
 }
 
 TEST_F(ExperimentTest, RouteObjectRecorded) {
-  const auto& objects = experiment_->irr().route6Objects();
+  const auto& objects = runner_->irr().route6Objects();
   ASSERT_EQ(objects.size(), 1u);
   EXPECT_EQ(objects[0].prefix.length(), 33u);
   // And its creation had no effect: regression guard that the negative
   // result is reproducible — packet rate around the creation time stays
   // within noise (compare the week before vs after).
   const sim::SimTime at = objects[0].createdAt;
-  const auto& packets = experiment_->telescope(T1).capture().packets();
+  const auto& packets = runner_->capture(T1).packets();
   std::uint64_t before = 0;
   std::uint64_t after = 0;
   for (const auto& p : packets) {
@@ -149,10 +161,10 @@ TEST_F(ExperimentTest, RouteObjectRecorded) {
 }
 
 TEST_F(ExperimentTest, TaxonomyShapesMatchPaper) {
-  const auto& packets = experiment_->telescope(T1).capture().packets();
+  const auto& packets = runner_->capture(T1).packets();
   const auto& sessions = summary_->telescope(T1).sessions128;
   const auto taxonomy = analysis::classifyCapture(packets, sessions,
-                                                  &experiment_->schedule());
+                                                  &runner_->schedule());
   const double scanners = static_cast<double>(taxonomy.profiles.size());
   ASSERT_GT(scanners, 50.0);
   // One-off dominates scanners (paper: ~70%).
@@ -174,7 +186,7 @@ TEST_F(ExperimentTest, TaxonomyShapesMatchPaper) {
 }
 
 TEST_F(ExperimentTest, HeavyHittersDominatePacketsNotSessions) {
-  const auto& packets = experiment_->telescope(T1).capture().packets();
+  const auto& packets = runner_->capture(T1).packets();
   const auto hitters = analysis::findHeavyHitters(packets, 10.0);
   ASSERT_FALSE(hitters.empty());
   const auto impact = analysis::heavyHitterImpact(
@@ -184,10 +196,10 @@ TEST_F(ExperimentTest, HeavyHittersDominatePacketsNotSessions) {
 }
 
 TEST_F(ExperimentTest, FingerprintsIdentifyAtlas) {
-  const auto& packets = experiment_->telescope(T1).capture().packets();
+  const auto& packets = runner_->capture(T1).packets();
   const auto& sessions = summary_->telescope(T1).sessions128;
-  const auto result = analysis::fingerprintSessions(
-      packets, sessions, &experiment_->population().rdns);
+  const auto result =
+      analysis::fingerprintSessions(packets, sessions, &runner_->rdns());
   ASSERT_TRUE(result.byTool.contains(net::ScanTool::RipeAtlas));
   // Atlas probes are the most numerous identified sources (paper: 55%).
   std::uint64_t best = 0;
@@ -203,7 +215,10 @@ TEST_F(ExperimentTest, FingerprintsIdentifyAtlas) {
 }
 
 TEST_F(ExperimentTest, GuidanceDerivesAllFiveFindings) {
-  const auto findings = GuidanceEngine::derive(*experiment_, *summary_);
+  const auto taxonomy = analysis::classifyCapture(
+      runner_->capture(T1).packets(), summary_->telescope(T1).sessions128,
+      &runner_->schedule());
+  const auto findings = GuidanceEngine::derive(*runner_, *summary_, taxonomy);
   ASSERT_EQ(findings.size(), 5u);
   for (const auto& finding : findings) {
     EXPECT_FALSE(finding.topic.empty());
@@ -212,49 +227,25 @@ TEST_F(ExperimentTest, GuidanceDerivesAllFiveFindings) {
   }
 }
 
-TEST(ExperimentDeterminism, SameSeedSameResult) {
-  ExperimentConfig config = smallConfig();
-  config.splits = 2;
-  config.baseline = sim::weeks(2);
-  config.sourceScale = 0.02;
-  config.volumeScale = 0.002;
-
-  Experiment a{config};
-  a.run();
-  Experiment b{config};
-  b.run();
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(a.telescope(i).capture().packetCount(),
-              b.telescope(i).capture().packetCount());
-  }
-  // And a different seed gives a different trace.
-  config.seed = 8;
-  Experiment c{config};
-  c.run();
-  EXPECT_NE(a.telescope(T1).capture().packetCount(),
-            c.telescope(T1).capture().packetCount());
-}
-
 TEST(ExperimentDeterminism, CaptureReplayRoundTrip) {
   ExperimentConfig config = smallConfig();
   config.splits = 1;
   config.baseline = sim::weeks(1);
   config.sourceScale = 0.02;
   config.volumeScale = 0.002;
-  Experiment e{config};
-  e.run();
+  const auto runner = runConfig(config);
+  const telescope::CaptureStore& t1 = runner->capture(T1);
 
   // Persist T1's capture and replay it through a fresh store; every
   // derived statistic must survive the round trip.
   std::stringstream stream;
-  e.telescope(T1).capture().writeTo(stream);
+  t1.writeTo(stream);
   telescope::CaptureStore replay;
   replay.readFrom(stream);
-  EXPECT_EQ(replay.packetCount(), e.telescope(T1).capture().packetCount());
-  EXPECT_EQ(replay.distinctSources128(),
-            e.telescope(T1).capture().distinctSources128());
-  const auto original = telescope::sessionize(
-      e.telescope(T1).capture().packets(), telescope::SourceAgg::Addr128);
+  EXPECT_EQ(replay.packetCount(), t1.packetCount());
+  EXPECT_EQ(replay.distinctSources128(), t1.distinctSources128());
+  const auto original =
+      telescope::sessionize(t1.packets(), telescope::SourceAgg::Addr128);
   const auto replayed =
       telescope::sessionize(replay.packets(), telescope::SourceAgg::Addr128);
   EXPECT_EQ(original.size(), replayed.size());

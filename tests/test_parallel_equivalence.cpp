@@ -165,6 +165,17 @@ TEST_F(ParallelEquivalenceTest, TaxonomyCountsMatch) {
   }
 }
 
+TEST_F(ParallelEquivalenceTest, HitlistListingsMatch) {
+  // Every shard's hitlist replays the same script with the same keyed lags;
+  // the runner reports shard 0's, which must not depend on the shard count.
+  const auto& reference = runOf(1).runner->hitlistListings();
+  ASSERT_FALSE(reference.empty());
+  for (unsigned threads : kShardCounts) {
+    EXPECT_EQ(runOf(threads).runner->hitlistListings(), reference)
+        << "threads=" << threads;
+  }
+}
+
 TEST_F(ParallelEquivalenceTest, WindowStatsMatchAcrossPeriods) {
   const ExperimentRunner& serial = *runOf(1).runner;
   const Period baseline{sim::kEpoch,

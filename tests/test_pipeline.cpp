@@ -16,7 +16,7 @@
 #include "analysis/heavy_hitter.hpp"
 #include "analysis/parallel.hpp"
 #include "analysis/pipeline.hpp"
-#include "core/experiment.hpp"
+#include "core/runner.hpp"
 #include "core/summary.hpp"
 #include "fault/spec.hpp"
 #include "obs/metrics.hpp"
@@ -42,44 +42,46 @@ constexpr unsigned kThreadCounts[] = {1, 2, 3, 8, 16};
 class PipelineTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    experiment_ = new core::Experiment{smallConfig()};
-    experiment_->run();
+    core::RunnerConfig config;
+    config.experiment = smallConfig();
+    runner_ = new core::ExperimentRunner{config};
+    runner_->run();
     summary_ = new core::ExperimentSummary{
-        core::ExperimentSummary::compute(*experiment_)};
+        core::ExperimentSummary::compute(*runner_)};
     results_ = new std::map<unsigned, PipelineResult>;
     for (unsigned threads : kThreadCounts) {
       PipelineOptions opts;
       opts.threads = threads;
       opts.nistBattery = true;
-      opts.rdns = &experiment_->population().rdns;
+      opts.rdns = &runner_->rdns();
       (*results_)[threads] = Pipeline::analyze(
-          experiment_->telescope(core::T1).capture().packets(),
-          summary_->telescope(core::T1).sessions128,
-          &experiment_->schedule(), opts);
+          runner_->capture(core::T1).packets(),
+          summary_->telescope(core::T1).sessions128, &runner_->schedule(),
+          opts);
     }
   }
   static void TearDownTestSuite() {
     delete results_;
     delete summary_;
-    delete experiment_;
+    delete runner_;
     results_ = nullptr;
     summary_ = nullptr;
-    experiment_ = nullptr;
+    runner_ = nullptr;
   }
 
   static std::span<const net::Packet> packets() {
-    return experiment_->telescope(core::T1).capture().packets();
+    return runner_->capture(core::T1).packets();
   }
   static std::span<const telescope::Session> sessions() {
     return summary_->telescope(core::T1).sessions128;
   }
 
-  static core::Experiment* experiment_;
+  static core::ExperimentRunner* runner_;
   static core::ExperimentSummary* summary_;
   static std::map<unsigned, PipelineResult>* results_;
 };
 
-core::Experiment* PipelineTest::experiment_ = nullptr;
+core::ExperimentRunner* PipelineTest::runner_ = nullptr;
 core::ExperimentSummary* PipelineTest::summary_ = nullptr;
 std::map<unsigned, PipelineResult>* PipelineTest::results_ = nullptr;
 
@@ -120,7 +122,7 @@ TEST_F(PipelineTest, MatchesLegacyEntryPoints) {
   const PipelineResult& r = results_->at(8);
 
   const TaxonomyResult legacyTaxonomy =
-      classifyCapture(packets(), sessions(), &experiment_->schedule());
+      classifyCapture(packets(), sessions(), &runner_->schedule());
   ASSERT_EQ(r.taxonomy.profiles.size(), legacyTaxonomy.profiles.size());
   for (std::size_t i = 0; i < legacyTaxonomy.profiles.size(); ++i) {
     EXPECT_EQ(r.taxonomy.profiles[i].source, legacyTaxonomy.profiles[i].source);
@@ -150,7 +152,7 @@ TEST_F(PipelineTest, MatchesLegacyEntryPoints) {
   EXPECT_EQ(r.heavyHitterImpact.sessions, legacyImpact.sessions);
 
   const FingerprintResult legacyFingerprint = fingerprintSessions(
-      packets(), sessions(), &experiment_->population().rdns);
+      packets(), sessions(), &runner_->rdns());
   EXPECT_EQ(r.fingerprint.sessionTool, legacyFingerprint.sessionTool);
   EXPECT_EQ(r.fingerprint.clusterCount, legacyFingerprint.clusterCount);
   EXPECT_EQ(r.fingerprint.payloadPackets, legacyFingerprint.payloadPackets);
@@ -215,7 +217,7 @@ TEST_F(PipelineTest, IndexHitCountersAdvance) {
   const Pipeline pipeline{packets(), sessions(), &registry};
   PipelineOptions opts;
   opts.threads = 2;
-  (void)pipeline.run(&experiment_->schedule(), opts);
+  (void)pipeline.run(&runner_->schedule(), opts);
   if (kIndexStatsCompiledIn) {
     EXPECT_GT(pipeline.index().rescansAvoided(), 0u);
     EXPECT_GT(pipeline.index().targetSpansServed(), 0u);
@@ -247,12 +249,10 @@ TEST_F(PipelineTest, GapAwareRunIsThreadCountInvariant) {
   faults.gaps.push_back(
       {-1, sim::kEpoch + sim::weeks(9), sim::kEpoch + sim::weeks(9) + sim::hours(6)});
 
-  std::array<const telescope::CaptureStore*, 4> captures{};
+  const std::array<const telescope::CaptureStore*, 4> captures =
+      runner_->captures();
   std::array<std::string, 4> names;
-  for (std::size_t i = 0; i < 4; ++i) {
-    captures[i] = &experiment_->telescope(i).capture();
-    names[i] = experiment_->telescope(i).name();
-  }
+  for (std::size_t i = 0; i < 4; ++i) names[i] = runner_->telescopeName(i);
 
   const core::ExperimentSummary reference =
       core::ExperimentSummary::compute(captures, names, faults, 1);
@@ -273,7 +273,7 @@ TEST_F(PipelineTest, GapAwareRunIsThreadCountInvariant) {
     opts.nistBattery = true;
     const PipelineResult result = Pipeline::analyze(
         captures[core::T1]->packets(), gapped.telescope(core::T1).sessions128,
-        &experiment_->schedule(), opts);
+        &runner_->schedule(), opts);
     if (threads == 1) {
       referenceDigest = result.digest();
       // The gap windows must actually split sessions, or this test would
@@ -348,7 +348,7 @@ TEST_F(PipelineTest, WorkerStatsFoldIntoImbalanceAndSchedCounters) {
   opts.threads = 8;
   opts.nistBattery = true;
   opts.minSplitCost = 512; // force splits on this small corpus
-  (void)pipeline.run(&experiment_->schedule(), opts);
+  (void)pipeline.run(&runner_->schedule(), opts);
 
   // Per-worker items fold through the shard-registry path; every
   // dispatched stage contributes at least one task per source/session,

@@ -210,14 +210,16 @@ TEST(SummaryProperty, DisjointWindowsSumToWhole) {
   config.baseline = sim::weeks(2);
   config.splits = 2;
   config.routeObjectAt = sim::weeks(3);
-  core::Experiment experiment{config};
-  experiment.run();
-  const auto summary = core::ExperimentSummary::compute(experiment);
+  core::RunnerConfig runnerConfig;
+  runnerConfig.experiment = config;
+  core::ExperimentRunner runner{runnerConfig};
+  runner.run();
+  const auto summary = core::ExperimentSummary::compute(runner);
 
-  const sim::SimTime end = experiment.experimentEnd();
+  const sim::SimTime end = runner.experimentEnd();
   for (std::size_t t = 0; t < 4; ++t) {
     const auto whole = summary.windowStats(
-        experiment, t, core::Period{sim::kEpoch, end + sim::hours(1)});
+        runner.capture(t), t, core::Period{sim::kEpoch, end + sim::hours(1)});
     // Split the timeline into 5 disjoint windows; packets must sum up.
     std::uint64_t packetSum = 0;
     std::size_t sessionSum = 0;
@@ -225,7 +227,7 @@ TEST(SummaryProperty, DisjointWindowsSumToWhole) {
     for (int w = 0; w < 5; ++w) {
       const core::Period window{sim::kEpoch + step * w,
                                 sim::kEpoch + step * (w + 1)};
-      const auto stats = summary.windowStats(experiment, t, window);
+      const auto stats = summary.windowStats(runner.capture(t), t, window);
       packetSum += stats.packets;
       sessionSum += stats.sessions128;
     }

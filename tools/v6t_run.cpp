@@ -12,11 +12,13 @@
 // start position comes from the segments' sparse time index
 // (SegmentReader::lowerBound), so nothing before `from` is read off disk.
 //
-// With --threads N (or `threads = N` in the config file) the sharded
-// ExperimentRunner executes the population across N worker shards and
-// merges captures into canonical order; results are bitwise-identical for
-// every N. Without either, the classic serial Experiment runs, which also
-// produces the §8 operator guidance.
+// Every run goes through the ExperimentRunner: --threads N (or
+// `threads = N` in the config file; default 1) executes the population
+// across N worker shards and merges captures into canonical order, with
+// results bitwise-identical for every N. An in-memory run reports the
+// per-telescope table, the §8 operator guidance and the shard stats; a
+// spilled run (--spill-dir) reports the streamed table instead of the
+// guidance.
 //
 // --analysis-threads N (or `analysis.threads = N` in the config file)
 // fans the post-run analysis pipeline — summary sessionization plus the
@@ -25,10 +27,13 @@
 // Unset, it inherits the simulation's thread count.
 //
 // --faults takes a comma-separated fault spec (see fault/spec.hpp), e.g.
-//   --faults "packet_loss=0.01,bgp_drop=0.1,gap=T1@2w+3d"
-// and forces the runner path (the fault layer lives in the sharded
-// runner); --fault-seed replays the same spec under different draws.
-// Faulty runs remain bitwise-reproducible for any --threads value.
+//   --faults "packet_loss=0.01,bgp_drop=0.1,gap=T1@2w+3d";
+// --fault-seed replays the same spec under different draws. Faulty runs
+// remain bitwise-reproducible for any --threads value.
+//
+// Numeric flags go through the config file's checked parsers: a value
+// with trailing junk ("4x", "12x") or out of range is a usage error
+// (exit 2), never silently truncated.
 //
 // --metrics-out streams one JSONL metrics snapshot per --metrics-interval
 // seconds of wall time (plus a final post-analysis snapshot) and prints a
@@ -44,7 +49,8 @@
 // captures and the report stay bitwise-identical to an untraced run.
 #include <algorithm>
 #include <array>
-#include <cstdlib>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -59,7 +65,6 @@
 #include "analysis/streaming.hpp"
 #include "analysis/taxonomy.hpp"
 #include "core/config.hpp"
-#include "core/experiment.hpp"
 #include "core/guidance.hpp"
 #include "core/metrics.hpp"
 #include "core/runner.hpp"
@@ -97,6 +102,16 @@ int usage() {
   return 2;
 }
 
+/// Reads a numeric flag's value with the config file's checked parser; a
+/// malformed value or one outside [lo, hi] is reported and rejected.
+bool flagU64(const char* flag, const char* text, std::uint64_t lo,
+             std::uint64_t hi, std::uint64_t& out) {
+  if (v6t::core::parseU64(text, out) && out >= lo && out <= hi) return true;
+  std::cerr << flag << " takes an integer in [" << lo << ", " << hi
+            << "], not '" << text << "'\n";
+  return false;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -110,8 +125,8 @@ int main(int argc, char** argv) {
   double metricsInterval = 1.0;
   bool dumpCaptures = false;
   bool printConfig = false;
-  unsigned threadsOverride = 0; // 0 = not given on the command line
-  unsigned analysisThreadsOverride = 0;
+  std::uint64_t threadsOverride = 0; // 0 = not given on the command line
+  std::uint64_t analysisThreadsOverride = 0;
   std::string faultsSpec;
   std::optional<std::uint64_t> faultSeedOverride;
   std::string spillDir;
@@ -119,8 +134,11 @@ int main(int argc, char** argv) {
   std::optional<std::int64_t> dumpFromMs;
   std::optional<std::int64_t> dumpToMs;
   std::optional<net::Ipv6Address> dumpSource;
+  constexpr std::uint64_t kU64Max = UINT64_MAX;
+  constexpr std::uint64_t kMsMax = INT64_MAX;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::uint64_t number = 0;
     if (arg == "--out") {
       if (++i >= argc) return usage();
       outDir = argv[i];
@@ -129,31 +147,27 @@ int main(int argc, char** argv) {
       faultsSpec = argv[i];
     } else if (arg == "--fault-seed") {
       if (++i >= argc) return usage();
-      faultSeedOverride = std::strtoull(argv[i], nullptr, 10);
+      if (!flagU64("--fault-seed", argv[i], 0, kU64Max, number)) {
+        return usage();
+      }
+      faultSeedOverride = number;
     } else if (arg == "--threads") {
       if (++i >= argc) return usage();
-      const long v = std::strtol(argv[i], nullptr, 10);
-      if (v < 1 || v > 64) {
-        std::cerr << "--threads must be 1..64\n";
+      if (!flagU64("--threads", argv[i], 1, 64, threadsOverride)) {
         return usage();
       }
-      threadsOverride = static_cast<unsigned>(v);
     } else if (arg == "--analysis-threads") {
       if (++i >= argc) return usage();
-      const long v = std::strtol(argv[i], nullptr, 10);
-      if (v < 1 || v > 64) {
-        std::cerr << "--analysis-threads must be 1..64\n";
+      if (!flagU64("--analysis-threads", argv[i], 1, 64,
+                   analysisThreadsOverride)) {
         return usage();
       }
-      analysisThreadsOverride = static_cast<unsigned>(v);
     } else if (arg == "--spill-dir") {
       if (++i >= argc) return usage();
       spillDir = argv[i];
     } else if (arg == "--spill-bytes") {
       if (++i >= argc) return usage();
-      spillBytes = std::strtoull(argv[i], nullptr, 10);
-      if (spillBytes == 0) {
-        std::cerr << "--spill-bytes must be > 0\n";
+      if (!flagU64("--spill-bytes", argv[i], 1, kU64Max, spillBytes)) {
         return usage();
       }
     } else if (arg == "--metrics-out") {
@@ -167,9 +181,10 @@ int main(int argc, char** argv) {
       traceOut = argv[i];
     } else if (arg == "--metrics-interval") {
       if (++i >= argc) return usage();
-      metricsInterval = std::strtod(argv[i], nullptr);
-      if (!(metricsInterval > 0.0)) {
-        std::cerr << "--metrics-interval must be > 0\n";
+      if (!core::parseDouble(argv[i], metricsInterval) ||
+          !std::isfinite(metricsInterval) || !(metricsInterval > 0.0)) {
+        std::cerr << "--metrics-interval takes a number of seconds > 0, not '"
+                  << argv[i] << "'\n";
         return usage();
       }
     } else if (arg == "--log-level") {
@@ -183,10 +198,12 @@ int main(int argc, char** argv) {
       obs::Logger::global().setLevel(obs::parseLevel(name));
     } else if (arg == "--from") {
       if (++i >= argc) return usage();
-      dumpFromMs = std::strtoll(argv[i], nullptr, 10);
+      if (!flagU64("--from", argv[i], 0, kMsMax, number)) return usage();
+      dumpFromMs = static_cast<std::int64_t>(number);
     } else if (arg == "--to") {
       if (++i >= argc) return usage();
-      dumpToMs = std::strtoll(argv[i], nullptr, 10);
+      if (!flagU64("--to", argv[i], 0, kMsMax, number)) return usage();
+      dumpToMs = static_cast<std::int64_t>(number);
     } else if (arg == "--source") {
       if (++i >= argc) return usage();
       dumpSource = net::Ipv6Address::parse(argv[i]);
@@ -230,9 +247,11 @@ int main(int argc, char** argv) {
     }
     config = parsed.config;
   }
-  if (threadsOverride != 0) config.threads = threadsOverride;
+  if (threadsOverride != 0) {
+    config.threads = static_cast<unsigned>(threadsOverride);
+  }
   if (analysisThreadsOverride != 0) {
-    config.analysisThreads = analysisThreadsOverride;
+    config.analysisThreads = static_cast<unsigned>(analysisThreadsOverride);
   }
   if (!faultsSpec.empty()) {
     const auto parsed = fault::FaultSpec::parse(faultsSpec);
@@ -260,89 +279,44 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Faults force the runner: the fault layer wraps the runner's script
-  // broadcast and per-shard fabrics, not the serial reference Experiment.
-  // So does spill mode — the segment stores are per-shard structures.
-  const bool useRunner = threadsOverride != 0 || config.threads > 1 ||
-                         !config.faults.empty() || spillMode;
-
-  // Both paths produce the same capture/summary data (the runner merges
-  // shards into canonical order); only the guidance report is serial-only.
-  std::array<const telescope::CaptureStore*, 4> captures{};
+  std::cout << "running experiment (seed " << config.seed << ", "
+            << config.splits << " splits, threads " << config.threads
+            << ") ...\n";
+  core::RunnerConfig runnerConfig;
+  runnerConfig.experiment = config;
+  core::ExperimentRunner runner{runnerConfig};
   std::array<std::string, 4> names;
-  std::unique_ptr<core::Experiment> experiment;
-  std::unique_ptr<core::ExperimentRunner> runner;
-  const bgp::SplitSchedule* schedule = nullptr;
+  for (std::size_t t = 0; t < 4; ++t) names[t] = runner.telescopeName(t);
 
-  std::unique_ptr<obs::PeriodicExporter> exporter;
-  obs::ExporterOptions exporterOptions;
-  exporterOptions.jsonlPath = metricsOut;
-  exporterOptions.intervalSeconds = metricsInterval;
-
-  // Flight-recorder handles (one per shard; the serial path has one).
-  std::vector<obs::trace::Tracer*> traceHandles;
-  auto armFlightRecorder = [&] {
-    if (!config.traceEnabled) return;
-    // Fatal signals dump the retained ring windows to stderr post-mortem.
+  // Flight-recorder handles, one per shard. Fatal signals dump the
+  // retained ring windows to stderr post-mortem.
+  const std::vector<obs::trace::Tracer*> traceHandles =
+      runner.tracersMutable();
+  if (config.traceEnabled) {
     obs::trace::registerCrashDumpTracers(traceHandles);
     obs::trace::installCrashHandler();
-  };
-
-  if (useRunner) {
-    std::cout << "running sharded experiment (seed " << config.seed << ", "
-              << config.splits << " splits, " << config.threads
-              << " threads) ...\n";
-    core::RunnerConfig runnerConfig;
-    runnerConfig.experiment = config;
-    runner = std::make_unique<core::ExperimentRunner>(runnerConfig);
-    traceHandles = runner->tracersMutable();
-    armFlightRecorder();
-    if (!metricsOut.empty()) {
-      // The exporter thread only reads relaxed-atomic metric values; it
-      // cannot perturb the shards (DESIGN.md §9 determinism contract).
-      exporter = std::make_unique<obs::PeriodicExporter>(
-          exporterOptions,
-          [&runner](std::ostream& out) {
-            obs::Registry snapshot;
-            runner->snapshotMetrics(snapshot);
-            snapshot.writeJsonLine(
-                out, {{"phase", "live"},
-                      {"wall_time", obs::fmt::isoTimestampUtc()}});
-          },
-          [&runner] { return runner->progressLine(); });
-    }
-    runner->run();
-    captures = runner->captures();
-    for (std::size_t t = 0; t < 4; ++t) names[t] = runner->telescopeName(t);
-    schedule = &runner->schedule();
-  } else {
-    std::cout << "running experiment (seed " << config.seed << ", "
-              << config.splits << " splits) ...\n";
-    experiment = std::make_unique<core::Experiment>(config);
-    traceHandles = {&experiment->tracer()};
-    armFlightRecorder();
-    if (!metricsOut.empty()) {
-      exporter = std::make_unique<obs::PeriodicExporter>(
-          exporterOptions,
-          [&experiment](std::ostream& out) {
-            obs::Registry snapshot;
-            snapshot.aggregateFrom(experiment->metrics());
-            snapshot.writeJsonLine(
-                out, {{"phase", "live"},
-                      {"wall_time", obs::fmt::isoTimestampUtc()}});
-          },
-          [] { return std::string{}; });
-    }
-    experiment->run();
-    for (std::size_t t = 0; t < 4; ++t) {
-      captures[t] = &experiment->telescope(t).capture();
-      names[t] = experiment->telescope(t).name();
-    }
-    schedule = &experiment->schedule();
   }
 
-  obs::Registry& metrics =
-      useRunner ? runner->metrics() : experiment->metrics();
+  std::unique_ptr<obs::PeriodicExporter> exporter;
+  if (!metricsOut.empty()) {
+    obs::ExporterOptions exporterOptions;
+    exporterOptions.jsonlPath = metricsOut;
+    exporterOptions.intervalSeconds = metricsInterval;
+    // The exporter thread only reads relaxed-atomic metric values; it
+    // cannot perturb the shards (DESIGN.md §9 determinism contract).
+    exporter = std::make_unique<obs::PeriodicExporter>(
+        exporterOptions,
+        [&runner](std::ostream& out) {
+          obs::Registry snapshot;
+          runner.snapshotMetrics(snapshot);
+          snapshot.writeJsonLine(
+              out, {{"phase", "live"},
+                    {"wall_time", obs::fmt::isoTimestampUtc()}});
+        },
+        [&runner] { return runner.progressLine(); });
+  }
+  runner.run();
+  obs::Registry& metrics = runner.metrics();
 
   // Flush every observability artifact — last metrics snapshot, Prometheus
   // dump, trace file — used by both the normal-exit path and the
@@ -389,7 +363,7 @@ int main(int argc, char** argv) {
   };
 
   auto printRunnerStats = [&] {
-    const core::RunnerStats& stats = runner->stats();
+    const core::RunnerStats& stats = runner.stats();
     std::cout << "\nshards:\n";
     double maxWall = 0.0;
     double sumWall = 0.0;
@@ -429,7 +403,7 @@ int main(int argc, char** argv) {
 
   // Spill mode: the in-memory captures drained to per-shard segment stores
   // during the run, so every downstream consumer streams the canonical
-  // k-way merge instead of touching captures[] (which is empty). The
+  // k-way merge instead of touching runner.capture() (which is empty). The
   // windowed analysis digest is bitwise-identical to the in-memory path
   // (DESIGN.md §15); the canonical-order invariant gate runs inline on the
   // stream for the same reason.
@@ -441,7 +415,7 @@ int main(int argc, char** argv) {
     {
       obs::Span phaseSpan(metrics, "runner.phase.analyze_seconds");
       for (std::size_t t = 0; t < 4; ++t) {
-        for (const telescope::SegmentStore* store : runner->spillStores(t)) {
+        for (const telescope::SegmentStore* store : runner.spillStores(t)) {
           segmentCounts[t] += store->segmentCount();
         }
         analysis::StreamingOptions opts;
@@ -449,7 +423,7 @@ int main(int argc, char** argv) {
         opts.metrics = &metrics;
         opts.captureGaps = config.faults.gapWindowsFor(t);
         analysis::StreamingAnalyzer analyzer{opts};
-        auto cursor = runner->streamCapture(t);
+        auto cursor = runner.streamCapture(t);
         bool first = true;
         std::tuple<std::int64_t, std::uint32_t, std::uint64_t> prev{};
         if (!cursor.empty()) {
@@ -525,9 +499,9 @@ int main(int argc, char** argv) {
                        : std::nullopt;
         auto cursor =
             dumpSource
-                ? runner->streamCaptureForSource(t, *dumpSource, fromTime)
-                : (fromTime ? runner->streamCapture(t, *fromTime)
-                            : runner->streamCapture(t));
+                ? runner.streamCaptureForSource(t, *dumpSource, fromTime)
+                : (fromTime ? runner.streamCapture(t, *fromTime)
+                            : runner.streamCapture(t));
         if (!cursor.empty()) {
           do {
             const net::Packet& p = cursor.head();
@@ -550,7 +524,7 @@ int main(int argc, char** argv) {
   {
     fault::InvariantChecker checker;
     for (std::size_t t = 0; t < 4; ++t) {
-      checker.checkCanonicalOrder(*captures[t]);
+      checker.checkCanonicalOrder(runner.capture(t));
     }
     if (!checker.ok()) {
       std::cerr << "FATAL: capture invariant violated\n";
@@ -578,9 +552,7 @@ int main(int argc, char** argv) {
     obs::Span phaseSpan(metrics, "runner.phase.analyze_seconds");
     {
       obs::Span analyzeSpan(metrics, "experiment.phase.analyze_seconds");
-      summary = core::ExperimentSummary::compute(captures, names,
-                                                 config.faults,
-                                                 analysisThreads);
+      summary = core::ExperimentSummary::compute(runner, analysisThreads);
     }
     core::collectSummaryMetrics(*summary, metrics);
 
@@ -589,10 +561,10 @@ int main(int argc, char** argv) {
     pipelineOptions.minSplitCost = config.analysisMinSplitCost;
     pipelineOptions.fingerprint = false; // overview needs taxonomy + hitters
     for (std::size_t t = 0; t < 4; ++t) {
-      const analysis::Pipeline pipeline{captures[t]->packets(),
+      const analysis::Pipeline pipeline{runner.capture(t).packets(),
                                         summary->telescope(t).sessions128,
                                         &metrics};
-      reports[t] = pipeline.run(t == core::T1 ? schedule : nullptr,
+      reports[t] = pipeline.run(t == core::T1 ? &runner.schedule() : nullptr,
                                 pipelineOptions);
     }
   }
@@ -616,8 +588,8 @@ int main(int argc, char** argv) {
     const bool inGap = !config.faults.gapWindowsFor(t).empty();
     table.addRow(
         {analysis::gapFlagged(names[t], inGap),
-         analysis::withThousands(captures[t]->packetCount()),
-         analysis::withThousands(captures[t]->distinctSources128()),
+         analysis::withThousands(runner.capture(t).packetCount()),
+         analysis::withThousands(runner.capture(t).distinctSources128()),
          analysis::withThousands(sessions.size()),
          analysis::withThousands(
              taxonomy.scannersOf(analysis::TemporalClass::OneOff)),
@@ -628,17 +600,15 @@ int main(int argc, char** argv) {
   }
   table.render(std::cout);
 
-  if (useRunner) {
-    printRunnerStats();
-  } else {
-    // Guidance (serial path only; the engine reads the Experiment object).
-    std::cout << "\n";
-    for (const auto& finding :
-         core::GuidanceEngine::derive(*experiment, *summary)) {
-      std::cout << "* " << finding.topic << ": " << finding.statement
-                << "\n  (" << finding.evidence << ")\n";
-    }
+  // §8 operator guidance, from the T1 taxonomy the pipeline just built.
+  std::cout << "\n";
+  for (const auto& finding : core::GuidanceEngine::derive(
+           runner, *summary, reports[core::T1].taxonomy)) {
+    std::cout << "* " << finding.topic << ": " << finding.statement
+              << "\n  (" << finding.evidence << ")\n";
   }
+
+  printRunnerStats();
 
   if (dumpCaptures) {
     std::filesystem::create_directories(outDir);
@@ -647,15 +617,15 @@ int main(int argc, char** argv) {
           std::filesystem::path{outDir} / (names[t] + ".v6tcap");
       std::ofstream out{path, std::ios::binary};
       if (!dumpFromMs && !dumpToMs && !dumpSource) {
-        captures[t]->writeTo(out);
+        runner.capture(t).writeTo(out);
         std::cout << "wrote " << path.string() << " ("
-                  << captures[t]->packetCount() << " records)\n";
+                  << runner.capture(t).packetCount() << " records)\n";
         continue;
       }
       // Ranged dump over the ts-ordered in-memory capture: one lower
       // bound for --from, early stop at --to, linear --source filter;
       // byte-identical to a full dump filtered the same way.
-      const std::vector<net::Packet>& pkts = captures[t]->packets();
+      const std::vector<net::Packet>& pkts = runner.capture(t).packets();
       auto it = pkts.begin();
       if (dumpFromMs) {
         it = std::lower_bound(pkts.begin(), pkts.end(), *dumpFromMs,

@@ -27,14 +27,18 @@
 // Responses are deterministic functions of the capture, which is what the
 // sharded result cache (serve.cache_bytes; 0 disables) exploits — see
 // bench/serve_load for the cached-vs-uncached contract.
+//
+// Numeric flags go through the config file's checked parser: "--port abc"
+// or "--threads 4x" is a usage error (exit 2), never a silent default.
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +75,16 @@ int usage() {
   return 2;
 }
 
+/// Reads a numeric flag's value with the config file's checked parser; a
+/// malformed value or one outside [lo, hi] is reported and rejected.
+bool flagU64(const char* flag, const char* text, std::uint64_t lo,
+             std::uint64_t hi, std::uint64_t& out) {
+  if (v6t::core::parseU64(text, out) && out >= lo && out <= hi) return true;
+  std::cerr << flag << " takes an integer in [" << lo << ", " << hi
+            << "], not '" << text << "'\n";
+  return false;
+}
+
 std::atomic<bool> gStop{false};
 
 void onSignal(int) { gStop.store(true, std::memory_order_relaxed); }
@@ -85,12 +99,13 @@ int main(int argc, char** argv) {
   std::string configPath;
   std::string telescopeName = "T1";
   bool noSchedule = false;
-  int portOverride = -1;
-  unsigned threadsOverride = 0;
-  unsigned analysisThreadsOverride = 0;
-  std::int64_t cacheBytesOverride = -1;
+  std::optional<std::uint64_t> portOverride; // 0 = ephemeral
+  std::uint64_t threadsOverride = 0;
+  std::uint64_t analysisThreadsOverride = 0;
+  std::optional<std::uint64_t> cacheBytesOverride; // 0 disables the cache
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::uint64_t number = 0;
     if (arg == "--capture") {
       if (++i >= argc) return usage();
       capturePath = argv[i];
@@ -102,35 +117,25 @@ int main(int argc, char** argv) {
       telescopeName = argv[i];
     } else if (arg == "--port") {
       if (++i >= argc) return usage();
-      const long v = std::strtol(argv[i], nullptr, 10);
-      if (v < 0 || v > 65535) {
-        std::cerr << "--port must be 0..65535 (0 = ephemeral)\n";
-        return usage();
-      }
-      portOverride = static_cast<int>(v);
+      if (!flagU64("--port", argv[i], 0, 65535, number)) return usage();
+      portOverride = number;
     } else if (arg == "--threads") {
       if (++i >= argc) return usage();
-      const long v = std::strtol(argv[i], nullptr, 10);
-      if (v < 1 || v > 64) {
-        std::cerr << "--threads must be 1..64\n";
+      if (!flagU64("--threads", argv[i], 1, 64, threadsOverride)) {
         return usage();
       }
-      threadsOverride = static_cast<unsigned>(v);
     } else if (arg == "--analysis-threads") {
       if (++i >= argc) return usage();
-      const long v = std::strtol(argv[i], nullptr, 10);
-      if (v < 1 || v > 64) {
-        std::cerr << "--analysis-threads must be 1..64\n";
+      if (!flagU64("--analysis-threads", argv[i], 1, 64,
+                   analysisThreadsOverride)) {
         return usage();
       }
-      analysisThreadsOverride = static_cast<unsigned>(v);
     } else if (arg == "--cache-bytes") {
       if (++i >= argc) return usage();
-      cacheBytesOverride = std::strtoll(argv[i], nullptr, 10);
-      if (cacheBytesOverride < 0) {
-        std::cerr << "--cache-bytes must be >= 0 (0 disables the cache)\n";
+      if (!flagU64("--cache-bytes", argv[i], 0, UINT64_MAX, number)) {
         return usage();
       }
+      cacheBytesOverride = number;
     } else if (arg == "--no-schedule") {
       noSchedule = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -242,9 +247,10 @@ int main(int argc, char** argv) {
 
   obs::Registry registry;
   serve::QueryEngineOptions engineOptions;
-  engineOptions.analysisThreads = analysisThreadsOverride != 0
-                                      ? analysisThreadsOverride
-                                      : config.effectiveAnalysisThreads();
+  engineOptions.analysisThreads =
+      analysisThreadsOverride != 0
+          ? static_cast<unsigned>(analysisThreadsOverride)
+          : config.effectiveAnalysisThreads();
   engineOptions.minSplitCost = config.analysisMinSplitCost;
   std::cout << "building capture index (" << sessions.size()
             << " sessions) ...\n";
@@ -252,14 +258,14 @@ int main(int argc, char** argv) {
                                   engineOptions, &registry};
 
   serve::ServerOptions serverOptions;
-  serverOptions.port = portOverride >= 0
-                           ? static_cast<std::uint16_t>(portOverride)
+  serverOptions.port = portOverride
+                           ? static_cast<std::uint16_t>(*portOverride)
                            : config.servePort;
-  serverOptions.threads =
-      threadsOverride != 0 ? threadsOverride : config.serveThreads;
-  serverOptions.cacheBytes = cacheBytesOverride >= 0
-                                 ? static_cast<std::uint64_t>(cacheBytesOverride)
-                                 : config.serveCacheBytes;
+  serverOptions.threads = threadsOverride != 0
+                              ? static_cast<unsigned>(threadsOverride)
+                              : config.serveThreads;
+  serverOptions.cacheBytes =
+      cacheBytesOverride.value_or(config.serveCacheBytes);
   serverOptions.cacheShards = config.serveCacheShards;
   serverOptions.maxConnections = config.serveMaxConnections;
   serverOptions.maxRequestBytes = config.serveMaxRequestBytes;
