@@ -4,7 +4,7 @@
 // simulation so numbers are consistent across tables.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "core/config.hpp"
 #include "core/runner.hpp"
 #include "core/summary.hpp"
 #include "analysis/pipeline.hpp"
@@ -20,24 +21,46 @@
 
 namespace v6t::bench {
 
+/// Ends the bench when an environment override is junk or out of range,
+/// before anything is simulated.
+[[noreturn]] inline void badEnv(const char* name, const char* value,
+                                const char* want) {
+  std::cerr << name << " must be " << want << ": '" << value << "'\n";
+  std::exit(2);
+}
+
 /// The standard configuration used by all table/figure benches. Scale can
 /// be overridden through V6T_SOURCE_SCALE / V6T_VOLUME_SCALE / V6T_SEED
-/// environment variables for calibration runs.
+/// environment variables for calibration runs, checked like the config
+/// keys of the same names.
 inline core::ExperimentConfig standardConfig() {
   core::ExperimentConfig config;
-  if (const char* s = std::getenv("V6T_SEED")) config.seed = std::strtoull(s, nullptr, 10);
-  if (const char* s = std::getenv("V6T_SOURCE_SCALE")) config.sourceScale = std::strtod(s, nullptr);
-  if (const char* s = std::getenv("V6T_VOLUME_SCALE")) config.volumeScale = std::strtod(s, nullptr);
+  if (const char* s = std::getenv("V6T_SEED")) {
+    if (!core::parseU64(s, config.seed)) badEnv("V6T_SEED", s, "an integer");
+  }
+  const auto scale = [](const char* name, double& out) {
+    if (const char* s = std::getenv(name)) {
+      if (!core::parseDouble(s, out) || out <= 0.0 || out > 1.0) {
+        badEnv(name, s, "a scale in (0, 1]");
+      }
+    }
+  };
+  scale("V6T_SOURCE_SCALE", config.sourceScale);
+  scale("V6T_VOLUME_SCALE", config.volumeScale);
   return config;
 }
 
 /// Worker count for the shared analysis pipeline. Results are
 /// bitwise-identical at every value (DESIGN.md §12), so benches default
-/// to every core the host offers; V6T_ANALYSIS_THREADS overrides.
+/// to every core the host offers; V6T_ANALYSIS_THREADS (0..64, 0 = one
+/// worker) overrides.
 inline unsigned analysisThreads() {
   if (const char* s = std::getenv("V6T_ANALYSIS_THREADS")) {
-    const unsigned long v = std::strtoul(s, nullptr, 10);
-    return v == 0 ? 1u : static_cast<unsigned>(std::min<unsigned long>(v, 64));
+    std::uint64_t v = 0;
+    if (!core::parseU64(s, v) || v > 64) {
+      badEnv("V6T_ANALYSIS_THREADS", s, "0..64");
+    }
+    return v == 0 ? 1u : static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "analysis/addr_class.hpp"
-#include "analysis/autocorr.hpp"
 #include "analysis/dbscan.hpp"
 #include "analysis/nist.hpp"
 #include "analysis/simd.hpp"
@@ -165,28 +164,6 @@ void BM_AddrClassifyWordLanes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8192);
 }
 BENCHMARK(BM_AddrClassifyWordLanes);
-
-void BM_AutocorrScalar(benchmark::State& state) {
-  sim::Rng rng{9};
-  std::vector<double> xs(static_cast<std::size_t>(state.range(0)));
-  for (auto& x : xs) x = rng.uniform();
-  analysis::ScopedSimdKernels off{false};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::autocorrelation(xs, xs.size() / 4));
-  }
-}
-BENCHMARK(BM_AutocorrScalar)->Arg(1024)->Arg(8192);
-
-void BM_AutocorrSimd(benchmark::State& state) {
-  sim::Rng rng{9};
-  std::vector<double> xs(static_cast<std::size_t>(state.range(0)));
-  for (auto& x : xs) x = rng.uniform();
-  analysis::ScopedSimdKernels on{true};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::autocorrelation(xs, xs.size() / 4));
-  }
-}
-BENCHMARK(BM_AutocorrSimd)->Arg(1024)->Arg(8192);
 
 void BM_Dbscan(benchmark::State& state) {
   sim::Rng rng{4};

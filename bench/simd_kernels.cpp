@@ -1,6 +1,6 @@
 // bench/simd_kernels — the tracked perf baseline for the columnar/SIMD
 // analysis kernels (DESIGN.md §16): scalar reference vs word/vector path
-// for the three hot kernels, plus the bit-identity gate the whole design
+// for the two hot kernels, plus the bit-identity gate the whole design
 // rests on — the full pipeline digest must be equal at every thread count
 // with the kernels toggled both ways.
 //
@@ -15,7 +15,6 @@
 //               popcount kernels on the same sequences
 //   classify    classifyAll per row (scalar) vs classifyLanes on the
 //               contiguous IID lane column
-//   acf         autocorrelation with the vector loop off vs on
 //
 // Digest gate: a synthetic capture (sessionized per the paper's 1-hour
 // timeout) analyzed with the full stage set including the NIST battery,
@@ -29,7 +28,6 @@
 //
 //   bench.simd_kernels.freq_runs_scalar_seconds / _simd_seconds / _speedup
 //   bench.simd_kernels.classify_scalar_seconds  / _simd_seconds / _speedup
-//   bench.simd_kernels.acf_scalar_seconds       / _simd_seconds / _speedup
 //   bench.simd_kernels.digest_match             1 = all six digests equal
 //   bench.simd_kernels.simd_compiled_in         V6T_SIMD at build time
 //   bench.simd_kernels.cores_available          hardware_concurrency
@@ -40,7 +38,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -49,7 +46,6 @@
 #include <vector>
 
 #include "analysis/addr_class.hpp"
-#include "analysis/autocorr.hpp"
 #include "analysis/nist.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/simd.hpp"
@@ -209,30 +205,6 @@ int main(int argc, char** argv) {
             << classifySimd << "s -> " << classifySpeedup << "x"
             << (classifyEqual ? "" : " (HISTOGRAM MISMATCH)") << "\n";
 
-  // --- kernel pair 3: autocorrelation, scalar vs vector loop ------------
-  const auto acfLen = static_cast<std::size_t>(16384 * scale) + 256;
-  std::vector<double> series(acfLen);
-  for (auto& x : series) x = rng.uniform();
-  const std::size_t acfMaxLag = acfLen / 4;
-  std::vector<double> acfScalarOut;
-  const double acfScalar = bestOf(reps, [&] {
-    analysis::ScopedSimdKernels off{false};
-    acfScalarOut = analysis::autocorrelation(series, acfMaxLag);
-  });
-  std::vector<double> acfSimdOut;
-  const double acfSimd = bestOf(reps, [&] {
-    analysis::ScopedSimdKernels on{true};
-    acfSimdOut = analysis::autocorrelation(series, acfMaxLag);
-  });
-  const bool acfEqual =
-      acfScalarOut.size() == acfSimdOut.size() &&
-      std::memcmp(acfScalarOut.data(), acfSimdOut.data(),
-                  acfScalarOut.size() * sizeof(double)) == 0;
-  const double acfSpeedup = acfSimd > 0 ? acfScalar / acfSimd : 0;
-  std::cout << "acf: scalar " << acfScalar << "s, vector " << acfSimd
-            << "s -> " << acfSpeedup << "x"
-            << (acfEqual ? "" : " (ACF MISMATCH)") << "\n";
-
   // --- the bit-identity gate: pipeline digest across threads x toggle ---
   const auto packetCount = static_cast<std::size_t>(120'000 * scale) + 2000;
   const std::vector<net::Packet> packets = syntheticCapture(7, packetCount);
@@ -259,8 +231,7 @@ int main(int argc, char** argv) {
                 << (match ? "" : " (MISMATCH)") << "\n";
     }
   }
-  const bool allEqual = digestMatch && freqRunsEqual && classifyEqual &&
-                        acfEqual;
+  const bool allEqual = digestMatch && freqRunsEqual && classifyEqual;
 
   obs::Registry registry;
   auto gauge = [&](const char* name, double v) {
@@ -273,7 +244,6 @@ int main(int argc, char** argv) {
   gauge("simd_compiled_in", analysis::kSimdCompiledIn ? 1.0 : 0.0);
   gauge("nist_sequences", static_cast<double>(seqCount));
   gauge("classify_addrs", static_cast<double>(addrCount));
-  gauge("acf_len", static_cast<double>(acfLen));
   gauge("digest_packets", static_cast<double>(packets.size()));
   gauge("digest_sessions", static_cast<double>(sessions.size()));
   gauge("freq_runs_scalar_seconds", freqRunsScalar);
@@ -282,9 +252,6 @@ int main(int argc, char** argv) {
   gauge("classify_scalar_seconds", classifyScalar);
   gauge("classify_simd_seconds", classifySimd);
   gauge("classify_speedup", classifySpeedup);
-  gauge("acf_scalar_seconds", acfScalar);
-  gauge("acf_simd_seconds", acfSimd);
-  gauge("acf_speedup", acfSpeedup);
   gauge("digest_match", allEqual ? 1.0 : 0.0);
 
   std::ostringstream digestHex;

@@ -2,104 +2,95 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-
-#include "analysis/simd.hpp"
+#include <cstdint>
+#include <cstdlib>
+#include <vector>
 
 namespace v6t::analysis {
 
 namespace {
 
-/// Product sum for one lag in the scalar reference order — the kernel the
-/// vector path must reproduce bit for bit.
-double lagSumScalar(const double* c, std::size_t n, std::size_t lag) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i + lag < n; ++i) {
-    sum += c[i] * c[i + lag];
-  }
-  return sum;
-}
+constexpr std::int64_t kBinMillis = sim::hours(1).millis();
+/// Longest series (in bins) the binned test examines; ~120 years of hours.
+constexpr std::size_t kMaxBins = std::size_t{1} << 20;
 
-#if !defined(V6T_SIMD_DISABLED)
-typedef double v2df __attribute__((vector_size(16)));
+/// Wide enough for every term below: with n <= 2^20 bins and N < 2^32
+/// starts, |10·num_k| and 3·den stay under 10·n²·N² < 2^108.
+using Wide = __int128;
 
-/// Product sums for lags lag..lag+3 in one pass (DESIGN.md §16). Lane k
-/// accumulates c[i]·c[i+lag+k] with i ascending: per lane that is the
-/// identical multiply/add sequence as lagSumScalar — element-wise IEEE
-/// vector ops, one accumulator per lane, no reassociation — so every lane
-/// is bit-identical to its scalar run. The speedup comes from four
-/// independent dependency chains per iteration, not from reordering math.
-/// Two 16-byte vectors instead of one 32-byte one: baseline x86-64 has
-/// only 128-bit registers, and a v4df accumulator gets spilled to the
-/// stack every iteration, which eats the entire win.
-void lagSum4(const double* c, std::size_t n, std::size_t lag,
-             double out[4]) {
-  v2df acc01 = {0.0, 0.0};
-  v2df acc23 = {0.0, 0.0};
-  const std::size_t common = n > lag + 3 ? n - lag - 3 : 0;
-  const double* y = c + lag;
-  for (std::size_t i = 0; i < common; ++i) {
-    const v2df x = {c[i], c[i]};
-    v2df y01;
-    v2df y23;
-    __builtin_memcpy(&y01, y + i, sizeof y01); // unaligned vector loads
-    __builtin_memcpy(&y23, y + i + 2, sizeof y23);
-    acc01 += x * y01;
-    acc23 += x * y23;
+/// The binned test over ascending start times: the first lag k in
+/// [2, n/2) whose autocorrelation is at least 3/10 and a local maximum,
+/// in bins, or 0 when there is none.
+///
+/// With x_i the starts in hourly bin i of n and N = Σx_i, the textbook
+/// centered ACF is r_k = Σ_{i<n-k} (x_i - N/n)(x_{i+k} - N/n) / Σ (x_i -
+/// N/n)². Scaled by n², both sums are integers:
+///
+///   num_k = n²·S_k - n·N·(A_k + B_k) + (n - k)·N²
+///   den   = n·(n·Q - N²)
+///
+/// where S_k = Σ x_i·x_{i+k} counts the start pairs exactly k bins apart,
+/// Q = Σ x_i², A_k the starts in bins [0, n-k) and B_k those in [k, n).
+/// The cost is one step per start pair at most n/2 bins apart plus one
+/// pass over the n/2 pair counters, not the n²/2 multiply-adds of a dense
+/// sweep, and every comparison is exact: ties (r_k = 3/10, r_k = r_{k±1})
+/// qualify.
+std::size_t peakLag(std::span<const sim::SimTime> sorted) {
+  const std::int64_t start = sorted.front().millis();
+  const auto bins =
+      static_cast<std::size_t>((sorted.back().millis() - start) / kBinMillis) +
+      1;
+  if (bins > kMaxBins) return 0;
+  const std::size_t lags = bins / 2; // r_1..r_lags; candidates 2..lags-1
+  if (lags < 3) return 0;
+
+  std::vector<std::uint32_t> bin;
+  bin.reserve(sorted.size());
+  for (sim::SimTime t : sorted) {
+    bin.push_back(
+        static_cast<std::uint32_t>((t.millis() - start) / kBinMillis));
   }
-  // Per-lane scalar tails: lane k still owes i in [common, n - lag - k).
-  const double accs[4] = {acc01[0], acc01[1], acc23[0], acc23[1]};
-  for (std::size_t k = 0; k < 4; ++k) {
-    double sum = accs[k];
-    for (std::size_t i = common; i + lag + k < n; ++i) {
-      sum += c[i] * c[i + lag + k];
+  // pairs[k] = S_k; pairs[0] counts the pairs sharing a bin, which is
+  // what Q adds over N.
+  std::vector<std::uint64_t> pairs(lags + 1, 0);
+  for (std::size_t i = 0; i < bin.size(); ++i) {
+    for (std::size_t j = i + 1; j < bin.size() && bin[j] - bin[i] <= lags;
+         ++j) {
+      ++pairs[bin[j] - bin[i]];
     }
-    out[k] = sum;
   }
+
+  const Wide n = static_cast<Wide>(bins);
+  const Wide total = static_cast<Wide>(bin.size());
+  const Wide q = total + 2 * static_cast<Wide>(pairs[0]);
+  const Wide den = n * (n * q - total * total);
+  if (den <= 0) return 0; // every bin holds the same count: no ACF
+
+  const auto startsBelow = [&](std::size_t b) {
+    return static_cast<Wide>(std::lower_bound(bin.begin(), bin.end(), b) -
+                             bin.begin());
+  };
+  const auto num = [&](std::size_t k) {
+    const Wide ab = startsBelow(bins - k) + total - startsBelow(k); // A_k+B_k
+    return n * n * static_cast<Wide>(pairs[k]) - n * total * ab +
+           (n - static_cast<Wide>(k)) * total * total;
+  };
+  for (std::size_t k = 2; k < lags; ++k) {
+    // Without a pair k bins apart, num_k <= -k·N² < 0: for k <= n/2 the
+    // two ranges of A_k and B_k cover every bin, so A_k + B_k >= N.
+    if (pairs[k] == 0) continue;
+    const Wide here = num(k);
+    if (10 * here >= 3 * den && here >= num(k - 1) && here >= num(k + 1)) {
+      return k;
+    }
+  }
+  return 0;
 }
-#endif
 
 } // namespace
 
-std::vector<double> autocorrelation(std::span<const double> xs,
-                                    std::size_t maxLag) {
-  const std::size_t n = xs.size();
-  if (n < 2) return {};
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(n);
-  double variance = 0.0;
-  for (double x : xs) variance += (x - mean) * (x - mean);
-  if (variance <= 0.0) return {};
-  // Center once; each lag's sum runs over the same products in the same
-  // order as the naive double loop, so results are bit-identical.
-  std::vector<double> centered(n);
-  for (std::size_t i = 0; i < n; ++i) centered[i] = xs[i] - mean;
-  const std::size_t lagEnd = std::min(maxLag + 1, n); // lags 1..lagEnd-1
-  std::vector<double> acf;
-  acf.reserve(maxLag);
-#if !defined(V6T_SIMD_DISABLED)
-  if (simdKernelsEnabled()) {
-    std::size_t lag = 1;
-    for (; lag + 3 < lagEnd; lag += 4) {
-      double sums[4];
-      lagSum4(centered.data(), n, lag, sums);
-      for (int k = 0; k < 4; ++k) acf.push_back(sums[k] / variance);
-    }
-    for (; lag < lagEnd; ++lag) {
-      acf.push_back(lagSumScalar(centered.data(), n, lag) / variance);
-    }
-    return acf;
-  }
-#endif
-  for (std::size_t lag = 1; lag < lagEnd; ++lag) {
-    acf.push_back(lagSumScalar(centered.data(), n, lag) / variance);
-  }
-  return acf;
-}
-
-std::optional<sim::Duration> detectPeriod(std::span<const sim::SimTime> events,
-                                          const PeriodDetectorParams& params) {
+std::optional<sim::Duration> detectPeriod(
+    std::span<const sim::SimTime> events) {
   if (events.size() < 3) return std::nullopt;
 
   // The dominant caller serves CaptureIndex::sessionStartsOf, whose
@@ -124,86 +115,18 @@ std::optional<sim::Duration> detectPeriod(std::span<const sim::SimTime> events,
   std::vector<std::int64_t> byValue = gaps;
   std::sort(byValue.begin(), byValue.end());
   const std::int64_t median = byValue[byValue.size() / 2];
-  if (median > 0) {
-    const auto within = static_cast<std::size_t>(std::count_if(
-        gaps.begin(), gaps.end(), [&](std::int64_t g) {
-          return std::abs(static_cast<double>(g - median)) <=
-                 params.gapTolerance * static_cast<double>(median);
-        }));
-    // At least three gaps: two coincidentally similar gaps must not turn a
-    // Poisson scanner into a periodic one.
-    if (within == gaps.size() && gaps.size() >= 3 &&
-        gaps.size() + 1 >= static_cast<std::size_t>(params.minRepeats + 1)) {
-      return sim::Duration{median};
-    }
+  // At least three gaps: two coincidentally similar gaps must not turn a
+  // Poisson scanner into a periodic one. Each gap within 30 % of the
+  // median, compared exactly.
+  if (median > 0 && gaps.size() >= 3 &&
+      std::all_of(gaps.begin(), gaps.end(), [&](std::int64_t g) {
+        return 10 * std::abs(g - median) <= 3 * median;
+      })) {
+    return sim::Duration{median};
   }
 
-  // General path: binned series + autocorrelation peak. The ACF is
-  // evaluated lazily, lag by lag, over a series centered once — the same
-  // products summed in the same order as autocorrelation(), so the
-  // detected lag is bit-identical to the eager scan — but the search
-  // stops at the first qualifying local maximum. Periodic scanners peak
-  // at small lags (a daily period is lag 24 at hourly bins), which drops
-  // their cost from O(bins^2) to O(bins * peakLag); only sources with no
-  // peak still pay for the full sweep.
-  const std::int64_t width = params.binWidth.millis();
-  const std::int64_t start = sorted.front().millis();
-  const std::int64_t span = sorted.back().millis() - start;
-  const std::size_t bins = static_cast<std::size_t>(span / width) + 1;
-  if (bins < 4 || bins > 1u << 20) return std::nullopt;
-  std::vector<double> series(bins, 0.0);
-  for (sim::SimTime t : sorted) {
-    series[static_cast<std::size_t>((t.millis() - start) / width)] += 1.0;
-  }
-  const std::size_t maxLag = bins / static_cast<std::size_t>(params.minRepeats);
-
-  const std::size_t n = bins;
-  double mean = 0.0;
-  for (double x : series) mean += x;
-  mean /= static_cast<double>(n);
-  double variance = 0.0;
-  for (double x : series) variance += (x - mean) * (x - mean);
-  if (variance <= 0.0) return std::nullopt;
-  std::vector<double> centered(n);
-  for (std::size_t i = 0; i < n; ++i) centered[i] = series[i] - mean;
-
-  // Lags 1..lagCount, exactly the range the eager ACF would cover.
-  const std::size_t lagCount = maxLag < n ? maxLag : n - 1;
-  if (lagCount < 3) return std::nullopt;
-  // Lazy block evaluator: the search touches lags in ascending order, so
-  // the vector path fills the memo four lags per kernel call (lagSum4).
-  // Any lag computed past the early-exit point is spare work, never a
-  // different value — each memo entry is bit-identical to the scalar
-  // evaluation — so the detected lag cannot change.
-  std::vector<double> acfMemo;
-  acfMemo.reserve(16);
-  const auto acfAt = [&](std::size_t lag) {
-    while (acfMemo.size() < lag) {
-      const std::size_t next = acfMemo.size() + 1;
-#if !defined(V6T_SIMD_DISABLED)
-      if (simdKernelsEnabled() && next + 3 <= lagCount) {
-        double sums[4];
-        lagSum4(centered.data(), n, next, sums);
-        for (int k = 0; k < 4; ++k) acfMemo.push_back(sums[k] / variance);
-        continue;
-      }
-#endif
-      acfMemo.push_back(lagSumScalar(centered.data(), n, next) / variance);
-    }
-    return acfMemo[lag - 1];
-  };
-
-  // The candidate lag is the first local maximum above threshold; the
-  // interior lags 2..lagCount-1 are the ones with both neighbors.
-  double prev = acfAt(1);
-  double here = acfAt(2);
-  for (std::size_t lag = 2; lag < lagCount; ++lag) {
-    const double next = acfAt(lag + 1);
-    if (here >= params.threshold && here >= prev && here >= next) {
-      return sim::Duration{static_cast<std::int64_t>(lag) * width};
-    }
-    prev = here;
-    here = next;
+  if (const std::size_t lag = peakLag(sorted)) {
+    return sim::Duration{static_cast<std::int64_t>(lag) * kBinMillis};
   }
   return std::nullopt;
 }

@@ -20,7 +20,8 @@
 // target-lane / port / payload-length columns in session-major order, plus
 // bit-packed NIST bit columns (an address's 64 IID bits ARE its lo64 lane
 // word; subnet bits pack two addresses per word). The word-level kernels in
-// nist.hpp / addr_class.hpp / autocorr.cpp run straight over these columns.
+// nist.hpp / addr_class.hpp run straight over these columns; the exact
+// period detector (autocorr.hpp) reads only the session-start runs.
 //
 // The index is immutable after build and shared read-only by all pipeline
 // workers; the only mutable state is a pair of relaxed atomic hit counters

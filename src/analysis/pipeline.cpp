@@ -171,8 +171,8 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
     }
     ParallelForStats stats;
     result.taxonomy =
-        classifyIndexed(index_, schedule, opts.threads, opts.temporalParams,
-                        opts.addrParams, opts.netParams, &stats, sched);
+        classifyIndexed(index_, schedule, opts.threads, opts.addrParams,
+                        opts.netParams, &stats, sched);
     recordWorkerStats(stats);
   }
 

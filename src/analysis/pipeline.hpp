@@ -61,7 +61,6 @@ struct PipelineOptions {
   /// Taxonomy stage (on by default; heavy-hitter-only consumers can skip
   /// it and get an empty TaxonomyResult).
   bool taxonomy = true;
-  PeriodDetectorParams temporalParams;
   AddressSelectionParams addrParams;
   NetworkSelectionParams netParams;
 

@@ -1,8 +1,8 @@
 // v6t::analysis — vectorized-kernel dispatch (DESIGN.md §16).
 //
-// The hot analysis kernels (NIST frequency/runs on packed bit words, the
-// addr6 word classifier, the ACF product sums) each exist twice: a scalar
-// reference implementation and a word-level/vector implementation proven
+// The two hot analysis kernels (NIST frequency/runs on packed bit words,
+// the addr6 word classifier) each exist twice: a scalar reference
+// implementation and a word-level/vector implementation proven
 // bit-identical to it by the test_simd_kernels property battery. Which one
 // runs is decided here:
 //

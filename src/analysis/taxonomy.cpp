@@ -6,6 +6,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "analysis/autocorr.hpp"
 #include "analysis/capture_index.hpp"
 #include "analysis/dbscan.hpp"
 #include "analysis/nist.hpp"
@@ -42,14 +43,13 @@ std::string_view toString(NetworkSelection s) {
   return "?";
 }
 
-TemporalResult classifyTemporal(std::span<const sim::SimTime> sessionStarts,
-                                const PeriodDetectorParams& params) {
+TemporalResult classifyTemporal(std::span<const sim::SimTime> sessionStarts) {
   if (sessionStarts.size() <= 1) return {TemporalClass::OneOff, std::nullopt};
   if (sessionStarts.size() == 2) {
     // Must appear more than twice to qualify as periodic (§5.1).
     return {TemporalClass::Intermittent, std::nullopt};
   }
-  if (auto period = detectPeriod(sessionStarts, params)) {
+  if (auto period = detectPeriod(sessionStarts)) {
     return {TemporalClass::Periodic, period};
   }
   return {TemporalClass::Intermittent, std::nullopt};
@@ -368,7 +368,6 @@ void classifyAddrBlock(const CaptureIndex& index,
 /// split source can run this concurrently with them.
 void classifySourceRest(const CaptureIndex& index, std::size_t srcIdx,
                         const bgp::SplitSchedule* schedule,
-                        const PeriodDetectorParams& temporalParams,
                         const NetworkSelectionParams& netParams,
                         TaxonomyResult& out) {
   const std::span<const telescope::Session> sessions = index.sessions();
@@ -378,8 +377,7 @@ void classifySourceRest(const CaptureIndex& index, std::size_t srcIdx,
   profile.source = index.source(srcIdx);
   profile.sessionIdx.assign(sessionIdx.begin(), sessionIdx.end());
 
-  profile.temporal =
-      classifyTemporal(index.sessionStartsOf(srcIdx), temporalParams);
+  profile.temporal = classifyTemporal(index.sessionStartsOf(srcIdx));
 
   if (schedule != nullptr) {
     // Build per-cycle activity from the sessions' timing and targets.
@@ -429,7 +427,6 @@ void classifySourceRest(const CaptureIndex& index, std::size_t srcIdx,
 TaxonomyResult classifyIndexed(const CaptureIndex& index,
                                const bgp::SplitSchedule* schedule,
                                unsigned threads,
-                               const PeriodDetectorParams& temporalParams,
                                const AddressSelectionParams& addrParams,
                                const NetworkSelectionParams& netParams,
                                ParallelForStats* statsOut,
@@ -502,8 +499,8 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
           case Task::Whole:
             classifyAddrBlock(index, sess, addrParams, result.sessionAddrSel,
                               result.profiles[task.source].sessionsByAddrSel);
-            classifySourceRest(index, task.source, schedule, temporalParams,
-                               netParams, result);
+            classifySourceRest(index, task.source, schedule, netParams,
+                               result);
             break;
           case Task::Block:
             classifyAddrBlock(index,
@@ -512,8 +509,8 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
                               blockCounts[task.countSlot].data());
             break;
           case Task::Rest:
-            classifySourceRest(index, task.source, schedule, temporalParams,
-                               netParams, result);
+            classifySourceRest(index, task.source, schedule, netParams,
+                               result);
             break;
         }
       },
@@ -536,12 +533,10 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
 TaxonomyResult classifyCapture(std::span<const net::Packet> packets,
                                std::span<const telescope::Session> sessions,
                                const bgp::SplitSchedule* schedule,
-                               const PeriodDetectorParams& temporalParams,
                                const AddressSelectionParams& addrParams,
                                const NetworkSelectionParams& netParams) {
   const CaptureIndex index{packets, sessions};
-  return classifyIndexed(index, schedule, 1, temporalParams, addrParams,
-                         netParams);
+  return classifyIndexed(index, schedule, 1, addrParams, netParams);
 }
 
 } // namespace v6t::analysis

@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "analysis/addr_class.hpp"
-#include "analysis/autocorr.hpp"
 #include "analysis/nist.hpp"
 #include "analysis/parallel.hpp"
 #include "bgp/splitter.hpp"
 #include "net/packet.hpp"
+#include "sim/time.hpp"
 #include "telescope/session.hpp"
 
 namespace v6t::analysis {
@@ -42,8 +42,7 @@ struct TemporalResult {
 /// zero) -> one-off; a detectable stable period -> periodic; otherwise
 /// intermittent.
 [[nodiscard]] TemporalResult classifyTemporal(
-    std::span<const sim::SimTime> sessionStarts,
-    const PeriodDetectorParams& params = {});
+    std::span<const sim::SimTime> sessionStarts);
 
 // ------------------------------------------------------- address selection
 
@@ -148,7 +147,6 @@ struct TaxonomyResult {
     std::span<const net::Packet> packets,
     std::span<const telescope::Session> sessions,
     const bgp::SplitSchedule* schedule,
-    const PeriodDetectorParams& temporalParams = {},
     const AddressSelectionParams& addrParams = {},
     const NetworkSelectionParams& netParams = {});
 
@@ -181,8 +179,7 @@ class CaptureIndex;
 /// the pipeline's imbalance instrumentation.
 [[nodiscard]] TaxonomyResult classifyIndexed(
     const CaptureIndex& index, const bgp::SplitSchedule* schedule,
-    unsigned threads = 1, const PeriodDetectorParams& temporalParams = {},
-    const AddressSelectionParams& addrParams = {},
+    unsigned threads = 1, const AddressSelectionParams& addrParams = {},
     const NetworkSelectionParams& netParams = {},
     ParallelForStats* statsOut = nullptr, const ScheduleParams& sched = {});
 

@@ -275,8 +275,8 @@ std::string formatExperimentConfig(const ExperimentConfig& c) {
   std::ostringstream out;
   out << "# v6telescope experiment configuration\n"
       << "seed = " << c.seed << "\n"
-      << "source_scale = " << c.sourceScale << "\n"
-      << "volume_scale = " << c.volumeScale << "\n"
+      << "source_scale = " << fault::formatDouble(c.sourceScale) << "\n"
+      << "volume_scale = " << fault::formatDouble(c.volumeScale) << "\n"
       << "baseline_weeks = " << c.baseline.millis() / sim::weeks(1).millis()
       << "\n"
       << "cycle_weeks = " << c.cycle.millis() / sim::weeks(1).millis() << "\n"

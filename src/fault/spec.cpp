@@ -89,6 +89,13 @@ std::string formatDuration(sim::Duration d) {
   return std::to_string(ms) + "ms";
 }
 
+std::string formatDouble(double v) {
+  char buf[32];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general);
+  return std::string(buf, end);
+}
+
 bool FaultSpec::empty() const {
   return !hasBgpFaults() && !hasPacketFaults() && stallProb <= 0.0;
 }
@@ -239,15 +246,10 @@ std::string FaultSpec::formatKeys(std::string_view prefix) const {
   auto emit = [&](std::string_view key, const std::string& value) {
     out << prefix << key << " = " << value << "\n";
   };
-  auto prob = [](double p) {
-    std::ostringstream s;
-    s << p;
-    return s.str();
-  };
-  if (bgpDropProb > 0.0) emit("bgp_drop", prob(bgpDropProb));
-  if (bgpDupProb > 0.0) emit("bgp_dup", prob(bgpDupProb));
+  if (bgpDropProb > 0.0) emit("bgp_drop", formatDouble(bgpDropProb));
+  if (bgpDupProb > 0.0) emit("bgp_dup", formatDouble(bgpDupProb));
   if (bgpDelayProb > 0.0) {
-    emit("bgp_delay", prob(bgpDelayProb));
+    emit("bgp_delay", formatDouble(bgpDelayProb));
     emit("bgp_delay_max", formatDuration(bgpDelayMax));
   }
   for (const PrefixFlap& f : flaps) {
@@ -260,9 +262,9 @@ std::string FaultSpec::formatKeys(std::string_view prefix) const {
     emit("covering_outage", formatDuration(*coveringOutageAt - sim::kEpoch) +
                                 "+" + formatDuration(coveringOutageFor));
   }
-  if (packetLossProb > 0.0) emit("packet_loss", prob(packetLossProb));
-  if (packetDupProb > 0.0) emit("packet_dup", prob(packetDupProb));
-  if (truncateProb > 0.0) emit("truncate", prob(truncateProb));
+  if (packetLossProb > 0.0) emit("packet_loss", formatDouble(packetLossProb));
+  if (packetDupProb > 0.0) emit("packet_dup", formatDouble(packetDupProb));
+  if (truncateProb > 0.0) emit("truncate", formatDouble(truncateProb));
   for (const CaptureGap& g : gaps) {
     const std::string scope =
         g.telescope < 0 ? "all" : "T" + std::to_string(g.telescope + 1);
@@ -270,7 +272,7 @@ std::string FaultSpec::formatKeys(std::string_view prefix) const {
                     formatDuration(g.duration()));
   }
   if (stallProb > 0.0) {
-    emit("stall", prob(stallProb));
+    emit("stall", formatDouble(stallProb));
     emit("stall_for", formatDuration(stallFor));
   }
   return out.str();

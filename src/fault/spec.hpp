@@ -125,5 +125,9 @@ struct FaultSpec::ParseResult {
 [[nodiscard]] std::optional<sim::Duration> parseDuration(
     std::string_view text);
 [[nodiscard]] std::string formatDuration(sim::Duration d);
+/// The shortest text that parses back to exactly `v`. For values <= 1
+/// with at most six significant digits it is the text an ostream prints,
+/// so configs written before this formatter format the same.
+[[nodiscard]] std::string formatDouble(double v);
 
 } // namespace v6t::fault

@@ -115,7 +115,7 @@ QueryEngine::Response QueryEngine::evaluate(std::string_view target) const {
 QueryEngine::Response QueryEngine::table6() const {
   const analysis::CaptureIndex& idx = pipeline_.index();
   const analysis::TaxonomyResult taxonomy = analysis::classifyIndexed(
-      idx, schedule_, options_.analysisThreads, {}, {}, {}, nullptr,
+      idx, schedule_, options_.analysisThreads, {}, {}, nullptr,
       {.minSplitCost = options_.minSplitCost});
 
   using analysis::NetworkSelection;

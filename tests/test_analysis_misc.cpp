@@ -1,9 +1,16 @@
-// Tests for DBSCAN, autocorrelation period detection, descriptive stats,
-// report rendering, and heavy-hitter detection.
+// Tests for DBSCAN, autocorrelation period detection (against a dense
+// integer oracle), descriptive stats, report rendering, and heavy-hitter
+// detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "analysis/autocorr.hpp"
 #include "analysis/dbscan.hpp"
@@ -115,20 +122,215 @@ TEST(Autocorr, TooFewEvents) {
   EXPECT_FALSE(detectPeriod(two).has_value());
 }
 
-TEST(Autocorr, AutocorrelationOfSine) {
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) xs.push_back(std::sin(i * 2 * M_PI / 20));
-  const auto acf = autocorrelation(xs, 60);
-  ASSERT_GE(acf.size(), 40u);
-  // Strong positive correlation at the period (lag 20 => index 19).
-  EXPECT_GT(acf[19], 0.7);
-  // Strong anti-correlation at half period.
-  EXPECT_LT(acf[9], -0.7);
+TEST(Autocorr, ConstantSeriesHasNoPeriod) {
+  // Two starts 1 ms apart in each of 12 hourly bins: the median gap is
+  // 1 ms, so the gap test declines, and the binned series is constant,
+  // with no autocorrelation to peak.
+  std::vector<sim::SimTime> events;
+  for (int h = 0; h < 12; ++h) {
+    events.push_back(sim::kEpoch + sim::hours(h));
+    events.push_back(sim::kEpoch + sim::hours(h) + sim::millis(1));
+  }
+  EXPECT_FALSE(detectPeriod(events).has_value());
 }
 
-TEST(Autocorr, ConstantSeriesHasNoAcf) {
-  const std::vector<double> flat(50, 3.0);
-  EXPECT_TRUE(autocorrelation(flat, 10).empty());
+TEST(Autocorr, TieAtThresholdIsPeriodic) {
+  // Starts in bins 0, 23 and 44 of 45: r_21 = 1701/5670, exactly 3/10, and
+  // a local maximum. Two gaps are too few for the gap test, so this is the
+  // binned test's tie rule: a tie qualifies.
+  const std::vector<sim::SimTime> events{sim::kEpoch,
+                                         sim::kEpoch + sim::hours(23),
+                                         sim::kEpoch + sim::hours(44)};
+  const auto period = detectPeriod(events);
+  ASSERT_TRUE(period.has_value());
+  EXPECT_EQ(period->millis(), sim::hours(21).millis());
+}
+
+TEST(Autocorr, TieWithNeighbourIsPeriodic) {
+  // Whole-hour starts (bin numbers, repeats share a bin) whose first
+  // qualifying lag equals its neighbour exactly: r_1 = r_2 in the first
+  // series, r_3 = r_4 in the second. A tie counts as a local maximum.
+  const auto starts = [](std::initializer_list<int> bins) {
+    std::vector<sim::SimTime> events;
+    for (const int b : bins) events.push_back(sim::kEpoch + sim::hours(b));
+    return events;
+  };
+  const auto left = detectPeriod(starts({0, 5, 5, 6, 7, 7, 8, 8, 9, 10, 10}));
+  ASSERT_TRUE(left.has_value());
+  EXPECT_EQ(left->millis(), sim::hours(2).millis());
+  const auto right = detectPeriod(starts({0, 0, 1, 3, 4, 4, 7, 7}));
+  ASSERT_TRUE(right.has_value());
+  EXPECT_EQ(right->millis(), sim::hours(3).millis());
+}
+
+TEST(Autocorr, GapAtExactlyThirtyPercentTakesFastPath) {
+  // Median gap m with 3m/10 an integer; the gap test returns m itself,
+  // which is no whole number of hours, so no binned result can match it.
+  const std::int64_t m = sim::hours(10).millis() + 10;
+  const std::int64_t tol = 3 * m / 10;
+  ASSERT_EQ(10 * tol, 3 * m);
+  for (const std::int64_t extra : {tol, -tol}) {
+    std::vector<sim::SimTime> events{sim::kEpoch};
+    for (const std::int64_t gap : {m, m + extra, m, m}) {
+      events.push_back(events.back() + sim::millis(gap));
+    }
+    const auto period = detectPeriod(events);
+    ASSERT_TRUE(period.has_value()) << "extra " << extra;
+    EXPECT_EQ(period->millis(), m) << "extra " << extra;
+  }
+  // One millisecond further out fails the gap test.
+  std::vector<sim::SimTime> events{sim::kEpoch};
+  for (const std::int64_t gap : {m, m + tol + 1, m, m}) {
+    events.push_back(events.back() + sim::millis(gap));
+  }
+  const auto period = detectPeriod(events);
+  EXPECT_TRUE(!period.has_value() || period->millis() != m);
+}
+
+/// The detector written the textbook way, as the oracle: the same gap
+/// test, then the dense ACF over the whole hourly count series with every
+/// term scaled by n² so it is an integer,
+///   num_k = Σ_{i<n-k} (n·x_i - N)(n·x_{i+k} - N),  den = Σ (n·x_i - N)²,
+/// and the first k in [2, n/2) with 10·num_k >= 3·den and num_k no smaller
+/// than either neighbor. `binned` reports whether the gap test declined.
+std::optional<std::int64_t> oraclePeriodMillis(std::vector<sim::SimTime> ev,
+                                               bool& binned) {
+  binned = false;
+  if (ev.size() < 3) return std::nullopt;
+  std::sort(ev.begin(), ev.end());
+  std::vector<std::int64_t> gaps;
+  for (std::size_t i = 1; i < ev.size(); ++i) {
+    gaps.push_back((ev[i] - ev[i - 1]).millis());
+  }
+  std::vector<std::int64_t> byValue = gaps;
+  std::sort(byValue.begin(), byValue.end());
+  const std::int64_t median = byValue[byValue.size() / 2];
+  bool within = median > 0 && gaps.size() >= 3;
+  for (const std::int64_t g : gaps) {
+    within = within && 10 * std::abs(g - median) <= 3 * median;
+  }
+  if (within) return median;
+
+  binned = true;
+  using Wide = __int128;
+  const std::int64_t hour = sim::hours(1).millis();
+  const auto n = static_cast<std::size_t>(
+      (ev.back().millis() - ev.front().millis()) / hour + 1);
+  std::vector<Wide> c(n, 0); // n·x_i - N
+  for (const sim::SimTime t : ev) {
+    c[static_cast<std::size_t>((t.millis() - ev.front().millis()) / hour)] +=
+        static_cast<Wide>(n);
+  }
+  for (Wide& x : c) x -= static_cast<Wide>(ev.size());
+  Wide den = 0;
+  for (const Wide x : c) den += x * x;
+  const std::size_t lags = n / 2;
+  if (den == 0 || lags < 3) return std::nullopt;
+  std::vector<Wide> num(lags + 1, 0);
+  for (std::size_t k = 1; k <= lags; ++k) {
+    for (std::size_t i = 0; i + k < n; ++i) num[k] += c[i] * c[i + k];
+  }
+  for (std::size_t k = 2; k < lags; ++k) {
+    if (10 * num[k] >= 3 * den && num[k] >= num[k - 1] &&
+        num[k] >= num[k + 1]) {
+      return static_cast<std::int64_t>(k) * hour;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(Autocorr, ExactKernelMatchesDenseIntegerOracle) {
+  sim::Rng rng{2025};
+  const std::int64_t hour = sim::hours(1).millis();
+  std::size_t binnedCases = 0;
+  std::size_t binnedPeriodic = 0;
+  for (int trial = 0; trial < 1600; ++trial) {
+    std::vector<sim::SimTime> events;
+    const auto at = [&](std::int64_t ms) { events.emplace_back(ms); };
+    const std::int64_t span = hour * (8 + static_cast<std::int64_t>(
+                                              rng.below(400)));
+    switch (trial % 4) {
+      case 0: // sparse: a few starts anywhere in the span
+        for (std::uint64_t i = 0, k = 3 + rng.below(10); i < k; ++i) {
+          at(static_cast<std::int64_t>(rng.below(
+              static_cast<std::uint64_t>(span))));
+        }
+        break;
+      case 1: // bursty: clusters of starts, several sharing a bin
+        for (std::uint64_t b = 0, k = 1 + rng.below(4); b < k; ++b) {
+          const auto center = static_cast<std::int64_t>(
+              rng.below(static_cast<std::uint64_t>(span)));
+          for (std::uint64_t i = 0, m = 2 + rng.below(5); i < m; ++i) {
+            at(center + static_cast<std::int64_t>(rng.below(
+                            static_cast<std::uint64_t>(3 * hour))));
+          }
+        }
+        at(0);
+        break;
+      case 2: { // jittered period with dropouts and stray starts
+        const std::int64_t period =
+            hour * (2 + static_cast<std::int64_t>(rng.below(40)));
+        const std::uint64_t jitter =
+            1 + rng.below(static_cast<std::uint64_t>(period));
+        for (std::int64_t t = 0; t < span; t += period) {
+          if (rng.chance(0.2)) continue;
+          at(t + static_cast<std::int64_t>(rng.below(jitter)));
+        }
+        for (std::uint64_t i = 0, k = rng.below(3); i < k; ++i) {
+          at(static_cast<std::int64_t>(rng.below(
+              static_cast<std::uint64_t>(span))));
+        }
+        break;
+      }
+      default: // whole-hour starts, where exact ties are common
+        for (std::uint64_t i = 0, k = 3 + rng.below(6); i < k; ++i) {
+          at(hour * static_cast<std::int64_t>(rng.below(
+                        static_cast<std::uint64_t>(span / hour))));
+        }
+        break;
+    }
+    bool binned = false;
+    const auto want = oraclePeriodMillis(events, binned);
+    const auto got = detectPeriod(events);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+    if (got) {
+      EXPECT_EQ(got->millis(), *want) << "trial " << trial;
+    }
+    if (binned) {
+      ++binnedCases;
+      if (want) ++binnedPeriodic;
+    }
+  }
+  EXPECT_GE(binnedCases, 1000u);
+  EXPECT_GE(binnedPeriodic, 100u);
+}
+
+TEST(PeriodDetector, SortedFastPathMatchesShuffledInput) {
+  sim::Rng rng{7};
+  for (int trial = 0; trial < 30; ++trial) {
+    // A periodic source with jitter plus occasional noise events; also
+    // pure-noise sources that must stay aperiodic.
+    std::vector<sim::SimTime> events;
+    const bool periodic = trial % 2 == 0;
+    const std::int64_t period = 3'600'000 + static_cast<std::int64_t>(
+                                                rng.below(7'200'000));
+    std::int64_t t = 0;
+    for (int k = 0; k < 40; ++k) {
+      t += periodic ? period + static_cast<std::int64_t>(rng.below(60'000))
+                    : 1 + static_cast<std::int64_t>(rng.below(2 * period));
+      events.emplace_back(t);
+    }
+    std::vector<sim::SimTime> shuffled = events;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    }
+    const auto fast = detectPeriod(events);   // sorted fast path
+    const auto slow = detectPeriod(shuffled); // copy + sort path
+    ASSERT_EQ(fast.has_value(), slow.has_value()) << "trial " << trial;
+    if (fast) {
+      EXPECT_EQ(fast->millis(), slow->millis()) << "trial " << trial;
+    }
+  }
 }
 
 // ------------------------------------------------------------- stats

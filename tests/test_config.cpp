@@ -82,7 +82,8 @@ TEST(Config, FormatRoundTrips) {
   ExperimentConfig custom;
   custom.seed = 99;
   custom.splits = 4;
-  custom.sourceScale = 0.33;
+  custom.sourceScale = 0.123456789; // more digits than an ostream prints
+  custom.volumeScale = 0.33;
   custom.t2Attractor = net::Ipv6Address::mustParse("3fff:2::42");
   const std::string text = formatExperimentConfig(custom);
   const auto reparsed = parseExperimentConfig(text);
@@ -91,7 +92,9 @@ TEST(Config, FormatRoundTrips) {
                                      : reparsed.errors[0]);
   EXPECT_EQ(reparsed.config.seed, 99u);
   EXPECT_EQ(reparsed.config.splits, 4);
-  EXPECT_NEAR(reparsed.config.sourceScale, 0.33, 1e-9);
+  EXPECT_EQ(reparsed.config.sourceScale, 0.123456789);
+  EXPECT_EQ(reparsed.config.volumeScale, 0.33);
+  EXPECT_NE(text.find("volume_scale = 0.33\n"), std::string::npos);
   EXPECT_EQ(reparsed.config.t2Attractor, custom.t2Attractor);
 }
 

@@ -111,9 +111,9 @@ TEST(FaultSpec, RejectsBadInput) {
 
 TEST(FaultSpec, FormatKeysRoundTrips) {
   const auto parsed = fault::FaultSpec::parse(
-      "packet_loss=0.25, bgp_drop=0.125, bgp_delay=0.5, bgp_delay_max=10m,"
-      "gap=T2@1w+12h, covering_outage=2w+6h, stall=0.5, stall_for=2ms,"
-      "flap=3fff:100::/32@1w+1d/2h*2");
+      "packet_loss=0.0001234567, bgp_drop=0.125, bgp_delay=0.5,"
+      "bgp_delay_max=10m, gap=T2@1w+12h, covering_outage=2w+6h, stall=0.5,"
+      "stall_for=2ms, flap=3fff:100::/32@1w+1d/2h*2");
   ASSERT_TRUE(parsed.ok());
   const std::string keys = parsed.spec.formatKeys("");
   fault::FaultSpec reparsed;
@@ -127,6 +127,8 @@ TEST(FaultSpec, FormatKeysRoundTrips) {
     ASSERT_EQ(reparsed.applyKey(key, line.substr(eq + 1)), "") << line;
   }
   EXPECT_EQ(reparsed.formatKeys(""), keys);
+  EXPECT_EQ(reparsed.packetLossProb, 0.0001234567);
+  EXPECT_EQ(reparsed.bgpDropProb, 0.125);
 }
 
 TEST(FaultSpec, EmptySpecFormatsToNothing) {

@@ -1,22 +1,18 @@
 // Property battery proving the columnar/SIMD analysis kernels bit-identical
 // to their scalar references (DESIGN.md §16): packed-bit NIST tests at every
 // word-boundary length, the word classifier over corpora covering all nine
-// address types, the vectorized ACF on random and degenerate series, the
-// CaptureIndex bit/lane columns against row-major extraction, and the full
-// pipeline digest with the kernels toggled both ways. Every double is
-// compared bitwise — "close" is a failure.
+// address types, the CaptureIndex bit/lane columns against row-major
+// extraction, and the full pipeline digest with the kernels toggled both
+// ways. Every double is compared bitwise — "close" is a failure.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ios>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "analysis/addr_class.hpp"
-#include "analysis/autocorr.hpp"
 #include "analysis/capture_index.hpp"
 #include "analysis/nist.hpp"
 #include "analysis/pipeline.hpp"
@@ -253,72 +249,6 @@ TEST(WordClassifier, ClassifyAllMatchesLanesUnderBothToggles) {
     for (std::size_t t = 0; t < kAddressTypeCount; ++t) {
       EXPECT_EQ(rows.count[t], lanes.count[t])
           << "simd=" << simd << " type " << t;
-    }
-  }
-}
-
-// --- vectorized ACF vs scalar reference ----------------------------------
-
-TEST(VectorAcf, BitIdenticalToScalarAcrossLagsAndLengths) {
-  sim::Rng rng{6};
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 5u, 8u, 64u, 257u, 1000u}) {
-    std::vector<double> xs(n);
-    for (double& x : xs) x = rng.uniform() * 10.0;
-    const std::size_t lagChoices[] = {0, 1, 2, 3, 4, 5, 17, n, n + 5};
-    for (const std::size_t maxLag : lagChoices) {
-      std::vector<double> scalar;
-      {
-        ScopedSimdKernels off{false};
-        scalar = autocorrelation(xs, maxLag);
-      }
-      std::vector<double> vectorized;
-      {
-        ScopedSimdKernels on{true};
-        vectorized = autocorrelation(xs, maxLag);
-      }
-      ASSERT_EQ(vectorized.size(), scalar.size())
-          << "n=" << n << " maxLag=" << maxLag;
-      for (std::size_t k = 0; k < scalar.size(); ++k) {
-        EXPECT_TRUE(bitEqual(vectorized[k], scalar[k]))
-            << "n=" << n << " maxLag=" << maxLag << " lag " << (k + 1);
-      }
-    }
-  }
-  // Constant series: defined as empty, both paths.
-  const std::vector<double> flat(100, 3.25);
-  ScopedSimdKernels on{true};
-  EXPECT_TRUE(autocorrelation(flat, 10).empty());
-}
-
-TEST(PeriodDetector, SortedFastPathMatchesShuffledInput) {
-  sim::Rng rng{7};
-  for (int trial = 0; trial < 30; ++trial) {
-    // A periodic source with jitter plus occasional noise events; also
-    // pure-noise sources that must stay aperiodic.
-    std::vector<sim::SimTime> events;
-    const bool periodic = trial % 2 == 0;
-    const std::int64_t period = 3'600'000 + static_cast<std::int64_t>(
-                                                rng.below(7'200'000));
-    std::int64_t t = 0;
-    for (int k = 0; k < 40; ++k) {
-      t += periodic ? period + static_cast<std::int64_t>(rng.below(60'000))
-                    : 1 + static_cast<std::int64_t>(rng.below(2 * period));
-      events.emplace_back(t);
-    }
-    std::vector<sim::SimTime> shuffled = events;
-    for (std::size_t i = shuffled.size(); i > 1; --i) {
-      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
-    }
-    for (const bool simd : {false, true}) {
-      ScopedSimdKernels toggle{simd};
-      const auto fast = detectPeriod(events);     // sorted fast path
-      const auto slow = detectPeriod(shuffled);   // copy + sort path
-      ASSERT_EQ(fast.has_value(), slow.has_value())
-          << "trial " << trial << " simd=" << simd;
-      if (fast) {
-        EXPECT_EQ(fast->millis(), slow->millis())
-            << "trial " << trial << " simd=" << simd;
-      }
     }
   }
 }

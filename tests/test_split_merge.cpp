@@ -116,7 +116,7 @@ TEST_F(SplitMergeTest, ClassifySplitBitwiseEqualsUnsplit) {
   ScheduleParams unsplit;
   unsplit.minSplitCost = ~std::uint64_t{0};
   ParallelForStats refStats;
-  const TaxonomyResult ref = classifyIndexed(*index_, nullptr, 1, {}, {}, {},
+  const TaxonomyResult ref = classifyIndexed(*index_, nullptr, 1, {}, {},
                                              &refStats, unsplit);
   EXPECT_EQ(refStats.splits, 0u);
 
@@ -127,7 +127,7 @@ TEST_F(SplitMergeTest, ClassifySplitBitwiseEqualsUnsplit) {
     for (const unsigned threads : {1u, 2u, 8u, 16u}) {
       ParallelForStats stats;
       const TaxonomyResult got = classifyIndexed(*index_, nullptr, threads,
-                                                 {}, {}, {}, &stats, split);
+                                                 {}, {}, &stats, split);
       EXPECT_GT(stats.splits, 0u) << "threads=" << threads;
       expectTaxonomyEqual(got, ref, virtualTime ? "virtual" : "threaded");
     }
