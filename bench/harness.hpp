@@ -29,24 +29,29 @@ namespace v6t::bench {
   std::exit(2);
 }
 
-/// The standard configuration used by all table/figure benches. Scale can
-/// be overridden through V6T_SOURCE_SCALE / V6T_VOLUME_SCALE / V6T_SEED
-/// environment variables for calibration runs, checked like the config
-/// keys of the same names.
-inline core::ExperimentConfig standardConfig() {
-  core::ExperimentConfig config;
+/// Overrides `config`'s seed and scales from the V6T_SEED /
+/// V6T_SOURCE_SCALE / V6T_VOLUME_SCALE environment variables, checked like
+/// the config keys of the same names.
+inline void applyWorldEnv(core::ExperimentConfig& config) {
   if (const char* s = std::getenv("V6T_SEED")) {
     if (!core::parseU64(s, config.seed)) badEnv("V6T_SEED", s, "an integer");
   }
   const auto scale = [](const char* name, double& out) {
     if (const char* s = std::getenv(name)) {
-      if (!core::parseDouble(s, out) || out <= 0.0 || out > 1.0) {
+      if (!core::parseDouble(s, out) || !(out > 0.0 && out <= 1.0)) {
         badEnv(name, s, "a scale in (0, 1]");
       }
     }
   };
   scale("V6T_SOURCE_SCALE", config.sourceScale);
   scale("V6T_VOLUME_SCALE", config.volumeScale);
+}
+
+/// The standard configuration used by all table/figure benches, with the
+/// environment overrides of applyWorldEnv for calibration runs.
+inline core::ExperimentConfig standardConfig() {
+  core::ExperimentConfig config;
+  applyWorldEnv(config);
   return config;
 }
 

@@ -5,18 +5,22 @@
 // an epoll Server are stood up in-process (ephemeral port), and C client
 // threads drive keep-alive HTTP/1.1 connections over a fixed target mix
 // for a fixed wall-clock window — once with the result cache disabled
-// (serve.cache_bytes = 0: every request re-runs the analysis) and once
-// with the cache on. Every response body is compared against a reference
-// computed directly from QueryEngine::evaluate before the server starts;
-// a single byte of divergence fails the bench (cache_identical = 0, exit
-// nonzero). Throughput and latency percentiles are recorded per leg.
+// (serve.cache_bytes = 0) and once with the cache on. The engine built
+// every answer at load, so a cache-off request is a QueryEngine::evaluate
+// lookup into those answers, not an analysis run; the two legs compare
+// that lookup with a cache hit. Every response body is
+// compared against a reference computed directly from
+// QueryEngine::evaluate before the server starts; a single byte of
+// divergence fails the bench (cache_identical = 0, exit nonzero).
+// Throughput and latency percentiles are recorded per leg.
 //
-// Environment knobs:
-//   V6T_SEED / V6T_SOURCE_SCALE / V6T_VOLUME_SCALE   workload scale
-//   V6T_SERVE_CONNECTIONS   concurrent keep-alive clients (default 8)
-//   V6T_SERVE_SECONDS       measured window per leg (default 2.0)
-//   V6T_SERVE_THREADS       server worker threads (default 2)
-//   V6T_ANALYSIS_THREADS    cache-miss analysis fan-out (default cores)
+// Environment knobs (junk or out-of-range values end the bench, exit 2):
+//   V6T_SEED                              world seed (default 7)
+//   V6T_SOURCE_SCALE / V6T_VOLUME_SCALE   scales in (0, 1]
+//   V6T_SERVE_CONNECTIONS   concurrent keep-alive clients, 1..256 (8)
+//   V6T_SERVE_SECONDS       measured window per leg, > 0 (2.0)
+//   V6T_SERVE_THREADS       server worker threads, 1..256 (2)
+//   V6T_ANALYSIS_THREADS    engine-build analysis fan-out, 1..256 (cores)
 //
 // Output: one JSONL snapshot (V6T_BENCH_OUT / argv[1], default
 // BENCH_serve_load.json):
@@ -36,6 +40,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -45,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "bgp/splitter.hpp"
 #include "core/runner.hpp"
 #include "obs/metrics.hpp"
@@ -57,16 +63,26 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using namespace v6t;
 
-double envDouble(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  return s != nullptr ? std::strtod(s, nullptr) : fallback;
-}
-
-unsigned envUnsigned(const char* name, unsigned fallback) {
+/// A connection or thread count from the environment, 1..256.
+unsigned envCount(const char* name, unsigned fallback) {
   const char* s = std::getenv(name);
   if (s == nullptr) return fallback;
-  const unsigned long v = std::strtoul(s, nullptr, 10);
-  return v == 0 ? fallback : static_cast<unsigned>(std::min(v, 256ul));
+  std::uint64_t v = 0;
+  if (!core::parseU64(s, v) || v < 1 || v > 256) {
+    bench::badEnv(name, s, "an integer in 1..256");
+  }
+  return static_cast<unsigned>(v);
+}
+
+/// The measured window per leg from V6T_SERVE_SECONDS: finite and > 0.
+double envSeconds(double fallback) {
+  const char* s = std::getenv("V6T_SERVE_SECONDS");
+  if (s == nullptr) return fallback;
+  double v = 0;
+  if (!core::parseDouble(s, v) || !(v > 0.0) || !std::isfinite(v)) {
+    bench::badEnv("V6T_SERVE_SECONDS", s, "a positive number of seconds");
+  }
+  return v;
 }
 
 /// Blocking keep-alive client; the server side stays non-blocking.
@@ -223,24 +239,22 @@ int main(int argc, char** argv) {
   std::cout << "== serve_load: cached vs uncached query throughput ==\n";
 
   // Reduced default workload (env-overridable) — serve_load measures the
-  // service, not the simulation, so the capture just needs to be big
-  // enough that a cache miss costs real analysis work.
+  // service, not the simulation: the smoke-test world of the CI job.
   core::ExperimentConfig config;
-  config.seed = static_cast<std::uint64_t>(envDouble("V6T_SEED", 7));
-  config.sourceScale = envDouble("V6T_SOURCE_SCALE", 0.05);
-  config.volumeScale = envDouble("V6T_VOLUME_SCALE", 0.004);
+  config.seed = 7;
+  config.sourceScale = 0.05;
+  config.volumeScale = 0.004;
   config.baseline = sim::weeks(4);
   config.splits = 6;
   config.routeObjectAt = sim::weeks(6);
+  bench::applyWorldEnv(config);
 
-  const unsigned connections = envUnsigned("V6T_SERVE_CONNECTIONS", 8);
-  const double seconds = envDouble("V6T_SERVE_SECONDS", 2.0);
-  const unsigned serverThreads = envUnsigned("V6T_SERVE_THREADS", 2);
-  unsigned analysisThreads = envUnsigned("V6T_ANALYSIS_THREADS", 0);
-  if (analysisThreads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    analysisThreads = hw == 0 ? 1 : hw;
-  }
+  const unsigned connections = envCount("V6T_SERVE_CONNECTIONS", 8);
+  const double seconds = envSeconds(2.0);
+  const unsigned serverThreads = envCount("V6T_SERVE_THREADS", 2);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned analysisThreads =
+      envCount("V6T_ANALYSIS_THREADS", hw == 0 ? 1 : hw);
 
   std::cout << "running calibrated simulation (seed=" << config.seed
             << ", sourceScale=" << config.sourceScale
@@ -320,7 +334,6 @@ int main(int argc, char** argv) {
   auto gauge = [&](const char* name, double v) {
     registry.gauge(std::string{"bench.serve_load."} + name).set(v);
   };
-  const unsigned hw = std::thread::hardware_concurrency();
   gauge("cores_available", static_cast<double>(hw == 0 ? 1u : hw));
   gauge("connections", connections);
   gauge("duration_seconds", seconds);

@@ -1,14 +1,17 @@
 // v6t::serve — sharded, byte-bounded LRU result cache.
 //
 // Hot dashboard queries hit the same handful of canonical query strings
-// over and over; re-running the taxonomy for each is O(capture) while the
-// answer is a few hundred bytes. The cache maps canonical query key ->
-// rendered response body, bounded by `serve.cache_bytes` (the RdbCache
-// role in the search-engine exemplar): N independent shards, each a mutex
-// + LRU list + hash map, so concurrent workers only contend when their
-// keys hash to the same shard. Every entry is charged key + value + a
-// fixed bookkeeping constant against its shard's slice of the byte
-// budget; inserting evicts from the shard's cold end until the entry
+// over and over. The QueryEngine already built every answer at load, so a
+// miss costs a parse, a ranking slice and a render, not an analysis run;
+// a hit saves that work and its allocations (bench/serve_load measures
+// the difference). The cache maps canonical query key (canonicalQueryKey:
+// two targets share a key only when they decode to the same path and
+// parameters) -> rendered response body, bounded by `serve.cache_bytes`
+// (the RdbCache role in the search-engine exemplar): N independent shards,
+// each a mutex + LRU list + hash map, so concurrent workers only contend
+// when their keys hash to the same shard. Every entry is charged key +
+// value + a fixed bookkeeping constant against its shard's slice of the
+// byte budget; inserting evicts from the shard's cold end until the entry
 // fits. Values larger than a whole shard's budget are never cached.
 //
 // totalBytes == 0 disables the cache entirely (the cache-off bench leg):

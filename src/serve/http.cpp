@@ -61,6 +61,21 @@ bool percentDecode(std::string_view in, bool plusIsSpace, std::string& out) {
   return true;
 }
 
+/// Appends a decoded path, name or value to a cache key with the key's
+/// own separators (and the escape character) %-encoded, so that no
+/// decoded text can imitate a separator.
+void appendKeyPart(std::string& key, std::string_view part) {
+  for (const char c : part) {
+    switch (c) {
+      case '%': key += "%25"; break;
+      case '&': key += "%26"; break;
+      case '=': key += "%3D"; break;
+      case '?': key += "%3F"; break;
+      default: key += c; break;
+    }
+  }
+}
+
 } // namespace
 
 ParseState RequestParser::poll(HttpRequest& out) {
@@ -225,18 +240,19 @@ std::optional<ParsedTarget> parseTarget(std::string_view target) {
 }
 
 std::string canonicalQueryKey(const ParsedTarget& target) {
-  if (target.params.empty()) return target.path;
+  std::string key;
+  appendKeyPart(key, target.path);
+  if (target.params.empty()) return key;
   auto sorted = target.params;
   std::sort(sorted.begin(), sorted.end());
-  std::string key = target.path;
   key += '?';
   bool first = true;
   for (const auto& [k, v] : sorted) {
     if (!first) key += '&';
     first = false;
-    key += k;
+    appendKeyPart(key, k);
     key += '=';
-    key += v;
+    appendKeyPart(key, v);
   }
   return key;
 }

@@ -83,9 +83,11 @@ struct ParsedTarget {
 [[nodiscard]] std::optional<ParsedTarget> parseTarget(
     std::string_view target);
 
-/// Canonical cache key: decoded path + '?' + params sorted by (key,
+/// Canonical cache key: decoded path + '?' + params sorted by (name,
 /// value) and re-joined — "?b=2&a=1" and "?a=1&b=2" hit the same entry.
-/// A bare path (no params) is just the path.
+/// A bare path (no params) is just the path. '%', '&', '=' and '?' inside
+/// the decoded path, names and values are %-encoded again, so two targets
+/// share a key only when they decode to the same path and parameters.
 [[nodiscard]] std::string canonicalQueryKey(const ParsedTarget& target);
 
 } // namespace v6t::serve

@@ -1,24 +1,36 @@
 // v6t::serve — the read-only query engine behind v6t_serve's endpoints.
 //
-// One immutable analysis::CaptureIndex is built at construction (the
-// expensive part, paid once per loaded capture); every endpoint then
-// answers from the index memos and the existing analysis entry points:
+// Every answer is built once, at construction, from one immutable
+// analysis::CaptureIndex: the index build (analysis.index_seconds), then
+// one taxonomy run, one heavy-hitter ranking and the rendered fixed
+// bodies (serve.precompute_seconds). evaluate() is then a lookup:
 //
-//   /reports/table6     classifyIndexed over the shared index (taxonomy
-//                       scanner/session counts per axis — Table 6's rows)
-//   /heavy-hitters      findHeavyHitters(index, threshold) + impact, top-k
-//   /sources/<addr>     per-source aggregates + classifyTemporal
-//   /reaction-delays    first capture into each newly announced child
-//                       prefix vs its announceAt (needs the schedule)
+//   /reports/table6     the rendered body (Table 6's rows: taxonomy
+//                       scanner/session counts per axis)
+//   /heavy-hitters      a prefix of the ranking (findHeavyHitters over
+//                       every source: stable-sorted by packets
+//                       descending), with prefix sums of packets and
+//                       sessions for the impact
+//   /sources/<addr>     per-source aggregates + the taxonomy's temporal
+//                       class for that source
+//   /reaction-delays    the rendered body (first capture into each newly
+//                       announced child prefix vs its announceAt), or the
+//                       404 when no schedule was given
 //   /metrics            Prometheus text from the shared obs::Registry
 //   /healthz            liveness probe
 //
-// Thread safety: the index is immutable after build (its only mutable
-// state is relaxed atomic hit counters) and every analysis entry point is
-// a pure function of it, so evaluate() may run concurrently from any
-// number of server workers. Responses are deterministic — fixed field
-// order, obs::fmt::fixed for floats — which is what makes the cached ==
-// uncached byte-equality contract testable at all.
+// The ranking reproduces findHeavyHitters + heavyHitterImpact byte for
+// byte: a hitter's share, 100 * packets / total, is monotone in packets,
+// so the sources above any threshold are a prefix of the stable ranking;
+// and when every session key has one aggregation level, each hitter's key
+// covers only itself, so the impact is a prefix sum. The constructor
+// therefore rejects a session table that mixes aggregation levels.
+//
+// Thread safety: the engine is immutable after construction, so
+// evaluate() may run concurrently from any number of server workers.
+// Responses are deterministic — fixed field order, obs::fmt::fixed for
+// floats — which is what makes the cached == uncached byte-equality
+// contract testable at all.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +38,11 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "analysis/heavy_hitter.hpp"
 #include "analysis/pipeline.hpp"
+#include "analysis/taxonomy.hpp"
 #include "bgp/splitter.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
@@ -36,7 +51,7 @@
 namespace v6t::serve {
 
 struct QueryEngineOptions {
-  /// Worker fan-out for cache-miss analysis (classifyIndexed runs on the
+  /// Worker fan-out for the build-once taxonomy (it runs on the
   /// cost-aware scheduler, DESIGN.md §13; results are identical at every
   /// value).
   unsigned analysisThreads = 1;
@@ -48,9 +63,11 @@ struct QueryEngineOptions {
 class QueryEngine {
 public:
   /// `packets`/`sessions` must outlive the engine (the index stores
-  /// views). `schedule` may be null — /reaction-delays then 404s, as for
-  /// telescopes without a BGP experiment. `registry` backs /metrics and
-  /// receives the serve.* instrumentation; may be null.
+  /// views); every session key must have one aggregation level, or the
+  /// constructor throws std::invalid_argument. `schedule` may be null —
+  /// /reaction-delays then 404s, as for telescopes without a BGP
+  /// experiment; it is only read during construction. `registry` backs
+  /// /metrics and receives the serve.* instrumentation; may be null.
   QueryEngine(std::span<const net::Packet> packets,
               std::span<const telescope::Session> sessions,
               const bgp::SplitSchedule* schedule,
@@ -64,7 +81,8 @@ public:
   };
 
   /// Evaluate one origin-form target ("/path?query"). Never throws;
-  /// malformed targets/parameters come back as 400/404 JSON errors.
+  /// malformed targets/parameters, including a repeated parameter name,
+  /// come back as 400/404 JSON errors.
   [[nodiscard]] Response evaluate(std::string_view target) const;
 
   /// False for endpoints whose body is not a pure function of the capture
@@ -81,22 +99,25 @@ public:
   }
 
 private:
-  [[nodiscard]] Response table6() const;
   [[nodiscard]] Response heavyHitters(
       const std::vector<std::pair<std::string, std::string>>& params) const;
   [[nodiscard]] Response sourceDetail(std::string_view addrText) const;
-  [[nodiscard]] Response reactionDelays() const;
   [[nodiscard]] Response metricsText() const;
-  [[nodiscard]] static Response errorResponse(int status,
-                                              std::string_view message);
 
-  std::span<const net::Packet> packets_;
-  QueryEngineOptions options_;
-  const bgp::SplitSchedule* schedule_;
+  std::uint64_t maxK_;
   obs::Registry* registry_;
   analysis::Pipeline pipeline_; // owns the shared CaptureIndex
   /// /128 source address -> canonical source index, for /sources/<addr>.
   std::map<net::Ipv6Address, std::size_t> sourceByAddr_;
+  Response table6_;
+  Response reactionDelays_;
+  /// Per canonical source: the taxonomy's temporal class.
+  std::vector<analysis::TemporalResult> temporal_;
+  /// Every source, stable-sorted by packets descending; `packetsUpTo_[m]`
+  /// and `sessionsUpTo_[m]` sum the first m entries.
+  std::vector<analysis::HeavyHitter> ranking_;
+  std::vector<std::uint64_t> packetsUpTo_;
+  std::vector<std::uint64_t> sessionsUpTo_;
 };
 
 } // namespace v6t::serve

@@ -23,8 +23,8 @@ using Clock = std::chrono::steady_clock;
 } // namespace
 
 std::span<const double> requestLatencyBoundsSeconds() {
-  // Doubling buckets 50us .. ~3.3s: cache hits land in the first few,
-  // cold per-query analysis in the ms..s range.
+  // Doubling buckets 50us .. ~3.3s: lookups land in the first few,
+  // stalled requests in the ms..s range.
   static const std::vector<double> bounds = [] {
     std::vector<double> b;
     for (double v = 50e-6; v < 4.0; v *= 2.0) b.push_back(v);

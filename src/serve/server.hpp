@@ -11,11 +11,11 @@
 //
 // Per-connection state machine: non-blocking reads feed the incremental
 // RequestParser; each Ready request is answered immediately (cache
-// lookup, else QueryEngine::evaluate — whose analysis fan-out runs on
-// the cost-aware scheduler) and the response appended to the
-// connection's output buffer; partial writes arm EPOLLOUT and resume
-// when the socket drains. Keep-alive and pipelining fall out of the
-// parser's residual buffer.
+// lookup, else QueryEngine::evaluate — a lookup into the answers the
+// engine built at load) and the response appended to the connection's
+// output buffer; partial writes arm EPOLLOUT and resume when the socket
+// drains. Keep-alive and pipelining fall out of the parser's residual
+// buffer. Only 200 answers are cached, under canonicalQueryKey.
 //
 // Backpressure contract: at `maxConnections` concurrent connections the
 // acceptor answers new arrivals with a best-effort 503 and closes them
@@ -24,10 +24,11 @@
 // progress.
 //
 // Metrics (all on the shared registry, exported via the existing
-// Prometheus/JSONL writers):
-//   serve.connections_accepted_total / closed_total / active (gauge)
+// Prometheus/JSONL writers; the cache and the engine add their own):
+//   serve.connections_accepted_total / connections_closed_total  counters
+//   serve.connections_active          gauge (Max)
 //   serve.requests_total.<endpoint>   per-endpoint request counts
-//   serve.responses_total.<status>    2xx/4xx/5xx
+//   serve.responses_total.<status>    per-status response counts
 //   serve.request_latency_seconds     log-scale histogram, 50us..4s
 //   serve.backpressure_total          503-and-close accepts
 //   serve.parse_errors_total          connections poisoned by bad bytes
@@ -58,8 +59,8 @@ struct ServerOptions {
 };
 
 /// Log-scale latency bounds for serve.request_latency_seconds: doubling
-/// buckets from 50us to ~4s, so cache hits (tens of us) and cold taxonomy
-/// runs (ms..s) both resolve.
+/// buckets from 50us to ~4s, so lookups (tens of us) and requests stalled
+/// behind a slow peer or a busy worker (ms..s) both resolve.
 [[nodiscard]] std::span<const double> requestLatencyBoundsSeconds();
 
 class Server {

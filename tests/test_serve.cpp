@@ -1,9 +1,11 @@
 // The query service (DESIGN.md §17): incremental HTTP parsing under
 // adversarial framing (truncated, oversized, pipelined requests), the
-// sharded byte-bounded LRU result cache, the QueryEngine's JSON endpoints
-// and error paths, and a live epoll server driven over real sockets —
-// keep-alive, pipelining, slow-loris idle reaping, and the multi-threaded
-// cached == uncached byte-equality contract the result cache rests on.
+// sharded byte-bounded LRU result cache and its keys, the QueryEngine's
+// JSON endpoints and error paths, a live epoll server driven over real
+// sockets — keep-alive, pipelining, slow-loris idle reaping, and the
+// multi-threaded cached == uncached byte-equality contract the result
+// cache rests on — and the answers the engine builds at load, checked
+// against the analysis entry points they replace.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,16 +14,25 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/heavy_hitter.hpp"
+#include "analysis/taxonomy.hpp"
 #include "bgp/splitter.hpp"
 #include "net/packet.hpp"
+#include "obs/format.hpp"
+#include "obs/metrics.hpp"
 #include "serve/cache.hpp"
 #include "serve/http.hpp"
 #include "serve/query.hpp"
@@ -126,6 +137,14 @@ TEST(HttpTarget, DecodeAndCanonicalKey) {
   EXPECT_EQ(canonicalQueryKey(*t), canonicalQueryKey(*t2));
   EXPECT_FALSE(parseTarget("/x?a=%zz").has_value());
   EXPECT_FALSE(parseTarget("no-slash").has_value());
+  // Decoded separators are escaped again in the key: a value holding
+  // "&threshold=5", or a path holding '?', never imitates a parameter.
+  EXPECT_NE(canonicalQueryKey(*parseTarget("/h?k=1&threshold=5")),
+            canonicalQueryKey(*parseTarget("/h?k=1%26threshold%3D5")));
+  EXPECT_NE(canonicalQueryKey(*parseTarget("/s/x?k=1")),
+            canonicalQueryKey(*parseTarget("/s/x%3Fk=1")));
+  EXPECT_NE(canonicalQueryKey(*parseTarget("/s/x%3F")),
+            canonicalQueryKey(*parseTarget("/s/x%253F")));
 }
 
 TEST(HttpResponse, HeadGetsHeadersButNoBody) {
@@ -211,20 +230,25 @@ std::vector<net::Packet> makeCapture(int sources) {
   return out;
 }
 
+/// Two split cycles of 3fff:100::/32, the prefix the captures probe.
+bgp::SplitSchedule makeSchedule() {
+  bgp::SplitSchedule::Params params;
+  params.base = net::Prefix::mustParse("3fff:100::/32");
+  params.start = sim::kEpoch;
+  params.baseline = sim::weeks(1);
+  params.cycle = sim::weeks(1);
+  params.withdrawGap = sim::days(1);
+  params.splits = 2;
+  return bgp::SplitSchedule::make(params);
+}
+
 class ServeFixture : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
     packets_ = new std::vector<net::Packet>{makeCapture(12)};
     sessions_ = new std::vector<telescope::Session>{
         telescope::sessionize(*packets_, telescope::SourceAgg::Addr128)};
-    bgp::SplitSchedule::Params params;
-    params.base = net::Prefix::mustParse("3fff:100::/32");
-    params.start = sim::kEpoch;
-    params.baseline = sim::weeks(1);
-    params.cycle = sim::weeks(1);
-    params.withdrawGap = sim::days(1);
-    params.splits = 2;
-    schedule_ = new bgp::SplitSchedule{bgp::SplitSchedule::make(params)};
+    schedule_ = new bgp::SplitSchedule{makeSchedule()};
     QueryEngineOptions options;
     options.analysisThreads = 2;
     engine_ = new QueryEngine{*packets_, *sessions_, schedule_, options};
@@ -272,6 +296,9 @@ TEST_F(ServeFixture, EngineErrorPaths) {
   EXPECT_EQ(engine_->evaluate("/sources/3fff:ffff::99").status, 404);
   EXPECT_EQ(engine_->evaluate("/heavy-hitters?k=0").status, 400);
   EXPECT_EQ(engine_->evaluate("/heavy-hitters?bogus=1").status, 400);
+  // A repeated name is ambiguous, whichever repeat would win.
+  EXPECT_EQ(engine_->evaluate("/heavy-hitters?k=3&k=5").status, 400);
+  EXPECT_EQ(engine_->evaluate("/heavy-hitters?k=3&k=3").status, 400);
   EXPECT_EQ(engine_->evaluate("bad-target").status, 400);
   // Without a schedule there is nothing to compute delays against.
   const QueryEngine bare{*packets_, *sessions_, nullptr};
@@ -371,6 +398,11 @@ private:
 
 std::string statusLine(const std::string& response) {
   return response.substr(0, response.find("\r\n"));
+}
+
+/// The status code of a raw response ("HTTP/1.1 400 ..." -> 400).
+int statusOf(const std::string& response) {
+  return std::atoi(response.c_str() + response.find(' ') + 1);
 }
 
 std::string bodyOf(const std::string& response) {
@@ -501,6 +533,28 @@ TEST_F(LiveServerFixture, ConcurrentClientsGetByteIdenticalBodies) {
   EXPECT_GT(server_->cache().hits(), 0u);
 }
 
+TEST_F(LiveServerFixture, CachedAnswersMatchEvaluate) {
+  // In each pair the first request warms the cache and the second would
+  // be served from the entry if the two shared a cache key: repeated
+  // names, and %-encoded separators in a value or in the path.
+  const std::pair<std::string, std::string> pairs[] = {
+      {"/heavy-hitters?k=3&k=5", "/heavy-hitters?k=5&k=3"},
+      {"/heavy-hitters?k=1&threshold=5",
+       "/heavy-hitters?k=1%26threshold%3D5"},
+      {"/sources/2001:db8::1?k=1", "/sources/2001:db8::1%3Fk=1"},
+  };
+  Client client{server_->port()};
+  for (const auto& [first, second] : pairs) {
+    for (const std::string& target : {first, second}) {
+      client.send("GET " + target + " HTTP/1.1\r\n\r\n");
+      const std::string response = client.recvResponse();
+      const QueryEngine::Response direct = engine_->evaluate(target);
+      EXPECT_EQ(statusOf(response), direct.status) << target;
+      EXPECT_EQ(bodyOf(response), direct.body) << target;
+    }
+  }
+}
+
 TEST(ServeSlowLoris, IdleConnectionsAreReaped) {
   const auto packets = makeCapture(3);
   const auto sessions =
@@ -521,6 +575,230 @@ TEST(ServeSlowLoris, IdleConnectionsAreReaped) {
           .count();
   EXPECT_LT(elapsed, 4.0); // reaped by the sweep, not the 5s client timeout
   server.stop();
+}
+
+// ------------------------------------------------ build-once answers
+
+/// Synthetic capture for the answers the engine builds at load: 48
+/// sources whose packet counts repeat every 12 sources (ties between
+/// sources far apart in canonical order) plus one heavy source, in three
+/// temporal shapes — one burst (one-off), four bursts 6 h apart
+/// (periodic), four at irregular gaps (intermittent). Addresses are
+/// scrambled, so address order is not canonical order.
+std::vector<net::Packet> makeRankedCapture() {
+  constexpr std::int64_t kHour = 3'600'000;
+  const std::int64_t periodic[] = {0, 6 * kHour, 12 * kHour, 18 * kHour};
+  const std::int64_t irregular[] = {0, 5 * kHour, 31 * kHour, 40 * kHour};
+  std::vector<net::Packet> out;
+  std::uint64_t seq = 0;
+  for (int s = 0; s < 48; ++s) {
+    const int packets = s == 5 ? 300 : 4 + (s * 7) % 12;
+    const int bursts = s % 3 == 0 ? 1 : 4;
+    const std::int64_t* offsets = s % 3 == 2 ? irregular : periodic;
+    const net::Ipv6Address src{0x2001'0db8'0000'0000ull,
+                               static_cast<std::uint64_t>((s * 29) % 97 + 1)};
+    for (int k = 0; k < packets; ++k) {
+      net::Packet p;
+      p.ts = sim::SimTime{s * 600'000ll + offsets[k % bursts] + k * 1000};
+      p.src = src;
+      p.dst = net::Ipv6Address{0x3fff'0100'0000'0000ull, seq};
+      p.srcAsn = net::Asn{static_cast<std::uint32_t>(64500 + s)};
+      p.originId = static_cast<std::uint32_t>(s);
+      p.originSeq = seq++;
+      out.push_back(p);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const net::Packet& a, const net::Packet& b) {
+              return std::tuple{a.ts.millis(), a.originId, a.originSeq} <
+                     std::tuple{b.ts.millis(), b.originId, b.originSeq};
+            });
+  return out;
+}
+
+/// Every value that follows "key": in a flat JSON body, in order (quoted
+/// values keep their quotes).
+std::vector<std::string> valuesOf(std::string_view body,
+                                  std::string_view key) {
+  const std::string needle = "\"" + std::string{key} + "\":";
+  std::vector<std::string> out;
+  for (std::size_t at = body.find(needle); at != std::string_view::npos;
+       at = body.find(needle, at + 1)) {
+    const std::size_t begin = at + needle.size();
+    const std::size_t end = body.find_first_of(",}]", begin);
+    out.emplace_back(body.substr(begin, end - begin));
+  }
+  return out;
+}
+
+std::string jsonString(std::string_view s) {
+  return "\"" + std::string{s} + "\"";
+}
+
+/// Shortest text that parses back to exactly `v`.
+std::string exactText(double v) {
+  char buf[64];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string{buf, end};
+}
+
+class BuildOnceFixture : public ::testing::Test {
+protected:
+  std::vector<net::Packet> packets_ = makeRankedCapture();
+  std::vector<telescope::Session> sessions_ =
+      telescope::sessionize(packets_, telescope::SourceAgg::Addr128);
+  bgp::SplitSchedule schedule_ = makeSchedule();
+  QueryEngine engine_{packets_, sessions_, &schedule_};
+};
+
+TEST_F(BuildOnceFixture, HeavyHittersMatchFindHeavyHittersAndImpact) {
+  const analysis::CaptureIndex& idx = engine_.index();
+  const std::uint64_t maxK = QueryEngineOptions{}.maxK;
+  std::vector<double> thresholds;
+  for (std::size_t i = 0; i < idx.sourceCount(); ++i) {
+    // Each source's exact share (that source is not a hitter at it) and
+    // the doubles on either side.
+    const double share =
+        100.0 * static_cast<double>(idx.aggregatesOf(i).packets) /
+        static_cast<double>(idx.packets().size());
+    thresholds.push_back(share);
+    thresholds.push_back(std::nextafter(share, 0.0));
+    thresholds.push_back(std::nextafter(share, 100.0));
+  }
+  std::size_t checked = 0;
+  for (const double threshold : thresholds) {
+    const auto hitters = analysis::findHeavyHitters(idx, threshold);
+    const auto impact = analysis::heavyHitterImpact(idx, hitters);
+    const std::uint64_t m = hitters.size();
+    for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{2}, m,
+                                  m + 1, maxK}) {
+      if (k < 1) continue;
+      const std::string target = "/heavy-hitters?k=" + std::to_string(k) +
+                                 "&threshold=" + exactText(threshold);
+      const QueryEngine::Response r = engine_.evaluate(target);
+      ASSERT_EQ(r.status, 200) << target;
+      EXPECT_EQ(valuesOf(r.body, "total"),
+                std::vector<std::string>{std::to_string(m)})
+          << target;
+      std::vector<std::string> sources;
+      std::vector<std::string> shares;
+      for (std::size_t i = 0; i < std::min<std::uint64_t>(k, m); ++i) {
+        sources.push_back(jsonString(hitters[i].source.toString()));
+        shares.push_back(
+            jsonString(obs::fmt::fixed(hitters[i].shareOfTelescope, 4)));
+      }
+      EXPECT_EQ(valuesOf(r.body, "source"), sources) << target;
+      EXPECT_EQ(valuesOf(r.body, "share_percent"), shares) << target;
+      const std::string_view tail =
+          std::string_view{r.body}.substr(r.body.find("\"impact\":"));
+      EXPECT_EQ(valuesOf(tail, "packets"),
+                std::vector<std::string>{std::to_string(impact.packets)})
+          << target;
+      EXPECT_EQ(valuesOf(tail, "sessions"),
+                std::vector<std::string>{std::to_string(impact.sessions)})
+          << target;
+      EXPECT_EQ(valuesOf(tail, "packet_share_percent"),
+                std::vector<std::string>{
+                    jsonString(obs::fmt::fixed(impact.packetShare, 4))})
+          << target;
+      EXPECT_EQ(valuesOf(tail, "session_share_percent"),
+                std::vector<std::string>{
+                    jsonString(obs::fmt::fixed(impact.sessionShare, 4))})
+          << target;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 3 * idx.sourceCount());
+}
+
+TEST_F(BuildOnceFixture, TiedSourcesListInCanonicalOrder) {
+  const analysis::CaptureIndex& idx = engine_.index();
+  std::map<std::string, std::size_t> canonical;
+  for (std::size_t i = 0; i < idx.sourceCount(); ++i) {
+    canonical[jsonString(idx.source(i).addr.toString())] = i;
+  }
+  const QueryEngine::Response r =
+      engine_.evaluate("/heavy-hitters?k=10000&threshold=1e-9");
+  ASSERT_EQ(r.status, 200);
+  const std::vector<std::string> sources = valuesOf(r.body, "source");
+  const std::vector<std::string> packets = valuesOf(r.body, "packets");
+  ASSERT_EQ(sources.size(), idx.sourceCount());
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < sources.size(); ++i) {
+    const std::uint64_t prev = std::stoull(packets[i - 1]);
+    const std::uint64_t cur = std::stoull(packets[i]);
+    ASSERT_GE(prev, cur) << "rank " << i;
+    if (prev == cur) {
+      ++ties;
+      EXPECT_LT(canonical.at(sources[i - 1]), canonical.at(sources[i]))
+          << "rank " << i;
+    }
+  }
+  EXPECT_GT(ties, 20u); // the capture is built to be full of ties
+}
+
+TEST_F(BuildOnceFixture, SourceTemporalMatchesClassifyTemporal) {
+  const analysis::CaptureIndex& idx = engine_.index();
+  std::set<std::string> classes;
+  for (std::size_t i = 0; i < idx.sourceCount(); ++i) {
+    const analysis::TemporalResult expected =
+        analysis::classifyTemporal(idx.sessionStartsOf(i));
+    const std::string target = "/sources/" + idx.source(i).addr.toString();
+    const QueryEngine::Response r = engine_.evaluate(target);
+    ASSERT_EQ(r.status, 200) << target;
+    EXPECT_EQ(valuesOf(r.body, "temporal"),
+              std::vector<std::string>{
+                  jsonString(analysis::toString(expected.cls))})
+        << target;
+    EXPECT_EQ(valuesOf(r.body, "period_ms"),
+              std::vector<std::string>{
+                  expected.period ? std::to_string(expected.period->millis())
+                                  : "null"})
+        << target;
+    classes.emplace(analysis::toString(expected.cls));
+  }
+  EXPECT_EQ(classes.size(), 3u); // one-off, intermittent and periodic
+}
+
+TEST_F(BuildOnceFixture, BodiesIdenticalAcrossThreadsAndSplitting) {
+  const analysis::CaptureIndex& idx = engine_.index();
+  std::vector<std::string> targets = {"/reports/table6", "/reaction-delays",
+                                      "/heavy-hitters",
+                                      "/heavy-hitters?k=5&threshold=0.5",
+                                      "/heavy-hitters?k=100&threshold=1e-9"};
+  for (std::size_t i = 0; i < idx.sourceCount(); ++i) {
+    targets.push_back("/sources/" + idx.source(i).addr.toString());
+  }
+  const auto bodies = [&](const QueryEngineOptions& options) {
+    const QueryEngine engine{packets_, sessions_, &schedule_, options};
+    std::vector<std::string> out;
+    for (const std::string& t : targets) out.push_back(engine.evaluate(t).body);
+    return out;
+  };
+  const std::vector<std::string> reference = bodies({.analysisThreads = 1});
+  EXPECT_EQ(bodies({.analysisThreads = 2}), reference);
+  EXPECT_EQ(bodies({.analysisThreads = 4}), reference);
+  EXPECT_EQ(bodies({.analysisThreads = 4, .minSplitCost = 1}), reference);
+  EXPECT_EQ(bodies({.analysisThreads = 1, .minSplitCost = 1}), reference);
+}
+
+TEST_F(BuildOnceFixture, MixedAggregationLevelsAreRejected) {
+  // The prefix-sum impact needs each hitter to cover only its own key.
+  std::vector<telescope::Session> mixed = sessions_;
+  for (telescope::Session& s :
+       telescope::sessionize(packets_, telescope::SourceAgg::Net64)) {
+    mixed.push_back(std::move(s));
+  }
+  EXPECT_THROW((QueryEngine{packets_, mixed, &schedule_}),
+               std::invalid_argument);
+}
+
+TEST_F(BuildOnceFixture, PrecomputeSpanIsRecorded) {
+  obs::Registry registry;
+  const QueryEngine engine{packets_, sessions_, &schedule_, {}, &registry};
+  const std::string metrics = engine.evaluate("/metrics").body;
+  EXPECT_NE(metrics.find("serve_precompute_seconds"), std::string::npos);
+  EXPECT_NE(metrics.find("analysis_index_seconds"), std::string::npos);
 }
 
 } // namespace

@@ -7,8 +7,9 @@
 // Loads one telescope's capture — either an in-memory .v6tcap dump or a
 // spilled SegmentStore directory (a single store, or a runner spill root
 // with shard-*/NAME subdirectories merged in canonical order) — builds
-// the immutable analysis::CaptureIndex once, and serves the read-only
-// JSON endpoints of DESIGN.md §17 over HTTP/1.1:
+// the immutable analysis::CaptureIndex and every answer once (the
+// taxonomy, the heavy-hitter ranking, the rendered report bodies), and
+// serves the read-only JSON endpoints of DESIGN.md §17 over HTTP/1.1:
 //
 //   GET /reports/table6      taxonomy scanner/session counts (Table 6)
 //   GET /heavy-hitters?k=N   top-k heavy hitters + their traffic impact
@@ -29,7 +30,9 @@
 // bench/serve_load for the cached-vs-uncached contract.
 //
 // Numeric flags go through the config file's checked parser: "--port abc"
-// or "--threads 4x" is a usage error (exit 2), never a silent default.
+// or "--threads 4x" is a usage error (exit 2), never a silent default. A
+// --capture file that is not a v6tcap capture, or ends in a torn record,
+// is refused (exit 1) instead of served in part.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -47,11 +50,11 @@
 #include "core/config.hpp"
 #include "core/experiment.hpp"
 #include "net/packet.hpp"
+#include "net/pcap.hpp"
 #include "obs/metrics.hpp"
 #include "serve/query.hpp"
 #include "serve/server.hpp"
 #include "sim/time.hpp"
-#include "telescope/capture_store.hpp"
 #include "telescope/kway_merge.hpp"
 #include "telescope/segment_store.hpp"
 #include "telescope/session.hpp"
@@ -180,9 +183,14 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << capturePath << "\n";
       return 1;
     }
-    telescope::CaptureStore store;
-    store.readFrom(in);
-    packets = store.packets();
+    net::CaptureReader reader{in};
+    packets = reader.readAll();
+    if (!reader.ok()) {
+      std::cerr << "cannot load " << capturePath
+                << ": not a v6tcap capture, or cut short after "
+                << packets.size() << " packets\n";
+      return 1;
+    }
     std::cout << "loaded " << packets.size() << " packets from "
               << capturePath << "\n";
   } else {
