@@ -28,10 +28,8 @@ int main() {
   base.baseline = sim::weeks(4);
   base.splits = 6;
   base.routeObjectAt = sim::weeks(6);
-  base.threads = 2;
-  if (const char* s = std::getenv("V6T_THREADS")) {
-    base.threads = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-  }
+  base.threads =
+      static_cast<unsigned>(bench::envInt("V6T_THREADS", 2, 1, 64));
 
   // An all-telescope outage starting mid-baseline, of growing length.
   const std::pair<const char*, const char*> gapSpecs[] = {

@@ -9,26 +9,15 @@
 // Measurement discipline: a full serial pipeline run is executed and
 // DISCARDED first, so whichever leg is measured first no longer gets the
 // cold page cache (the old bench measured serial after parallel and
-// flattered the speedup). V6T_BENCH_ORDER=parallel-first additionally
-// swaps the measured legs to expose any residual order bias.
+// flattered the speedup). V6T_BENCH_ORDER (serial-first, the default, or
+// parallel-first) swaps the measured legs to expose any residual order
+// bias.
 //
-// Three pipeline legs are measured:
+// Two pipeline legs are measured, both on the wall clock:
 //   serial        threads=1, the reference
 //   parallel      OS threads (V6T_ANALYSIS_THREADS, default all cores) —
-//                 the honest wall clock on THIS host, and the digest gate
-//   virtual-time  the same scheduler replayed on virtual worker clocks
-//                 (PipelineOptions::virtualTime): tasks run serially, the
-//                 per-worker clocks model the `threads`-worker schedule.
-//                 modeled_parallel = wall_virtual - Σbusy + Σmakespan, i.e.
-//                 the serial residue plus the modeled makespan of every
-//                 dispatched stage. This is the schedule-quality number a
-//                 single-core CI container can still measure.
-//
-// `pipeline_speedup` is serial / modeled_parallel — the SCHEDULE-MODELED
-// speedup (what an idle `threads`-core host would see, given the measured
-// per-task durations). The raw wall ratio on this host is reported
-// separately as `pipeline_wall_speedup`; on a single-core container it
-// hovers near 1.0 by construction.
+//                 the digest gate; its speedup is what THIS host delivers
+//                 (near 1.0 on a host that gives about one core).
 //
 // Workload: the calibrated experiment's T1 capture over the whole
 // measurement period (V6T_SEED / V6T_SOURCE_SCALE / V6T_VOLUME_SCALE
@@ -45,10 +34,6 @@
 //   bench.analysis_speedup.pipeline_serial_seconds  full stage set
 //   bench.analysis_speedup.pipeline_parallel_seconds     OS-thread wall
 //   bench.analysis_speedup.pipeline_wall_speedup         serial / wall
-//   bench.analysis_speedup.pipeline_modeled_parallel_seconds
-//   bench.analysis_speedup.pipeline_speedup         serial / modeled (§13)
-//   bench.analysis_speedup.sequential_residue_seconds    undispatched part
-//   bench.analysis_speedup.sched_steals             steal ops, parallel leg
 //   bench.analysis_speedup.sched_splits             heavy items split
 //   bench.analysis_speedup.bench_order              0 serial-first, 1 swapped
 //   bench.analysis_speedup.legacy_seconds           pre-index entry points
@@ -57,7 +42,7 @@
 //
 // The snapshot also carries the parallel leg's analysis.* metrics (stage
 // spans, worker counters, scheduler counters, index hit counters), so the
-// steal/split behavior is visible in the artifact.
+// split behavior is visible in the artifact.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -91,9 +76,13 @@ int main(int argc, char** argv) {
   std::string outPath = "BENCH_analysis_speedup.json";
   if (const char* s = std::getenv("V6T_BENCH_OUT")) outPath = s;
   if (argc > 1) outPath = argv[1];
-  const char* orderEnv = std::getenv("V6T_BENCH_ORDER");
-  const bool parallelFirst =
-      orderEnv != nullptr && std::strcmp(orderEnv, "parallel-first") == 0;
+  bool parallelFirst = false;
+  if (const char* s = std::getenv("V6T_BENCH_ORDER")) {
+    parallelFirst = std::strcmp(s, "parallel-first") == 0;
+    if (!parallelFirst && std::strcmp(s, "serial-first") != 0) {
+      bench::badEnv("V6T_BENCH_ORDER", s, "serial-first or parallel-first");
+    }
+  }
 
   bench::RunContext ctx =
       bench::runStandard("analysis_speedup: parallel pipeline vs serial");
@@ -143,9 +132,6 @@ int main(int argc, char** argv) {
   serialOpts.threads = 1;
   analysis::PipelineOptions parallelOpts;
   parallelOpts.threads = threads;
-  analysis::PipelineOptions virtualOpts;
-  virtualOpts.threads = threads;
-  virtualOpts.virtualTime = true;
 
   // Warmup: one discarded serial run so the first measured leg doesn't
   // absorb the cold-cache cost (measurement-order bias fix).
@@ -184,34 +170,9 @@ int main(int argc, char** argv) {
             << " threads " << pipelineParallel << "s -> "
             << pipelineWallSpeedup << "x wall\n";
 
-  // --- virtual-time leg: replay the schedule on virtual worker clocks ---
-  obs::Registry virtualRegistry;
-  const auto v0 = Clock::now();
-  const auto virtualResult = analysis::Pipeline::analyze(
-      capture.packets(), sessions, schedule, virtualOpts, &virtualRegistry);
-  const double wallVirtual = secondsSince(v0);
-  const double busyTotal =
-      virtualRegistry.value("analysis.worker.busy_seconds").value_or(0.0);
-  const double makespanTotal =
-      virtualRegistry.value("analysis.sched.makespan_seconds").value_or(0.0);
-  // Everything not dispatched (index build inside analyze(), heavy
-  // hitters, serial folds) ran on the wall clock; the dispatched stages
-  // contribute their modeled makespan instead of their serial busy time.
-  const double sequentialResidue = std::max(wallVirtual - busyTotal, 0.0);
-  const double modeledParallel = sequentialResidue + makespanTotal;
-  const double pipelineSpeedup =
-      modeledParallel > 0 ? pipelineSerial / modeledParallel : 0;
-  std::cout << "pipeline modeled @" << threads << " workers: residue "
-            << sequentialResidue << "s + makespan " << makespanTotal
-            << "s = " << modeledParallel << "s -> " << pipelineSpeedup
-            << "x modeled\n";
-
-  const double schedSteals =
-      registry.value("analysis.sched.steals_total").value_or(0.0);
   const double schedSplits =
       registry.value("analysis.sched.splits_total").value_or(0.0);
-  std::cout << "scheduler: " << schedSteals << " steals, " << schedSplits
-            << " splits (parallel leg)\n";
+  std::cout << "scheduler: " << schedSplits << " splits (parallel leg)\n";
 
   // --- legacy entry points: what callers paid before the shared index,
   // each stage rebuilding its own view of the capture (findHeavyHitters
@@ -233,17 +194,15 @@ int main(int argc, char** argv) {
   std::cout << "legacy entry points: " << legacySeconds << "s -> "
             << indexReuseSpeedup << "x vs shared-index pipeline\n";
 
-  // Determinism gate: the OS-thread parallel run AND the virtual-time
-  // replay must both reproduce the serial report bit for bit (and both
-  // taxonomy legs must agree with the pipeline's).
+  // Determinism gate: the OS-thread parallel run must reproduce the
+  // serial report bit for bit (and both taxonomy legs must agree with the
+  // pipeline's).
   const bool digestMatch =
       serialResult.digest() == parallelResult.digest() &&
-      serialResult.digest() == virtualResult.digest() &&
       serialTaxonomy.profiles.size() == parallelTaxonomy.profiles.size() &&
       serialResult.taxonomy.profiles.size() == serialTaxonomy.profiles.size();
   std::cout << "digest: serial " << serialResult.digest() << ", parallel "
-            << parallelResult.digest() << ", virtual "
-            << virtualResult.digest()
+            << parallelResult.digest()
             << (digestMatch ? " (match)" : " (MISMATCH)") << "\n";
 
   struct rusage usage{};
@@ -268,10 +227,6 @@ int main(int argc, char** argv) {
   gauge("pipeline_serial_seconds", pipelineSerial);
   gauge("pipeline_parallel_seconds", pipelineParallel);
   gauge("pipeline_wall_speedup", pipelineWallSpeedup);
-  gauge("pipeline_modeled_parallel_seconds", modeledParallel);
-  gauge("pipeline_speedup", pipelineSpeedup);
-  gauge("sequential_residue_seconds", sequentialResidue);
-  gauge("sched_steals", schedSteals);
   gauge("sched_splits", schedSplits);
   gauge("bench_order", parallelFirst ? 1.0 : 0.0);
   gauge("legacy_seconds", legacySeconds);

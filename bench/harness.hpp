@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "bench/env.hpp"
 #include "core/config.hpp"
 #include "core/runner.hpp"
 #include "core/summary.hpp"
@@ -20,14 +21,6 @@
 #include "obs/metrics.hpp"
 
 namespace v6t::bench {
-
-/// Ends the bench when an environment override is junk or out of range,
-/// before anything is simulated.
-[[noreturn]] inline void badEnv(const char* name, const char* value,
-                                const char* want) {
-  std::cerr << name << " must be " << want << ": '" << value << "'\n";
-  std::exit(2);
-}
 
 /// Overrides `config`'s seed and scales from the V6T_SEED /
 /// V6T_SOURCE_SCALE / V6T_VOLUME_SCALE environment variables, checked like
@@ -60,15 +53,9 @@ inline core::ExperimentConfig standardConfig() {
 /// to every core the host offers; V6T_ANALYSIS_THREADS (0..64, 0 = one
 /// worker) overrides.
 inline unsigned analysisThreads() {
-  if (const char* s = std::getenv("V6T_ANALYSIS_THREADS")) {
-    std::uint64_t v = 0;
-    if (!core::parseU64(s, v) || v > 64) {
-      badEnv("V6T_ANALYSIS_THREADS", s, "0..64");
-    }
-    return v == 0 ? 1u : static_cast<unsigned>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  const std::uint64_t v = envInt("V6T_ANALYSIS_THREADS",
+                                 std::thread::hardware_concurrency(), 0, 64);
+  return v == 0 ? 1u : static_cast<unsigned>(v);
 }
 
 /// One pipeline pass over a capture window: build the shared CaptureIndex

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/env.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
@@ -148,11 +149,7 @@ double benchMerge(std::uint64_t perShard, unsigned shardCount,
 } // namespace
 
 int main(int argc, char** argv) {
-  double scale = 1.0;
-  if (const char* s = std::getenv("V6T_HOT_PATH_SCALE")) {
-    scale = std::strtod(s, nullptr);
-  }
-  if (scale <= 0) scale = 1.0;
+  const double scale = v6t::bench::envPositive("V6T_HOT_PATH_SCALE", 1.0);
   std::string outPath = "BENCH_hot_path.json";
   if (const char* s = std::getenv("V6T_BENCH_OUT")) outPath = s;
   if (argc > 1) outPath = argv[1];

@@ -34,6 +34,7 @@
 #include <string>
 
 #include "analysis/streaming.hpp"
+#include "bench/env.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
@@ -109,16 +110,9 @@ struct ChildReport {
 } // namespace
 
 int main(int argc, char** argv) {
-  double scale = 1.0;
-  if (const char* s = std::getenv("V6T_OOC_SCALE")) {
-    scale = std::strtod(s, nullptr);
-  }
-  if (scale <= 0) scale = 1.0;
-  std::uint64_t budget = 64ull << 20;
-  if (const char* s = std::getenv("V6T_OOC_BUDGET_BYTES")) {
-    budget = std::strtoull(s, nullptr, 10);
-  }
-  if (budget == 0) budget = 64ull << 20;
+  const double scale = v6t::bench::envPositive("V6T_OOC_SCALE", 1.0);
+  const std::uint64_t budget =
+      v6t::bench::envInt("V6T_OOC_BUDGET_BYTES", 64ull << 20, 1);
   std::string outPath = "BENCH_out_of_core.json";
   if (const char* s = std::getenv("V6T_BENCH_OUT")) outPath = s;
   if (argc > 1) outPath = argv[1];

@@ -26,10 +26,8 @@ int main() {
   std::cout << "hardware_concurrency=" << hw << "\n";
 
   std::set<unsigned> counts{1, 2, 4, hw};
-  if (const char* s = std::getenv("V6T_THREADS")) {
-    const unsigned v = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-    if (v >= 1 && v <= 64) counts.insert(v);
-  }
+  counts.insert(
+      static_cast<unsigned>(bench::envInt("V6T_THREADS", 1, 1, 64)));
 
   core::ExperimentConfig base = bench::standardConfig();
 

@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -65,24 +64,7 @@ using namespace v6t;
 
 /// A connection or thread count from the environment, 1..256.
 unsigned envCount(const char* name, unsigned fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return fallback;
-  std::uint64_t v = 0;
-  if (!core::parseU64(s, v) || v < 1 || v > 256) {
-    bench::badEnv(name, s, "an integer in 1..256");
-  }
-  return static_cast<unsigned>(v);
-}
-
-/// The measured window per leg from V6T_SERVE_SECONDS: finite and > 0.
-double envSeconds(double fallback) {
-  const char* s = std::getenv("V6T_SERVE_SECONDS");
-  if (s == nullptr) return fallback;
-  double v = 0;
-  if (!core::parseDouble(s, v) || !(v > 0.0) || !std::isfinite(v)) {
-    bench::badEnv("V6T_SERVE_SECONDS", s, "a positive number of seconds");
-  }
-  return v;
+  return static_cast<unsigned>(bench::envInt(name, fallback, 1, 256));
 }
 
 /// Blocking keep-alive client; the server side stays non-blocking.
@@ -250,7 +232,7 @@ int main(int argc, char** argv) {
   bench::applyWorldEnv(config);
 
   const unsigned connections = envCount("V6T_SERVE_CONNECTIONS", 8);
-  const double seconds = envSeconds(2.0);
+  const double seconds = bench::envPositive("V6T_SERVE_SECONDS", 2.0);
   const unsigned serverThreads = envCount("V6T_SERVE_THREADS", 2);
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned analysisThreads =

@@ -49,6 +49,7 @@
 #include "analysis/nist.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/simd.hpp"
+#include "bench/env.hpp"
 #include "net/ipv6.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
@@ -65,22 +66,6 @@ double secondsSince(Clock::time_point t0) {
 }
 
 volatile std::uint64_t g_sink = 0;
-
-double envScale() {
-  if (const char* s = std::getenv("V6T_BENCH_SCALE")) {
-    const double v = std::strtod(s, nullptr);
-    if (v > 0) return v;
-  }
-  return 1.0;
-}
-
-int envReps() {
-  if (const char* s = std::getenv("V6T_BENCH_REPS")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v > 0) return static_cast<int>(std::min(v, 50L));
-  }
-  return 5;
-}
 
 /// Best-of-reps wall time of `fn` (the standard bench discipline: the
 /// minimum is the least-noisy estimator on a shared host).
@@ -129,8 +114,9 @@ int main(int argc, char** argv) {
   std::string outPath = "BENCH_simd_kernels.json";
   if (const char* s = std::getenv("V6T_BENCH_OUT")) outPath = s;
   if (argc > 1) outPath = argv[1];
-  const double scale = envScale();
-  const int reps = envReps();
+  const double scale = bench::envPositive("V6T_BENCH_SCALE", 1.0);
+  const int reps =
+      static_cast<int>(bench::envInt("V6T_BENCH_REPS", 5, 1, 50));
 
   std::cout << "== simd_kernels: columnar kernels vs scalar reference ==\n"
             << "scale=" << scale << " reps=" << reps << " simd_compiled_in="

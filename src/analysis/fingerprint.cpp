@@ -32,7 +32,6 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
                                       const net::RdnsRegistry* rdns,
                                       const FingerprintParams& params,
                                       unsigned threads,
-                                      const ScheduleParams& sched,
                                       ParallelForStats* statsOut) {
   const std::span<const net::Packet> packets = index.packets();
   const std::span<const telescope::Session> sessions = index.sessions();
@@ -94,8 +93,7 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
           for (std::size_t q = 0; q < n; ++q) {
             if (distance(p, q) <= params.epsilon) adjacency[p].push_back(q);
           }
-        },
-        sched.virtualTime);
+        });
     if (statsOut != nullptr) statsOut->absorb(adjStats);
     const DbscanResult clusters = dbscanWithNeighbors(
         n, params.minPts,
@@ -155,8 +153,7 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
                       .looksLikeTraceroute()
                   ? 1
                   : 0;
-        },
-        sched.virtualTime);
+        });
     if (statsOut != nullptr) statsOut->absorb(hopStats);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (isTraceroute[i] == 0) continue;

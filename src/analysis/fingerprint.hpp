@@ -65,7 +65,7 @@ class CaptureIndex;
 [[nodiscard]] FingerprintResult fingerprintSessions(
     const CaptureIndex& index, const net::RdnsRegistry* rdns = nullptr,
     const FingerprintParams& params = {}, unsigned threads = 1,
-    const ScheduleParams& sched = {}, ParallelForStats* statsOut = nullptr);
+    ParallelForStats* statsOut = nullptr);
 
 /// Thin wrapper: builds a CaptureIndex over (packets, sessions) and
 /// delegates to the index overload.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
-#include <mutex>
 #include <numeric>
 #include <thread>
 
@@ -39,97 +37,7 @@ void traceSlice(obs::trace::Tracer* tracer, unsigned worker, std::size_t task,
                       obs::trace::ClockDomain::Wall});
 }
 
-void traceSteal(obs::trace::Tracer* tracer, unsigned thief,
-                std::size_t chunk) {
-  tracer->recordWall({traceMicros(), 0, chunk, 0, thief,
-                      obs::trace::EventKind::SchedSteal,
-                      obs::trace::ClockDomain::Wall});
-}
-
 constexpr unsigned kMaxWorkers = 64;
-
-/// One worker's share of the LPT assignment. The owner consumes from the
-/// head (largest items first); thieves take a chunk off the tail (the
-/// owner's smallest remaining items), so a steal moves the work least
-/// likely to be reached soon. `remainingCost` is the victim-selection
-/// signal: a relaxed read outside the lock, updated under it.
-struct WorkerQueue {
-  std::vector<std::size_t> tasks; // descending estimated cost
-  std::size_t head = 0; // owner end
-  std::size_t tail = 0; // one past the last unstolen task
-  std::atomic<std::uint64_t> remainingCost{0};
-  std::mutex m;
-};
-
-std::uint64_t costOf(std::span<const std::uint64_t> costs, std::size_t i) {
-  return std::max<std::uint64_t>(costs[i], 1);
-}
-
-/// Greedy LPT assignment: walk items in canonical LPT order, giving each
-/// to the currently least-loaded worker (ties -> lowest worker id).
-std::vector<std::unique_ptr<WorkerQueue>> assignLpt(
-    std::span<const std::uint64_t> costs, unsigned workers) {
-  std::vector<std::unique_ptr<WorkerQueue>> queues(workers);
-  for (auto& q : queues) q = std::make_unique<WorkerQueue>();
-  std::vector<std::uint64_t> load(workers, 0);
-  for (std::size_t item : lptOrder(costs)) {
-    unsigned best = 0;
-    for (unsigned w = 1; w < workers; ++w) {
-      if (load[w] < load[best]) best = w;
-    }
-    queues[best]->tasks.push_back(item);
-    load[best] += costOf(costs, item);
-  }
-  for (unsigned w = 0; w < workers; ++w) {
-    queues[w]->tail = queues[w]->tasks.size();
-    queues[w]->remainingCost.store(load[w], std::memory_order_relaxed);
-  }
-  return queues;
-}
-
-/// Take the next task from the worker's own deque head. Returns false if
-/// drained (including by thieves).
-bool popOwn(WorkerQueue& q, std::span<const std::uint64_t> costs,
-            std::size_t& out) {
-  const std::lock_guard<std::mutex> lock(q.m);
-  if (q.head >= q.tail) return false;
-  out = q.tasks[q.head++];
-  q.remainingCost.fetch_sub(costOf(costs, out), std::memory_order_relaxed);
-  return true;
-}
-
-/// Steal up to half the richest victim's remaining tail into `batch`.
-/// Returns false only when no queue holds queued work any more.
-bool stealChunk(std::span<const std::unique_ptr<WorkerQueue>> queues,
-                std::span<const std::uint64_t> costs, unsigned self,
-                std::vector<std::size_t>& batch) {
-  for (;;) {
-    unsigned victim = kMaxWorkers;
-    std::uint64_t best = 0;
-    for (unsigned w = 0; w < queues.size(); ++w) {
-      if (w == self) continue;
-      const std::uint64_t r =
-          queues[w]->remainingCost.load(std::memory_order_relaxed);
-      if (r > best) {
-        best = r;
-        victim = w;
-      }
-    }
-    if (victim == kMaxWorkers) return false;
-    WorkerQueue& q = *queues[victim];
-    const std::lock_guard<std::mutex> lock(q.m);
-    const std::size_t avail = q.tail - q.head;
-    if (avail == 0) continue; // drained between scan and lock; rescan
-    const std::size_t take = (avail + 1) / 2;
-    std::uint64_t taken = 0;
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(q.tasks[--q.tail]);
-      taken += costOf(costs, q.tasks[q.tail]);
-    }
-    q.remainingCost.fetch_sub(taken, std::memory_order_relaxed);
-    return true;
-  }
-}
 
 ParallelForStats inlineRun(
     std::size_t n, const std::function<void(unsigned, std::size_t)>& fn) {
@@ -143,19 +51,44 @@ ParallelForStats inlineRun(
   return stats;
 }
 
+unsigned workerCount(std::size_t n, unsigned threads) {
+  return static_cast<unsigned>(
+      std::min<std::size_t>(std::min<std::size_t>(threads, n), kMaxWorkers));
+}
+
+/// The one dispatch loop: `workers` workers (the caller is worker 0) take
+/// positions [begin, begin + chunk) off one atomic cursor until all `n`
+/// are taken, calling run(worker, position) for each.
+template <typename Run>
+ParallelForStats dispatch(std::size_t n, unsigned workers, std::size_t chunk,
+                          const Run& run) {
+  ParallelForStats stats;
+  stats.items.assign(workers, 0);
+  stats.busySeconds.assign(workers, 0.0);
+  std::atomic<std::size_t> cursor{0};
+
+  auto work = [&](unsigned worker) {
+    const auto t0 = Clock::now();
+    for (;;) {
+      const std::size_t begin =
+          cursor.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= n) break;
+      const std::size_t end = std::min(begin + chunk, n);
+      for (std::size_t p = begin; p < end; ++p) run(worker, p);
+      stats.items[worker] += end - begin;
+    }
+    stats.busySeconds[worker] = secondsSince(t0);
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work, w);
+  work(0);
+  for (std::thread& t : pool) t.join();
+  return stats;
+}
+
 } // namespace
-
-double ParallelForStats::makespanSeconds() const {
-  double m = 0.0;
-  for (double s : busySeconds) m = std::max(m, s);
-  return m;
-}
-
-double ParallelForStats::busyTotalSeconds() const {
-  double t = 0.0;
-  for (double s : busySeconds) t += s;
-  return t;
-}
 
 void ParallelForStats::absorb(const ParallelForStats& other) {
   if (other.items.size() > items.size()) {
@@ -166,7 +99,6 @@ void ParallelForStats::absorb(const ParallelForStats& other) {
     items[w] += other.items[w];
     busySeconds[w] += other.busySeconds[w];
   }
-  steals += other.steals;
   splits += other.splits;
   taskCosts.insert(taskCosts.end(), other.taskCosts.begin(),
                    other.taskCosts.end());
@@ -188,143 +120,38 @@ ParallelForStats parallelFor(
     std::size_t n, unsigned threads,
     const std::function<void(unsigned worker, std::size_t index)>& fn) {
   if (threads <= 1 || n <= 1) return inlineRun(n, fn);
-
-  ParallelForStats stats;
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(std::min<std::size_t>(threads, n), kMaxWorkers));
-  stats.items.assign(workers, 0);
-  stats.busySeconds.assign(workers, 0.0);
+  const unsigned workers = workerCount(n, threads);
   // Chunked grabbing keeps cursor contention negligible while still
   // letting fast workers absorb a slow worker's tail.
   const std::size_t chunk =
       std::max<std::size_t>(1, n / (static_cast<std::size_t>(workers) * 8));
-  std::atomic<std::size_t> cursor{0};
-
-  auto work = [&](unsigned worker) {
-    const auto t0 = Clock::now();
-    for (;;) {
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      const std::size_t end = std::min(begin + chunk, n);
-      for (std::size_t i = begin; i < end; ++i) fn(worker, i);
-      stats.items[worker] += end - begin;
-    }
-    stats.busySeconds[worker] = secondsSince(t0);
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work, w);
-  work(0);
-  for (std::thread& t : pool) t.join();
-  return stats;
+  return dispatch(n, workers, chunk, fn);
 }
 
 ParallelForStats parallelForCosted(
     std::span<const std::uint64_t> costs, unsigned threads,
-    const std::function<void(unsigned worker, std::size_t index)>& fn,
-    bool virtualTime) {
+    const std::function<void(unsigned worker, std::size_t index)>& fn) {
   const std::size_t n = costs.size();
-  const bool inline_ = n <= 1 || (threads <= 1 && !virtualTime);
-  if (inline_) {
-    ParallelForStats stats = inlineRun(n, fn);
-    stats.taskCosts.assign(costs.begin(), costs.end());
-    return stats;
-  }
-
   ParallelForStats stats;
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      std::min<std::size_t>(std::max(threads, 1u), n), kMaxWorkers));
-  stats.items.assign(workers, 0);
-  stats.busySeconds.assign(workers, 0.0);
-  stats.taskCosts.assign(costs.begin(), costs.end());
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues = assignLpt(costs, workers);
-
-  if (!virtualTime) {
+  if (threads <= 1 || n <= 1) {
+    stats = inlineRun(n, fn);
+  } else {
+    // One task per grab, in LPT order: the worker that goes idle first
+    // always takes the largest task nobody has started.
+    const std::vector<std::size_t> order = lptOrder(costs);
     obs::trace::Tracer* tracer = obs::trace::wallTracer();
-    std::atomic<std::uint64_t> stealOps{0};
-    auto work = [&](unsigned self) {
-      const auto t0 = Clock::now();
-      std::vector<std::size_t> batch;
-      for (;;) {
-        batch.clear();
-        std::size_t own = 0;
-        if (popOwn(*queues[self], costs, own)) {
-          batch.push_back(own);
-        } else if (stealChunk(queues, costs, self, batch)) {
-          stealOps.fetch_add(1, std::memory_order_relaxed);
-          if (tracer != nullptr) traceSteal(tracer, self, batch.size());
-        } else {
-          break;
-        }
-        if (tracer != nullptr) {
-          for (std::size_t idx : batch) {
-            const std::int64_t startUs = traceMicros();
-            fn(self, idx);
-            traceSlice(tracer, self, idx, startUs);
-          }
-        } else {
-          for (std::size_t idx : batch) fn(self, idx);
-        }
-        stats.items[self] += batch.size();
-      }
-      stats.busySeconds[self] = secondsSince(t0);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work, w);
-    work(0);
-    for (std::thread& t : pool) t.join();
-    stats.steals = stealOps.load(std::memory_order_relaxed);
-    return stats;
+    stats = dispatch(n, workerCount(n, threads), 1,
+                     [&](unsigned worker, std::size_t position) {
+                       const std::size_t task = order[position];
+                       const std::int64_t startUs =
+                           tracer != nullptr ? traceMicros() : 0;
+                       fn(worker, task);
+                       if (tracer != nullptr) {
+                         traceSlice(tracer, worker, task, startUs);
+                       }
+                     });
   }
-
-  // Virtual-time replay: every scheduling decision is made by the worker
-  // whose virtual clock is lowest (ties -> lowest id), exactly the worker
-  // that would next go idle on a real N-core host. Tasks execute on the
-  // calling thread; each measured duration advances only its virtual
-  // worker's clock, so busySeconds/makespan model the N-worker schedule
-  // while the results are bit-for-bit the serial reference's.
-  obs::trace::Tracer* tracer = obs::trace::wallTracer();
-  std::vector<double> clock(workers, 0.0);
-  std::vector<std::vector<std::size_t>> pending(workers); // stolen batches
-  std::vector<bool> active(workers, true);
-  std::size_t remaining = n;
-  std::uint64_t stealOps = 0;
-  while (remaining > 0) {
-    unsigned self = kMaxWorkers;
-    for (unsigned w = 0; w < workers; ++w) {
-      if (!active[w]) continue;
-      if (self == kMaxWorkers || clock[w] < clock[self]) self = w;
-    }
-    if (self == kMaxWorkers) break; // all exited; queued work impossible
-    std::size_t task = 0;
-    if (!pending[self].empty()) {
-      task = pending[self].back();
-      pending[self].pop_back();
-    } else if (popOwn(*queues[self], costs, task)) {
-      // own deque head
-    } else if (stealChunk(queues, costs, self, pending[self])) {
-      ++stealOps;
-      if (tracer != nullptr) traceSteal(tracer, self, pending[self].size());
-      task = pending[self].back();
-      pending[self].pop_back();
-    } else {
-      active[self] = false; // a real worker would exit here
-      continue;
-    }
-    const auto t0 = Clock::now();
-    const std::int64_t startUs = tracer != nullptr ? traceMicros() : 0;
-    fn(self, task);
-    if (tracer != nullptr) traceSlice(tracer, self, task, startUs);
-    clock[self] += secondsSince(t0);
-    stats.items[self] += 1;
-    --remaining;
-  }
-  stats.busySeconds = std::move(clock);
-  stats.steals = stealOps;
+  stats.taskCosts.assign(costs.begin(), costs.end());
   return stats;
 }
 

@@ -7,29 +7,22 @@
 // §8 makes for the sharded runner — because only the ASSIGNMENT of items
 // to workers varies run to run, never what an item computes.
 //
-//   parallelFor        uniform items over one chunked atomic cursor; the
+// Both run one dispatch loop: workers take positions off one shared
+// atomic cursor until every position is taken.
+//
+//   parallelFor        positions are item indices, grabbed in chunks; the
 //                      cheap path for loops whose items cost about the
 //                      same (summary fan-out, small fixed task sets).
 //
 //   parallelForCosted  the cost-aware scheduler (DESIGN.md §13): items
-//                      carry caller-estimated costs, dispatch order is
-//                      longest-processing-time-first (LPT), workers pull
-//                      from per-worker deques seeded by greedy LPT
-//                      assignment and steal half a victim's remaining
-//                      tail when their own deque drains. Heavy-tailed
+//                      carry caller-estimated costs and positions walk
+//                      lptOrder(costs) one task at a time, so every idle
+//                      worker takes the largest task left — LPT list
+//                      scheduling on the real task durations. Heavy-tailed
 //                      workloads (a handful of heavy-hitter sources
-//                      dominating the capture) stay balanced instead of
-//                      serializing behind whichever worker drew the big
-//                      item.
-//
-// parallelForCosted can also run on VIRTUAL worker clocks (`virtualTime`):
-// every task executes once on the calling thread, but scheduling
-// decisions replay the real policy against per-worker virtual clocks
-// advanced by each task's measured duration. The resulting busySeconds /
-// makespan model what an N-core host would see — the only way to measure
-// scheduler quality on the single-core CI containers the committed
-// baselines come from — while the task results (and thus the digest) are
-// exactly the serial reference's.
+//                      dominating the capture) start their big items first
+//                      instead of serializing behind whichever worker drew
+//                      one last; callers split items too heavy for that.
 //
 // threads <= 1 (or n <= 1) executes inline on the calling thread in item
 // order with no thread spawned — the serial reference the equivalence
@@ -43,15 +36,12 @@
 
 namespace v6t::analysis {
 
-/// What the dispatch did: per-worker items and busy seconds (wall in
-/// thread mode, virtual clocks in virtual-time mode) for the pipeline's
-/// worker-imbalance histogram, plus scheduler counters. Entry w belongs
-/// to worker w; inline execution reports one worker.
+/// What the dispatch did: per-worker items and wall busy seconds for the
+/// pipeline's worker-imbalance histogram, plus scheduler counters. Entry
+/// w belongs to worker w; inline execution reports one worker.
 struct ParallelForStats {
   std::vector<std::uint64_t> items;
   std::vector<double> busySeconds;
-  /// Successful steal operations (each may move a chunk of tasks).
-  std::uint64_t steals = 0;
   /// Heavy items subdivided into subtasks — filled by callers that split
   /// (classifyIndexed, the NIST stage), not by the scheduler itself.
   std::uint64_t splits = 0;
@@ -59,11 +49,6 @@ struct ParallelForStats {
   /// the `analysis.sched.task_cost` histogram. Empty for parallelFor.
   std::vector<std::uint64_t> taskCosts;
 
-  /// Longest worker busy time — the modeled parallel wall clock of the
-  /// dispatched stage.
-  [[nodiscard]] double makespanSeconds() const;
-  /// Total work executed across workers.
-  [[nodiscard]] double busyTotalSeconds() const;
   /// Fold another dispatch's stats in (per-worker entries add pairwise;
   /// counters and task costs accumulate) — for stages that run more than
   /// one dispatch (fingerprint: DBSCAN adjacency + hop-limit scan).
@@ -74,13 +59,6 @@ struct ParallelForStats {
 /// at or above which a single source/session is split into subtasks.
 /// Configurable as `analysis.min_split_cost`.
 inline constexpr std::uint64_t kDefaultMinSplitCost = 16384;
-
-/// Scheduler knobs threaded from PipelineOptions into the stages.
-struct ScheduleParams {
-  std::uint64_t minSplitCost = kDefaultMinSplitCost;
-  /// Replay the schedule on virtual worker clocks (see file comment).
-  bool virtualTime = false;
-};
 
 /// Canonical LPT dispatch order: item indices sorted by estimated cost
 /// descending, ties broken by index ascending. Exposed for the scheduler
@@ -93,10 +71,8 @@ ParallelForStats parallelFor(
     const std::function<void(unsigned worker, std::size_t index)>& fn);
 
 /// Cost-aware dispatch of items [0, costs.size()) — see file comment.
-/// A zero cost is treated as 1 (every task occupies a schedule slot).
 ParallelForStats parallelForCosted(
     std::span<const std::uint64_t> costs, unsigned threads,
-    const std::function<void(unsigned worker, std::size_t index)>& fn,
-    bool virtualTime = false);
+    const std::function<void(unsigned worker, std::size_t index)>& fn);
 
 } // namespace v6t::analysis

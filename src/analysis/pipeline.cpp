@@ -142,13 +142,7 @@ void Pipeline::recordWorkerStats(const ParallelForStats& stats) const {
     registry_->gauge("analysis.worker_imbalance_ratio", obs::GaugeMode::Max)
         .max(maxBusy / mean);
   }
-  registry_->counter("analysis.sched.steals_total").inc(stats.steals);
   registry_->counter("analysis.sched.splits_total").inc(stats.splits);
-  // Σ makespan across dispatches: with virtualTime this is the modeled
-  // parallel wall clock of everything dispatched (the bench derives the
-  // schedule-modeled pipeline time from it, DESIGN.md §13).
-  registry_->gauge("analysis.sched.makespan_seconds", obs::GaugeMode::Sum)
-      .add(stats.makespanSeconds());
   obs::Histogram& costHist =
       registry_->histogram("analysis.sched.task_cost", costBounds());
   for (std::uint64_t cost : stats.taskCosts) {
@@ -161,7 +155,6 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
   PipelineResult result;
   const std::uint64_t rescans0 = index_.rescansAvoided();
   const std::uint64_t spans0 = index_.targetSpansServed();
-  const ScheduleParams sched{opts.minSplitCost, opts.virtualTime};
 
   // Span is pinned to its histogram and non-movable; emplace per stage.
   if (opts.taxonomy) {
@@ -172,7 +165,7 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
     ParallelForStats stats;
     result.taxonomy =
         classifyIndexed(index_, schedule, opts.threads, opts.addrParams,
-                        opts.netParams, &stats, sched);
+                        opts.netParams, &stats, opts.minSplitCost);
     recordWorkerStats(stats);
   }
 
@@ -240,8 +233,7 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
           if (task.block != NistBlock::NonSpectral) {
             out.spectral = summary.spectral;
           }
-        },
-        opts.virtualTime);
+        });
     stats.splits = splits;
     recordWorkerStats(stats);
   }
@@ -263,8 +255,7 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
     }
     ParallelForStats stats;
     result.fingerprint = fingerprintSessions(
-        index_, opts.rdns, opts.fingerprintParams, opts.threads, sched,
-        &stats);
+        index_, opts.rdns, opts.fingerprintParams, opts.threads, &stats);
     recordWorkerStats(stats);
   }
 

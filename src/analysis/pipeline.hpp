@@ -20,8 +20,8 @@
 //                                 aggregateFrom (the sharded-runner path)
 //   analysis.worker_busy_seconds  per-worker busy-time histogram
 //   analysis.worker_imbalance_ratio  max/mean worker busy time (Max gauge)
-//   analysis.sched.steals_total   work-stealing operations (DESIGN.md §13)
 //   analysis.sched.splits_total   heavy sources/sessions split into subtasks
+//                                 (DESIGN.md §13)
 //   analysis.sched.task_cost      histogram of estimated task costs
 //   analysis.index.rescans_avoided_total / target_spans_served_total
 //                                 full-capture re-scans the index replaced
@@ -52,11 +52,6 @@ struct PipelineOptions {
   /// Cost threshold at which a heavy source/session is split into
   /// subtasks (DESIGN.md §13); `analysis.min_split_cost` in configs.
   std::uint64_t minSplitCost = kDefaultMinSplitCost;
-  /// Replay the schedule on virtual worker clocks: tasks run serially
-  /// but busy-seconds model the `threads`-worker schedule (the
-  /// speedup-measurement mode for single-core hosts; results are
-  /// bitwise-identical either way).
-  bool virtualTime = false;
 
   /// Taxonomy stage (on by default; heavy-hitter-only consumers can skip
   /// it and get an empty TaxonomyResult).

@@ -430,7 +430,7 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
                                const AddressSelectionParams& addrParams,
                                const NetworkSelectionParams& netParams,
                                ParallelForStats* statsOut,
-                               const ScheduleParams& sched) {
+                               std::uint64_t minSplitCost) {
   TaxonomyResult result;
   result.sessionAddrSel.assign(index.sessions().size(),
                                AddressSelection::Unknown);
@@ -458,14 +458,14 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
   std::vector<std::array<std::uint64_t, 3>> blockCounts;
   std::uint64_t splits = 0;
   const std::uint64_t blockTarget =
-      std::max<std::uint64_t>(sched.minSplitCost / 2, 1);
+      std::max<std::uint64_t>(minSplitCost / 2, 1);
 
   for (std::size_t i = 0; i < index.sourceCount(); ++i) {
     const auto source = static_cast<std::uint32_t>(i);
     const std::uint64_t cost = index.classifyCostOf(i);
     const std::span<const std::uint32_t> sess = index.sessionsOf(i);
     const auto sessCount = static_cast<std::uint32_t>(sess.size());
-    if (cost < sched.minSplitCost || sess.size() < 2) {
+    if (cost < minSplitCost || sess.size() < 2) {
       tasks.push_back({source, 0, sessCount, 0, Task::Whole});
       costs.push_back(cost);
       continue;
@@ -513,8 +513,7 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
                                result);
             break;
         }
-      },
-      sched.virtualTime);
+      });
   stats.splits = splits;
 
   // Canonical reduction: fold the private block counters into their

@@ -164,10 +164,10 @@ class CaptureIndex;
 
 /// Taxonomy over a pre-built shared index: targets and session-start runs
 /// come from the index memos instead of fresh packet-vector walks, and the
-/// per-source classification fans out cost-aware (LPT + work stealing,
+/// per-source classification fans out cost-aware (LPT list scheduling,
 /// DESIGN.md §13) over `threads` workers, with per-source costs estimated
 /// from the index aggregates. Sources whose estimated cost reaches
-/// `sched.minSplitCost` are split: their per-session address
+/// `minSplitCost` are split: their per-session address
 /// classification becomes session-block subtasks writing disjoint
 /// `sessionAddrSel` slots plus private per-block counters, the
 /// temporal/network axes become a rest subtask, and the block counters
@@ -181,6 +181,7 @@ class CaptureIndex;
     const CaptureIndex& index, const bgp::SplitSchedule* schedule,
     unsigned threads = 1, const AddressSelectionParams& addrParams = {},
     const NetworkSelectionParams& netParams = {},
-    ParallelForStats* statsOut = nullptr, const ScheduleParams& sched = {});
+    ParallelForStats* statsOut = nullptr,
+    std::uint64_t minSplitCost = kDefaultMinSplitCost);
 
 } // namespace v6t::analysis

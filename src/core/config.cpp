@@ -80,7 +80,7 @@ ConfigParseResult parseExperimentConfig(std::istream& in) {
     };
     auto setScale = [&](double& out) {
       double v = 0;
-      if (!parseDouble(value, v) || v <= 0.0 || v > 1.0) {
+      if (!parseDouble(value, v) || !(v > 0.0 && v <= 1.0)) {
         error("scale must be in (0, 1]: '" + value + "'");
       } else {
         out = v;

@@ -25,7 +25,7 @@ bool parseProb(std::string_view text, double& out) {
   try {
     std::size_t consumed = 0;
     const double v = std::stod(std::string{text}, &consumed);
-    if (consumed != text.size() || v < 0.0 || v > 1.0) return false;
+    if (consumed != text.size() || !(v >= 0.0 && v <= 1.0)) return false;
     out = v;
     return true;
   } catch (...) {

@@ -30,7 +30,6 @@ std::string_view toString(EventKind k) {
     case EventKind::PacketCaptured: return "PacketCaptured";
     case EventKind::ReactionObserved: return "ReactionObserved";
     case EventKind::SchedSlice: return "SchedSlice";
-    case EventKind::SchedSteal: return "SchedSteal";
     case EventKind::Marker: return "Marker";
   }
   return "?";

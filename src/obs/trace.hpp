@@ -18,7 +18,7 @@
 //
 // Two clock domains, never mixed: ClockDomain::Sim events carry simulated
 // milliseconds and are canonically ordered; ClockDomain::Wall events
-// (analysis scheduler slices/steals) carry wall microseconds, are recorded
+// (analysis scheduler slices) carry wall microseconds, are recorded
 // through a mutex (scheduler workers are transient OS threads), and are
 // excluded from the byte-identity normalization.
 //
@@ -62,7 +62,6 @@ enum class EventKind : std::uint8_t {
   PacketCaptured, // a telescope recorded the probe
   ReactionObserved, // first captured probe of an update-caused session
   SchedSlice, // analysis scheduler: one task execution (wall domain)
-  SchedSteal, // analysis scheduler: a steal batch was taken (wall domain)
   Marker, // free-form annotation
 };
 

@@ -25,7 +25,7 @@ std::string hexId(std::uint64_t id) {
 
 /// One trace-event object. Sim events render as thread-scoped instants at
 /// ts (sim ms -> trace µs); SchedSlice renders as a complete ("X") slice
-/// with its measured duration; SchedSteal as an instant.
+/// with its measured duration.
 void writeEvent(std::ostream& out, const TraceEvent& e, bool& first) {
   if (!first) out << ",\n";
   first = false;

@@ -213,7 +213,7 @@ QueryEngine::QueryEngine(std::span<const net::Packet> packets,
 
   const analysis::TaxonomyResult taxonomy = analysis::classifyIndexed(
       idx, schedule, options.analysisThreads, {}, {}, nullptr,
-      {.minSplitCost = options.minSplitCost});
+      options.minSplitCost);
   table6_.body = renderTable6(idx, taxonomy);
   reactionDelays_ = renderReactionDelays(packets, schedule);
   temporal_.reserve(n);

@@ -58,6 +58,15 @@ TEST(Config, RejectsMalformedValues) {
   EXPECT_FALSE(parseExperimentConfig(std::string{"splits = 0"}).ok());
   EXPECT_FALSE(parseExperimentConfig(std::string{"just a line"}).ok());
   EXPECT_FALSE(parseExperimentConfig(std::string{"= 3"}).ok());
+  // A NaN fails every ordered compare, so a range check must reject
+  // whatever is not inside the range.
+  for (const char* nan : {"nan", "-nan", "NAN"}) {
+    for (const char* key : {"source_scale", "volume_scale", "faults.stall"}) {
+      EXPECT_FALSE(
+          parseExperimentConfig(std::string{key} + " = " + nan).ok())
+          << key << " = " << nan;
+    }
+  }
 }
 
 TEST(Config, SemanticValidation) {

@@ -103,6 +103,15 @@ TEST(FaultSpec, RejectsBadInput) {
   // down must be shorter than the period.
   EXPECT_FALSE(fault::FaultSpec::parse("flap=3fff:2::/48@1w+1h/2h*3").ok());
   EXPECT_FALSE(fault::FaultSpec::parse("justgarbage").ok());
+  for (const char* nan : {"nan", "-nan", "NAN"}) {
+    for (const char* key : {"bgp_drop", "bgp_dup", "bgp_delay", "packet_loss",
+                            "packet_dup", "truncate", "stall"}) {
+      const std::string entry = std::string{key} + "=" + nan;
+      const auto result = fault::FaultSpec::parse(entry);
+      EXPECT_FALSE(result.ok()) << entry;
+      EXPECT_TRUE(result.spec.empty()) << entry;
+    }
+  }
   // Errors accumulate; good keys still apply.
   const auto mixed = fault::FaultSpec::parse("packet_loss=0.5,bogus=1");
   EXPECT_EQ(mixed.errors.size(), 1u);

@@ -360,20 +360,16 @@ TEST_F(PipelineTest, WorkerStatsFoldIntoImbalanceAndSchedCounters) {
   EXPECT_GT(registry.value("analysis.worker.busy_seconds").value_or(0), 0.0);
   EXPECT_GE(registry.value("analysis.worker_imbalance_ratio").value_or(0),
             1.0);
-  // Scheduler counters: splitting must have happened at this threshold;
-  // steal count is workload-dependent but the counter must exist.
+  // Scheduler counters: splitting must have happened at this threshold.
   EXPECT_GT(registry.value("analysis.sched.splits_total").value_or(0), 0.0);
-  EXPECT_TRUE(registry.value("analysis.sched.steals_total").has_value());
-  EXPECT_GT(registry.value("analysis.sched.makespan_seconds").value_or(0),
-            0.0);
 }
 
 // --- adversarial-skew digest sweep ---------------------------------------
 
 /// One source holding ~90% of the packets — the capture shape the
 /// cost-aware scheduler exists for — over gap-window faults that split
-/// its sessions. The digest must be invariant across thread counts, the
-/// virtual-time replay, and split thresholds.
+/// its sessions. The digest must be invariant across thread counts and
+/// split thresholds.
 TEST(PipelineAdversarial, SkewedCaptureDigestInvariant) {
   sim::Rng rng{20260807};
   std::vector<net::Packet> packets;
@@ -405,25 +401,21 @@ TEST(PipelineAdversarial, SkewedCaptureDigestInvariant) {
   bool first = true;
   for (const std::uint64_t minSplitCost :
        {std::uint64_t{256}, kDefaultMinSplitCost, ~std::uint64_t{0}}) {
-    for (const bool virtualTime : {false, true}) {
-      for (const unsigned threads : kThreadCounts) {
-        PipelineOptions opts;
-        opts.threads = threads;
-        opts.minSplitCost = minSplitCost;
-        opts.virtualTime = virtualTime;
-        opts.nistBattery = true;
-        const PipelineResult result =
-            Pipeline::analyze(packets, sessions, nullptr, opts);
-        if (first) {
-          reference = result.digest();
-          first = false;
-          EXPECT_FALSE(result.nist.empty());
-          EXPECT_GT(result.taxonomy.profiles.size(), 10u);
-        } else {
-          EXPECT_EQ(result.digest(), reference)
-              << "threads=" << threads << " minSplitCost=" << minSplitCost
-              << " virtual=" << virtualTime;
-        }
+    for (const unsigned threads : kThreadCounts) {
+      PipelineOptions opts;
+      opts.threads = threads;
+      opts.minSplitCost = minSplitCost;
+      opts.nistBattery = true;
+      const PipelineResult result =
+          Pipeline::analyze(packets, sessions, nullptr, opts);
+      if (first) {
+        reference = result.digest();
+        first = false;
+        EXPECT_FALSE(result.nist.empty());
+        EXPECT_GT(result.taxonomy.profiles.size(), 10u);
+      } else {
+        EXPECT_EQ(result.digest(), reference)
+            << "threads=" << threads << " minSplitCost=" << minSplitCost;
       }
     }
   }

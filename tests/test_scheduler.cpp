@@ -1,11 +1,12 @@
 // Property tests for the cost-aware scheduler (DESIGN.md §13): LPT
-// dispatch order, exactly-once execution under work stealing, canonical
-// reduction order vs a serial oracle, ParallelForStats accounting, and
-// the virtual-time replay's equivalence to the OS-thread executor.
+// dispatch order, exactly-once execution over the shared cursor,
+// canonical reduction order vs a serial oracle, and ParallelForStats
+// accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -59,7 +60,37 @@ TEST(LptOrder, SortsByCostDescendingWithStableTies) {
   }
 }
 
-TEST(Scheduler, ExactlyOnceUnderStealing) {
+TEST(Scheduler, CostedDispatchFollowsLptOrder) {
+  // Workers take tasks off the cursor in lptOrder and log each on entry.
+  // When the task of LPT rank r is logged, every lower rank has been
+  // taken; at most threads - 1 of those are held by other workers that
+  // have not logged them yet. So rank r sits at log position
+  // >= r - (threads - 1) whatever the interleaving.
+  sim::Rng rng{20261017};
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t n = 2 + rng.below(300);
+      const std::vector<std::uint64_t> costs = randomCosts(rng, n);
+      std::mutex m;
+      std::vector<std::size_t> log;
+      (void)parallelForCosted(costs, threads, [&](unsigned, std::size_t i) {
+        const std::lock_guard<std::mutex> lock(m);
+        log.push_back(i);
+      });
+      ASSERT_EQ(log.size(), n);
+      std::vector<std::size_t> logPos(n);
+      for (std::size_t k = 0; k < n; ++k) logPos[log[k]] = k;
+      const std::vector<std::size_t> order = lptOrder(costs);
+      for (std::size_t r = 0; r < n; ++r) {
+        ASSERT_GE(logPos[order[r]] + (threads - 1), r)
+            << "threads " << threads << " trial " << trial << " rank " << r
+            << " index " << order[r];
+      }
+    }
+  }
+}
+
+TEST(Scheduler, ExactlyOnce) {
   sim::Rng rng{20260808};
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t n = 1 + rng.below(300);
@@ -101,56 +132,25 @@ TEST(Scheduler, CanonicalReductionMatchesSerialOracle) {
       oracle = (oracle ^ serialSlots[i]) * 0x100000001b3ULL;
     }
 
-    for (const bool virtualTime : {false, true}) {
-      for (const unsigned threads : {1u, 2u, 3u, 8u, 16u}) {
-        std::vector<std::uint64_t> slots(n, 0);
-        (void)parallelForCosted(
-            costs, threads,
-            [&](unsigned, std::size_t i) {
-              slots[i] = costs[i] * 2654435761ULL + i;
-            },
-            virtualTime);
-        std::uint64_t reduced = 14695981039346656037ULL;
-        for (std::size_t i = 0; i < n; ++i) {
-          reduced = (reduced ^ slots[i]) * 0x100000001b3ULL;
-        }
-        ASSERT_EQ(reduced, oracle)
-            << "trial " << trial << " threads " << threads
-            << (virtualTime ? " (virtual)" : "");
-        ASSERT_EQ(slots, serialSlots);
+    for (const unsigned threads : {1u, 2u, 3u, 8u, 16u}) {
+      std::vector<std::uint64_t> slots(n, 0);
+      (void)parallelForCosted(costs, threads, [&](unsigned, std::size_t i) {
+        slots[i] = costs[i] * 2654435761ULL + i;
+      });
+      std::uint64_t reduced = 14695981039346656037ULL;
+      for (std::size_t i = 0; i < n; ++i) {
+        reduced = (reduced ^ slots[i]) * 0x100000001b3ULL;
       }
+      ASSERT_EQ(reduced, oracle) << "trial " << trial << " threads "
+                                 << threads;
+      ASSERT_EQ(slots, serialSlots);
     }
-  }
-}
-
-TEST(Scheduler, VirtualTimeReplayAccountsEveryItem) {
-  sim::Rng rng{4242};
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = 1 + rng.below(200);
-    const unsigned threads = 2 + static_cast<unsigned>(rng.below(15));
-    const std::vector<std::uint64_t> costs = randomCosts(rng, n);
-    std::vector<std::uint32_t> visits(n, 0); // single-threaded: plain ints
-    const ParallelForStats stats = parallelForCosted(
-        costs, threads, [&](unsigned, std::size_t i) { ++visits[i]; },
-        /*virtualTime=*/true);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(visits[i], 1u) << "trial " << trial << " index " << i;
-    }
-    const std::uint64_t items =
-        std::accumulate(stats.items.begin(), stats.items.end(),
-                        std::uint64_t{0});
-    EXPECT_EQ(items, n);
-    // The virtual clocks partition the measured work: no worker's busy
-    // time can exceed their total, and the makespan is at least total/W.
-    EXPECT_GE(stats.busyTotalSeconds(), stats.makespanSeconds());
-    EXPECT_GE(stats.makespanSeconds() * static_cast<double>(stats.items.size()),
-              stats.busyTotalSeconds() * 0.999);
   }
 }
 
 TEST(Scheduler, StatsAccountingUnderSkew) {
-  // One item holds ~90% of the cost; with many workers the steal path
-  // must activate while items still sum exactly to n.
+  // One item holds ~90% of the cost; with many workers idle behind it,
+  // every item still runs once and the items still sum exactly to n.
   const std::size_t n = 400;
   std::vector<std::uint64_t> costs(n, 10);
   costs[17] = 40'000;
@@ -169,50 +169,15 @@ TEST(Scheduler, StatsAccountingUnderSkew) {
   }
 }
 
-TEST(Scheduler, StealPathActivatesOnMisestimatedCosts) {
-  // The cost model claims item 0 is ~everything; in truth every item
-  // costs the same short spin. The worker assigned the "heavy" item
-  // drains its own deque immediately and must steal the others' tails.
-  // In virtual-time mode the replay is deterministic, so the steal
-  // counter is guaranteed nonzero; the OS-thread mode is checked
-  // cumulatively across repetitions.
-  const std::size_t n = 64;
-  std::vector<std::uint64_t> costs(n, 1);
-  costs[0] = 1'000'000;
-  auto spin = [&](unsigned, std::size_t) {
-    volatile std::uint64_t x = 0;
-    for (int k = 0; k < 20'000; ++k) x = x + static_cast<std::uint64_t>(k);
-  };
-
-  const ParallelForStats virtualStats =
-      parallelForCosted(costs, 4, spin, /*virtualTime=*/true);
-  EXPECT_GT(virtualStats.steals, 0u);
-
-  std::uint64_t totalSteals = 0;
-  for (int rep = 0; rep < 5; ++rep) {
-    std::vector<std::atomic<std::uint32_t>> visits(n);
-    const ParallelForStats stats = parallelForCosted(
-        costs, 4, [&](unsigned w, std::size_t i) {
-          visits[i].fetch_add(1, std::memory_order_relaxed);
-          spin(w, i);
-        });
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 1u);
-    totalSteals += stats.steals;
-  }
-  EXPECT_GT(totalSteals, 0u);
-}
-
 TEST(ParallelForStatsTest, AbsorbFoldsWorkersCountersAndCosts) {
   ParallelForStats a;
   a.items = {3, 1};
   a.busySeconds = {0.5, 0.25};
-  a.steals = 2;
   a.splits = 1;
   a.taskCosts = {10, 20};
   ParallelForStats b;
   b.items = {1, 2, 4};
   b.busySeconds = {0.125, 0.0625, 1.0};
-  b.steals = 1;
   b.splits = 3;
   b.taskCosts = {30};
   a.absorb(b);
@@ -223,11 +188,8 @@ TEST(ParallelForStatsTest, AbsorbFoldsWorkersCountersAndCosts) {
   EXPECT_DOUBLE_EQ(a.busySeconds[0], 0.625);
   EXPECT_DOUBLE_EQ(a.busySeconds[1], 0.3125);
   EXPECT_DOUBLE_EQ(a.busySeconds[2], 1.0);
-  EXPECT_EQ(a.steals, 3u);
   EXPECT_EQ(a.splits, 4u);
   ASSERT_EQ(a.taskCosts.size(), 3u);
-  EXPECT_DOUBLE_EQ(a.makespanSeconds(), 1.0);
-  EXPECT_DOUBLE_EQ(a.busyTotalSeconds(), 1.9375);
 }
 
 } // namespace

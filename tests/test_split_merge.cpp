@@ -1,8 +1,7 @@
 // Split/merge determinism (DESIGN.md §13): a heavy source diced into
 // session-block subtasks, and a heavy NIST session diced into
 // Spectral/NonSpectral test-block subtasks, must produce results
-// bitwise-identical to the unsplit run — at every thread count and in
-// the virtual-time replay.
+// bitwise-identical to the unsplit run at every thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -113,24 +112,18 @@ TEST_F(SplitMergeTest, HeavySourceIsActuallySkewed) {
 
 TEST_F(SplitMergeTest, ClassifySplitBitwiseEqualsUnsplit) {
   // Unsplit serial reference: threshold far above any source's cost.
-  ScheduleParams unsplit;
-  unsplit.minSplitCost = ~std::uint64_t{0};
   ParallelForStats refStats;
   const TaxonomyResult ref = classifyIndexed(*index_, nullptr, 1, {}, {},
-                                             &refStats, unsplit);
+                                             &refStats, ~std::uint64_t{0});
   EXPECT_EQ(refStats.splits, 0u);
 
-  ScheduleParams split;
-  split.minSplitCost = 256; // forces the heavy source (and more) to dice
-  for (const bool virtualTime : {false, true}) {
-    split.virtualTime = virtualTime;
-    for (const unsigned threads : {1u, 2u, 8u, 16u}) {
-      ParallelForStats stats;
-      const TaxonomyResult got = classifyIndexed(*index_, nullptr, threads,
-                                                 {}, {}, &stats, split);
-      EXPECT_GT(stats.splits, 0u) << "threads=" << threads;
-      expectTaxonomyEqual(got, ref, virtualTime ? "virtual" : "threaded");
-    }
+  // A split threshold of 256 forces the heavy source (and more) to dice.
+  for (const unsigned threads : {1u, 2u, 8u, 16u}) {
+    ParallelForStats stats;
+    const TaxonomyResult got =
+        classifyIndexed(*index_, nullptr, threads, {}, {}, &stats, 256);
+    EXPECT_GT(stats.splits, 0u) << "threads=" << threads;
+    expectTaxonomyEqual(got, ref, "split");
   }
 }
 
@@ -159,27 +152,23 @@ TEST_F(SplitMergeTest, NistBlockMergeMatchesFullBattery) {
 
 TEST_F(SplitMergeTest, FingerprintParallelBitwiseEqualsSerial) {
   const FingerprintResult ref = fingerprintSessions(*index_);
-  for (const bool virtualTime : {false, true}) {
-    ScheduleParams sched;
-    sched.virtualTime = virtualTime;
-    for (const unsigned threads : {2u, 8u, 16u}) {
-      ParallelForStats stats;
-      const FingerprintResult got = fingerprintSessions(
-          *index_, nullptr, {}, threads, sched, &stats);
-      EXPECT_EQ(got.sessionTool, ref.sessionTool) << "threads=" << threads;
-      EXPECT_EQ(got.clusterCount, ref.clusterCount);
-      EXPECT_EQ(got.hopLimitAttributions, ref.hopLimitAttributions);
-      EXPECT_EQ(got.payloadPackets, ref.payloadPackets);
-      EXPECT_EQ(got.payloadSessions, ref.payloadSessions);
-      EXPECT_EQ(got.payloadSources, ref.payloadSources);
-      ASSERT_EQ(got.byTool.size(), ref.byTool.size());
-      for (const auto& [tool, count] : ref.byTool) {
-        ASSERT_TRUE(got.byTool.contains(tool));
-        EXPECT_EQ(got.byTool.at(tool).scanners, count.scanners);
-        EXPECT_EQ(got.byTool.at(tool).sessions, count.sessions);
-      }
-      EXPECT_FALSE(stats.items.empty());
+  for (const unsigned threads : {2u, 8u, 16u}) {
+    ParallelForStats stats;
+    const FingerprintResult got =
+        fingerprintSessions(*index_, nullptr, {}, threads, &stats);
+    EXPECT_EQ(got.sessionTool, ref.sessionTool) << "threads=" << threads;
+    EXPECT_EQ(got.clusterCount, ref.clusterCount);
+    EXPECT_EQ(got.hopLimitAttributions, ref.hopLimitAttributions);
+    EXPECT_EQ(got.payloadPackets, ref.payloadPackets);
+    EXPECT_EQ(got.payloadSessions, ref.payloadSessions);
+    EXPECT_EQ(got.payloadSources, ref.payloadSources);
+    ASSERT_EQ(got.byTool.size(), ref.byTool.size());
+    for (const auto& [tool, count] : ref.byTool) {
+      ASSERT_TRUE(got.byTool.contains(tool));
+      EXPECT_EQ(got.byTool.at(tool).scanners, count.scanners);
+      EXPECT_EQ(got.byTool.at(tool).sessions, count.sessions);
     }
+    EXPECT_FALSE(stats.items.empty());
   }
 }
 

@@ -544,7 +544,7 @@ int main(int argc, char** argv) {
   const unsigned analysisThreads = config.effectiveAnalysisThreads();
   std::optional<core::ExperimentSummary> summary;
   std::array<analysis::PipelineResult, 4> reports;
-  // Analysis scheduler slices/steals land in tracer 0's wall-domain lane.
+  // Analysis scheduler slices land in tracer 0's wall-domain lane.
   if (config.traceEnabled && !traceHandles.empty()) {
     obs::trace::setWallTracer(traceHandles.front());
   }
