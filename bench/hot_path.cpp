@@ -1,9 +1,9 @@
 // bench/hot_path — the repo's tracked perf baseline for the three hottest
 // memory paths: engine event scheduling/dispatch, per-packet capture
-// append, and the canonical shard merge. Unlike the table/figure benches
-// this one does not run the calibrated experiment; it drives the three
-// subsystems directly at a fixed synthetic workload so successive commits
-// can be compared number-to-number on the same machine.
+// accounting, and the canonical shard merge. Unlike the table/figure
+// benches this one does not run the calibrated experiment; it drives the
+// three subsystems directly at a fixed synthetic workload so successive
+// commits can be compared number-to-number on the same machine.
 //
 // Output: one JSONL metrics snapshot (through the obs registry, the same
 // channel --metrics-out uses) written to BENCH_hot_path.json (override
@@ -11,8 +11,8 @@
 // V6T_HOT_PATH_SCALE (default 1.0; CI uses a small fraction).
 //
 //   bench.hot_path.engine_events_per_sec   schedule+cancel+dispatch rate
-//   bench.hot_path.append_packets_per_sec  build+copy+append rate
-//   bench.hot_path.merge_packets_per_sec   8-shard canonical merge rate
+//   bench.hot_path.append_packets_per_sec  build+copy+accounting-append rate
+//   bench.hot_path.merge_packets_per_sec   8-shard consuming merge rate
 //   bench.hot_path.peak_rss_bytes          getrusage high-water mark
 #include <sys/resource.h>
 
@@ -79,16 +79,17 @@ double benchEngine(std::uint64_t events, std::uint64_t& executed) {
   engine.runAll();
   const double elapsed = secondsSince(t0);
   executed = engine.executedEvents();
-  g_sink += acc;
+  g_sink = g_sink + acc;
   return elapsed;
 }
 
 // ------------------------------------------------------------------ append
 //
-// The fabric's per-packet delivery path in miniature: build a probe with a
-// 12-byte payload, copy it once (the fabric→telescope boundary), append
-// into the store. Sources cycle through a warm working set so hash-set
-// accounting behaves like a telescope mid-run, not like first contact.
+// The per-packet accounting append in miniature — what the capture merge
+// and a v6tcap read pay for every packet: build a probe with a 12-byte
+// payload, copy it once, append it into a store. Sources cycle through a
+// warm working set so the hash-set accounting behaves like a capture
+// mid-run, not like first contact.
 double benchAppend(std::uint64_t packets, v6t::telescope::CaptureStore& store) {
   v6t::sim::Rng rng{43};
   std::vector<v6t::net::Ipv6Address> sources;
@@ -109,8 +110,8 @@ double benchAppend(std::uint64_t packets, v6t::telescope::CaptureStore& store) {
     for (int b = 0; b < 12; ++b) {
       p.payload.push_back(static_cast<std::uint8_t>(i + static_cast<std::uint64_t>(b)));
     }
-    v6t::net::Packet delivered = p; // fabric hands each telescope its own copy
-    store.append(std::move(delivered));
+    v6t::net::Packet copy = p;
+    store.append(std::move(copy));
   }
   return secondsSince(t0);
 }
@@ -119,12 +120,14 @@ double benchAppend(std::uint64_t packets, v6t::telescope::CaptureStore& store) {
 //
 // 8 shards, each individually time-ordered with equal-timestamp runs whose
 // (originId, originSeq) interleave across shards — the exact shape the
-// sharded runner merges after every run.
+// sharded runner merges after every run. The shard buffers are built
+// outside the timed region and handed over by move, as the runner does.
 double benchMerge(std::uint64_t perShard, unsigned shardCount,
                   std::uint64_t& merged) {
   v6t::sim::Rng rng{44};
-  std::vector<v6t::telescope::CaptureStore> shards(shardCount);
+  std::vector<std::vector<v6t::net::Packet>> shards(shardCount);
   for (unsigned s = 0; s < shardCount; ++s) {
+    shards[s].reserve(perShard);
     for (std::uint64_t i = 0; i < perShard; ++i) {
       v6t::net::Packet p;
       p.ts = v6t::sim::SimTime{static_cast<std::int64_t>(i / 4)};
@@ -132,17 +135,15 @@ double benchMerge(std::uint64_t perShard, unsigned shardCount,
       p.dst = v6t::net::Ipv6Address{0x2001'0db8'ffff'0000ULL, rng.next()};
       p.originId = s + 8 * static_cast<std::uint32_t>(i % 64);
       p.originSeq = i;
-      shards[s].append(std::move(p));
+      shards[s].push_back(p);
     }
   }
-  std::vector<const v6t::telescope::CaptureStore*> ptrs;
-  for (const auto& s : shards) ptrs.push_back(&s);
   v6t::telescope::CaptureStore out;
   const auto t0 = Clock::now();
-  out.mergeFrom(ptrs);
+  out.mergeFrom(std::move(shards));
   const double elapsed = secondsSince(t0);
   merged = out.packetCount();
-  g_sink += out.digest();
+  g_sink = g_sink + out.digest();
   return elapsed;
 }
 

@@ -32,6 +32,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/streaming.hpp"
 #include "bench/env.hpp"
@@ -134,16 +135,16 @@ int main(int argc, char** argv) {
   if (child == 0) {
     // ---- child: in-memory reference --------------------------------
     close(fds[0]);
-    v6t::telescope::CaptureStore shard;
-    shard.reserve(packets);
+    std::vector<std::vector<v6t::net::Packet>> shards(1);
+    shards[0].reserve(packets);
     {
       PacketGen gen{kSeed};
-      for (std::uint64_t i = 0; i < packets; ++i) shard.append(gen.next(i));
+      for (std::uint64_t i = 0; i < packets; ++i) {
+        shards[0].push_back(gen.next(i));
+      }
     }
     v6t::telescope::CaptureStore canonical;
-    const v6t::telescope::CaptureStore* shards[] = {&shard};
-    canonical.mergeFrom(shards);
-    shard.clear();
+    canonical.mergeFrom(std::move(shards));
     const v6t::analysis::StreamingResult result =
         v6t::analysis::analyzeOneShot(canonical.packets());
     ChildReport report;

@@ -11,6 +11,7 @@
 #include "analysis/taxonomy.hpp"
 #include "bgp/feed.hpp"
 #include "scanner/scanner.hpp"
+#include "telescope/capture_store.hpp"
 #include "telescope/fabric.hpp"
 
 int main() {
@@ -61,14 +62,16 @@ int main() {
   engine.run(sim::kEpoch + sim::weeks(2));
 
   // --- analyze what arrived ---
-  const auto& packets = scope.capture().packets();
+  telescope::CaptureStore capture;
+  capture.mergeFrom({scope.takePackets()});
+  const auto& packets = capture.packets();
   const auto sessions =
       telescope::sessionize(packets, telescope::SourceAgg::Addr128);
   const auto taxonomy = analysis::classifyCapture(packets, sessions, nullptr);
 
   std::cout << "captured " << packets.size() << " packets in "
             << sessions.size() << " sessions from "
-            << scope.capture().distinctSources128() << " sources\n\n";
+            << capture.distinctSources128() << " sources\n\n";
 
   analysis::TextTable table{{"source", "sessions", "temporal", "addr-sel of "
                                                                "1st session"}};

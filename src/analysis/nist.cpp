@@ -13,11 +13,6 @@ namespace v6t::analysis {
 
 namespace {
 
-/// Standard normal complementary CDF expressed through erfc.
-double normalSurvival(double x) {
-  return 0.5 * std::erfc(x / std::numbers::sqrt2);
-}
-
 /// Iterative radix-2 FFT (in place). Size must be a power of two.
 void fft(std::vector<std::complex<double>>& a) {
   const std::size_t n = a.size();

@@ -5,20 +5,23 @@ namespace v6t::bgp {
 BgpFeed::SubscriberId BgpFeed::subscribe(PropagationModel model,
                                          std::uint64_t streamKey,
                                          Callback cb) {
-  const SubscriberId id = nextId_++;
-  subscribers_.emplace(
-      id, Subscriber{model, std::move(cb),
-                     sim::Rng{sim::deriveStreamSeed(seed_, streamKey)}});
-  return id;
+  subscribers_.push_back(
+      Subscriber{model, std::move(cb),
+                 sim::Rng{sim::deriveStreamSeed(seed_, streamKey)}});
+  return subscribers_.size(); // ids are dense from 1
 }
 
 BgpFeed::SubscriberId BgpFeed::subscribe(PropagationModel model, Callback cb) {
   // Counter-derived key: deterministic within one feed instance, but tied to
   // subscription order — consumers that must survive sharding pass a key.
-  return subscribe(model, 0x5559bbbf00000000ULL | nextId_, std::move(cb));
+  return subscribe(model, 0x5559bbbf00000000ULL | (subscribers_.size() + 1),
+                   std::move(cb));
 }
 
-void BgpFeed::unsubscribe(SubscriberId id) { subscribers_.erase(id); }
+void BgpFeed::unsubscribe(SubscriberId id) {
+  if (id == 0 || id > subscribers_.size()) return;
+  subscribers_[id - 1].cb = nullptr;
+}
 
 void BgpFeed::bindMetrics(obs::Registry& registry) {
   announcesMetric_ = &registry.counter("bgp.feed.announces_total");
@@ -66,22 +69,30 @@ void BgpFeed::withdraw(const net::Prefix& prefix) {
 }
 
 void BgpFeed::publish(const BgpUpdate& update) {
-  for (auto& [id, sub] : subscribers_) {
-    const sim::Duration delay = sub.model.sample(sub.rng);
+  const std::size_t index = published_.size();
+  published_.push_back(update);
+  const sim::SimTime now = engine_.now();
+  for (std::size_t sub = 0; sub < subscribers_.size(); ++sub) {
+    Subscriber& s = subscribers_[sub];
+    if (!s.cb) continue; // unsubscribed: no lag drawn, nothing scheduled
+    const sim::Duration delay = s.model.sample(s.rng);
     if (delayMetric_ != nullptr) {
       delayMetric_->observe(static_cast<double>(delay.millis()) / 1000.0);
       deliveriesMetric_->inc();
     }
-    // Copy the callback: the subscriber may unsubscribe before delivery, in
-    // which case the update must be dropped, so route through the id.
-    const SubscriberId sid = id;
-    BgpUpdate delivered = update;
-    delivered.ts = engine_.now() + delay;
-    engine_.scheduleAfter(delay, [this, sid, delivered]() {
-      const auto it = subscribers_.find(sid);
-      if (it != subscribers_.end()) it->second.cb(delivered);
-    });
+    const sim::SimTime ts = now + delay;
+    engine_.schedule(ts, [this, sub, index, ts]() { deliver(sub, index, ts); });
   }
+}
+
+void BgpFeed::deliver(std::size_t sub, std::size_t update, sim::SimTime ts) {
+  const Subscriber& s = subscribers_[sub];
+  if (!s.cb) return; // unsubscribed after the update was published
+  // A copy, not a reference into published_: the callback may publish,
+  // which can reallocate the log.
+  BgpUpdate delivered = published_[update];
+  delivered.ts = ts;
+  s.cb(delivered);
 }
 
 } // namespace v6t::bgp

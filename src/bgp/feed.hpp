@@ -6,11 +6,18 @@
 // additional collection lag of minutes to hours. BgpFeed models both: the
 // origin RIB is updated immediately, and each subscriber receives the
 // update after its own convergence delay.
+//
+// Fan-out (DESIGN.md §11): every subscriber gets one engine event per
+// update, the highest-volume event of a run. The update is stored once and
+// a delivery carries only (feed, subscriber index, update index, ts), which
+// fits SmallFunc's inline buffer; subscribers sit in reference-stable
+// storage indexed by id − 1, so a delivery is an index, not a search.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "bgp/rib.hpp"
 #include "bgp/update.hpp"
@@ -55,6 +62,8 @@ public:
   /// probes): keys off the subscription counter. Not shard-invariant.
   SubscriberId subscribe(PropagationModel model, Callback cb);
 
+  /// Stop notifying `id`; deliveries already scheduled for it are dropped.
+  /// A delivery callback may unsubscribe any subscriber but its own.
   void unsubscribe(SubscriberId id);
 
   /// Announce at the origin: the RIB changes now; subscribers are notified
@@ -63,9 +72,6 @@ public:
   void withdraw(const net::Prefix& prefix);
 
   [[nodiscard]] const Rib& rib() const { return rib_; }
-  [[nodiscard]] std::size_t subscriberCount() const {
-    return subscribers_.size();
-  }
 
   /// Attach run-time metrics: update counters plus a histogram of the
   /// per-subscriber convergence delays the propagation model samples.
@@ -84,28 +90,33 @@ public:
 private:
   struct Subscriber {
     PropagationModel model;
-    Callback cb;
+    Callback cb; // empty once unsubscribed
     sim::Rng rng; // private lag stream, derived from (seed_, streamKey)
   };
 
   void publish(const BgpUpdate& update);
+  /// Hand published update `update` to subscriber `sub`, stamped with its
+  /// visibility time — unless the subscriber has left since.
+  void deliver(std::size_t sub, std::size_t update, sim::SimTime ts);
   /// Assign seq/originTs/traceId and record the trace root.
   void stampTrace(BgpUpdate& update, sim::SimTime now);
 
   sim::Engine& engine_;
   Rib& rib_;
   std::uint64_t seed_;
-  SubscriberId nextId_ = 1;
   std::uint64_t updateSeq_ = 0;
   obs::trace::Tracer* tracer_ = nullptr;
   obs::Counter* announcesMetric_ = nullptr;
   obs::Counter* withdrawsMetric_ = nullptr;
   obs::Counter* deliveriesMetric_ = nullptr;
   obs::Histogram* delayMetric_ = nullptr;
-  // Ordered map: subscriber notification order must be deterministic for
-  // reproducible runs (each lag comes from the subscriber's own stream, so
-  // the order affects only same-instant event sequencing).
-  std::map<SubscriberId, Subscriber> subscribers_;
+  // Subscriber id − 1 indexes this. A deque never moves its elements on
+  // push_back, so a callback that subscribes someone else keeps running
+  // from where it lives. Notification goes in id order: each lag comes
+  // from the subscriber's own stream, so the order only sequences
+  // same-instant deliveries — but it must be deterministic.
+  std::deque<Subscriber> subscribers_;
+  std::vector<BgpUpdate> published_; // every update, once, in publish order
 };
 
 } // namespace v6t::bgp

@@ -33,8 +33,11 @@ public:
   [[nodiscard]] std::optional<std::pair<net::Prefix, RouteEntry>> lookup(
       const net::Ipv6Address& addr) const;
 
+  /// Does any route cover `addr`? The per-packet delivery check; counted
+  /// as an LPM lookup, like lookup().
   [[nodiscard]] bool isRoutable(const net::Ipv6Address& addr) const {
-    return lookup(addr).has_value();
+    ++lpmLookups_;
+    return table_.covers(addr);
   }
 
   [[nodiscard]] const RouteEntry* findExact(const net::Prefix& prefix) const {

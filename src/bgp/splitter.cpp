@@ -78,17 +78,20 @@ SplitController::SplitController(sim::Engine& engine, BgpFeed& feed,
 void SplitController::arm() {
   if (armed_) return;
   armed_ = true;
-  for (const AnnouncementCycle& cycle : schedule_.cycles()) {
-    if (cycle.index > 0) {
+  // Actions capture the cycle index, not a copy of the cycle: a cycle's
+  // prefix vector would not fit an engine action (DESIGN.md §11).
+  const std::vector<AnnouncementCycle>& cycles = schedule_.cycles();
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    if (i > 0) {
       // Withdraw-day: pull everything announced during the previous cycle.
-      const AnnouncementCycle& prev =
-          schedule_.cycles()[static_cast<std::size_t>(cycle.index) - 1];
-      engine_.schedule(cycle.withdrawAt, [this, prev]() {
-        for (const net::Prefix& p : prev.announced) feed_.withdraw(p);
+      engine_.schedule(cycles[i].withdrawAt, [this, i]() {
+        for (const net::Prefix& p : schedule_.cycles()[i - 1].announced) {
+          feed_.withdraw(p);
+        }
       });
     }
-    engine_.schedule(cycle.announceAt, [this, cycle]() {
-      for (const net::Prefix& p : cycle.announced) {
+    engine_.schedule(cycles[i].announceAt, [this, i]() {
+      for (const net::Prefix& p : schedule_.cycles()[i].announced) {
         feed_.announce(p, origin_);
       }
     });

@@ -346,13 +346,12 @@ void ExperimentRunner::run() {
       auto drainCaptures = [&] {
         if (stores[0] == nullptr) return;
         for (std::size_t i = 0; i < 4; ++i) {
-          telescope::CaptureStore& cap = world->telescopes[i]->capture();
-          if (cap.packetCount() == 0) continue;
           // Epoch slices are time-ordered, so appending each slice in
           // capture order preserves the store's time-ordered-append
           // contract across the whole run.
-          for (const net::Packet& p : cap.packets()) stores[i]->append(p);
-          cap.clear();
+          for (const net::Packet& p : world->telescopes[i]->takePackets()) {
+            stores[i]->append(p);
+          }
         }
       };
 
@@ -483,9 +482,9 @@ void ExperimentRunner::run() {
   stats_.runWallSeconds = secondsSince(runStart);
   if (firstError) std::rethrow_exception(firstError);
 
-  // Deterministic merge: k-way merge the per-shard buffers into the
-  // canonical (ts, originId, originSeq) order — also for one shard, whose
-  // buffer arrives in engine-sequence order.
+  // Deterministic merge: the per-shard buffers move into the canonical
+  // (ts, originId, originSeq) order — also for one shard, whose buffer
+  // arrives in engine-sequence order and is then kept, not copied.
   const auto mergeStart = Clock::now();
   {
     obs::Span mergeSpan(runnerMetrics_, "runner.phase.merge_seconds");
@@ -498,12 +497,12 @@ void ExperimentRunner::run() {
       }
     } else {
       for (std::size_t i = 0; i < 4; ++i) {
-        std::vector<const telescope::CaptureStore*> shards;
+        std::vector<std::vector<net::Packet>> shards;
         shards.reserve(shardCount);
         for (const auto& world : worlds) {
-          shards.push_back(&world->telescopes[i]->capture());
+          shards.push_back(world->telescopes[i]->takePackets());
         }
-        captures_[i].mergeFrom(shards);
+        captures_[i].mergeFrom(std::move(shards));
         stats_.packetsMerged += captures_[i].packetCount();
       }
     }

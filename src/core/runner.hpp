@@ -22,13 +22,15 @@
 //      population draws exactly the lags the full population would.
 //   2. Each packet carries (originId, originSeq) — the emitting scanner
 //      and its emission counter — giving every capture a unique canonical
-//      order (ts, originId, originSeq). The merge stage k-way-merges the
-//      per-shard buffers into that order, for one shard as for many, so
-//      equal shard interleavings are guaranteed rather than hoped for.
+//      order (ts, originId, originSeq). The merge stage moves the
+//      per-shard telescope buffers into that order (CaptureStore::
+//      mergeFrom: in-place run sort, k-way merge across shards, the one
+//      accounting pass), for one shard as for many, so equal shard
+//      interleavings are guaranteed rather than hoped for.
 //
 // The reference for equivalence tests is runner(threads=1). No shard
 // world outlives run(): what callers read afterwards (merged captures,
-// hitlist listings, stats, metrics) is copied out first.
+// hitlist listings, stats, metrics) is moved or copied out first.
 #pragma once
 
 #include <array>

@@ -4,6 +4,10 @@
 // prefixes did this packet land in" lookup. One node per bit of the deepest
 // stored prefix along each path; fine for RIB-scale data (dozens to a few
 // thousand prefixes).
+//
+// Both lookups run once or twice per simulated packet (DESIGN.md §11), so
+// they walk bare nodes: covers() stops at the first stored prefix on the
+// path, and longestMatch() builds a Prefix for the best node only.
 #pragma once
 
 #include <cstddef>
@@ -57,11 +61,13 @@ public:
   [[nodiscard]] std::optional<std::pair<Prefix, const T*>> longestMatch(
       const Ipv6Address& addr) const {
     const Node* node = &root_;
-    std::optional<std::pair<Prefix, const T*>> best;
+    const Node* best = nullptr;
+    unsigned bestDepth = 0;
     unsigned depth = 0;
     while (true) {
       if (node->value.has_value()) {
-        best = {Prefix{addr, depth}, &*node->value};
+        best = node;
+        bestDepth = depth;
       }
       if (depth == 128) break;
       const Node* child = node->child[addr.bit(depth) ? 1 : 0].get();
@@ -69,7 +75,20 @@ public:
       node = child;
       ++depth;
     }
-    return best;
+    if (best == nullptr) return std::nullopt;
+    return std::pair{Prefix{addr, bestDepth}, &*best->value};
+  }
+
+  /// Does any stored prefix cover `addr`? Stops at the first one on the
+  /// path — the routability test, which needs no match details.
+  [[nodiscard]] bool covers(const Ipv6Address& addr) const {
+    const Node* node = &root_;
+    for (unsigned depth = 0;; ++depth) {
+      if (node->value.has_value()) return true;
+      if (depth == 128) return false;
+      node = node->child[addr.bit(depth) ? 1 : 0].get();
+      if (node == nullptr) return false;
+    }
   }
 
   /// All stored (prefix, value) pairs in lexicographic (trie) order.

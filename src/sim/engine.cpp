@@ -12,19 +12,19 @@ constexpr std::size_t kArity = 4;
 } // namespace
 
 void Engine::siftUp(std::size_t i) {
-  Entry e = std::move(heap_[i]);
+  const Key k = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!later(heap_[parent], e)) break;
-    heap_[i] = std::move(heap_[parent]);
+    if (!later(heap_[parent], k)) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = std::move(e);
+  heap_[i] = k;
 }
 
 void Engine::siftDown(std::size_t i) {
   const std::size_t n = heap_.size();
-  Entry e = std::move(heap_[i]);
+  const Key k = heap_[i];
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
@@ -33,22 +33,22 @@ void Engine::siftDown(std::size_t i) {
     for (std::size_t c = first + 1; c < last; ++c) {
       if (later(heap_[best], heap_[c])) best = c;
     }
-    if (!later(e, heap_[best])) break;
-    heap_[i] = std::move(heap_[best]);
+    if (!later(k, heap_[best])) break;
+    heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = std::move(e);
+  heap_[i] = k;
 }
 
-void Engine::push(Entry e) {
-  heap_.push_back(std::move(e));
+void Engine::push(Key k) {
+  heap_.push_back(k);
   siftUp(heap_.size() - 1);
   if (heap_.size() > queueHighWater_) queueHighWater_ = heap_.size();
 }
 
 void Engine::dropTop() {
   if (heap_.size() > 1) {
-    heap_.front() = std::move(heap_.back());
+    heap_.front() = heap_.back();
     heap_.pop_back();
     siftDown(0);
   } else {
@@ -56,9 +56,9 @@ void Engine::dropTop() {
   }
 }
 
-void Engine::releaseSlot(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id);
+void Engine::releaseSlot(std::uint32_t slot) {
   Slot& s = slots_[slot];
+  s.action = Action{}; // a cancelled event's captures die here
   s.live = false;
   ++s.generation; // outstanding handles to this slot go stale here
   freeSlots_.push_back(slot);
@@ -87,9 +87,10 @@ EventId Engine::schedule(SimTime when, Action action) {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
+  s.action = std::move(action);
   s.live = true;
   const EventId id = (static_cast<EventId>(s.generation) << 32) | slot;
-  push(Entry{when, nextSeq_++, id, std::move(action)});
+  push(Key{when, nextSeq_++, slot});
   return id;
 }
 
@@ -105,27 +106,36 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
+bool Engine::skipCancelled() {
+  while (!heap_.empty()) {
+    const std::uint32_t slot = heap_.front().slot;
+    if (slots_[slot].live) return true;
+    releaseSlot(slot);
+    --cancelledPending_;
+    dropTop();
+  }
+  return false;
+}
+
+void Engine::dispatchTop() {
+  const Key top = heap_.front();
+  now_ = top.when;
+  // Move the action out before it runs: it may schedule, and a new slot
+  // can grow (reallocate) the table under it.
+  Action action = std::move(slots_[top.slot].action);
+  releaseSlot(top.slot);
+  dropTop();
+  action();
+  ++executed_;
+}
+
 std::uint64_t Engine::run(SimTime until) {
   std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    Entry& top = heap_.front();
-    if (!isLive(top.id)) {
-      // Cancelled: discard lazily as it surfaces.
-      releaseSlot(top.id);
-      --cancelledPending_;
-      dropTop();
-      continue;
-    }
-    // Peek-before-pop: an entry past the horizon is simply left at the
-    // root — no pop, no re-push through the heap.
-    if (top.when > until) break;
-    now_ = top.when;
-    Action action = std::move(top.action);
-    releaseSlot(top.id);
-    dropTop();
-    action(); // may schedule; the entry is already out of the heap
+  // Peek-before-pop: a key past the horizon is simply left at the root —
+  // no pop, no re-push through the heap.
+  while (skipCancelled() && heap_.front().when <= until) {
+    dispatchTop();
     ++n;
-    ++executed_;
   }
   if (now_ < until) now_ = until;
   return n;
@@ -147,29 +157,17 @@ std::uint64_t Engine::runEpochs(
 
 std::uint64_t Engine::runAll() {
   std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    Entry& top = heap_.front();
-    if (!isLive(top.id)) {
-      releaseSlot(top.id);
-      --cancelledPending_;
-      dropTop();
-      continue;
-    }
-    now_ = top.when;
-    Action action = std::move(top.action);
-    releaseSlot(top.id);
-    dropTop();
-    action();
+  while (skipCancelled()) {
+    dispatchTop();
     ++n;
-    ++executed_;
   }
   return n;
 }
 
 void Engine::clear() {
-  // Each heap entry owns its slot until popped, so releasing per entry
-  // releases each exactly once and stales every outstanding handle.
-  for (const Entry& e : heap_) releaseSlot(e.id);
+  // Each key owns its slot until popped, so releasing per key releases
+  // each exactly once and stales every outstanding handle.
+  for (const Key& k : heap_) releaseSlot(k.slot);
   heap_.clear();
   cancelledPending_ = 0;
 }

@@ -7,12 +7,14 @@
 // the number of *pending* events, not to the total executed — a full
 // 44-week experiment executes millions of events.
 //
-// Hot-path layout (DESIGN.md §11): actions are SmallFunc (inline captures,
-// slab fallback — no per-event malloc), the priority queue is a 4-ary
-// implicit heap (shallower than binary, sift steps stay in one cache
-// line's worth of children), and cancellation is a generation-stamped
-// live-slot table: cancel() is an O(1) stamp check and a flag flip, with
-// dead entries discarded lazily when they surface at the top of the heap.
+// Hot-path layout (DESIGN.md §11): the priority queue is a 4-ary implicit
+// heap of trivially copyable 24-byte keys — (when, seq, slot) — so a sift
+// step is a plain copy, never a call through an action's relocate hook.
+// The action itself (a SmallFunc: inline captures only, no allocation)
+// lives in a slot table, the same table that makes cancellation O(1): a
+// slot carries a generation stamp, cancel() is a stamp check and a flag
+// flip, and dead keys are discarded lazily when they surface at the top of
+// the heap. A slot is owned by its key until the key leaves the heap.
 #pragma once
 
 #include <cstdint>
@@ -85,34 +87,35 @@ public:
   }
 
 private:
-  struct Entry {
+  /// Heap key: ordering fields plus the slot holding the action.
+  struct Key {
     SimTime when;
     std::uint64_t seq; // monotonic scheduling order; FIFO tie-break
-    EventId id;
-    Action action;
+    std::uint32_t slot;
   };
 
-  /// One row per live-or-cancelled pending event. `generation` advances
+  /// One row per pending (live or cancelled) event. `generation` advances
   /// every time the slot is released, invalidating outstanding EventIds.
   struct Slot {
+    Action action;
     std::uint32_t generation = 0;
     bool live = false;
   };
 
   // Min-heap ordering on (when, seq).
-  static bool later(const Entry& a, const Entry& b) {
+  static bool later(const Key& a, const Key& b) {
     if (a.when != b.when) return a.when > b.when;
     return a.seq > b.seq;
   }
 
-  [[nodiscard]] bool isLive(EventId id) const {
-    const Slot& s = slots_[static_cast<std::uint32_t>(id)];
-    return s.live && s.generation == static_cast<std::uint32_t>(id >> 32);
-  }
-  void releaseSlot(EventId id);
+  void releaseSlot(std::uint32_t slot);
+  /// Discard cancelled keys at the root; false once the heap is empty.
+  bool skipCancelled();
+  /// Pop the (live) root key, advance now() to it and run its action.
+  void dispatchTop();
 
-  void push(Entry e);
-  /// Remove the root entry (heap must be non-empty).
+  void push(Key k);
+  /// Remove the root key (heap must be non-empty).
   void dropTop();
   void siftUp(std::size_t i);
   void siftDown(std::size_t i);
@@ -122,7 +125,7 @@ private:
   std::uint64_t executed_ = 0;
   std::size_t queueHighWater_ = 0;
   std::size_t cancelledPending_ = 0;
-  std::vector<Entry> heap_; // 4-ary implicit heap
+  std::vector<Key> heap_; // 4-ary implicit heap
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> freeSlots_;
 };

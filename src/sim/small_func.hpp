@@ -1,13 +1,13 @@
-// v6t::sim — small-buffer-optimized move-only callable for engine actions.
+// v6t::sim — small-buffer move-only callable for engine actions.
 //
 // std::function's inline buffer (two pointers on libstdc++) is smaller
-// than the typical engine lambda — `[this, feed]`, `[this, sid,
-// delivered]`, `[this, cycle]` — so the old `Engine::Action` paid one heap
-// allocation per scheduled event, millions per run. SmallFunc stores up to
-// kInlineBytes of capture state inline in the event-queue entry itself.
-// Callables that do not fit (or whose move may throw) fall back to a
-// process-wide slab pool of fixed-size blocks, so even the cold path
-// recycles memory instead of hitting malloc.
+// than the typical engine lambda — `[this, feed]`, `[this, sub, update,
+// ts]`, `[this, cycleIndex]` — so the old `Engine::Action` paid one heap
+// allocation per scheduled event, millions per run. SmallFunc stores the
+// capture state inline, always: a callable that does not fit kInlineBytes
+// (or whose move may throw) is a compile error, not a slower path
+// (DESIGN.md §11). Nothing here allocates, and nothing is shared between
+// the engines of different shard threads.
 //
 // Move-only by design: the event queue never copies actions, and dropping
 // the copy requirement is what lets move-only captures (unique_ptr, etc.)
@@ -15,77 +15,16 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace v6t::sim {
 
-/// Fixed-block slab allocator backing oversized SmallFunc callables.
-/// Blocks are carved from kSlabBlocks-block slabs and recycled through a
-/// free list; blocks larger than kBlockBytes (rare — a capture that big is
-/// a design smell) go straight to operator new. The free list is shared
-/// across threads behind a mutex: this path is off the steady-state hot
-/// path by construction, and cross-thread frees (a shard's world torn
-/// down on the main thread after the merge) must be safe.
-class ActionSlabPool {
-public:
-  static constexpr std::size_t kBlockBytes = 128;
-  static constexpr std::size_t kSlabBlocks = 64;
-
-  static ActionSlabPool& instance() {
-    static ActionSlabPool pool;
-    return pool;
-  }
-
-  void* allocate(std::size_t bytes) {
-    if (bytes > kBlockBytes) return ::operator new(bytes);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (free_.empty()) grow();
-    void* block = free_.back();
-    free_.pop_back();
-    return block;
-  }
-
-  void deallocate(void* p, std::size_t bytes) noexcept {
-    if (bytes > kBlockBytes) {
-      ::operator delete(p);
-      return;
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(p);
-  }
-
-  /// Blocks currently carved out of slabs (free or not) — test hook.
-  [[nodiscard]] std::size_t blocksFree() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return free_.size();
-  }
-
-private:
-  struct alignas(std::max_align_t) Block {
-    std::byte bytes[kBlockBytes];
-  };
-
-  void grow() {
-    slabs_.push_back(std::make_unique<Block[]>(kSlabBlocks));
-    Block* slab = slabs_.back().get();
-    free_.reserve(free_.size() + kSlabBlocks);
-    for (std::size_t i = 0; i < kSlabBlocks; ++i) free_.push_back(&slab[i]);
-  }
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Block[]>> slabs_;
-  std::vector<void*> free_;
-};
-
 class SmallFunc {
 public:
-  /// Inline capture capacity: sized for `this` plus a handful of values —
-  /// every lambda the simulation schedules today fits.
+  /// Inline capture capacity: `this` plus a handful of values. Every
+  /// lambda the simulation schedules fits; the constructor enforces it.
   static constexpr std::size_t kInlineBytes = 48;
 
   SmallFunc() noexcept = default;
@@ -95,15 +34,14 @@ public:
              std::is_invocable_r_v<void, std::decay_t<F>&>)
   SmallFunc(F&& f) { // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (fitsInline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &inlineOps<Fn>;
-    } else {
-      void* block = ActionSlabPool::instance().allocate(sizeof(Fn));
-      ::new (block) Fn(std::forward<F>(f));
-      heapObj() = block;
-      ops_ = &heapOps<Fn>;
-    }
+    static_assert(sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t) &&
+                      std::is_nothrow_move_constructible_v<Fn>,
+                  "engine actions must fit SmallFunc's inline buffer with a "
+                  "noexcept move (DESIGN.md §11): capture an index or a "
+                  "pointer instead of a large value");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &opsFor<Fn>;
   }
 
   SmallFunc(SmallFunc&& other) noexcept { moveFrom(other); }
@@ -125,28 +63,16 @@ public:
   [[nodiscard]] explicit operator bool() const noexcept {
     return ops_ != nullptr;
   }
-  /// True when the callable lives in the inline buffer — bench/test hook.
-  [[nodiscard]] bool usesInline() const noexcept {
-    return ops_ != nullptr && ops_->inlineStored;
-  }
 
 private:
   struct Ops {
     void (*invoke)(void* storage);
     void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void* storage) noexcept;
-    bool inlineStored;
   };
 
   template <typename Fn>
-  static constexpr bool fitsInline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
-  static constexpr Ops inlineOps{
+  static constexpr Ops opsFor{
       [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
       [](void* from, void* to) noexcept {
         Fn* src = std::launder(reinterpret_cast<Fn*>(from));
@@ -154,21 +80,6 @@ private:
         src->~Fn();
       },
       [](void* s) noexcept { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); },
-      true,
-  };
-
-  template <typename Fn>
-  static constexpr Ops heapOps{
-      [](void* s) { (*static_cast<Fn*>(*static_cast<void**>(s)))(); },
-      [](void* from, void* to) noexcept {
-        *static_cast<void**>(to) = *static_cast<void**>(from);
-      },
-      [](void* s) noexcept {
-        Fn* obj = static_cast<Fn*>(*static_cast<void**>(s));
-        obj->~Fn();
-        ActionSlabPool::instance().deallocate(obj, sizeof(Fn));
-      },
-      false,
   };
 
   void moveFrom(SmallFunc& other) noexcept {
@@ -184,10 +95,6 @@ private:
       ops_->destroy(storage_);
       ops_ = nullptr;
     }
-  }
-
-  [[nodiscard]] void*& heapObj() noexcept {
-    return *reinterpret_cast<void**>(storage_);
   }
 
   alignas(std::max_align_t) std::byte storage_[kInlineBytes];

@@ -4,12 +4,15 @@
 // statistics and hourly/daily/weekly time-series buckets. This is the only
 // thing the analysis pipeline ever reads — the strict generator/estimator
 // boundary of DESIGN.md §5.
+//
+// A run fills it once, through mergeFrom(): the shards' telescopes buffer
+// plain packets, and the merge takes those buffers by move and accounts
+// each packet exactly once (DESIGN.md §8/§11).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <ostream>
-#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -71,18 +74,19 @@ public:
   /// Replace this store's contents with the union of `shards`, reordered
   /// into canonical capture order: ascending (ts, originId, originSeq) — a
   /// unique key, since a scanner's emission counter never repeats. Applied
-  /// even to a single source store: within one engine, equal-timestamp
-  /// packets sit in event-scheduling order, which depends on how scanners
+  /// even to a single shard: within one engine, equal-timestamp packets
+  /// sit in event-scheduling order, which depends on how scanners
   /// interleave, so canonicalization is what makes the merged capture
   /// identical for every shard count. Stats are rebuilt.
   ///
-  /// Implementation: shards are time-ordered already, so each shard only
-  /// needs its equal-timestamp runs sorted by (originId, originSeq) before
-  /// an O(N log k) k-way merge — not the O(N log N) full re-sort. The
-  /// unique key makes the merged order identical to what sorting the
-  /// concatenation would produce (the reference the equivalence tests
-  /// check against).
-  void mergeFrom(std::span<const CaptureStore* const> shards);
+  /// Consuming: each shard buffer must be time-ordered (the append
+  /// precondition). Its equal-timestamp runs are sorted in place by
+  /// (originId, originSeq), after which one shard's buffer simply becomes
+  /// this store's — nothing is copied — and several are combined by an
+  /// O(N log k) k-way merge. The unique key makes the result identical to
+  /// sorting the concatenation (the reference the equivalence tests check
+  /// against).
+  void mergeFrom(std::vector<std::vector<net::Packet>> shards);
 
   /// Order-sensitive FNV-1a hash over every stored field of every packet.
   /// Two stores with equal digests hold bitwise-identical captures — the

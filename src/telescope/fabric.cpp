@@ -17,6 +17,7 @@ DeliveryResult DeliveryFabric::send(net::Packet p) {
     ++noRoute_;
     return {};
   }
+  // The one ownership test: deliver() trusts it.
   for (std::size_t i = 0; i < telescopes_.size(); ++i) {
     Telescope* t = telescopes_[i];
     if (!t->owns(p.dst)) continue;

@@ -9,6 +9,11 @@
 // The fabric also attributes the origin AS of each source address from a
 // registry of source routes — the public routing data a real telescope
 // operator would consult — and annotates it on the captured packet.
+//
+// Per packet (DESIGN.md §11): one source-AS longest match, one covering-
+// route test (PrefixTrie::covers, which stops at the first route on the
+// path), and one ownership test, after which the owning telescope gets a
+// packet it need not check again.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +69,9 @@ public:
   }
 
   /// Inject a packet. Timestamps it with the current simulated time,
-  /// annotates the source AS, routes it. Returns what happened (captured /
-  /// responded) so reactive scanners can adapt.
+  /// annotates the source AS, routes it to the telescope that owns its
+  /// destination. Returns what happened (captured / responded) so
+  /// reactive scanners can adapt.
   DeliveryResult send(net::Packet p);
 
   /// Is the destination routable right now? (Scanners cannot ask this —

@@ -35,28 +35,24 @@ namespace v6t::telescope {
   return std::make_tuple(p.ts.millis(), p.originId, p.originSeq);
 }
 
-/// Index permutation that orders a time-ordered packet run by canonical
-/// key. Appends arrive in time order (the store precondition), so only
+/// Reorder a time-ordered packet run into canonical order, in place.
+/// Appends arrive in time order (the store precondition), so only
 /// equal-timestamp runs need sorting by (originId, originSeq) — a cheap
 /// pass over mostly length-1 runs, not an O(N log N) full re-sort.
-[[nodiscard]] inline std::vector<std::uint32_t> canonicalOrderOf(
-    std::span<const net::Packet> packets) {
-  std::vector<std::uint32_t> idx(packets.size());
-  for (std::uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
+inline void sortCanonicalRuns(std::span<net::Packet> packets) {
   std::size_t runStart = 0;
   for (std::size_t i = 1; i <= packets.size(); ++i) {
     if (i == packets.size() || packets[i].ts != packets[runStart].ts) {
       if (i - runStart > 1) {
-        std::sort(idx.begin() + static_cast<std::ptrdiff_t>(runStart),
-                  idx.begin() + static_cast<std::ptrdiff_t>(i),
-                  [&packets](std::uint32_t a, std::uint32_t b) {
-                    return canonicalKey(packets[a]) < canonicalKey(packets[b]);
+        std::sort(packets.begin() + static_cast<std::ptrdiff_t>(runStart),
+                  packets.begin() + static_cast<std::ptrdiff_t>(i),
+                  [](const net::Packet& a, const net::Packet& b) {
+                    return canonicalKey(a) < canonicalKey(b);
                   });
       }
       runStart = i;
     }
   }
-  return idx;
 }
 
 /// Binary heap of k cursors, emitting the globally smallest canonical key

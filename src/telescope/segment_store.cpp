@@ -409,9 +409,9 @@ void SegmentStore::spill() {
   if (options_.metrics != nullptr) {
     span.emplace(*options_.metrics, "capture.spill.flush_seconds");
   }
-  const std::vector<std::uint32_t> order = canonicalOrderOf(memtable_);
+  sortCanonicalRuns(memtable_);
   SegmentFileWriter writer{segmentPath(nextSeq_), options_.indexStride};
-  for (std::uint32_t i : order) writer.write(memtable_[i]);
+  for (const net::Packet& p : memtable_) writer.write(p);
   const std::uint64_t bytes = writer.seal(options_.beforeSeal).second;
   segments_.emplace_back(segmentPath(nextSeq_));
   ++nextSeq_;
@@ -513,11 +513,8 @@ SegmentStore::Cursor SegmentStore::cursor() const {
   std::vector<SegmentCursor> cursors;
   cursors.reserve(segments_.size());
   for (const SegmentReader& seg : segments_) cursors.push_back(seg.cursor());
-  std::vector<net::Packet> memRun;
-  memRun.reserve(memtable_.size());
-  for (std::uint32_t i : canonicalOrderOf(memtable_)) {
-    memRun.push_back(memtable_[i]);
-  }
+  std::vector<net::Packet> memRun = memtable_;
+  sortCanonicalRuns(memRun);
   return Cursor{std::move(cursors), std::move(memRun)};
 }
 
@@ -533,10 +530,8 @@ SegmentStore::Cursor SegmentStore::cursor(sim::SimTime from) const {
   const auto tail = std::lower_bound(
       memtable_.begin(), memtable_.end(), from,
       [](const net::Packet& p, sim::SimTime t) { return p.ts < t; });
-  std::vector<net::Packet> mem(tail, memtable_.end());
-  std::vector<net::Packet> memRun;
-  memRun.reserve(mem.size());
-  for (std::uint32_t i : canonicalOrderOf(mem)) memRun.push_back(mem[i]);
+  std::vector<net::Packet> memRun(tail, memtable_.end());
+  sortCanonicalRuns(memRun);
   return Cursor{std::move(cursors), std::move(memRun)};
 }
 
@@ -549,15 +544,13 @@ SegmentStore::Cursor SegmentStore::cursorForSource(
     if (seg.packetsFromSource(addr) == 0) continue;
     cursors.push_back(from ? seg.lowerBound(*from) : seg.cursor());
   }
-  std::vector<net::Packet> mem;
+  std::vector<net::Packet> memRun;
   for (const net::Packet& p : memtable_) {
     if (p.src != addr) continue;
     if (from && p.ts < *from) continue;
-    mem.push_back(p);
+    memRun.push_back(p);
   }
-  std::vector<net::Packet> memRun;
-  memRun.reserve(mem.size());
-  for (std::uint32_t i : canonicalOrderOf(mem)) memRun.push_back(mem[i]);
+  sortCanonicalRuns(memRun);
   return Cursor{std::move(cursors), std::move(memRun)};
 }
 

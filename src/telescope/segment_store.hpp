@@ -246,7 +246,7 @@ private:
   SegmentStoreOptions options_;
   Recovery recovery_;
   std::vector<SegmentReader> segments_; // sequence order
-  std::vector<net::Packet> memtable_; // time-ordered (append order)
+  std::vector<net::Packet> memtable_; // time-ordered
   std::uint64_t sealedRecords_ = 0;
   std::uint64_t nextSeq_ = 0;
 };

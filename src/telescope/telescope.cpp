@@ -20,7 +20,6 @@ bool Telescope::owns(const net::Ipv6Address& dst) const {
 
 DeliveryResult Telescope::deliver(const net::Packet& p) {
   DeliveryResult result;
-  if (!owns(p.dst)) return result;
   if (config_.excludedSubnet && config_.excludedSubnet->contains(p.dst)) {
     // Productive-subnet traffic is out of scope for the dataset (§3.1) but
     // those hosts do exist and answer.
@@ -28,7 +27,7 @@ DeliveryResult Telescope::deliver(const net::Packet& p) {
     result.responded = true;
     return result;
   }
-  store_.append(p);
+  packets_.push_back(p);
   ++captured_;
   result.captured = true;
   if (tracer_ != nullptr) {

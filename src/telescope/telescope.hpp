@@ -12,16 +12,21 @@
 // (minus exclusions). Active telescopes additionally report whether they
 // responded, which the delivery fabric relays to the scanner so follow-up
 // behavior can emerge.
+//
+// Recording is a plain buffer append (DESIGN.md §11): a shard's telescope
+// keeps no statistics. The runner hands the buffers over by move — to the
+// capture merge, which accounts each packet once, or to the spill store at
+// every epoch boundary.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "net/prefix.hpp"
 #include "obs/trace.hpp"
-#include "telescope/capture_store.hpp"
 
 namespace v6t::telescope {
 
@@ -58,20 +63,29 @@ public:
   /// Does this telescope own the destination address?
   [[nodiscard]] bool owns(const net::Ipv6Address& dst) const;
 
-  /// Record the packet if it belongs here and is not excluded.
+  /// Record a packet unless it falls in the excluded subnet.
+  /// Precondition: owns(p.dst) — the delivery fabric tested it.
   DeliveryResult deliver(const net::Packet& p);
 
   [[nodiscard]] const TelescopeConfig& config() const { return config_; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
-  [[nodiscard]] const CaptureStore& capture() const { return store_; }
-  [[nodiscard]] CaptureStore& capture() { return store_; }
+
+  /// Packets recorded since the last takePackets(), in delivery order
+  /// (time-ordered; equal timestamps in event-scheduling order).
+  [[nodiscard]] const std::vector<net::Packet>& packets() const {
+    return packets_;
+  }
+  /// Hand the recorded packets over; the buffer starts again empty.
+  [[nodiscard]] std::vector<net::Packet> takePackets() {
+    return std::exchange(packets_, {});
+  }
 
   /// Packets that landed in the excluded subnet (counted, not stored).
   [[nodiscard]] std::uint64_t excludedPackets() const { return excluded_; }
 
   /// Cumulative packets captured over the telescope's lifetime. Unlike
-  /// capture().packetCount() this survives epoch-boundary drains of the
-  /// store in spill mode — the monotone total the delta-sampler needs.
+  /// packets().size() this survives the epoch-boundary hand-overs of
+  /// spill mode — the monotone total the delta-sampler needs.
   [[nodiscard]] std::uint64_t capturedPackets() const { return captured_; }
 
   /// Attach the owning shard's flight recorder; `entity` is the trace
@@ -85,7 +99,7 @@ public:
 
 private:
   TelescopeConfig config_;
-  CaptureStore store_;
+  std::vector<net::Packet> packets_;
   std::uint64_t excluded_ = 0;
   std::uint64_t captured_ = 0;
   obs::trace::Tracer* tracer_ = nullptr;

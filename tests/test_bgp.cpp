@@ -82,6 +82,60 @@ TEST(BgpFeed, UnsubscribeDropsPendingDeliveries) {
   EXPECT_EQ(delivered, 0);
 }
 
+TEST(BgpFeed, CallbackMaySubscribeAndUnsubscribeOthers) {
+  // The first subscriber's first delivery subscribes 64 newcomers — enough
+  // to move every element of a reallocating container — and unsubscribes
+  // a later subscriber whose delivery of the same update is still pending.
+  // The running callback must survive that (the sanitizer build checks its
+  // captures are still live), the victim must hear nothing more, and
+  // same-instant notifications must arrive in subscription order.
+  sim::Engine engine;
+  Rib rib;
+  BgpFeed feed{engine, rib, 4};
+  struct State {
+    BgpFeed* feed = nullptr;
+    BgpFeed::SubscriberId victim = 0;
+    std::vector<BgpFeed::SubscriberId> newcomers;
+    std::vector<std::string> log;
+  } state{&feed, 0, {}, {}};
+  const PropagationModel oneMinute{sim::minutes(1), {}};
+  // Captures one pointer, so std::function keeps it inside the subscriber
+  // record itself.
+  const BgpFeed::SubscriberId first =
+      feed.subscribe(oneMinute, [s = &state](const BgpUpdate&) {
+        if (s->newcomers.empty()) {
+          for (int i = 0; i < 64; ++i) {
+            s->newcomers.push_back(s->feed->subscribe(
+                PropagationModel{sim::minutes(1), {}},
+                [s, i](const BgpUpdate&) {
+                  s->log.push_back("new" + std::to_string(i));
+                }));
+          }
+          s->feed->unsubscribe(s->victim);
+        }
+        s->log.push_back("first");
+      });
+  state.victim = feed.subscribe(
+      PropagationModel{sim::minutes(2), {}},
+      [s = &state](const BgpUpdate&) { s->log.push_back("victim"); });
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(state.victim, 2u);
+
+  feed.announce(Prefix::mustParse("2001:db8::/32"), net::Asn{65001});
+  engine.run(sim::kEpoch + sim::minutes(10));
+  ASSERT_EQ(state.newcomers.size(), 64u);
+  EXPECT_EQ(state.newcomers.front(), 3u); // ids stay dense
+  EXPECT_EQ(state.log, std::vector<std::string>{"first"});
+
+  // Every live subscriber draws the same one-minute lag, so the second
+  // update reaches all of them at one instant, in id order.
+  feed.withdraw(Prefix::mustParse("2001:db8::/32"));
+  engine.runAll();
+  std::vector<std::string> expected{"first", "first"};
+  for (int i = 0; i < 64; ++i) expected.push_back("new" + std::to_string(i));
+  EXPECT_EQ(state.log, expected);
+}
+
 TEST(BgpFeed, WithdrawCarriesOrigin) {
   sim::Engine engine;
   Rib rib;

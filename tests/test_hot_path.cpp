@@ -1,11 +1,14 @@
 // Tests for the zero-allocation capture hot path: inline PayloadBuf
-// semantics and serialization, the generation-stamped slab-backed event
-// queue, the flat accounting sets, and the k-way canonical shard merge
-// (asserted digest-equal to the sort-based reference).
+// semantics and serialization, the key-only generation-stamped event
+// queue (differentially checked against a std::set reference), the flat
+// accounting sets, and the consuming canonical shard merge (asserted
+// digest-equal to the sort-based reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <unordered_set>
@@ -183,12 +186,11 @@ TEST(PayloadBufFault, TruncationChangesDigestExactlyWhenPayloadShrinks) {
 
 // ------------------------------------------------------ k-way shard merge
 
-std::uint64_t referenceMergeDigest(
-    const std::vector<telescope::CaptureStore>& shards) {
+using ShardBuffers = std::vector<std::vector<net::Packet>>;
+
+std::uint64_t referenceMergeDigest(const ShardBuffers& shards) {
   std::vector<net::Packet> all;
-  for (const auto& s : shards) {
-    all.insert(all.end(), s.packets().begin(), s.packets().end());
-  }
+  for (const auto& s : shards) all.insert(all.end(), s.begin(), s.end());
   std::sort(all.begin(), all.end(),
             [](const net::Packet& a, const net::Packet& b) {
               return std::make_tuple(a.ts, a.originId, a.originSeq) <
@@ -199,39 +201,61 @@ std::uint64_t referenceMergeDigest(
   return reference.digest();
 }
 
+/// Time-ordered shard buffers whose equal-timestamp runs hold
+/// (originId, originSeq) deliberately OUT of canonical order — the
+/// event-scheduling interleave mergeFrom must fix.
+ShardBuffers interleavedShards(unsigned shardCount, std::uint64_t seed) {
+  sim::Rng rng{seed};
+  ShardBuffers shards(shardCount);
+  for (unsigned s = 0; s < shardCount; ++s) {
+    std::int64_t ts = 0;
+    for (int i = 0; i < 500; ++i) {
+      net::Packet p = packetWithPayload(i % 17 > 12 ? 12 : i % 17,
+                                        static_cast<std::uint8_t>(s));
+      if (rng.chance(0.6)) ts += static_cast<std::int64_t>(rng.below(3));
+      p.ts = sim::SimTime{ts};
+      p.originId = s + shardCount * rng.below(8);
+      p.originSeq = static_cast<std::uint64_t>(1000 - i);
+      shards[s].push_back(p);
+    }
+  }
+  return shards;
+}
+
+/// Every statistic of `merged` equals a store filled by appending its
+/// packets one by one.
+void expectStatsMatchAppendOrder(const telescope::CaptureStore& merged) {
+  telescope::CaptureStore reference;
+  for (const net::Packet& p : merged.packets()) reference.append(p);
+  EXPECT_EQ(merged.distinctSources128(), reference.distinctSources128());
+  EXPECT_EQ(merged.distinctSources64(), reference.distinctSources64());
+  EXPECT_EQ(merged.distinctDestinations(), reference.distinctDestinations());
+  EXPECT_EQ(merged.distinctAsns(), reference.distinctAsns());
+  EXPECT_EQ(merged.hourlyCounts(), reference.hourlyCounts());
+  EXPECT_EQ(merged.dailyCounts(), reference.dailyCounts());
+  EXPECT_EQ(merged.weeklyCounts(), reference.weeklyCounts());
+  for (const net::Protocol proto :
+       {net::Protocol::Icmpv6, net::Protocol::Tcp, net::Protocol::Udp}) {
+    EXPECT_EQ(merged.packetsPerProtocol(proto),
+              reference.packetsPerProtocol(proto));
+  }
+}
+
 TEST(KWayMerge, DigestMatchesSortReferenceForEveryShardCount) {
   for (const unsigned shardCount : {1u, 2u, 8u}) {
-    sim::Rng rng{900 + shardCount};
-    std::vector<telescope::CaptureStore> shards(shardCount);
-    for (unsigned s = 0; s < shardCount; ++s) {
-      std::int64_t ts = 0;
-      for (int i = 0; i < 500; ++i) {
-        net::Packet p = packetWithPayload(i % 17 > 12 ? 12 : i % 17,
-                                          static_cast<std::uint8_t>(s));
-        // Time-ordered per shard, with equal-timestamp runs whose
-        // (originId, originSeq) deliberately arrive OUT of canonical
-        // order — the event-scheduling interleave mergeFrom must fix.
-        if (rng.chance(0.6)) ts += static_cast<std::int64_t>(rng.below(3));
-        p.ts = sim::SimTime{ts};
-        p.originId = s + shardCount * rng.below(8);
-        p.originSeq = static_cast<std::uint64_t>(1000 - i);
-        shards[s].append(p);
-      }
-    }
-    std::vector<const telescope::CaptureStore*> ptrs;
-    for (const auto& s : shards) ptrs.push_back(&s);
-    telescope::CaptureStore merged;
-    merged.mergeFrom(ptrs);
-    EXPECT_EQ(merged.digest(), referenceMergeDigest(shards))
-        << "shardCount=" << shardCount;
+    ShardBuffers shards = interleavedShards(shardCount, 900 + shardCount);
+    const std::uint64_t expected = referenceMergeDigest(shards);
     std::size_t total = 0;
-    for (const auto& s : shards) total += s.packetCount();
+    for (const auto& s : shards) total += s.size();
+    telescope::CaptureStore merged;
+    merged.mergeFrom(std::move(shards));
+    EXPECT_EQ(merged.digest(), expected) << "shardCount=" << shardCount;
     EXPECT_EQ(merged.packetCount(), total);
   }
 }
 
 TEST(KWayMerge, RebuildsStatsIdenticallyToAppendOrder) {
-  std::vector<telescope::CaptureStore> shards(2);
+  ShardBuffers shards(2);
   for (unsigned s = 0; s < 2; ++s) {
     for (int i = 0; i < 200; ++i) {
       net::Packet p = packetWithPayload(12, static_cast<std::uint8_t>(s));
@@ -239,20 +263,44 @@ TEST(KWayMerge, RebuildsStatsIdenticallyToAppendOrder) {
       p.src = net::Ipv6Address{0x2001'0db8'0000'0000ULL + s, i % 16u};
       p.originId = s;
       p.originSeq = static_cast<std::uint64_t>(i);
-      shards[s].append(p);
+      shards[s].push_back(p);
     }
   }
-  std::vector<const telescope::CaptureStore*> ptrs{&shards[0], &shards[1]};
   telescope::CaptureStore merged;
-  merged.mergeFrom(ptrs);
-  telescope::CaptureStore reference;
-  for (const net::Packet& p : merged.packets()) reference.append(p);
-  EXPECT_EQ(merged.distinctSources128(), reference.distinctSources128());
-  EXPECT_EQ(merged.distinctSources64(), reference.distinctSources64());
-  EXPECT_EQ(merged.distinctDestinations(), reference.distinctDestinations());
-  EXPECT_EQ(merged.hourlyCounts(), reference.hourlyCounts());
-  EXPECT_EQ(merged.dailyCounts(), reference.dailyCounts());
-  EXPECT_EQ(merged.weeklyCounts(), reference.weeklyCounts());
+  merged.mergeFrom(std::move(shards));
+  expectStatsMatchAppendOrder(merged);
+}
+
+TEST(KWayMerge, OneShardKeepsItsBufferAndAccountsOnce) {
+  // One engine's buffer: days of traffic from many sources, ASNs and
+  // protocols, with equal-timestamp runs out of canonical order.
+  sim::Rng rng{905};
+  ShardBuffers shards(1);
+  std::int64_t ts = 0;
+  for (int i = 0; i < 2000; ++i) {
+    net::Packet p = packetWithPayload(12);
+    if (rng.chance(0.5)) {
+      ts += static_cast<std::int64_t>(rng.below(3)) * sim::minutes(20).millis();
+    }
+    p.ts = sim::SimTime{ts};
+    p.src = net::Ipv6Address{0x2001'0db8'0000'0000ULL + rng.below(5),
+                             rng.below(40)};
+    p.dst = net::Ipv6Address{0x2001'0db8'ffff'0000ULL, rng.below(300)};
+    p.srcAsn = net::Asn{static_cast<std::uint32_t>(rng.below(4))};
+    p.proto = static_cast<net::Protocol>(rng.below(3));
+    p.originId = static_cast<std::uint32_t>(rng.below(8));
+    p.originSeq = static_cast<std::uint64_t>(5000 - i);
+    shards[0].push_back(p);
+  }
+  const net::Packet* buffer = shards[0].data();
+  const std::uint64_t expected = referenceMergeDigest(shards);
+  telescope::CaptureStore merged;
+  merged.mergeFrom(std::move(shards));
+  // The default one-shard run moves its buffer in; nothing is copied.
+  EXPECT_EQ(merged.packets().data(), buffer);
+  EXPECT_EQ(merged.digest(), expected);
+  EXPECT_GT(merged.dailyCounts().size(), 1u);
+  expectStatsMatchAppendOrder(merged);
 }
 
 TEST(CaptureStore, ReserveIsObservablyInert) {
@@ -288,22 +336,22 @@ TEST(FlatHashSet, MatchesUnorderedSetReference) {
   EXPECT_TRUE(set.insert(net::Ipv6Address{1, 1}));
 }
 
-// ----------------------------------------------------- slab event queue
+// ------------------------------------------------ key-only event queue
 
-TEST(SmallFunc, InlineForEngineSizedCapturesSlabBeyond) {
+TEST(SmallFunc, EngineSizedCapturesRunInline) {
   int hits = 0;
   std::uint64_t a = 1, b = 2, c = 3, d = 4, e = 5;
-  sim::SmallFunc small{[&hits, a, b, c, d, e] {
+  // A pointer plus five words: exactly the inline capacity. Anything
+  // larger does not compile (DESIGN.md §11).
+  auto action = [&hits, a, b, c, d, e] {
     hits += static_cast<int>(a + b + c + d + e);
-  }};
-  EXPECT_TRUE(small.usesInline());
-  std::array<std::uint64_t, 16> big{};
-  big[15] = 21;
-  sim::SmallFunc large{[&hits, big] { hits += static_cast<int>(big[15]); }};
-  EXPECT_FALSE(large.usesInline());
-  small();
-  large();
-  EXPECT_EQ(hits, 15 + 21);
+  };
+  static_assert(sizeof(action) == sim::SmallFunc::kInlineBytes);
+  sim::SmallFunc small{action};
+  sim::SmallFunc moved{std::move(small)};
+  EXPECT_FALSE(static_cast<bool>(small));
+  moved();
+  EXPECT_EQ(hits, 15);
 }
 
 TEST(SmallFunc, CarriesMoveOnlyCaptures) {
@@ -367,6 +415,121 @@ TEST(Engine, PendingCountUnderChurn) {
   EXPECT_EQ(engine.pendingEvents(), 0u);
   // Post-clear handles are stale even though slots were recycled.
   for (const sim::EventId id : ids) EXPECT_FALSE(engine.cancel(id));
+}
+
+// Differential check of the heap against the obvious reference: a
+// std::set of (when, seq) pending keys. Seeded random interleavings of
+// schedule (mostly colliding timestamps, some in the past), cancel (live,
+// executed, cancelled, cleared and never-issued handles — stale handles
+// whose slot has since been reused included), run(until) and clear(); some
+// actions schedule a follow-up from inside the run, at the same instant or
+// just after. Executed order, pendingEvents() and every cancel() verdict
+// must match.
+class EngineUnderTest {
+public:
+  /// Schedule an event tagged with its scheduling index.
+  void schedule(sim::SimTime when) {
+    const std::uint64_t tag = ids_.size();
+    ids_.push_back(engine_.schedule(when, [this, tag] {
+      order_.push_back(tag);
+      if (tag % 5 == 0) {
+        schedule(engine_.now() + sim::millis(static_cast<std::int64_t>(tag % 3)));
+      }
+    }));
+  }
+  bool cancel(std::uint64_t tag) { return engine_.cancel(ids_[tag]); }
+  sim::Engine& engine() { return engine_; }
+  [[nodiscard]] const std::vector<std::uint64_t>& order() const {
+    return order_;
+  }
+
+private:
+  sim::Engine engine_;
+  std::vector<sim::EventId> ids_; // tag -> handle
+  std::vector<std::uint64_t> order_;
+};
+
+class ReferenceQueue {
+public:
+  void schedule(sim::SimTime when) {
+    const std::uint64_t tag = whenOf_.size();
+    when = std::max(when, now_);
+    whenOf_.push_back(when);
+    pending_.insert({when, tag});
+  }
+  bool cancel(std::uint64_t tag) {
+    return pending_.erase({whenOf_[tag], tag}) == 1;
+  }
+  void run(sim::SimTime until) {
+    while (!pending_.empty() && pending_.begin()->first <= until) {
+      const auto [when, tag] = *pending_.begin();
+      pending_.erase(pending_.begin());
+      now_ = when;
+      order_.push_back(tag);
+      if (tag % 5 == 0) {
+        schedule(now_ + sim::millis(static_cast<std::int64_t>(tag % 3)));
+      }
+    }
+    now_ = std::max(now_, until);
+  }
+  void clear() { pending_.clear(); }
+  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] std::uint64_t issued() const { return whenOf_.size(); }
+  [[nodiscard]] sim::SimTime now() const { return now_; }
+  [[nodiscard]] const std::vector<std::uint64_t>& order() const {
+    return order_;
+  }
+
+private:
+  sim::SimTime now_ = sim::kEpoch;
+  std::vector<sim::SimTime> whenOf_; // tag -> (clamped) firing time
+  std::set<std::pair<sim::SimTime, std::uint64_t>> pending_;
+  std::vector<std::uint64_t> order_;
+};
+
+TEST(Engine, DifferentialAgainstOrderedSetReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Rng rng{seed};
+    EngineUnderTest engine;
+    ReferenceQueue reference;
+    for (int step = 0; step < 3000; ++step) {
+      const std::uint64_t op = rng.below(100);
+      const std::int64_t now = reference.now().millis();
+      if (op < 55) {
+        // Few distinct instants, so most keys tie on `when`; one in ten
+        // lands in the past and is clamped to now().
+        const std::int64_t offset = static_cast<std::int64_t>(rng.below(8)) -
+                                    (rng.chance(0.1) ? 10 : 0);
+        const sim::SimTime when{now + offset};
+        engine.schedule(when);
+        reference.schedule(when);
+      } else if (op < 80) {
+        if (reference.issued() == 0) continue;
+        const std::uint64_t tag = rng.below(reference.issued());
+        ASSERT_EQ(engine.cancel(tag), reference.cancel(tag))
+            << "seed " << seed << " step " << step << " tag " << tag;
+      } else if (op < 82) {
+        // A handle that was never issued.
+        EXPECT_FALSE(engine.engine().cancel(
+            (sim::EventId{rng.below(4)} << 32) | (1u << 30)));
+      } else if (op < 98) {
+        const sim::SimTime until{now + static_cast<std::int64_t>(rng.below(6))};
+        engine.engine().run(until);
+        reference.run(until);
+        ASSERT_EQ(engine.order(), reference.order())
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(engine.engine().now(), reference.now());
+      } else {
+        engine.engine().clear();
+        reference.clear();
+      }
+      ASSERT_EQ(engine.engine().pendingEvents(), reference.pending())
+          << "seed " << seed << " step " << step;
+    }
+    engine.engine().runAll();
+    reference.run(sim::SimTime{std::numeric_limits<std::int64_t>::max()});
+    EXPECT_EQ(engine.order(), reference.order()) << "seed " << seed;
+  }
 }
 
 } // namespace

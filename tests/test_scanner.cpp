@@ -8,6 +8,7 @@
 #include "bgp/hitlist.hpp"
 #include "scanner/scanner.hpp"
 #include "scanner/target_gen.hpp"
+#include "telescope/capture_store.hpp"
 #include "telescope/fabric.hpp"
 #include "telescope/session.hpp"
 
@@ -125,9 +126,9 @@ TEST(Scanner, OneOffFiresExactlyOnce) {
   w.engine.run(sim::kEpoch + sim::weeks(10));
 
   EXPECT_EQ(scanner.stats().sessionsEmitted, 1u);
-  EXPECT_GT(w.t1.capture().packetCount(), 0u);
+  EXPECT_GT(w.t1.packets().size(), 0u);
   const auto sessions = telescope::sessionize(
-      w.t1.capture().packets(), telescope::SourceAgg::Addr128);
+      w.t1.packets(), telescope::SourceAgg::Addr128);
   EXPECT_EQ(sessions.size(), 1u);
 }
 
@@ -154,7 +155,7 @@ TEST(Scanner, PeriodicSweepsRepeat) {
 
   // The measured sessions must classify as periodic with ~2-day period.
   const auto sessions = telescope::sessionize(
-      w.t1.capture().packets(), telescope::SourceAgg::Addr128);
+      w.t1.packets(), telescope::SourceAgg::Addr128);
   std::vector<sim::SimTime> starts;
   for (const auto& s : sessions) starts.push_back(s.start);
   const auto result = analysis::classifyTemporal(starts);
@@ -183,9 +184,9 @@ TEST(Scanner, GeneratedSessionsMatchMeasuredSessions) {
   w.engine.run(sim::kEpoch + sim::weeks(8));
 
   const auto sessions = telescope::sessionize(
-      w.t1.capture().packets(), telescope::SourceAgg::Addr128);
+      w.t1.packets(), telescope::SourceAgg::Addr128);
   EXPECT_EQ(sessions.size(), scanner.stats().sessionsEmitted);
-  EXPECT_EQ(w.t1.capture().packetCount(), scanner.stats().packetsEmitted);
+  EXPECT_EQ(w.t1.packets().size(), scanner.stats().packetsEmitted);
 }
 
 TEST(Scanner, RotatorUsesManySourceAddresses) {
@@ -205,12 +206,15 @@ TEST(Scanner, RotatorUsesManySourceAddresses) {
   scanner.start(&w.feed, nullptr);
   w.engine.run(sim::kEpoch + sim::weeks(8));
 
-  ASSERT_GT(w.t1.capture().packetCount(), 0u);
+  ASSERT_GT(w.t1.packets().size(), 0u);
+  // The telescope keeps no statistics; a store built from its buffer does.
+  telescope::CaptureStore capture;
+  capture.mergeFrom({w.t1.packets()});
   // Many /128 sources, exactly one /64.
-  EXPECT_GT(w.t1.capture().distinctSources128(), 10u);
-  EXPECT_EQ(w.t1.capture().distinctSources64(), 1u);
+  EXPECT_GT(capture.distinctSources128(), 10u);
+  EXPECT_EQ(capture.distinctSources64(), 1u);
   // Every packet goes to the attractor.
-  EXPECT_EQ(w.t1.capture().distinctDestinations(), 1u);
+  EXPECT_EQ(capture.distinctDestinations(), 1u);
 }
 
 TEST(Scanner, WithdrawnPrefixIsForgotten) {
@@ -234,13 +238,13 @@ TEST(Scanner, WithdrawnPrefixIsForgotten) {
 
   const std::uint64_t atWithdraw = [&] {
     std::uint64_t count = 0;
-    for (const auto& p : w.t1.capture().packets()) {
+    for (const auto& p : w.t1.packets()) {
       if (p.ts <= sim::kEpoch + sim::weeks(2) + sim::days(1)) ++count;
     }
     return count;
   }();
   // Nothing new arrives (well) after the withdrawal propagated.
-  EXPECT_EQ(w.t1.capture().packetCount(), atWithdraw);
+  EXPECT_EQ(w.t1.packets().size(), atWithdraw);
   EXPECT_GT(atWithdraw, 0u);
 }
 
@@ -263,8 +267,8 @@ TEST(Scanner, LiveMonitorArrivesWithinThirtyMinutes) {
   });
   w.engine.run(announceAt + sim::hours(2));
 
-  ASSERT_GT(w.t1.capture().packetCount(), 0u);
-  const sim::SimTime firstPacket = w.t1.capture().packets().front().ts;
+  ASSERT_GT(w.t1.packets().size(), 0u);
+  const sim::SimTime firstPacket = w.t1.packets().front().ts;
   EXPECT_LE(firstPacket - announceAt, sim::minutes(30));
 }
 
@@ -293,7 +297,7 @@ TEST(Scanner, ExplorerDrillsIntoResponsiveSpaceOnly) {
   // The reactive telescope answered, so drills with full-size sessions
   // follow; captured volume far exceeds the shallow probes alone.
   EXPECT_GT(scanner.stats().responsesSeen, 0u);
-  EXPECT_GT(w.t4.capture().packetCount(), 200u);
+  EXPECT_GT(w.t4.packets().size(), 200u);
 }
 
 TEST(Scanner, SweeperStaysShallow) {
@@ -314,7 +318,7 @@ TEST(Scanner, SweeperStaysShallow) {
   w.engine.run(sim::kEpoch + sim::weeks(10));
 
   ASSERT_GT(scanner.stats().sessionsEmitted, 0u);
-  EXPECT_LE(w.t4.capture().packetCount(),
+  EXPECT_LE(w.t4.packets().size(),
             scanner.stats().sessionsEmitted * 2);
 }
 
@@ -334,7 +338,7 @@ TEST(Scanner, RespectsActiveWindow) {
   scanner.start(&w.feed, nullptr);
   w.engine.run(sim::kEpoch + sim::weeks(5));
 
-  for (const auto& p : w.t1.capture().packets()) {
+  for (const auto& p : w.t1.packets()) {
     EXPECT_LE(p.ts, sim::kEpoch + sim::weeks(1) + sim::hours(3));
   }
 }
@@ -371,8 +375,8 @@ TEST(Scanner, PayloadCarriesToolSignature) {
   scanner.start(&w.feed, nullptr);
   w.engine.run(sim::kEpoch + sim::weeks(1));
 
-  ASSERT_GT(w.t1.capture().packetCount(), 0u);
-  for (const auto& p : w.t1.capture().packets()) {
+  ASSERT_GT(w.t1.packets().size(), 0u);
+  for (const auto& p : w.t1.packets()) {
     ASSERT_TRUE(p.hasPayload());
     EXPECT_EQ(net::matchToolSignature(p.payload), net::ScanTool::Yarrp6);
   }

@@ -87,11 +87,8 @@ std::vector<net::Packet> drain(SegmentStore::Cursor cursor) {
 /// Reference canonical order: CaptureStore::mergeFrom over one shard — the
 /// exact transform the in-memory runner applies.
 CaptureStore canonicalReference(const std::vector<net::Packet>& packets) {
-  CaptureStore shard;
-  for (const net::Packet& p : packets) shard.append(p);
   CaptureStore ref;
-  const CaptureStore* shards[] = {&shard};
-  ref.mergeFrom(shards);
+  ref.mergeFrom({packets});
   return ref;
 }
 

@@ -34,7 +34,7 @@ using testutil::ScopedTempDir;
 std::vector<net::Packet> scannerCapture(std::uint64_t seed, std::size_t n) {
   sim::Rng rng{seed};
   const net::Ipv6Address heavy{0x2001'0db8'00ff'0000ull, 1};
-  telescope::CaptureStore shard;
+  std::vector<std::vector<net::Packet>> shards(1);
   std::int64_t ts = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t pace = rng.below(100);
@@ -64,11 +64,10 @@ std::vector<net::Packet> scannerCapture(std::uint64_t seed, std::size_t n) {
     for (std::size_t b = 0; b < payloadLen; ++b) {
       p.payload.push_back(static_cast<std::uint8_t>(rng.below(256)));
     }
-    shard.append(p);
+    shards[0].push_back(p);
   }
   telescope::CaptureStore ref;
-  const telescope::CaptureStore* shards[] = {&shard};
-  ref.mergeFrom(shards);
+  ref.mergeFrom(std::move(shards));
   return ref.packets();
 }
 
@@ -143,7 +142,9 @@ TEST(Streaming, WindowReportsPartitionTheStream) {
     EXPECT_GT(w.packets, 0u) << "empty windows are never emitted";
     EXPECT_GE(w.sources, 1u);
     EXPECT_LT(w.start, w.end);
-    if (i > 0) EXPECT_GE(w.start, result.windows[i - 1].end);
+    if (i > 0) {
+      EXPECT_GE(w.start, result.windows[i - 1].end);
+    }
   }
   EXPECT_EQ(sum, result.totalPackets)
       << "window packet counts must partition the capture";

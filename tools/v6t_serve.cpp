@@ -31,8 +31,9 @@
 //
 // Numeric flags go through the config file's checked parser: "--port abc"
 // or "--threads 4x" is a usage error (exit 2), never a silent default. A
-// --capture file that is not a v6tcap capture, or ends in a torn record,
-// is refused (exit 1) instead of served in part.
+// --capture file that is not a v6tcap capture, ends in a torn record or
+// has records that go back in time is refused (exit 1) instead of served.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -189,6 +190,20 @@ int main(int argc, char** argv) {
       std::cerr << "cannot load " << capturePath
                 << ": not a v6tcap capture, or cut short after "
                 << packets.size() << " packets\n";
+      return 1;
+    }
+    // The sessionizer and the classifiers assume time order; a capture
+    // that goes back in time would be answered with wrong sessions.
+    const auto back = std::adjacent_find(
+        packets.begin(), packets.end(),
+        [](const net::Packet& a, const net::Packet& b) { return b.ts < a.ts; });
+    if (back != packets.end()) {
+      const auto record = static_cast<std::size_t>(back - packets.begin()) + 2;
+      std::cerr << "cannot load " << capturePath << ": record " << record
+                << " (ts " << (back + 1)->ts.millis()
+                << " ms) is earlier than the record before it (ts "
+                << back->ts.millis()
+                << " ms); a v6tcap capture must be time-ordered\n";
       return 1;
     }
     std::cout << "loaded " << packets.size() << " packets from "
