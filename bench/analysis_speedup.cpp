@@ -41,8 +41,8 @@
 //   bench.analysis_speedup.digest_match             1 = bitwise-identical
 //
 // The snapshot also carries the parallel leg's analysis.* metrics (stage
-// spans, worker counters, scheduler counters, index hit counters), so the
-// split behavior is visible in the artifact.
+// spans, worker counters, scheduler counters), so the split behavior is
+// visible in the artifact.
 #include <sys/resource.h>
 
 #include <algorithm>

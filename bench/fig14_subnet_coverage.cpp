@@ -24,15 +24,14 @@ int main() {
   const auto taxonomy = pipeline.run(&ctx.runner->schedule(), opts).taxonomy;
 
   // subnet key: the /48 index within the /32 (16 bits). The per-session
-  // target lists come straight from the shared index — no second walk
-  // over the packet vector.
+  // hi64 target lanes come straight from the shared index — no second
+  // walk over the packet vector.
   std::unordered_map<std::uint16_t, std::uint64_t> perClass[3];
   for (const auto& profile : taxonomy.profiles) {
     const auto cls = static_cast<std::size_t>(profile.temporal.cls);
     for (std::uint32_t si : profile.sessionIdx) {
-      for (const net::Ipv6Address& dst : pipeline.index().targetsOf(si)) {
-        const auto subnet =
-            static_cast<std::uint16_t>((dst.hi64() >> 16) & 0xffff);
+      for (const std::uint64_t hi : pipeline.index().columnsOf(si).hi) {
+        const auto subnet = static_cast<std::uint16_t>((hi >> 16) & 0xffff);
         ++perClass[cls][subnet];
       }
     }

@@ -21,7 +21,6 @@ int main() {
   opts.heavyHitters = false;
   opts.fingerprint = false;
   opts.nistBattery = true;
-  opts.nistMinPackets = 100;
   const auto report = bench::analyzeWindow(
       capture.packets(), sessions, &ctx.runner->schedule(), opts);
   const auto& taxonomy = report.taxonomy;

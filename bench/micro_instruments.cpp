@@ -9,7 +9,6 @@
 #include "analysis/addr_class.hpp"
 #include "analysis/dbscan.hpp"
 #include "analysis/nist.hpp"
-#include "analysis/simd.hpp"
 #include "net/pcap.hpp"
 #include "net/prefix_trie.hpp"
 #include "sim/rng.hpp"
@@ -145,7 +144,6 @@ std::vector<net::Ipv6Address> classifierAddrs(std::size_t n) {
 
 void BM_AddrClassifyScalarRows(benchmark::State& state) {
   const auto addrs = classifierAddrs(8192);
-  analysis::ScopedSimdKernels off{false}; // force the per-row reference
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::classifyAll(addrs));
   }

@@ -4,8 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "analysis/simd.hpp"
-
 namespace v6t::analysis {
 
 namespace {
@@ -324,13 +322,6 @@ AddressType classifyAddressWord(std::uint64_t iid) {
 }
 
 AddressTypeHistogram classifyAll(std::span<const net::Ipv6Address> targets) {
-  if (simdKernelsEnabled()) {
-    AddressTypeHistogram histogram;
-    for (const net::Ipv6Address& a : targets) {
-      histogram.add(classifyAddressWord(a.lo64()));
-    }
-    return histogram;
-  }
   AddressTypeHistogram histogram;
   for (const net::Ipv6Address& a : targets) histogram.add(classifyAddress(a));
   return histogram;

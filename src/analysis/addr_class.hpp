@@ -74,12 +74,13 @@ struct AddressTypeHistogram {
   }
 };
 
+/// Histogram over a row list, one scalar classifyAddress per target — the
+/// reference the word classifier below is checked against.
 [[nodiscard]] AddressTypeHistogram classifyAll(
     std::span<const net::Ipv6Address> targets);
 
-/// Histogram over a contiguous IID lane (always the word classifier; the
-/// runtime SIMD toggle dispatches between this and the scalar walk inside
-/// classifyAll and the taxonomy's columnar path).
+/// Histogram over a contiguous IID lane with the word classifier; equal to
+/// classifyAll over the same addresses.
 [[nodiscard]] AddressTypeHistogram classifyLanes(
     std::span<const std::uint64_t> iids);
 

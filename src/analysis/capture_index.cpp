@@ -20,21 +20,15 @@ CaptureIndex::CaptureIndex(std::span<const net::Packet> packets,
   std::size_t totalPackets = 0;
   for (const telescope::Session& s : sessions) totalPackets += s.packetCount();
   targetOffsets_.reserve(sessions.size() + 1);
-  targets_.reserve(totalPackets);
   sessionFirstPayload_.assign(sessions.size(), kNoPayload);
   sessionPayloadPackets_.assign(sessions.size(), 0);
   targetHi_.reserve(totalPackets);
   targetLo_.reserve(totalPackets);
-  packetTs_.reserve(totalPackets);
-  srcHi_.reserve(totalPackets);
-  srcLo_.reserve(totalPackets);
-  dstPort_.reserve(totalPackets);
-  payloadLen_.reserve(totalPackets);
   subnetWords_.reserve((totalPackets + 1) / 2 + sessions.size());
   subnetWordOffsets_.reserve(sessions.size() + 1);
 
-  // One pass over every session's packet run: targets, payload memo, and
-  // the columnar transpose (DESIGN.md §16). The lo64 lane doubles as the
+  // One pass over every session's packet run: target lanes, payload memo
+  // and subnet words (DESIGN.md §16). The lo64 lane doubles as the
   // session's packed IID bit sequence; the subnet bits (address bits
   // 32..63, i.e. the low half of hi64) pack two addresses per word,
   // MSB-first, zero-padded when a session has an odd packet count.
@@ -42,17 +36,11 @@ CaptureIndex::CaptureIndex(std::span<const net::Packet> packets,
   subnetWordOffsets_.push_back(0);
   for (std::uint32_t si = 0; si < sessions.size(); ++si) {
     const telescope::Session& s = sessions[si];
-    const std::size_t first = targets_.size();
+    const std::size_t first = targetLo_.size();
     for (std::uint32_t idx : s.packetIdx) {
       const net::Packet& p = packets[idx];
-      targets_.push_back(p.dst);
       targetHi_.push_back(p.dst.hi64());
       targetLo_.push_back(p.dst.lo64());
-      packetTs_.push_back(p.ts);
-      srcHi_.push_back(p.src.hi64());
-      srcLo_.push_back(p.src.lo64());
-      dstPort_.push_back(p.dstPort);
-      payloadLen_.push_back(static_cast<std::uint16_t>(p.payload.size()));
       if (p.hasPayload()) {
         if (sessionFirstPayload_[si] == kNoPayload) {
           sessionFirstPayload_[si] = idx;
@@ -60,8 +48,8 @@ CaptureIndex::CaptureIndex(std::span<const net::Packet> packets,
         ++sessionPayloadPackets_[si];
       }
     }
-    targetOffsets_.push_back(targets_.size());
-    const std::size_t count = targets_.size() - first;
+    targetOffsets_.push_back(targetLo_.size());
+    const std::size_t count = targetLo_.size() - first;
     for (std::size_t i = 0; i < count; i += 2) {
       const std::uint64_t a = targetHi_[first + i] & 0xffffffffULL;
       const std::uint64_t b =

@@ -15,6 +15,9 @@ namespace {
 
 using Feature = std::vector<std::uint8_t>;
 
+/// §5.4: bytes of payload prefix used as the clustering feature.
+constexpr std::size_t kFeatureBytes = 16;
+
 net::ScanTool toolFromRdns(std::string_view name) {
   for (const net::ToolSignature& sig : net::kToolSignatures) {
     if (sig.rdnsSuffix.empty()) continue;
@@ -30,7 +33,6 @@ net::ScanTool toolFromRdns(std::string_view name) {
 
 FingerprintResult fingerprintSessions(const CaptureIndex& index,
                                       const net::RdnsRegistry* rdns,
-                                      const FingerprintParams& params,
                                       unsigned threads,
                                       ParallelForStats* statsOut) {
   const std::span<const net::Packet> packets = index.packets();
@@ -43,7 +45,6 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
   // session's memoized first payload packet, the packet tally from the
   // memoized count. Session order (and thus feature insertion order, and
   // thus DBSCAN input order) is unchanged.
-  index.noteRescanAvoided();
   std::unordered_map<std::string, std::size_t> featureIndex; // key -> point
   std::vector<Feature> points;
   std::vector<std::vector<std::uint32_t>> featureSessions; // point -> sessions
@@ -54,8 +55,8 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
     if (firstIdx == CaptureIndex::kNoPayload) continue;
     ++result.payloadSessions;
     const net::Packet& p = packets[firstIdx];
-    Feature f(params.featureBytes, 0);
-    const std::size_t n = std::min(params.featureBytes, p.payload.size());
+    Feature f(kFeatureBytes, 0);
+    const std::size_t n = std::min(kFeatureBytes, p.payload.size());
     std::copy_n(p.payload.begin(), n, f.begin());
     std::string key(f.begin(), f.end());
     auto [it, fresh] = featureIndex.try_emplace(key, points.size());
@@ -71,8 +72,14 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
   // list is a pure function of that point — so the adjacency is
   // precomputed across workers (each row in ascending order, exactly what
   // the lazy serial scan yields) and the serial cluster expansion
-  // consumes identical lists. ---
-  const std::size_t n = std::min(points.size(), params.maxPoints);
+  // consumes identical lists. §5.4: DBSCAN over at most kMaxPoints
+  // distinct features (random payloads inflate the point set; beyond the
+  // cap points are matched by signature only), with a mean per-byte
+  // distance radius of kEpsilon and a density minimum of kMinPts. ---
+  constexpr std::size_t kMaxPoints = 4096;
+  constexpr double kEpsilon = 0.15;
+  constexpr std::size_t kMinPts = 2;
+  const std::size_t n = std::min(points.size(), kMaxPoints);
   std::vector<net::ScanTool> pointTool(points.size(), net::ScanTool::Unknown);
   if (n > 0) {
     auto distance = [&](std::size_t a, std::size_t b) {
@@ -91,12 +98,12 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
         rowCosts, threads,
         [&](unsigned, std::size_t p) {
           for (std::size_t q = 0; q < n; ++q) {
-            if (distance(p, q) <= params.epsilon) adjacency[p].push_back(q);
+            if (distance(p, q) <= kEpsilon) adjacency[p].push_back(q);
           }
         });
     if (statsOut != nullptr) statsOut->absorb(adjStats);
     const DbscanResult clusters = dbscanWithNeighbors(
-        n, params.minPts,
+        n, kMinPts,
         [&](std::size_t p) -> const std::vector<std::size_t>& {
           return adjacency[p];
         });
@@ -176,7 +183,6 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
 
   // --- Aggregate Table 7. The payload memo answers "does this session
   // carry any payload" without a second packet walk. ---
-  index.noteRescanAvoided();
   std::map<net::ScanTool, std::unordered_set<net::Ipv6Address>> toolSources;
   std::unordered_set<net::Ipv6Address> payloadSources;
   for (std::uint32_t si = 0; si < sessions.size(); ++si) {
@@ -196,9 +202,9 @@ FingerprintResult fingerprintSessions(const CaptureIndex& index,
 FingerprintResult fingerprintSessions(
     std::span<const net::Packet> packets,
     std::span<const telescope::Session> sessions,
-    const net::RdnsRegistry* rdns, const FingerprintParams& params) {
+    const net::RdnsRegistry* rdns) {
   const CaptureIndex index{packets, sessions};
-  return fingerprintSessions(index, rdns, params);
+  return fingerprintSessions(index, rdns);
 }
 
 } // namespace v6t::analysis

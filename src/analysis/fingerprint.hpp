@@ -19,17 +19,6 @@
 
 namespace v6t::analysis {
 
-struct FingerprintParams {
-  /// Bytes of payload prefix used as the clustering feature.
-  std::size_t featureBytes = 16;
-  /// DBSCAN: mean per-byte distance threshold and density minimum.
-  double epsilon = 0.15;
-  std::size_t minPts = 2;
-  /// Cap on distinct feature points clustered (random payloads inflate the
-  /// point set; beyond the cap points are matched by signature only).
-  std::size_t maxPoints = 4096;
-};
-
 struct ToolCount {
   std::uint64_t scanners = 0; // distinct sources
   std::uint64_t sessions = 0;
@@ -64,15 +53,13 @@ class CaptureIndex;
 /// order). `statsOut`, when non-null, accumulates the dispatch stats.
 [[nodiscard]] FingerprintResult fingerprintSessions(
     const CaptureIndex& index, const net::RdnsRegistry* rdns = nullptr,
-    const FingerprintParams& params = {}, unsigned threads = 1,
-    ParallelForStats* statsOut = nullptr);
+    unsigned threads = 1, ParallelForStats* statsOut = nullptr);
 
 /// Thin wrapper: builds a CaptureIndex over (packets, sessions) and
 /// delegates to the index overload.
 [[nodiscard]] FingerprintResult fingerprintSessions(
     std::span<const net::Packet> packets,
     std::span<const telescope::Session> sessions,
-    const net::RdnsRegistry* rdns = nullptr,
-    const FingerprintParams& params = {});
+    const net::RdnsRegistry* rdns = nullptr);
 
 } // namespace v6t::analysis

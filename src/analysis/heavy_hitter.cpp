@@ -23,7 +23,6 @@ std::vector<HeavyHitter> findHeavyHitters(const CaptureIndex& index,
                                           double thresholdPercent) {
   // Per-source packets, day bounds, ASN and session counts were all
   // aggregated at index build time — this is pure selection.
-  index.noteRescanAvoided();
   const auto total = static_cast<double>(index.packets().size());
   std::vector<HeavyHitter> hitters;
   for (std::size_t i = 0; i < index.sourceCount(); ++i) {
@@ -79,7 +78,6 @@ HeavyHitterImpact heavyHitterImpact(
 
 HeavyHitterImpact heavyHitterImpact(const CaptureIndex& index,
                                     std::span<const HeavyHitter> hitters) {
-  index.noteRescanAvoided();
   HeavyHitterImpact impact;
   for (std::size_t i = 0; i < index.sourceCount(); ++i) {
     const telescope::SourceKey& key = index.source(i);

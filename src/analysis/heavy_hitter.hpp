@@ -18,6 +18,10 @@ namespace v6t::analysis {
 
 class CaptureIndex;
 
+/// §4.2: the paper's heavy-hitter threshold, percent of one telescope's
+/// packets.
+inline constexpr double kHeavyHitterThresholdPercent = 10.0;
+
 struct HeavyHitter {
   net::Ipv6Address source;
   net::Asn asn;
@@ -32,7 +36,8 @@ struct HeavyHitter {
 /// capture once (at /128, the granularity heavy hitters are defined on),
 /// builds a CaptureIndex over it, and delegates to the index overload.
 [[nodiscard]] std::vector<HeavyHitter> findHeavyHitters(
-    std::span<const net::Packet> packets, double thresholdPercent = 10.0);
+    std::span<const net::Packet> packets,
+    double thresholdPercent = kHeavyHitterThresholdPercent);
 
 /// Identify heavy hitters from a shared index whose sessions were built at
 /// Addr128 aggregation: packet counts, day bounds, origin ASN and session
@@ -40,7 +45,8 @@ struct HeavyHitter {
 /// no internal re-sessionization. Hitters are ordered by packet count
 /// descending, ties broken by canonical (first-appearance) source order.
 [[nodiscard]] std::vector<HeavyHitter> findHeavyHitters(
-    const CaptureIndex& index, double thresholdPercent = 10.0);
+    const CaptureIndex& index,
+    double thresholdPercent = kHeavyHitterThresholdPercent);
 
 /// Packets/sessions contributed by a set of heavy hitters across a capture,
 /// for "w/o heavy hitter" table rows.

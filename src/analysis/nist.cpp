@@ -7,8 +7,6 @@
 #include <numbers>
 #include <vector>
 
-#include "analysis/simd.hpp"
-
 namespace v6t::analysis {
 
 namespace {
@@ -407,13 +405,8 @@ NistSummary runNistTestsPacked(PackedBits bits, NistBlock block) {
     return unpacked;
   };
   if (block != NistBlock::Spectral) {
-    if (simdKernelsEnabled()) {
-      summary.frequency = frequencyTestPacked(bits);
-      summary.runs = runsTestPacked(bits);
-    } else {
-      summary.frequency = frequencyTest(scalarBits());
-      summary.runs = runsTest(scalarBits());
-    }
+    summary.frequency = frequencyTestPacked(bits);
+    summary.runs = runsTestPacked(bits);
     summary.cusumForward = cusumTest(scalarBits(), true);
     summary.cusumBackward = cusumTest(scalarBits(), false);
   }

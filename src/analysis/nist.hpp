@@ -125,11 +125,9 @@ enum class NistBlock : std::uint8_t { All, Spectral, NonSpectral };
 [[nodiscard]] NistSummary runNistTests(std::span<const std::uint8_t> bits,
                                        NistBlock block);
 
-/// The battery on a packed sequence. With the vectorized kernels enabled
-/// (simd.hpp) frequency/runs run word-level on the packed words; the
-/// remaining tests — and the whole battery when disabled — run the scalar
-/// reference on a lazily unpacked copy. Both dispatch legs are
-/// bit-identical to runNistTests on the unpacked bits.
+/// The battery on a packed sequence: frequency/runs run word-level on the
+/// packed words, the remaining tests run the scalar reference on a lazily
+/// unpacked copy. Bit-identical to runNistTests on the unpacked bits.
 [[nodiscard]] NistSummary runNistTestsPacked(PackedBits bits, NistBlock block);
 
 } // namespace v6t::analysis

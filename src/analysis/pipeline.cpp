@@ -45,6 +45,10 @@ std::span<const double> costBounds() {
   return bounds;
 }
 
+/// Appendix B: the NIST battery runs over sessions of at least this many
+/// packets.
+constexpr std::size_t kNistMinPackets = 100;
+
 /// Builds the index inside an `analysis.index_seconds` span; guaranteed
 /// copy elision constructs it straight into the Pipeline member.
 CaptureIndex makeIndex(std::span<const net::Packet> packets,
@@ -153,8 +157,6 @@ void Pipeline::recordWorkerStats(const ParallelForStats& stats) const {
 PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
                              const PipelineOptions& opts) const {
   PipelineResult result;
-  const std::uint64_t rescans0 = index_.rescansAvoided();
-  const std::uint64_t spans0 = index_.targetSpansServed();
 
   // Span is pinned to its histogram and non-movable; emplace per stage.
   if (opts.taxonomy) {
@@ -164,8 +166,8 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
     }
     ParallelForStats stats;
     result.taxonomy =
-        classifyIndexed(index_, schedule, opts.threads, opts.addrParams,
-                        opts.netParams, &stats, opts.minSplitCost);
+        classifyIndexed(index_, schedule, opts.threads, &stats,
+                        opts.minSplitCost);
     recordWorkerStats(stats);
   }
 
@@ -174,7 +176,7 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
     if (registry_ != nullptr) span.emplace(*registry_, "analysis.nist_seconds");
     std::vector<std::uint32_t> eligible;
     for (std::uint32_t si = 0; si < index_.sessions().size(); ++si) {
-      if (index_.sessions()[si].packetCount() >= opts.nistMinPackets) {
+      if (index_.sessions()[si].packetCount() >= kNistMinPackets) {
         eligible.push_back(si);
       }
     }
@@ -243,8 +245,7 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
     if (registry_ != nullptr) {
       span.emplace(*registry_, "analysis.heavy_hitter_seconds");
     }
-    result.heavyHitters =
-        findHeavyHitters(index_, opts.heavyHitterThresholdPercent);
+    result.heavyHitters = findHeavyHitters(index_);
     result.heavyHitterImpact = heavyHitterImpact(index_, result.heavyHitters);
   }
 
@@ -254,18 +255,9 @@ PipelineResult Pipeline::run(const bgp::SplitSchedule* schedule,
       span.emplace(*registry_, "analysis.fingerprint_seconds");
     }
     ParallelForStats stats;
-    result.fingerprint = fingerprintSessions(
-        index_, opts.rdns, opts.fingerprintParams, opts.threads, &stats);
+    result.fingerprint =
+        fingerprintSessions(index_, opts.rdns, opts.threads, &stats);
     recordWorkerStats(stats);
-  }
-
-  // No-op (and no counter export) in V6T_INDEX_STATS=OFF builds; the
-  // analysis result and digest are identical regardless.
-  if (registry_ != nullptr && kIndexStatsCompiledIn) {
-    registry_->counter("analysis.index.rescans_avoided_total")
-        .inc(index_.rescansAvoided() - rescans0);
-    registry_->counter("analysis.index.target_spans_served_total")
-        .inc(index_.targetSpansServed() - spans0);
   }
   return result;
 }

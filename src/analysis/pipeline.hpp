@@ -23,8 +23,6 @@
 //   analysis.sched.splits_total   heavy sources/sessions split into subtasks
 //                                 (DESIGN.md §13)
 //   analysis.sched.task_cost      histogram of estimated task costs
-//   analysis.index.rescans_avoided_total / target_spans_served_total
-//                                 full-capture re-scans the index replaced
 #pragma once
 
 #include <cstdint>
@@ -56,25 +54,20 @@ struct PipelineOptions {
   /// Taxonomy stage (on by default; heavy-hitter-only consumers can skip
   /// it and get an empty TaxonomyResult).
   bool taxonomy = true;
-  AddressSelectionParams addrParams;
-  NetworkSelectionParams netParams;
 
-  /// Heavy-hitter stage (expects the pipeline's sessions to be Addr128 —
-  /// hitters are defined per /128).
+  /// Heavy-hitter stage at the paper's threshold
+  /// (kHeavyHitterThresholdPercent; expects the pipeline's sessions to be
+  /// Addr128 — hitters are defined per /128).
   bool heavyHitters = true;
-  double heavyHitterThresholdPercent = 10.0;
 
   /// Fingerprint stage.
   bool fingerprint = true;
   const net::RdnsRegistry* rdns = nullptr;
-  FingerprintParams fingerprintParams;
 
-  /// NIST battery over sessions with >= nistMinPackets packets (the
-  /// paper's appendix-B workload: IID bits 64..127 and subnet bits
-  /// 32..63 per eligible session). Off by default — only the fig17
-  /// analyses need it.
+  /// NIST battery over sessions with >= 100 packets (the paper's
+  /// appendix-B workload: IID bits 64..127 and subnet bits 32..63 per
+  /// eligible session). Off by default — only the fig17 analyses need it.
   bool nistBattery = false;
-  std::size_t nistMinPackets = 100;
 };
 
 /// NIST verdicts for one eligible session.

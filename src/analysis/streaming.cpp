@@ -117,7 +117,7 @@ StreamingResult foldSummaries(
   for (const StreamingSourceReport& r : result.sources) {
     const double share =
         total == 0.0 ? 0.0 : 100.0 * static_cast<double>(r.packets) / total;
-    if (share <= opts.heavyHitterThresholdPercent) continue;
+    if (share <= kHeavyHitterThresholdPercent) continue;
     HeavyHitter h;
     h.source = r.source.addr;
     h.asn = r.asn;
@@ -178,17 +178,16 @@ void StreamingAnalyzer::closeWindow() {
     span.emplace(*opts_.metrics, "analysis.stream.window_seconds");
   }
 
-  // Window-local view: sessionize just this window's packets and build a
-  // CaptureIndex over them. Observability only — the capture-level fold
-  // below runs off the cross-window tracker, so sessions spanning a
-  // window edge are never split in the result.
+  // Window-local view: sessionize just this window's packets and count
+  // their sources with the grouping CaptureIndex uses. Observability only —
+  // the capture-level fold below runs off the cross-window tracker, so
+  // sessions spanning a window edge are never split in the result.
   telescope::Sessionizer local{opts_.agg, opts_.sessionTimeout};
   if (!opts_.captureGaps.empty()) local.setCaptureGaps(opts_.captureGaps);
   for (std::uint32_t i = 0; i < window_.size(); ++i) {
     local.offer(window_[i], i);
   }
   const std::vector<telescope::Session> localSessions = local.finish();
-  const CaptureIndex windowIndex{window_, localSessions};
 
   const std::int64_t len = opts_.windowLength.millis();
   StreamingWindowReport report;
@@ -196,7 +195,7 @@ void StreamingAnalyzer::closeWindow() {
   report.end = len > 0 ? sim::SimTime{(windowIdx_ + 1) * len}
                        : window_.back().ts;
   report.packets = window_.size();
-  report.sources = windowIndex.sourceCount();
+  report.sources = telescope::groupBySource(localSessions).size();
   report.sessions = localSessions.size();
   windows_.push_back(report);
 
@@ -263,8 +262,7 @@ StreamingResult analyzeOneShot(std::span<const net::Packet> packets,
                 r.asn = agg.asn;
                 result.sources[i] = r;
               });
-  result.heavyHitters =
-      findHeavyHitters(index, opts.heavyHitterThresholdPercent);
+  result.heavyHitters = findHeavyHitters(index);
   result.heavyHitterImpact = heavyHitterImpact(index, result.heavyHitters);
   return result;
 }

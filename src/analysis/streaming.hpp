@@ -5,7 +5,8 @@
 // packet stream — typically a SegmentStore cursor — in bounded time
 // windows: packets are buffered only for the current window, sessions are
 // tracked across window boundaries by the O(1)-state SessionTracker, and
-// each closed window gets its own CaptureIndex for windowed observability.
+// each closed window is sessionized on its own for windowed observability
+// (packets, sources, sessions per window; no CaptureIndex).
 // Capture-level results are folded from SessionSummary records, which are
 // exactly the facts CaptureIndex aggregates from full sessions — so the
 // StreamingResult, and its digest, is bitwise-identical to the one-shot
@@ -35,9 +36,9 @@ struct StreamingOptions {
   /// on the first packet observed.
   sim::Duration windowLength = sim::hours(24);
   sim::Duration sessionTimeout = telescope::kSessionTimeout;
-  /// Aggregation for session tracking; heavy hitters are defined on /128.
+  /// Aggregation for session tracking; heavy hitters are defined on /128
+  /// at kHeavyHitterThresholdPercent.
   telescope::SourceAgg agg = telescope::SourceAgg::Addr128;
-  double heavyHitterThresholdPercent = 10.0;
   /// Worker count for the per-source fold at finish(); 1 = serial
   /// reference. The result is bitwise-identical for every value.
   unsigned threads = 1;
@@ -64,7 +65,8 @@ struct StreamingWindowReport {
   sim::SimTime start;
   sim::SimTime end;
   std::uint64_t packets = 0;
-  /// Distinct sources within the window (from the window's CaptureIndex).
+  /// Distinct sources within the window (groupBySource over the window's
+  /// own sessions).
   std::uint64_t sources = 0;
   /// Window-local session count (sessions split at window edges here;
   /// the capture-level tracker does not).

@@ -11,7 +11,6 @@
 #include "analysis/dbscan.hpp"
 #include "analysis/nist.hpp"
 #include "analysis/parallel.hpp"
-#include "analysis/simd.hpp"
 
 namespace v6t::analysis {
 
@@ -88,11 +87,19 @@ bool isStructuredType(AddressType t) {
   return t != AddressType::Randomized;
 }
 
+/// §5.3: share of a session's targets in structured addr6 categories that
+/// makes the session structured.
+constexpr double kStructuredShare = 0.6;
+
+/// §5.3 / Appendix B: sessions of at least this many packets get the NIST
+/// frequency test. SP 800-22 needs >= 100 bits; with 64 IID bits per
+/// address any such session is far above that.
+constexpr std::size_t kMinPacketsForNist = 100;
+
 } // namespace
 
 AddressSelection classifyAddressSelection(
-    std::span<const net::Ipv6Address> targets,
-    const AddressSelectionParams& params) {
+    std::span<const net::Ipv6Address> targets) {
   if (targets.empty()) return AddressSelection::Unknown;
 
   // addr6-style structure: a dominant structured category.
@@ -105,7 +112,7 @@ AddressSelection classifyAddressSelection(
   }
   const double structuredRatio =
       static_cast<double>(structured) / static_cast<double>(targets.size());
-  if (structuredRatio >= params.structuredShare) {
+  if (structuredRatio >= kStructuredShare) {
     return AddressSelection::Structured;
   }
   // Sequential traversal of the space is structure even if the individual
@@ -115,9 +122,9 @@ AddressSelection classifyAddressSelection(
   }
 
   // Statistical randomness of the IID bits (§5.3 method).
-  if (targets.size() >= params.minPacketsForNist) {
+  if (targets.size() >= kMinPacketsForNist) {
     const BitSequence bits = bitsFromAddresses(targets, 64, 64);
-    if (frequencyTest(bits).pass(params.alpha)) {
+    if (frequencyTest(bits).pass()) {
       return AddressSelection::Random;
     }
   }
@@ -125,11 +132,7 @@ AddressSelection classifyAddressSelection(
 }
 
 AddressSelection classifyAddressSelection(const CaptureIndex& index,
-                                          std::uint32_t s,
-                                          const AddressSelectionParams& params) {
-  if (!simdKernelsEnabled()) {
-    return classifyAddressSelection(index.targetsOf(s), params);
-  }
+                                          std::uint32_t s) {
   // Columnar mirror of the row path above: same decision sequence, same
   // doubles, word kernels throughout (DESIGN.md §16).
   const CaptureIndex::TargetColumns cols = index.columnsOf(s);
@@ -145,15 +148,15 @@ AddressSelection classifyAddressSelection(const CaptureIndex& index,
   }
   const double structuredRatio =
       static_cast<double>(structured) / static_cast<double>(n);
-  if (structuredRatio >= params.structuredShare) {
+  if (structuredRatio >= kStructuredShare) {
     return AddressSelection::Structured;
   }
   if (n >= 8 && monotonicShareLanes(cols.hi, cols.lo) >= 0.9) {
     return AddressSelection::Structured;
   }
 
-  if (n >= params.minPacketsForNist) {
-    if (frequencyTestPacked(index.iidBitsOf(s)).pass(params.alpha)) {
+  if (n >= kMinPacketsForNist) {
+    if (frequencyTestPacked(index.iidBitsOf(s)).pass()) {
       return AddressSelection::Random;
     }
   }
@@ -161,6 +164,10 @@ AddressSelection classifyAddressSelection(const CaptureIndex& index,
 }
 
 namespace {
+
+/// §5.2: |Pearson r| between host bits and per-prefix session count above
+/// which a cycle's coverage is size-driven.
+constexpr double kSizeCorrelation = 0.6;
 
 /// Size-invariant behavioral summary of one announcement cycle: these
 /// numbers characterize *how* the scanner spread its sessions, not how
@@ -217,36 +224,39 @@ CycleStats cycleStats(const CycleActivity& cycle) {
 /// nearby points, regardless of how many prefixes the cycle announced.
 /// The size-correlation only enters when it is decisive — a uniform
 /// scanner's Pearson r is small-sample noise that must not split clusters.
-std::array<double, 3> cycleFeature(const CycleStats& stats,
-                                   const NetworkSelectionParams& params) {
+std::array<double, 3> cycleFeature(const CycleStats& stats) {
   if (!stats.multiPrefix) return {0.0, 0.0, 0.5};
   const double corrFeature =
-      std::abs(stats.sizeCorr) >= params.sizeCorrelation
+      std::abs(stats.sizeCorr) >= kSizeCorrelation
           ? (stats.sizeCorr + 1.0) / 2.0
           : 0.5;
   return {1.0, std::min(stats.cv, 2.0) / 2.0, corrFeature};
 }
 
+/// §5.2: coefficient of variation of per-prefix session counts at or
+/// below which a cycle's coverage is uniform (size-independent).
+/// Partially covered cycles (a scanner active for half the cycle) still
+/// count as uniform coverage.
+constexpr double kUniformCv = 1.0;
+
 } // namespace
 
-NetworkSelection classifyCycle(const CycleActivity& cycle,
-                               const NetworkSelectionParams& params) {
+NetworkSelection classifyCycle(const CycleActivity& cycle) {
   const CycleStats stats = cycleStats(cycle);
   if (!stats.multiPrefix) return NetworkSelection::SinglePrefix;
   // Size-driven coverage first: its session counts also have a modest
   // coefficient of variation, so the uniformity check must not see it.
   // The cv floor keeps near-constant counts (whose Pearson r is noise)
   // out of this branch.
-  if (stats.sizeCorr >= params.sizeCorrelation && stats.cv > 0.25) {
+  if (stats.sizeCorr >= kSizeCorrelation && stats.cv > 0.25) {
     return NetworkSelection::SizeDependent;
   }
-  if (stats.cv <= params.uniformCv) return NetworkSelection::SizeIndependent;
+  if (stats.cv <= kUniformCv) return NetworkSelection::SizeIndependent;
   return NetworkSelection::Inconsistent;
 }
 
 NetworkSelection classifyNetworkSelection(
-    std::span<const CycleActivity> allCycles,
-    const NetworkSelectionParams& params) {
+    std::span<const CycleActivity> allCycles) {
   if (allCycles.empty()) return NetworkSelection::SinglePrefix;
 
   // Cycles during which only one prefix was announced carry no signal
@@ -256,7 +266,7 @@ NetworkSelection classifyNetworkSelection(
     if (c.prefixLengths.size() >= 2) cycles.push_back(c);
   }
   if (cycles.empty()) return NetworkSelection::SinglePrefix;
-  if (cycles.size() == 1) return classifyCycle(cycles[0], params);
+  if (cycles.size() == 1) return classifyCycle(cycles[0]);
 
   // Group the cycles' behavioral features by DBSCAN (§5.2 method): a
   // source whose per-cycle behavior falls into more than one density
@@ -264,7 +274,7 @@ NetworkSelection classifyNetworkSelection(
   std::vector<std::array<double, 3>> profiles;
   profiles.reserve(cycles.size());
   for (const CycleActivity& c : cycles) {
-    profiles.push_back(cycleFeature(cycleStats(c), params));
+    profiles.push_back(cycleFeature(cycleStats(c)));
   }
 
   auto distance = [&](std::size_t a, std::size_t b) {
@@ -274,13 +284,17 @@ NetworkSelection classifyNetworkSelection(
     }
     return d;
   };
+  // §5.2: L1 radius in feature space; every cycle is a core point.
+  constexpr double kDbscanEpsilon = 0.5;
+  constexpr std::size_t kDbscanMinPts = 1;
   const DbscanResult clusters =
-      dbscan(cycles.size(), params.dbscanEpsilon, params.dbscanMinPts,
-             distance);
-  // A scanner is coherent if one behavior cluster dominates its cycles;
-  // a few partially-observed cycles (the scanner came online mid-cycle)
-  // are tolerated as outliers. A genuine behavior change produces two
-  // comparable clusters and lands in Inconsistent.
+      dbscan(cycles.size(), kDbscanEpsilon, kDbscanMinPts, distance);
+  // A scanner is coherent if one behavior cluster dominates its cycles
+  // (§5.2: holds at least kDominantShare of them); a few partially-observed
+  // cycles (the scanner came online mid-cycle) are tolerated as outliers.
+  // A genuine behavior change produces two comparable clusters and lands
+  // in Inconsistent.
+  constexpr double kDominantShare = 0.7;
   std::map<int, std::size_t> clusterSizes;
   for (int label : clusters.label) {
     if (label != kDbscanNoise) ++clusterSizes[label];
@@ -295,7 +309,7 @@ NetworkSelection classifyNetworkSelection(
   }
   if (dominant == kDbscanNoise ||
       static_cast<double>(dominantSize) <
-          params.dominantShare * static_cast<double>(cycles.size())) {
+          kDominantShare * static_cast<double>(cycles.size())) {
     return NetworkSelection::Inconsistent;
   }
 
@@ -303,7 +317,7 @@ NetworkSelection classifyNetworkSelection(
   std::size_t votes[4] = {0, 0, 0, 0};
   for (std::size_t i = 0; i < cycles.size(); ++i) {
     if (clusters.label[i] != dominant) continue;
-    ++votes[static_cast<std::size_t>(classifyCycle(cycles[i], params))];
+    ++votes[static_cast<std::size_t>(classifyCycle(cycles[i]))];
   }
   std::size_t best = 0;
   for (std::size_t i = 1; i < 4; ++i) {
@@ -353,11 +367,10 @@ namespace {
 /// for a split one. Pure function of the block.
 void classifyAddrBlock(const CaptureIndex& index,
                        std::span<const std::uint32_t> sessionIdx,
-                       const AddressSelectionParams& addrParams,
                        std::vector<AddressSelection>& sessionAddrSel,
                        std::uint64_t counts[3]) {
   for (std::uint32_t si : sessionIdx) {
-    const AddressSelection sel = classifyAddressSelection(index, si, addrParams);
+    const AddressSelection sel = classifyAddressSelection(index, si);
     sessionAddrSel[si] = sel;
     counts[static_cast<std::size_t>(sel)]++;
   }
@@ -368,7 +381,6 @@ void classifyAddrBlock(const CaptureIndex& index,
 /// split source can run this concurrently with them.
 void classifySourceRest(const CaptureIndex& index, std::size_t srcIdx,
                         const bgp::SplitSchedule* schedule,
-                        const NetworkSelectionParams& netParams,
                         TaxonomyResult& out) {
   const std::span<const telescope::Session> sessions = index.sessions();
   const std::span<const std::uint32_t> sessionIdx = index.sessionsOf(srcIdx);
@@ -397,7 +409,8 @@ void classifySourceRest(const CaptureIndex& index, std::size_t srcIdx,
       }
       // Attribute the session to the most specific announced prefix its
       // first target falls into.
-      const net::Ipv6Address target = index.targetsOf(i).front();
+      const CaptureIndex::TargetColumns cols = index.columnsOf(i);
+      const net::Ipv6Address target{cols.hi.front(), cols.lo.front()};
       std::size_t bestIdx = cycle->announced.size();
       unsigned bestLen = 0;
       for (std::size_t k = 0; k < cycle->announced.size(); ++k) {
@@ -416,7 +429,7 @@ void classifySourceRest(const CaptureIndex& index, std::size_t srcIdx,
     for (auto& [cycleIdx, activity] : perCycle) {
       cycles.push_back(std::move(activity));
     }
-    profile.network = classifyNetworkSelection(cycles, netParams);
+    profile.network = classifyNetworkSelection(cycles);
   } else {
     profile.network = NetworkSelection::SinglePrefix;
   }
@@ -427,18 +440,12 @@ void classifySourceRest(const CaptureIndex& index, std::size_t srcIdx,
 TaxonomyResult classifyIndexed(const CaptureIndex& index,
                                const bgp::SplitSchedule* schedule,
                                unsigned threads,
-                               const AddressSelectionParams& addrParams,
-                               const NetworkSelectionParams& netParams,
                                ParallelForStats* statsOut,
                                std::uint64_t minSplitCost) {
   TaxonomyResult result;
   result.sessionAddrSel.assign(index.sessions().size(),
                                AddressSelection::Unknown);
   result.profiles.resize(index.sourceCount());
-  // The address and temporal axes both used to walk the packet vector to
-  // re-extract targets / gather starts; the index serves them from memos.
-  index.noteRescanAvoided();
-  index.noteRescanAvoided();
 
   // Build the task list: light sources are one task; a source whose
   // estimated cost reaches minSplitCost splits into session-block
@@ -497,20 +504,18 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
             index.sessionsOf(task.source);
         switch (task.kind) {
           case Task::Whole:
-            classifyAddrBlock(index, sess, addrParams, result.sessionAddrSel,
+            classifyAddrBlock(index, sess, result.sessionAddrSel,
                               result.profiles[task.source].sessionsByAddrSel);
-            classifySourceRest(index, task.source, schedule, netParams,
-                               result);
+            classifySourceRest(index, task.source, schedule, result);
             break;
           case Task::Block:
             classifyAddrBlock(index,
                               sess.subspan(task.begin, task.end - task.begin),
-                              addrParams, result.sessionAddrSel,
+                              result.sessionAddrSel,
                               blockCounts[task.countSlot].data());
             break;
           case Task::Rest:
-            classifySourceRest(index, task.source, schedule, netParams,
-                               result);
+            classifySourceRest(index, task.source, schedule, result);
             break;
         }
       });
@@ -531,11 +536,9 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
 
 TaxonomyResult classifyCapture(std::span<const net::Packet> packets,
                                std::span<const telescope::Session> sessions,
-                               const bgp::SplitSchedule* schedule,
-                               const AddressSelectionParams& addrParams,
-                               const NetworkSelectionParams& netParams) {
+                               const bgp::SplitSchedule* schedule) {
   const CaptureIndex index{packets, sessions};
-  return classifyIndexed(index, schedule, 1, addrParams, netParams);
+  return classifyIndexed(index, schedule, 1);
 }
 
 } // namespace v6t::analysis

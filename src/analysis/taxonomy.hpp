@@ -8,6 +8,14 @@
 //                        cycles of the BGP experiment as context
 //   address selection    structured / random / unknown (§5.3) — addr6-style
 //                        structure detection plus the NIST frequency test
+//                        over each session's 64 IID bits
+//
+// Address selection has two entry points with one body each: the row
+// overload runs the scalar reference kernels, the index overload the
+// word-level ones over the CaptureIndex lanes (DESIGN.md §16), and the
+// two agree session for session. The estimators' thresholds are named
+// constants beside their one use in taxonomy.cpp, each citing the paper
+// section it comes from.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +26,6 @@
 #include <vector>
 
 #include "analysis/addr_class.hpp"
-#include "analysis/nist.hpp"
 #include "analysis/parallel.hpp"
 #include "bgp/splitter.hpp"
 #include "net/packet.hpp"
@@ -50,21 +57,11 @@ enum class AddressSelection : std::uint8_t { Structured, Random, Unknown };
 
 [[nodiscard]] std::string_view toString(AddressSelection s);
 
-struct AddressSelectionParams {
-  /// Share of targets in one structured addr6 category (or detected
-  /// sequential traversal) required to call the session structured.
-  double structuredShare = 0.6;
-  /// Minimum packets for the NIST frequency test (SP 800-22 needs >= 100
-  /// bits; with 64 IID bits per address any session of >= 100 packets is
-  /// far above that).
-  std::size_t minPacketsForNist = 100;
-  double alpha = kNistAlpha;
-};
-
-/// Classify one session's target list.
+/// Classify one session's target list — the row path, built on the
+/// scalar reference classifier (classifyAll) and the byte-per-bit NIST
+/// frequency test.
 [[nodiscard]] AddressSelection classifyAddressSelection(
-    std::span<const net::Ipv6Address> targets,
-    const AddressSelectionParams& params = {});
+    std::span<const net::Ipv6Address> targets);
 
 // ------------------------------------------------------- network selection
 
@@ -87,33 +84,14 @@ struct CycleActivity {
   std::vector<unsigned> prefixLengths; // announced prefix lengths
 };
 
-struct NetworkSelectionParams {
-  /// Coefficient of variation below which per-prefix session counts are
-  /// considered uniform (size-independent). Partially-covered cycles (a
-  /// scanner active for half the cycle) still count as uniform coverage.
-  double uniformCv = 1.0;
-  /// |Pearson r| between host-bits and session count above which counts are
-  /// considered size-driven.
-  double sizeCorrelation = 0.6;
-  /// DBSCAN parameters for grouping per-cycle profiles of one source; a
-  /// source without a dominant behavior cluster is inconsistent.
-  double dbscanEpsilon = 0.5;
-  std::size_t dbscanMinPts = 1;
-  /// Minimum share of a source's cycles that the dominant behavior
-  /// cluster must hold; partially-observed outlier cycles are tolerated.
-  double dominantShare = 0.7;
-};
-
 /// Per-cycle label used internally and exposed for tests.
-[[nodiscard]] NetworkSelection classifyCycle(
-    const CycleActivity& cycle, const NetworkSelectionParams& params = {});
+[[nodiscard]] NetworkSelection classifyCycle(const CycleActivity& cycle);
 
 /// Combine a source's behavior across all cycles it was active in.
 /// Cycles are first grouped by DBSCAN over their normalized per-prefix
 /// session distribution; sources whose cycles disagree are inconsistent.
 [[nodiscard]] NetworkSelection classifyNetworkSelection(
-    std::span<const CycleActivity> cycles,
-    const NetworkSelectionParams& params = {});
+    std::span<const CycleActivity> cycles);
 
 // ----------------------------------------------------- corpus-level driver
 
@@ -146,28 +124,24 @@ struct TaxonomyResult {
 [[nodiscard]] TaxonomyResult classifyCapture(
     std::span<const net::Packet> packets,
     std::span<const telescope::Session> sessions,
-    const bgp::SplitSchedule* schedule,
-    const AddressSelectionParams& addrParams = {},
-    const NetworkSelectionParams& netParams = {});
+    const bgp::SplitSchedule* schedule);
 
 class CaptureIndex;
 
 /// Columnar overload: classify session `s` straight off the index's
-/// columns — classifyLanes over the IID lane, monotonic share on the
-/// (hi, lo) lane pair, packed frequency test on the bit column — with no
-/// address materialization. Bit-identical to
-/// classifyAddressSelection(index.targetsOf(s), params); dispatches to
-/// that scalar row path when the SIMD kernels are off (simd.hpp).
+/// lanes with the word kernels — classifyLanes over the IID lane,
+/// monotonic share on the (hi, lo) lane pair, packed frequency test on
+/// the bit column — with no address materialization. Equal to the row
+/// overload over the session's targets.
 [[nodiscard]] AddressSelection classifyAddressSelection(
-    const CaptureIndex& index, std::uint32_t s,
-    const AddressSelectionParams& params = {});
+    const CaptureIndex& index, std::uint32_t s);
 
-/// Taxonomy over a pre-built shared index: targets and session-start runs
-/// come from the index memos instead of fresh packet-vector walks, and the
-/// per-source classification fans out cost-aware (LPT list scheduling,
-/// DESIGN.md §13) over `threads` workers, with per-source costs estimated
-/// from the index aggregates. Sources whose estimated cost reaches
-/// `minSplitCost` are split: their per-session address
+/// Taxonomy over a pre-built shared index: target lanes and session-start
+/// runs come from the index memos instead of fresh packet-vector walks,
+/// and the per-source classification fans out cost-aware (LPT list
+/// scheduling, DESIGN.md §13) over `threads` workers, with per-source
+/// costs estimated from the index aggregates. Sources whose estimated cost
+/// reaches `minSplitCost` are split: their per-session address
 /// classification becomes session-block subtasks writing disjoint
 /// `sessionAddrSel` slots plus private per-block counters, the
 /// temporal/network axes become a rest subtask, and the block counters
@@ -179,9 +153,7 @@ class CaptureIndex;
 /// the pipeline's imbalance instrumentation.
 [[nodiscard]] TaxonomyResult classifyIndexed(
     const CaptureIndex& index, const bgp::SplitSchedule* schedule,
-    unsigned threads = 1, const AddressSelectionParams& addrParams = {},
-    const NetworkSelectionParams& netParams = {},
-    ParallelForStats* statsOut = nullptr,
+    unsigned threads = 1, ParallelForStats* statsOut = nullptr,
     std::uint64_t minSplitCost = kDefaultMinSplitCost);
 
 } // namespace v6t::analysis

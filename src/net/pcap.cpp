@@ -67,8 +67,11 @@ void writeRecord(std::ostream& out, const Packet& p, bool withOrigin) {
 }
 
 RecordStatus readRecord(std::istream& in, Packet& p, bool withOrigin) {
+  // A file ends at a record boundary: zero bytes left is a clean end, and
+  // any partial record — a partial timestamp included — is torn.
+  if (in.peek() == std::istream::traits_type::eof()) return RecordStatus::Eof;
   std::int64_t ts = 0;
-  if (!getLe(in, ts)) return RecordStatus::Eof;
+  if (!getLe(in, ts)) return RecordStatus::Malformed;
   p = Packet{};
   p.ts = sim::SimTime{ts};
   std::array<std::uint8_t, 16> addr{};

@@ -52,7 +52,8 @@ void writeRecord(std::ostream& out, const Packet& p, bool withOrigin);
 enum class RecordStatus : std::uint8_t {
   Ok,        ///< `p` holds the next record
   Eof,       ///< clean end: zero bytes available at a record boundary
-  Malformed, ///< torn record, unknown protocol, or oversized payload
+  Malformed, ///< torn record (any partial record, even a partial
+             ///< timestamp), unknown protocol, or oversized payload
 };
 
 /// Read the next record from `in`. `withOrigin` must match how the stream

@@ -212,8 +212,7 @@ QueryEngine::QueryEngine(std::span<const net::Packet> packets,
   }
 
   const analysis::TaxonomyResult taxonomy = analysis::classifyIndexed(
-      idx, schedule, options.analysisThreads, {}, {}, nullptr,
-      options.minSplitCost);
+      idx, schedule, options.analysisThreads, nullptr, options.minSplitCost);
   table6_.body = renderTable6(idx, taxonomy);
   reactionDelays_ = renderReactionDelays(packets, schedule);
   temporal_.reserve(n);

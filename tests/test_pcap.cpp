@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "net/asn.hpp"
 #include "net/packet.hpp"
@@ -72,16 +73,20 @@ TEST(Pcap, TornRecordFlagsError) {
   std::stringstream stream;
   CaptureWriter writer{stream};
   writer.write(samplePacket(rng));
+  const std::size_t boundary = stream.str().size();
   writer.write(samplePacket(rng));
-  std::string data = stream.str();
-  data.resize(data.size() - 7); // tear the last record
+  const std::string data = stream.str();
+  ASSERT_GT(data.size(), boundary + 8);
 
-  std::stringstream torn{data};
-  CaptureReader reader{torn};
-  ASSERT_TRUE(reader.ok());
-  EXPECT_TRUE(reader.next().has_value());
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_FALSE(reader.ok()); // torn, not clean EOF
+  // Every cut inside the last record — a partial timestamp included —
+  // reads the first record and then flags the file as torn.
+  for (std::size_t keep = 1; boundary + keep < data.size(); ++keep) {
+    std::stringstream torn{data.substr(0, boundary + keep)};
+    CaptureReader reader{torn};
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ(reader.readAll().size(), 1u) << "kept " << keep << " bytes";
+    EXPECT_FALSE(reader.ok()) << "kept " << keep << " bytes";
+  }
 }
 
 TEST(Pcap, EmptyCapture) {

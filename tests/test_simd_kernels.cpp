@@ -1,22 +1,24 @@
-// Property battery proving the columnar/SIMD analysis kernels bit-identical
+// Property battery proving the word-level analysis kernels bit-identical
 // to their scalar references (DESIGN.md §16): packed-bit NIST tests at every
 // word-boundary length, the word classifier over corpora covering all nine
-// address types, the CaptureIndex bit/lane columns against row-major
-// extraction, and the full pipeline digest with the kernels toggled both
-// ways. Every double is compared bitwise — "close" is a failure.
+// address types, the CaptureIndex bit columns and lanes against targets
+// gathered from the packets, and columnar address selection against the
+// row path for every session of a capture that reaches each of its
+// branches. Every double is compared bitwise — "close" is a failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ios>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "analysis/addr_class.hpp"
 #include "analysis/capture_index.hpp"
 #include "analysis/nist.hpp"
-#include "analysis/pipeline.hpp"
-#include "analysis/simd.hpp"
+#include "analysis/taxonomy.hpp"
 #include "net/ipv6.hpp"
 #include "net/packet.hpp"
 #include "sim/rng.hpp"
@@ -118,7 +120,7 @@ TEST(PackedNist, FrequencyAndRunsBitIdenticalToScalar) {
   }
 }
 
-TEST(PackedNist, FullBatteryBitIdenticalForEveryBlockAndToggle) {
+TEST(PackedNist, FullBatteryBitIdenticalForEveryBlock) {
   sim::Rng rng{4};
   for (const std::size_t n : {100u, 129u, 512u, 1000u}) {
     const BitSequence bits = randomBits(rng, n, 0.5);
@@ -126,17 +128,13 @@ TEST(PackedNist, FullBatteryBitIdenticalForEveryBlockAndToggle) {
     for (const NistBlock block :
          {NistBlock::All, NistBlock::Spectral, NistBlock::NonSpectral}) {
       const NistSummary want = runNistTests(bits, block);
-      for (const bool simd : {false, true}) {
-        ScopedSimdKernels toggle{simd};
-        const NistSummary got = runNistTestsPacked({words, n}, block);
-        EXPECT_TRUE(bitEqual(got.frequency.pValue, want.frequency.pValue));
-        EXPECT_TRUE(bitEqual(got.runs.pValue, want.runs.pValue));
-        EXPECT_TRUE(bitEqual(got.spectral.pValue, want.spectral.pValue));
-        EXPECT_TRUE(
-            bitEqual(got.cusumForward.pValue, want.cusumForward.pValue));
-        EXPECT_TRUE(
-            bitEqual(got.cusumBackward.pValue, want.cusumBackward.pValue));
-      }
+      const NistSummary got = runNistTestsPacked({words, n}, block);
+      EXPECT_TRUE(bitEqual(got.frequency.pValue, want.frequency.pValue));
+      EXPECT_TRUE(bitEqual(got.runs.pValue, want.runs.pValue));
+      EXPECT_TRUE(bitEqual(got.spectral.pValue, want.spectral.pValue));
+      EXPECT_TRUE(bitEqual(got.cusumForward.pValue, want.cusumForward.pValue));
+      EXPECT_TRUE(
+          bitEqual(got.cusumBackward.pValue, want.cusumBackward.pValue));
     }
   }
 }
@@ -237,23 +235,19 @@ TEST(WordClassifier, BitIdenticalToScalarOverFullCorpus) {
   }
 }
 
-TEST(WordClassifier, ClassifyAllMatchesLanesUnderBothToggles) {
+TEST(WordClassifier, ClassifyAllMatchesLanes) {
   const std::vector<net::Ipv6Address> corpus = classifierCorpus();
   std::vector<std::uint64_t> hi(corpus.size());
   std::vector<std::uint64_t> lo(corpus.size());
   net::gatherLanes(corpus, hi, lo);
   const AddressTypeHistogram lanes = classifyLanes(lo);
-  for (const bool simd : {false, true}) {
-    ScopedSimdKernels toggle{simd};
-    const AddressTypeHistogram rows = classifyAll(corpus);
-    for (std::size_t t = 0; t < kAddressTypeCount; ++t) {
-      EXPECT_EQ(rows.count[t], lanes.count[t])
-          << "simd=" << simd << " type " << t;
-    }
+  const AddressTypeHistogram rows = classifyAll(corpus);
+  for (std::size_t t = 0; t < kAddressTypeCount; ++t) {
+    EXPECT_EQ(rows.count[t], lanes.count[t]) << "type " << t;
   }
 }
 
-// --- CaptureIndex columns vs row-major extraction ------------------------
+// --- CaptureIndex columns vs targets gathered from the packets ----------
 
 std::vector<net::Packet> syntheticCapture(std::uint64_t seed, std::size_t n) {
   sim::Rng rng{seed};
@@ -279,6 +273,15 @@ std::vector<net::Packet> syntheticCapture(std::uint64_t seed, std::size_t n) {
   return packets;
 }
 
+/// A session's destination addresses, straight from its packets.
+std::vector<net::Ipv6Address> targetsOf(std::span<const net::Packet> packets,
+                                        const telescope::Session& s) {
+  std::vector<net::Ipv6Address> targets;
+  targets.reserve(s.packetIdx.size());
+  for (std::uint32_t idx : s.packetIdx) targets.push_back(packets[idx].dst);
+  return targets;
+}
+
 TEST(IndexColumns, BitColumnsAndLanesMatchRowMajorExtraction) {
   const std::vector<net::Packet> packets = syntheticCapture(8, 6000);
   const std::vector<telescope::Session> sessions = telescope::sessionize(
@@ -286,7 +289,8 @@ TEST(IndexColumns, BitColumnsAndLanesMatchRowMajorExtraction) {
   const CaptureIndex index{packets, sessions};
   ASSERT_GT(sessions.size(), 10u);
   for (std::uint32_t s = 0; s < sessions.size(); ++s) {
-    const std::span<const net::Ipv6Address> targets = index.targetsOf(s);
+    const std::vector<net::Ipv6Address> targets =
+        targetsOf(packets, sessions[s]);
 
     // Bit columns == the scalar per-bit extraction, axis by axis.
     const PackedBits iid = index.iidBitsOf(s);
@@ -298,50 +302,107 @@ TEST(IndexColumns, BitColumnsAndLanesMatchRowMajorExtraction) {
     EXPECT_EQ(unpackBits(subnet), bitsFromAddresses(targets, 32, 32))
         << "session " << s;
 
-    // Lane/ts/port/payload columns == the session's packets, field-wise.
+    // Lanes == the targets' two u64 halves, in arrival order.
     const CaptureIndex::TargetColumns cols = index.columnsOf(s);
-    ASSERT_EQ(cols.hi.size(), sessions[s].packetIdx.size());
-    for (std::size_t k = 0; k < cols.hi.size(); ++k) {
-      const net::Packet& p = packets[sessions[s].packetIdx[k]];
-      EXPECT_EQ(cols.hi[k], p.dst.hi64());
-      EXPECT_EQ(cols.lo[k], p.dst.lo64());
-      EXPECT_EQ(cols.ts[k], p.ts);
-      EXPECT_EQ(cols.srcHi[k], p.src.hi64());
-      EXPECT_EQ(cols.srcLo[k], p.src.lo64());
-      EXPECT_EQ(cols.port[k], p.dstPort);
-      EXPECT_EQ(cols.payloadLen[k], p.payload.size());
+    ASSERT_EQ(cols.hi.size(), targets.size());
+    ASSERT_EQ(cols.lo.size(), targets.size());
+    EXPECT_EQ(index.sessionPacketCountOf(s), targets.size());
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      EXPECT_EQ(cols.hi[k], targets[k].hi64());
+      EXPECT_EQ(cols.lo[k], targets[k].lo64());
     }
   }
 }
 
-// --- end to end: the pipeline digest must not see the toggle -------------
+// --- columnar address selection vs the row path --------------------------
 
-TEST(SimdDispatch, PipelineDigestIdenticalWithKernelsOnAndOff) {
-  const std::vector<net::Packet> packets = syntheticCapture(9, 12000);
-  const std::vector<telescope::Session> sessions = telescope::sessionize(
-      packets, telescope::SourceAgg::Addr128, sim::minutes(30), nullptr, {});
-  std::uint64_t digests[2] = {};
-  for (const bool simd : {false, true}) {
-    ScopedSimdKernels toggle{simd};
-    PipelineOptions opts;
-    opts.threads = 2;
-    opts.nistBattery = true;
-    const PipelineResult result =
-        Pipeline::analyze(packets, sessions, nullptr, opts);
-    digests[simd ? 1 : 0] = result.digest();
-    EXPECT_FALSE(result.nist.empty());
+/// One source per session, each drawn to reach a branch of address
+/// selection: structured IIDs, a structured share of exactly 60 %,
+/// sequential traversal of random-looking IIDs, random IIDs below and at
+/// or above the NIST minimum of 100 packets, and biased IIDs that fail
+/// the frequency test.
+std::vector<net::Packet> addressSelectionCapture(std::uint64_t seed) {
+  sim::Rng rng{seed};
+  std::vector<net::Packet> packets;
+  std::int64_t now = 0;
+  const std::uint64_t subnet = 0x2001'0db8'ffff'0000ULL;
+  for (std::uint64_t source = 1; source <= 120; ++source) {
+    std::vector<net::Ipv6Address> targets;
+    // Draws the IID (the argument) before the random /48 subnet.
+    auto target = [&](std::uint64_t iid) {
+      targets.emplace_back(subnet | rng.below(1ULL << 16), iid);
+    };
+    switch (source % 6) {
+      case 0: // structured: low-byte IIDs
+        for (std::uint64_t k = 1 + rng.below(200); k > 0; --k) {
+          target(1 + rng.below(255));
+        }
+        break;
+      case 1: // 6 structured IIDs in every 10: the share threshold
+        for (std::uint64_t k = 10 * (1 + rng.below(3)); k > 0; --k) {
+          target(k % 10 < 4 ? rng.next() : 1 + rng.below(255));
+        }
+        break;
+      case 2: { // sequential traversal: random IIDs in ascending order
+        std::vector<std::uint64_t> iids(8 + rng.below(150));
+        for (std::uint64_t& iid : iids) iid = rng.next();
+        std::sort(iids.begin(), iids.end());
+        for (std::uint64_t iid : iids) targets.emplace_back(subnet, iid);
+        break;
+      }
+      case 3: // random, too few packets for the NIST test
+        for (std::uint64_t k = 1 + rng.below(99); k > 0; --k) {
+          target(rng.next());
+        }
+        break;
+      case 4: // random, NIST-sized
+        for (std::uint64_t k = 100 + rng.below(200); k > 0; --k) {
+          target(rng.next());
+        }
+        break;
+      default: // NIST-sized, ones at 5/8: fails the frequency test
+        for (std::uint64_t k = 100 + rng.below(200); k > 0; --k) {
+          const std::uint64_t a = rng.next();
+          const std::uint64_t b = rng.next();
+          target(a | (b & rng.next()));
+        }
+        break;
+    }
+    for (const net::Ipv6Address& dst : targets) {
+      now += 1 + static_cast<std::int64_t>(rng.below(1000));
+      net::Packet p;
+      p.ts = sim::SimTime{now};
+      p.src = net::Ipv6Address{0x2001'0db8'0000'0000ULL, source};
+      p.dst = dst;
+      packets.push_back(p);
+    }
   }
-  EXPECT_EQ(digests[0], digests[1]);
+  return packets;
 }
 
-TEST(SimdDispatch, RuntimeToggleRespectsCompileTimeSwitch) {
-  setSimdKernelsEnabled(true);
-  EXPECT_EQ(simdKernelsEnabled(), kSimdCompiledIn);
-  {
-    ScopedSimdKernels off{false};
-    EXPECT_FALSE(simdKernelsEnabled());
+TEST(ColumnarAddressSelection, MatchesRowPathForEverySession) {
+  const std::vector<net::Packet> packets = addressSelectionCapture(10);
+  const std::vector<telescope::Session> sessions = telescope::sessionize(
+      packets, telescope::SourceAgg::Addr128, sim::minutes(30), nullptr, {});
+  const CaptureIndex index{packets, sessions};
+  ASSERT_EQ(sessions.size(), 120u);
+  std::size_t byClass[3] = {};
+  std::size_t nistSized = 0;
+  for (std::uint32_t s = 0; s < sessions.size(); ++s) {
+    const std::vector<net::Ipv6Address> targets =
+        targetsOf(packets, sessions[s]);
+    if (targets.size() >= 100) ++nistSized;
+    const AddressSelection row = classifyAddressSelection(targets);
+    EXPECT_EQ(classifyAddressSelection(index, s), row)
+        << "session " << s << " (" << targets.size() << " packets)";
+    ++byClass[static_cast<std::size_t>(row)];
   }
-  EXPECT_EQ(simdKernelsEnabled(), kSimdCompiledIn); // restored
+  EXPECT_GT(nistSized, 0u);
+  for (const AddressSelection c : {AddressSelection::Structured,
+                                   AddressSelection::Random,
+                                   AddressSelection::Unknown}) {
+    EXPECT_GT(byClass[static_cast<std::size_t>(c)], 0u) << toString(c);
+  }
 }
 
 } // namespace

@@ -113,15 +113,15 @@ TEST_F(SplitMergeTest, HeavySourceIsActuallySkewed) {
 TEST_F(SplitMergeTest, ClassifySplitBitwiseEqualsUnsplit) {
   // Unsplit serial reference: threshold far above any source's cost.
   ParallelForStats refStats;
-  const TaxonomyResult ref = classifyIndexed(*index_, nullptr, 1, {}, {},
-                                             &refStats, ~std::uint64_t{0});
+  const TaxonomyResult ref =
+      classifyIndexed(*index_, nullptr, 1, &refStats, ~std::uint64_t{0});
   EXPECT_EQ(refStats.splits, 0u);
 
   // A split threshold of 256 forces the heavy source (and more) to dice.
   for (const unsigned threads : {1u, 2u, 8u, 16u}) {
     ParallelForStats stats;
     const TaxonomyResult got =
-        classifyIndexed(*index_, nullptr, threads, {}, {}, &stats, 256);
+        classifyIndexed(*index_, nullptr, threads, &stats, 256);
     EXPECT_GT(stats.splits, 0u) << "threads=" << threads;
     expectTaxonomyEqual(got, ref, "split");
   }
@@ -155,7 +155,7 @@ TEST_F(SplitMergeTest, FingerprintParallelBitwiseEqualsSerial) {
   for (const unsigned threads : {2u, 8u, 16u}) {
     ParallelForStats stats;
     const FingerprintResult got =
-        fingerprintSessions(*index_, nullptr, {}, threads, &stats);
+        fingerprintSessions(*index_, nullptr, threads, &stats);
     EXPECT_EQ(got.sessionTool, ref.sessionTool) << "threads=" << threads;
     EXPECT_EQ(got.clusterCount, ref.clusterCount);
     EXPECT_EQ(got.hopLimitAttributions, ref.hopLimitAttributions);
