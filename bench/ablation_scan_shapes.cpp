@@ -8,6 +8,7 @@
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
+#include "telescope/capture_store.hpp"
 #include "telescope/sketch.hpp"
 
 int main() {
@@ -46,18 +47,19 @@ int main() {
     const auto& capture = ctx.runner->capture(t);
     telescope::LiveStats stats;
     for (const auto& p : capture.packets()) stats.observe(p);
-    const double exact128 =
-        static_cast<double>(capture.distinctSources128());
-    const double exact64 = static_cast<double>(capture.distinctSources64());
+    const telescope::CaptureStats exact =
+        telescope::captureStats(capture.packets());
+    const double exact128 = static_cast<double>(exact.sources128);
+    const double exact64 = static_cast<double>(exact.sources64);
     auto err = [](double estimate, double exact) {
       return exact == 0.0 ? 0.0 : 100.0 * std::abs(estimate - exact) / exact;
     };
     live.addRow(
         {ctx.runner->telescopeName(t),
-         analysis::withThousands(capture.distinctSources128()),
+         analysis::withThousands(exact.sources128),
          analysis::fixed(stats.estimatedSources128(), 0),
          analysis::fixed(err(stats.estimatedSources128(), exact128), 2),
-         analysis::withThousands(capture.distinctSources64()),
+         analysis::withThousands(exact.sources64),
          analysis::fixed(stats.estimatedSources64(), 0),
          analysis::fixed(err(stats.estimatedSources64(), exact64), 2)});
   }

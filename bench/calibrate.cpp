@@ -6,6 +6,7 @@
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
+#include "telescope/capture_store.hpp"
 
 int main() {
   using namespace v6t;
@@ -58,9 +59,10 @@ int main() {
   std::uint64_t perProto[3] = {0, 0, 0};
   std::uint64_t total = 0;
   for (const telescope::CaptureStore* capture : ctx.runner->captures()) {
+    const telescope::CaptureStats stats =
+        telescope::captureStats(capture->packets());
     for (int p = 0; p < 3; ++p) {
-      perProto[p] +=
-          capture->packetsPerProtocol(static_cast<net::Protocol>(p));
+      perProto[p] += stats.packetsPerProtocol(static_cast<net::Protocol>(p));
     }
     total += capture->packetCount();
   }

@@ -2,9 +2,11 @@
 // the initial observation period (summary statistics + weekly profile,
 // since an 2000-hour series doesn't print well).
 #include <algorithm>
+#include <array>
 
 #include "analysis/report.hpp"
 #include "bench/harness.hpp"
+#include "telescope/capture_store.hpp"
 
 int main() {
   using namespace v6t;
@@ -16,8 +18,12 @@ int main() {
 
   analysis::TextTable table{{"Telescope", "active hours", "mean pkts/h",
                              "p95", "max", "total"}};
+  std::array<telescope::CaptureStats, 4> stats;
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& hourly = ctx.runner->capture(t).hourlyCounts();
+    stats[t] = telescope::captureStats(ctx.runner->capture(t).packets());
+  }
+  for (std::size_t t = 0; t < 4; ++t) {
+    const auto& hourly = stats[t].hourly;
     std::vector<std::uint64_t> counts;
     std::uint64_t total = 0;
     for (const auto& [hour, count] : hourly) {
@@ -45,7 +51,7 @@ int main() {
   // the higher peaks from the DNS-attractor crowd).
   std::cout << "\nweekly packet profile (# = share of week's max)\n";
   for (std::size_t t = 0; t < 2; ++t) {
-    const auto& weekly = ctx.runner->capture(t).weeklyCounts();
+    const auto& weekly = stats[t].weekly;
     std::uint64_t peak = 1;
     for (const auto& [week, count] : weekly) {
       if (week < initial.to.weekIndex()) peak = std::max(peak, count);

@@ -1,6 +1,6 @@
 // bench/hot_path — the repo's tracked perf baseline for the three hottest
-// memory paths: engine event scheduling/dispatch, per-packet capture
-// accounting, and the canonical shard merge. Unlike the table/figure
+// memory paths: engine event scheduling/dispatch, capture append plus its
+// statistics pass, and the canonical shard merge. Unlike the table/figure
 // benches this one does not run the calibrated experiment; it drives the
 // three subsystems directly at a fixed synthetic workload so successive
 // commits can be compared number-to-number on the same machine.
@@ -11,7 +11,8 @@
 // V6T_HOT_PATH_SCALE (default 1.0; CI uses a small fraction).
 //
 //   bench.hot_path.engine_events_per_sec   schedule+cancel+dispatch rate
-//   bench.hot_path.append_packets_per_sec  build+copy+accounting-append rate
+//   bench.hot_path.append_packets_per_sec  build+copy+append rate, with one
+//                                          captureStats pass over the store
 //   bench.hot_path.merge_packets_per_sec   8-shard consuming merge rate
 //   bench.hot_path.peak_rss_bytes          getrusage high-water mark
 #include <sys/resource.h>
@@ -85,12 +86,14 @@ double benchEngine(std::uint64_t events, std::uint64_t& executed) {
 
 // ------------------------------------------------------------------ append
 //
-// The per-packet accounting append in miniature — what the capture merge
-// and a v6tcap read pay for every packet: build a probe with a 12-byte
-// payload, copy it once, append it into a store. Sources cycle through a
-// warm working set so the hash-set accounting behaves like a capture
-// mid-run, not like first contact.
-double benchAppend(std::uint64_t packets, v6t::telescope::CaptureStore& store) {
+// The per-packet append in miniature — what a v6tcap read pays for every
+// packet: build a probe with a 12-byte payload, copy it once, append it
+// into a store — followed by one captureStats pass over the store, the
+// statistics a reader of those values computes. Sources cycle through a
+// warm working set so the hash-set counting behaves like a capture mid-run,
+// not like first contact.
+double benchAppend(std::uint64_t packets, std::size_t& distinctSources) {
+  v6t::telescope::CaptureStore store;
   v6t::sim::Rng rng{43};
   std::vector<v6t::net::Ipv6Address> sources;
   sources.reserve(4096);
@@ -113,6 +116,7 @@ double benchAppend(std::uint64_t packets, v6t::telescope::CaptureStore& store) {
     v6t::net::Packet copy = p;
     store.append(std::move(copy));
   }
+  distinctSources = v6t::telescope::captureStats(store.packets()).sources128;
   return secondsSince(t0);
 }
 
@@ -169,13 +173,13 @@ int main(int argc, char** argv) {
             << " executed in " << engineSeconds << "s -> " << eventsPerSec
             << " events/s\n";
 
-  v6t::telescope::CaptureStore store;
-  const double appendSeconds = benchAppend(packets, store);
+  std::size_t distinctSources = 0;
+  const double appendSeconds = benchAppend(packets, distinctSources);
   const double packetsPerSec =
       appendSeconds > 0 ? static_cast<double>(packets) / appendSeconds : 0;
   std::cout << "append: " << packets << " packets in " << appendSeconds
             << "s -> " << packetsPerSec << " packets/s (distinct /128 "
-            << store.distinctSources128() << ")\n";
+            << distinctSources << ")\n";
 
   std::uint64_t mergedPackets = 0;
   const double mergeSeconds = benchMerge(perShard, 8, mergedPackets);

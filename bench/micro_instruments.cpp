@@ -10,7 +10,7 @@
 #include "analysis/dbscan.hpp"
 #include "analysis/nist.hpp"
 #include "net/pcap.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_table.hpp"
 #include "sim/rng.hpp"
 #include "telescope/session.hpp"
 
@@ -35,21 +35,21 @@ void BM_Ipv6Format(benchmark::State& state) {
 }
 BENCHMARK(BM_Ipv6Format);
 
-void BM_TrieLongestMatch(benchmark::State& state) {
+void BM_PrefixTableLongestMatch(benchmark::State& state) {
   sim::Rng rng{1};
-  net::PrefixTrie<int> trie;
+  net::PrefixTable<int> table;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    trie.insert(net::Prefix{net::Ipv6Address{rng.next(), 0},
+    table.insert(net::Prefix{net::Ipv6Address{rng.next(), 0},
                             static_cast<unsigned>(16 + rng.below(49))},
                 i);
   }
   net::Ipv6Address probe{rng.next(), rng.next()};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.longestMatch(probe));
+    benchmark::DoNotOptimize(table.longestMatch(probe));
     probe = probe.plus(0x10000000000ULL);
   }
 }
-BENCHMARK(BM_TrieLongestMatch)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_PrefixTableLongestMatch)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_Sessionize(benchmark::State& state) {
   sim::Rng rng{2};

@@ -51,10 +51,12 @@ int main(int argc, char** argv) {
       analysis::classifyCapture(replay.packets(), sessions, nullptr);
   const auto tools = analysis::fingerprintSessions(replay.packets(), sessions);
 
+  const telescope::CaptureStats stats =
+      telescope::captureStats(replay.packets());
   analysis::TextTable table{{"metric", "value"}};
   table.addRow({"packets", std::to_string(replay.packetCount())});
-  table.addRow({"/128 sources", std::to_string(replay.distinctSources128())});
-  table.addRow({"/64 sources", std::to_string(replay.distinctSources64())});
+  table.addRow({"/128 sources", std::to_string(stats.sources128)});
+  table.addRow({"/64 sources", std::to_string(stats.sources64)});
   table.addRow({"sessions", std::to_string(sessions.size())});
   table.addRow({"one-off scanners",
                 std::to_string(taxonomy.scannersOf(

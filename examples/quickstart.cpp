@@ -71,7 +71,8 @@ int main() {
 
   std::cout << "captured " << packets.size() << " packets in "
             << sessions.size() << " sessions from "
-            << capture.distinctSources128() << " sources\n\n";
+            << telescope::captureStats(packets).sources128
+            << " sources\n\n";
 
   analysis::TextTable table{{"source", "sessions", "temporal", "addr-sel of "
                                                                "1st session"}};

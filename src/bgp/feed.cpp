@@ -1,5 +1,7 @@
 #include "bgp/feed.hpp"
 
+#include <algorithm>
+
 namespace v6t::bgp {
 
 BgpFeed::SubscriberId BgpFeed::subscribe(PropagationModel model,
@@ -69,8 +71,20 @@ void BgpFeed::withdraw(const net::Prefix& prefix) {
 }
 
 void BgpFeed::publish(const BgpUpdate& update) {
-  const std::size_t index = published_.size();
+  const auto index = static_cast<std::uint32_t>(published_.size());
   published_.push_back(update);
+  std::uint32_t run;
+  if (!freeRuns_.empty()) {
+    run = freeRuns_.back();
+    freeRuns_.pop_back();
+  } else {
+    run = static_cast<std::uint32_t>(runs_.size());
+    runs_.emplace_back();
+  }
+  Run& r = runs_[run];
+  r.update = index;
+  r.next = 0;
+  r.pending.clear();
   const sim::SimTime now = engine_.now();
   for (std::size_t sub = 0; sub < subscribers_.size(); ++sub) {
     Subscriber& s = subscribers_[sub];
@@ -80,9 +94,43 @@ void BgpFeed::publish(const BgpUpdate& update) {
       delayMetric_->observe(static_cast<double>(delay.millis()) / 1000.0);
       deliveriesMetric_->inc();
     }
-    const sim::SimTime ts = now + delay;
-    engine_.schedule(ts, [this, sub, index, ts]() { deliver(sub, index, ts); });
+    r.pending.push_back(
+        Delivery{now + delay, static_cast<std::uint32_t>(sub),
+                 static_cast<std::uint32_t>(r.pending.size())});
   }
+  if (r.pending.empty()) {
+    freeRuns_.push_back(run);
+    return;
+  }
+  // The seqs one schedule() per live subscriber, in id order, would draw.
+  r.firstSeq = engine_.reserveSeqs(r.pending.size());
+  std::sort(r.pending.begin(), r.pending.end(),
+            [](const Delivery& a, const Delivery& b) {
+              return a.ts != b.ts ? a.ts < b.ts : a.rank < b.rank;
+            });
+  scheduleHead(run);
+}
+
+void BgpFeed::scheduleHead(std::uint32_t run) {
+  const Run& r = runs_[run];
+  const Delivery& head = r.pending[r.next];
+  engine_.scheduleReserved(head.ts, r.firstSeq + head.rank,
+                           [this, run]() { fireHead(run); });
+}
+
+void BgpFeed::fireHead(std::uint32_t run) {
+  Run& r = runs_[run];
+  const Delivery due = r.pending[r.next++];
+  const std::uint32_t update = r.update;
+  // The successor's key sorts after this one's, so pushing it now keeps
+  // the engine's minimum the global minimum.
+  if (r.next < r.pending.size()) {
+    scheduleHead(run);
+  } else {
+    freeRuns_.push_back(run);
+  }
+  // `r` may dangle from here on: the callback may publish.
+  deliver(due.sub, update, due.ts);
 }
 
 void BgpFeed::deliver(std::size_t sub, std::size_t update, sim::SimTime ts) {

@@ -7,11 +7,18 @@
 // origin RIB is updated immediately, and each subscriber receives the
 // update after its own convergence delay.
 //
-// Fan-out (DESIGN.md §11): every subscriber gets one engine event per
-// update, the highest-volume event of a run. The update is stored once and
-// a delivery carries only (feed, subscriber index, update index, ts), which
-// fits SmallFunc's inline buffer; subscribers sit in reference-stable
-// storage indexed by id − 1, so a delivery is an index, not a search.
+// Fan-out (DESIGN.md §11): every subscriber gets one delivery per update,
+// the highest-volume event of a run, but the engine holds one key per
+// update in flight, not one per delivery. publish() reserves one engine
+// seq per live subscriber — the seqs one schedule() per subscriber would
+// have drawn — and keeps the update's deliveries as a run of 16-byte
+// entries sorted by (visibility time, seq). Only the run's head sits in
+// the engine; when it fires, it schedules its successor under that
+// delivery's reserved seq and then delivers. Every delivery keeps the
+// (when, seq) key it would have had as its own event, so dispatch order is
+// unchanged. The update is stored once; subscribers sit in
+// reference-stable storage indexed by id − 1, so a delivery is an index,
+// not a search.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +101,29 @@ private:
     sim::Rng rng; // private lag stream, derived from (seed_, streamKey)
   };
 
+  /// One pending delivery of a run. `rank` is the subscriber's position
+  /// among the live subscribers at publish: its offset from the run's
+  /// first reserved seq.
+  struct Delivery {
+    sim::SimTime ts;
+    std::uint32_t sub;
+    std::uint32_t rank;
+  };
+  /// One published update's pending deliveries, sorted by (ts, rank);
+  /// `pending[next]` is the head, the only one the engine holds a key for.
+  struct Run {
+    std::uint64_t firstSeq = 0;
+    std::uint32_t update = 0;
+    std::uint32_t next = 0;
+    std::vector<Delivery> pending;
+  };
+
   void publish(const BgpUpdate& update);
+  /// Give run `run`'s head delivery its engine event.
+  void scheduleHead(std::uint32_t run);
+  /// The head of run `run` is due: schedule its successor (or recycle the
+  /// run), then deliver.
+  void fireHead(std::uint32_t run);
   /// Hand published update `update` to subscriber `sub`, stamped with its
   /// visibility time — unless the subscriber has left since.
   void deliver(std::size_t sub, std::size_t update, sim::SimTime ts);
@@ -117,6 +146,11 @@ private:
   // same-instant deliveries — but it must be deterministic.
   std::deque<Subscriber> subscribers_;
   std::vector<BgpUpdate> published_; // every update, once, in publish order
+  // Runs in flight plus finished ones awaiting reuse. A delivery callback
+  // may publish, which can grow this table: fireHead copies what it needs
+  // before delivering.
+  std::vector<Run> runs_;
+  std::vector<std::uint32_t> freeRuns_;
 };
 
 } // namespace v6t::bgp

@@ -6,10 +6,10 @@
 // update feed with its own propagation delay, that can be queried for
 // which of them currently carry a route for a prefix.
 //
-// Note: subscribe a LookingGlass to a *dedicated* feed position (or
-// construct it before the scanner population) if bit-for-bit
-// reproducibility against existing seeds matters — every subscriber
-// advances the feed's delay RNG.
+// Note: each vantage point draws its lags from its own stream, so adding
+// a LookingGlass leaves every other subscriber's lags unchanged. Its
+// deliveries take engine seqs beside the others', so a subscription
+// changes only where its own deliveries fall among same-instant ones.
 #pragma once
 
 #include <string>

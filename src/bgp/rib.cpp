@@ -35,12 +35,6 @@ std::optional<std::pair<net::Prefix, RouteEntry>> Rib::lookup(
   return std::pair{match->first, *match->second};
 }
 
-std::vector<net::Prefix> Rib::announcedPrefixes() const {
-  std::vector<net::Prefix> out;
-  for (const auto& [prefix, entry] : table_.entries()) out.push_back(prefix);
-  return out;
-}
-
 std::vector<std::pair<net::Prefix, RouteEntry>> Rib::announcedRoutes() const {
   std::vector<std::pair<net::Prefix, RouteEntry>> out;
   for (const auto& [prefix, entry] : table_.entries()) {

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bgp/update.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_table.hpp"
 
 namespace v6t::bgp {
 
@@ -40,14 +40,17 @@ public:
     return table_.covers(addr);
   }
 
+  /// The route at exactly `prefix`, or nullptr. Valid until the next
+  /// announce() or withdraw(): copy what you need first.
   [[nodiscard]] const RouteEntry* findExact(const net::Prefix& prefix) const {
     return table_.findExact(prefix);
   }
 
-  /// All currently announced prefixes, most specific last.
-  [[nodiscard]] std::vector<net::Prefix> announcedPrefixes() const;
-
-  /// All current routes with their entries (trie order).
+  /// All current routes with their entries, ordered by (address, then
+  /// length): a covering route before the routes it covers, disjoint ones
+  /// in address order. The BGP-reactive scanners bootstrap from this list
+  /// with a stable sort by announcement time, so the order of routes
+  /// announced at one instant reaches the captures.
   [[nodiscard]] std::vector<std::pair<net::Prefix, RouteEntry>>
   announcedRoutes() const;
 
@@ -66,7 +69,7 @@ public:
   [[nodiscard]] std::uint64_t lpmLookups() const { return lpmLookups_; }
 
 private:
-  net::PrefixTrie<RouteEntry> table_;
+  net::PrefixTable<RouteEntry> table_;
   std::vector<BgpUpdate> history_;
   std::uint64_t announces_ = 0;
   std::uint64_t withdraws_ = 0;

@@ -1,10 +1,10 @@
 #include "core/guidance.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
+#include "telescope/flat_hash_set.hpp"
 
 namespace v6t::core {
 
@@ -14,17 +14,20 @@ std::vector<Finding> GuidanceEngine::derive(
   std::vector<Finding> findings;
   const Period whole{sim::kEpoch, runner.experimentEnd()};
 
-  const auto t1 = summary.windowStats(runner.capture(T1), T1, whole);
-  const auto t2 = summary.windowStats(runner.capture(T2), T2, whole);
-  const auto t3 = summary.windowStats(runner.capture(T3), T3, whole);
-  const auto t4 = summary.windowStats(runner.capture(T4), T4, whole);
+  // Captures are time-ordered, so each window is a subspan.
+  const auto window = [&](std::size_t t) {
+    return packetsIn(runner.capture(t).packets(), whole);
+  };
+  const std::uint64_t t1 = window(T1).size();
+  const std::uint64_t t2 = window(T2).size();
+  const std::uint64_t t3 = window(T3).size();
+  const std::uint64_t t4 = window(T4).size();
 
   // (i) Announce your prefix: separately announced vs. covered-only space.
   {
-    const double announced =
-        static_cast<double>(std::min(t1.packets, t2.packets));
-    const double covered = static_cast<double>(
-        std::max<std::uint64_t>(std::max(t3.packets, t4.packets), 1));
+    const double announced = static_cast<double>(std::min(t1, t2));
+    const double covered =
+        static_cast<double>(std::max<std::uint64_t>(std::max(t3, t4), 1));
     findings.push_back(Finding{
         "BGP visibility",
         "Announce the telescope prefix individually in BGP; a silent "
@@ -32,10 +35,10 @@ std::vector<Finding> GuidanceEngine::derive(
         "separately announced telescopes received >= " +
             analysis::fixed(announced / covered, 0) +
             "x the packets of the busiest covered-only telescope (T1=" +
-            analysis::withThousands(t1.packets) + ", T2=" +
-            analysis::withThousands(t2.packets) + " vs T3=" +
-            analysis::withThousands(t3.packets) + ", T4=" +
-            analysis::withThousands(t4.packets) + ")"});
+            analysis::withThousands(t1) + ", T2=" +
+            analysis::withThousands(t2) + " vs T3=" +
+            analysis::withThousands(t3) + ", T4=" +
+            analysis::withThousands(t4) + ")"});
   }
 
   // (ii) Number of announced prefixes beats prefix size: compare /48
@@ -85,14 +88,16 @@ std::vector<Finding> GuidanceEngine::derive(
 
   // (iii) Different attractors draw different scanners.
   {
-    const auto t1Sources =
-        ExperimentSummary::sources128(runner.capture(T1), whole);
-    const auto t2Sources =
-        ExperimentSummary::sources128(runner.capture(T2), whole);
+    // `either` starts as T2's sources; a T1 source seen for the first time
+    // that is already in it is shared, and what remains is the union.
+    telescope::FlatHashSet<net::Ipv6Address> either;
+    for (const net::Packet& p : window(T2)) either.insert(p.src);
+    telescope::FlatHashSet<net::Ipv6Address> t1Sources;
     std::size_t shared = 0;
-    for (const auto& s : t1Sources) shared += t2Sources.contains(s) ? 1 : 0;
-    const std::size_t unionSize =
-        t1Sources.size() + t2Sources.size() - shared;
+    for (const net::Packet& p : window(T1)) {
+      if (t1Sources.insert(p.src) && !either.insert(p.src)) ++shared;
+    }
+    const std::size_t unionSize = either.size();
     findings.push_back(Finding{
         "Attractor bias",
         "BGP announcements and DNS exposure attract largely disjoint "
@@ -111,8 +116,8 @@ std::vector<Finding> GuidanceEngine::derive(
   // (iv) Active services draw scanners to neighboring space.
   {
     const double ratio =
-        static_cast<double>(t4.packets) /
-        static_cast<double>(std::max<std::uint64_t>(t3.packets, 1));
+        static_cast<double>(t4) /
+        static_cast<double>(std::max<std::uint64_t>(t3, 1));
     findings.push_back(Finding{
         "Reactivity",
         "A responsive host multiplies the attention its surrounding "

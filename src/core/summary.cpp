@@ -1,6 +1,6 @@
 #include "core/summary.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "analysis/parallel.hpp"
 
@@ -41,23 +41,15 @@ ExperimentSummary ExperimentSummary::compute(const ExperimentRunner& runner,
 TelescopeSummary::WindowStats ExperimentSummary::windowStats(
     const telescope::CaptureStore& capture, std::size_t telescopeIdx,
     Period period) const {
+  const std::span<const net::Packet> window =
+      packetsIn(capture.packets(), period);
+  const telescope::CaptureStats counts = telescope::captureStats(window);
   TelescopeSummary::WindowStats stats;
-  std::unordered_set<net::Ipv6Address> s128;
-  std::unordered_set<net::Ipv6Address> s64;
-  std::unordered_set<std::uint32_t> asns;
-  std::unordered_set<net::Ipv6Address> dsts;
-  for (const net::Packet& p : capture.packets()) {
-    if (!period.contains(p.ts)) continue;
-    ++stats.packets;
-    s128.insert(p.src);
-    s64.insert(p.src.maskedTo(64));
-    if (!p.srcAsn.unattributed()) asns.insert(p.srcAsn.value());
-    dsts.insert(p.dst);
-  }
-  stats.sources128 = s128.size();
-  stats.sources64 = s64.size();
-  stats.asns = asns.size();
-  stats.destinations = dsts.size();
+  stats.packets = window.size();
+  stats.sources128 = counts.sources128;
+  stats.sources64 = counts.sources64;
+  stats.asns = counts.asns;
+  stats.destinations = counts.destinations;
   const TelescopeSummary& summary = telescopes_[telescopeIdx];
   stats.sessions128 = sessionsIn(summary.sessions128, period).size();
   stats.sessions64 = sessionsIn(summary.sessions64, period).size();
@@ -82,6 +74,17 @@ std::set<std::uint32_t> ExperimentSummary::sourceAsns(
     }
   }
   return out;
+}
+
+std::span<const net::Packet> packetsIn(std::span<const net::Packet> packets,
+                                       Period period) {
+  const auto before = [](const net::Packet& p, sim::SimTime t) {
+    return p.ts < t;
+  };
+  const auto from =
+      std::lower_bound(packets.begin(), packets.end(), period.from, before);
+  const auto to = std::lower_bound(from, packets.end(), period.to, before);
+  return {from, to};
 }
 
 std::vector<telescope::Session> sessionsIn(

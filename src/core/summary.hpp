@@ -36,8 +36,8 @@ struct TelescopeSummary {
   telescope::Sessionizer::Stats stats128;
   telescope::Sessionizer::Stats stats64;
 
-  /// Distinct sources/ASes/destinations within a window, straight from the
-  /// packet records.
+  /// Packets, distinct sources/ASes/destinations and sessions within a
+  /// window: telescope::captureStats over the window's packets.
   struct WindowStats {
     std::uint64_t packets = 0;
     std::size_t sources128 = 0;
@@ -84,6 +84,11 @@ public:
 private:
   std::array<TelescopeSummary, 4> telescopes_;
 };
+
+/// The packets of a time-ordered run (every capture is one) whose
+/// timestamps fall inside the period: a lower_bound pair, no scan.
+[[nodiscard]] std::span<const net::Packet> packetsIn(
+    std::span<const net::Packet> packets, Period period);
 
 /// Sessions whose start time falls inside the period.
 [[nodiscard]] std::vector<telescope::Session> sessionsIn(

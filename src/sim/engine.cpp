@@ -64,7 +64,8 @@ void Engine::releaseSlot(std::uint32_t slot) {
   freeSlots_.push_back(slot);
 }
 
-EventId Engine::schedule(SimTime when, Action action) {
+EventId Engine::scheduleReserved(SimTime when, std::uint64_t seq,
+                                 Action action) {
   if (when < now_) {
     // Clamped-to-now is tolerated but suspicious; surface it without
     // flooding (schedule() is the hottest call in the system).
@@ -90,7 +91,7 @@ EventId Engine::schedule(SimTime when, Action action) {
   s.action = std::move(action);
   s.live = true;
   const EventId id = (static_cast<EventId>(s.generation) << 32) | slot;
-  push(Key{when, nextSeq_++, slot});
+  push(Key{when, seq, slot});
   return id;
 }
 

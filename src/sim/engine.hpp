@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/small_func.hpp"
@@ -42,7 +43,25 @@ public:
   /// Schedule `action` at absolute time `when`. Scheduling in the past is a
   /// logic error and is clamped to `now()` (the event fires immediately on
   /// the next step) — the capture path must never time-travel.
-  EventId schedule(SimTime when, Action action);
+  EventId schedule(SimTime when, Action action) {
+    return scheduleReserved(when, nextSeq_++, std::move(action));
+  }
+
+  /// Reserve `n` consecutive sequence numbers and return the first. The
+  /// counter advances exactly as `n` schedule() calls would, so events
+  /// scheduled later still sort after every reserved seq at equal times.
+  std::uint64_t reserveSeqs(std::uint64_t n) {
+    const std::uint64_t first = nextSeq_;
+    nextSeq_ += n;
+    return first;
+  }
+
+  /// Schedule `action` at `when` under a seq taken from reserveSeqs(). The
+  /// event fires exactly where a schedule() call that drew that seq would
+  /// have fired it, however late it is pushed — the BGP feed pushes one
+  /// delivery of an update at a time (DESIGN.md §11). Each reserved seq is
+  /// used at most once. Past times are clamped as in schedule().
+  EventId scheduleReserved(SimTime when, std::uint64_t seq, Action action);
 
   /// Schedule `action` after a relative delay.
   EventId scheduleAfter(Duration delay, Action action) {
@@ -81,7 +100,9 @@ public:
   }
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
   /// Largest pending-queue size ever reached — the engine's memory
-  /// high-water mark, reported through the obs registry.
+  /// high-water mark, reported through the obs registry. It counts heap
+  /// keys: a BGP update in flight holds one, however many subscribers
+  /// still wait for it.
   [[nodiscard]] std::size_t queueDepthHighWater() const {
     return queueHighWater_;
   }

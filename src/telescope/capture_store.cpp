@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "telescope/digest.hpp"
+#include "telescope/flat_hash_set.hpp"
 #include "telescope/kway_merge.hpp"
 
 namespace v6t::telescope {
@@ -46,10 +47,6 @@ void CaptureStore::mergeFrom(std::vector<std::vector<net::Packet>> shards) {
       packets_.push_back(merge.head());
     }
   }
-
-  // The one accounting pass of a run's capture: the shards kept no stats.
-  reserve(total);
-  for (const net::Packet& p : packets_) account(p);
 }
 
 std::uint64_t CaptureStore::digest() const {
@@ -58,53 +55,61 @@ std::uint64_t CaptureStore::digest() const {
   return h;
 }
 
-void CaptureStore::reserve(std::size_t expectedPackets) {
-  packets_.reserve(expectedPackets);
+CaptureStats captureStats(std::span<const net::Packet> packets) {
   // Distinct sources are a small fraction of packets (every scanner sends
   // many probes); an eighth is a generous upper-bound heuristic that
   // avoids both rehash churn and gross over-allocation. Destinations are
   // not: most probes go to a fresh target (72% of T1's packets and 47% of
   // T2's in a default run), so they get half the packets.
-  const std::size_t distinct = expectedPackets / 8 + 64;
-  sources128_.reserve(distinct);
-  sources64_.reserve(distinct);
-  destinations_.reserve(expectedPackets / 2 + 64);
-  asns_.reserve(distinct / 4 + 16);
-}
+  const std::size_t distinct = packets.size() / 8 + 64;
+  FlatHashSet<net::Ipv6Address> sources128;
+  FlatHashSet<net::Ipv6Address> sources64; // masked to /64
+  FlatHashSet<net::Ipv6Address> destinations;
+  FlatHashSet<net::Asn> asns;
+  sources128.reserve(distinct);
+  sources64.reserve(distinct);
+  destinations.reserve(packets.size() / 2 + 64);
+  asns.reserve(distinct / 4 + 16);
 
-void CaptureStore::append(net::Packet p) {
-  // First contact: jump straight to a working-set-sized footprint instead
-  // of doubling up from 1 (and rehashing the sets from 13 buckets) while
-  // the capture is hot.
-  if (packets_.empty() && packets_.capacity() == 0) reserve(kAppendChunk);
-  account(p);
-  packets_.push_back(p); // trivially copyable; no move advantage
-}
-
-void CaptureStore::account(const net::Packet& p) {
-  sources128_.insert(p.src);
-  sources64_.insert(p.src.maskedTo(64));
-  destinations_.insert(p.dst);
-  if (!p.srcAsn.unattributed()) asns_.insert(p.srcAsn);
-  const std::int64_t hour = p.ts.hourIndex();
-  if (hour != memo_.hour) {
-    memo_.hour = hour;
-    memo_.hourCount = &hourly_[hour];
-    const std::int64_t day = p.ts.dayIndex();
-    if (day != memo_.day) {
-      memo_.day = day;
-      memo_.dayCount = &daily_[day];
-      const std::int64_t week = p.ts.weekIndex();
-      if (week != memo_.week) {
-        memo_.week = week;
-        memo_.weekCount = &weekly_[week];
+  // Bucket memo: in a time-ordered run nearly every packet lands in the
+  // same (hour, day, week) buckets as its predecessor, so three cached
+  // node pointers turn three map descents per packet into three integer
+  // compares. std::map nodes are pointer-stable, so the memo survives
+  // unrelated inserts.
+  CaptureStats stats;
+  std::int64_t hour = -1;
+  std::int64_t day = -1;
+  std::int64_t week = -1;
+  std::uint64_t* hourCount = nullptr;
+  std::uint64_t* dayCount = nullptr;
+  std::uint64_t* weekCount = nullptr;
+  for (const net::Packet& p : packets) {
+    sources128.insert(p.src);
+    sources64.insert(p.src.maskedTo(64));
+    destinations.insert(p.dst);
+    if (!p.srcAsn.unattributed()) asns.insert(p.srcAsn);
+    if (p.ts.hourIndex() != hour) {
+      hour = p.ts.hourIndex();
+      hourCount = &stats.hourly[hour];
+      if (p.ts.dayIndex() != day) {
+        day = p.ts.dayIndex();
+        dayCount = &stats.daily[day];
+        if (p.ts.weekIndex() != week) {
+          week = p.ts.weekIndex();
+          weekCount = &stats.weekly[week];
+        }
       }
     }
+    ++*hourCount;
+    ++*dayCount;
+    ++*weekCount;
+    ++stats.perProtocol[static_cast<std::size_t>(p.proto)];
   }
-  ++*memo_.hourCount;
-  ++*memo_.dayCount;
-  ++*memo_.weekCount;
-  ++perProtocol_[static_cast<std::size_t>(p.proto)];
+  stats.sources128 = sources128.size();
+  stats.sources64 = sources64.size();
+  stats.destinations = destinations.size();
+  stats.asns = asns.size();
+  return stats;
 }
 
 void CaptureStore::writeTo(std::ostream& out) const {
@@ -117,19 +122,6 @@ std::uint64_t CaptureStore::readFrom(std::istream& in) {
   net::CaptureReader reader{in};
   while (auto p = reader.next()) append(std::move(*p));
   return packets_.size();
-}
-
-void CaptureStore::clear() {
-  packets_.clear();
-  sources128_.clear();
-  sources64_.clear();
-  destinations_.clear();
-  asns_.clear();
-  hourly_.clear();
-  daily_.clear();
-  weekly_.clear();
-  memo_ = BucketMemo{};
-  perProtocol_[0] = perProtocol_[1] = perProtocol_[2] = 0;
 }
 
 } // namespace v6t::telescope

@@ -10,10 +10,11 @@
 // registry of source routes — the public routing data a real telescope
 // operator would consult — and annotates it on the captured packet.
 //
-// Per packet (DESIGN.md §11): one source-AS longest match, one covering-
-// route test (PrefixTrie::covers, which stops at the first route on the
-// path), and one ownership test, after which the owning telescope gets a
-// packet it need not check again.
+// Per packet (DESIGN.md §11): one source-AS longest match (one hash probe:
+// every source route is a /64), one covering-route test (PrefixTable::
+// covers, which stops at the shortest covering route), and one ownership
+// test, after which the owning telescope gets a packet it need not check
+// again.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,7 @@
 
 #include "bgp/rib.hpp"
 #include "net/packet.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_table.hpp"
 #include "sim/engine.hpp"
 #include "telescope/telescope.hpp"
 
@@ -104,7 +105,7 @@ private:
   sim::Engine& engine_;
   const bgp::Rib& rib_;
   std::vector<Telescope*> telescopes_;
-  net::PrefixTrie<net::Asn> sourceRoutes_;
+  net::PrefixTable<net::Asn> sourceRoutes_;
   PacketTap* tap_ = nullptr;
   std::uint64_t sent_ = 0;
   std::uint64_t noRoute_ = 0;

@@ -1,15 +1,15 @@
-// v6t::telescope — open-addressing hash set for capture accounting.
+// v6t::telescope — open-addressing hash set for capture statistics.
 //
-// std::unordered_set allocates one node per element, which put a malloc on
-// the per-packet append path for every fresh /128 source, /64 network, and
-// destination a telescope sees — millions over a run, and terrible cache
-// behavior when the analysis-side accounting re-walks them. This set keeps
-// elements in one flat slot array with linear probing: inserting N
-// distinct keys costs O(log N) geometric grows instead of N node
-// allocations, and membership probes touch contiguous memory.
+// std::unordered_set allocates one node per element, which would put a
+// malloc on captureStats()'s per-packet path for every fresh /128 source,
+// /64 network, and destination a capture holds — millions over a run, and
+// terrible cache behavior. This set keeps elements in one flat slot array
+// with linear probing: inserting N distinct keys costs O(log N) geometric
+// grows instead of N node allocations, and membership probes touch
+// contiguous memory.
 //
 // Deliberately minimal: insert / size / clear / reserve is everything the
-// capture accounting needs (counts are the product; nothing iterates), and
+// distinct counts need (counts are the product; nothing iterates), and
 // dropping erase() means no tombstone machinery. Not a general container.
 #pragma once
 

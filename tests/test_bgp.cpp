@@ -2,6 +2,11 @@
 // schedule, hitlist service, and IRR/RPKI registries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <string>
+#include <vector>
+
 #include "bgp/feed.hpp"
 #include "bgp/hitlist.hpp"
 #include "bgp/rib.hpp"
@@ -46,6 +51,30 @@ TEST(Rib, WithdrawUnknownIsNoop) {
   rib.withdraw(Prefix::mustParse("2001:db8::/32"), sim::SimTime{0});
   EXPECT_TRUE(rib.history().empty());
   EXPECT_EQ(rib.size(), 0u);
+}
+
+TEST(Rib, AnnouncedRoutesOrderedByAddressThenLength) {
+  // Routes announced at one instant: the scanners' bootstrap stable-sorts
+  // by announcement time, so this listing order is what reaches them. A
+  // covering route comes before the routes it covers (nested ones), and
+  // disjoint routes go in address order (siblings) — so a /32 can come
+  // last, after a more specific /48.
+  Rib rib;
+  const sim::SimTime t{5};
+  for (const char* text : {"2001:db9::/32", "2001:db8:1::/48",
+                           "2001:db8:8000::/33", "2001:db8::/48",
+                           "2001:db8::/32", "2001:db8::/33"}) {
+    rib.announce(Prefix::mustParse(text), net::Asn{65001}, t);
+  }
+  std::vector<std::string> listed;
+  for (const auto& [prefix, entry] : rib.announcedRoutes()) {
+    EXPECT_EQ(entry.announcedAt, t);
+    listed.push_back(prefix.toString());
+  }
+  EXPECT_EQ(listed, (std::vector<std::string>{
+                        "2001:db8::/32", "2001:db8::/33", "2001:db8::/48",
+                        "2001:db8:1::/48", "2001:db8:8000::/33",
+                        "2001:db9::/32"}));
 }
 
 TEST(BgpFeed, DelayedDelivery) {
@@ -149,6 +178,202 @@ TEST(BgpFeed, WithdrawCarriesOrigin) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[1].kind, UpdateKind::Withdraw);
   EXPECT_EQ(seen[1].origin, net::Asn{65009});
+}
+
+// ------------------------------------------- fan-out differential check
+
+/// One engine event per live subscriber per update, scheduled in id order
+/// at publish: the fan-out BgpFeed's sorted per-update runs must reproduce
+/// delivery for delivery, including the order against unrelated events
+/// at the same instant.
+class OneEventPerDeliveryFeed {
+public:
+  using SubscriberId = std::uint64_t;
+
+  OneEventPerDeliveryFeed(sim::Engine& engine, Rib& rib, std::uint64_t seed)
+      : engine_(engine), rib_(rib), seed_(seed) {}
+
+  SubscriberId subscribe(PropagationModel model, std::uint64_t streamKey,
+                         BgpFeed::Callback cb) {
+    subscribers_.push_back(
+        Subscriber{model, std::move(cb),
+                   sim::Rng{sim::deriveStreamSeed(seed_, streamKey)}});
+    return subscribers_.size();
+  }
+  void unsubscribe(SubscriberId id) {
+    if (id != 0 && id <= subscribers_.size()) subscribers_[id - 1].cb = nullptr;
+  }
+  void announce(const Prefix& prefix, net::Asn origin) {
+    const sim::SimTime now = engine_.now();
+    rib_.announce(prefix, origin, now);
+    publish(BgpUpdate{UpdateKind::Announce, prefix, origin, now, now,
+                      updateSeq_++, 0});
+  }
+  void withdraw(const Prefix& prefix) {
+    const sim::SimTime now = engine_.now();
+    const RouteEntry* entry = rib_.findExact(prefix);
+    const net::Asn origin = entry != nullptr ? entry->origin : net::Asn{};
+    rib_.withdraw(prefix, now);
+    publish(BgpUpdate{UpdateKind::Withdraw, prefix, origin, now, now,
+                      updateSeq_++, 0});
+  }
+
+private:
+  struct Subscriber {
+    PropagationModel model;
+    BgpFeed::Callback cb;
+    sim::Rng rng;
+  };
+
+  void publish(const BgpUpdate& update) {
+    const std::size_t index = published_.size();
+    published_.push_back(update);
+    for (std::size_t sub = 0; sub < subscribers_.size(); ++sub) {
+      Subscriber& s = subscribers_[sub];
+      if (!s.cb) continue;
+      const sim::SimTime ts = engine_.now() + s.model.sample(s.rng);
+      engine_.schedule(ts, [this, sub, index, ts] {
+        if (!subscribers_[sub].cb) return;
+        BgpUpdate delivered = published_[index];
+        delivered.ts = ts;
+        subscribers_[sub].cb(delivered);
+      });
+    }
+  }
+
+  sim::Engine& engine_;
+  Rib& rib_;
+  std::uint64_t seed_;
+  std::uint64_t updateSeq_ = 0;
+  std::deque<Subscriber> subscribers_;
+  std::vector<BgpUpdate> published_;
+};
+
+/// One seeded scenario against feed type `Feed`, returning its dispatch
+/// log. Lags are a few milliseconds (half the subscribers have no jitter)
+/// and every action lands on a handful of instants, so deliveries tie with
+/// each other and with unrelated events scheduled before, during and after
+/// each publish. Unrelated events and one callback unsubscribe others
+/// while deliveries are in flight; one callback publishes (two updates at
+/// a time, so the run table grows mid-callback) and one subscribes.
+template <typename Feed>
+class FeedScenario {
+public:
+  explicit FeedScenario(std::uint64_t seed)
+      : feed_{engine_, rib_, seed}, rng_{seed ^ 0x5ca1ab1eULL} {}
+
+  std::vector<std::string> run() {
+    const std::size_t n = rng_.below(120);
+    for (std::size_t i = 0; i < n; ++i) subscribeOne(i + 1);
+    publisher_ = rng_.below(n + 1); // == n: nobody
+    joiner_ = rng_.below(n + 1);
+    remover_ = rng_.below(n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng_.chance(0.1)) feed_.unsubscribe(ids_[i]);
+    }
+    for (int k = 0; k < 30; ++k) {
+      unrelatedAt(sim::SimTime{static_cast<std::int64_t>(rng_.below(30))});
+    }
+    for (int k = 0; k < 8; ++k) {
+      engine_.schedule(
+          sim::SimTime{static_cast<std::int64_t>(rng_.below(20))},
+          [this] { publish(); });
+    }
+    engine_.runAll();
+    return std::move(log_);
+  }
+
+private:
+  void subscribeOne(std::uint64_t key) {
+    const sim::Duration jitter =
+        rng_.chance(0.5) ? sim::Duration{}
+                         : sim::millis(static_cast<std::int64_t>(
+                               1 + rng_.below(4)));
+    const PropagationModel model{
+        sim::millis(static_cast<std::int64_t>(rng_.below(3))), jitter};
+    const std::size_t tag = ids_.size();
+    ids_.push_back(feed_.subscribe(
+        model, key, [this, tag](const BgpUpdate& u) { onDelivery(tag, u); }));
+  }
+
+  void publish() {
+    const std::uint64_t slot = rng_.below(4);
+    const Prefix prefix{Ipv6Address{0x2001'0db8'0000'0000ULL | slot << 16, 0},
+                        48};
+    if (rng_.chance(0.3)) {
+      feed_.withdraw(prefix);
+    } else {
+      feed_.announce(prefix, net::Asn{static_cast<std::uint32_t>(65000 + slot)});
+    }
+    for (int k = 0; k < 3; ++k) {
+      unrelatedAt(engine_.now() +
+                  sim::millis(static_cast<std::int64_t>(rng_.below(6))));
+    }
+  }
+
+  void unrelatedAt(sim::SimTime when) {
+    const std::uint64_t tag = events_++;
+    engine_.schedule(when, [this, tag] {
+      log_.push_back(stamp() + " event " + std::to_string(tag));
+      if (tag % 4 == 0 && !ids_.empty()) {
+        feed_.unsubscribe(ids_[rng_.below(ids_.size())]);
+      }
+    });
+  }
+
+  void onDelivery(std::size_t tag, const BgpUpdate& u) {
+    log_.push_back(stamp() + " sub " + std::to_string(tag) + " " +
+                   u.toString() + " seq " + std::to_string(u.seq));
+    if (tag == publisher_ && publishedFromCallback_ < 6) {
+      ++publishedFromCallback_;
+      publish();
+      publish();
+    }
+    if (tag == joiner_ && joined_ < 4) {
+      ++joined_;
+      subscribeOne(10'000 + joined_);
+    }
+    if (tag == remover_) {
+      const std::size_t victim = rng_.below(ids_.size());
+      if (victim != tag) feed_.unsubscribe(ids_[victim]);
+    }
+    if (rng_.chance(0.2)) unrelatedAt(engine_.now());
+  }
+
+  [[nodiscard]] std::string stamp() const {
+    return "t=" + std::to_string(engine_.now().millis());
+  }
+
+  sim::Engine engine_;
+  Rib rib_;
+  Feed feed_;
+  sim::Rng rng_;
+  std::vector<std::uint64_t> ids_; // tag -> subscriber id
+  std::vector<std::string> log_;
+  std::size_t publisher_ = 0;
+  std::size_t joiner_ = 0;
+  std::size_t remover_ = 0;
+  int publishedFromCallback_ = 0;
+  int joined_ = 0;
+  std::uint64_t events_ = 0;
+};
+
+TEST(BgpFeed, RunFanOutMatchesOneEventPerDeliveryReference) {
+  std::size_t deliveries = 0;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    const std::vector<std::string> got = FeedScenario<BgpFeed>{seed}.run();
+    const std::vector<std::string> want =
+        FeedScenario<OneEventPerDeliveryFeed>{seed}.run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " line " << i;
+    }
+    deliveries += static_cast<std::size_t>(
+        std::count_if(got.begin(), got.end(), [](const std::string& line) {
+          return line.find(" sub ") != std::string::npos;
+        }));
+  }
+  EXPECT_GT(deliveries, 10'000u); // the scenarios are not vacuous
 }
 
 // ------------------------------------------------------------ SplitSchedule

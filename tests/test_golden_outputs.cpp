@@ -40,10 +40,12 @@ std::string goldenReport() {
   for (std::size_t t = 0; t < 4; ++t) {
     const telescope::CaptureStore& capture = runner.capture(t);
     const TelescopeSummary& ts = summary.telescope(t);
+    const telescope::CaptureStats stats =
+        telescope::captureStats(capture.packets());
     out << ts.name << " packets=" << capture.packetCount()
-        << " src128=" << capture.distinctSources128()
-        << " src64=" << capture.distinctSources64()
-        << " asns=" << capture.distinctAsns()
+        << " src128=" << stats.sources128
+        << " src64=" << stats.sources64
+        << " asns=" << stats.asns
         << " sessions128=" << ts.sessions128.size()
         << " sessions64=" << ts.sessions64.size() << "\n";
   }

@@ -1,12 +1,14 @@
 // Tests for the zero-allocation capture hot path: inline PayloadBuf
 // semantics and serialization, the key-only generation-stamped event
 // queue (differentially checked against a std::set reference), the flat
-// accounting sets, and the consuming canonical shard merge (asserted
+// statistics sets, and the consuming canonical shard merge (asserted
 // digest-equal to the sort-based reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -222,22 +224,43 @@ ShardBuffers interleavedShards(unsigned shardCount, std::uint64_t seed) {
   return shards;
 }
 
-/// Every statistic of `merged` equals a store filled by appending its
+/// Every statistic captureStats() gives for `merged` equals a plain count
+/// (node sets and maps, no memo) over a store filled by appending its
 /// packets one by one.
 void expectStatsMatchAppendOrder(const telescope::CaptureStore& merged) {
   telescope::CaptureStore reference;
   for (const net::Packet& p : merged.packets()) reference.append(p);
-  EXPECT_EQ(merged.distinctSources128(), reference.distinctSources128());
-  EXPECT_EQ(merged.distinctSources64(), reference.distinctSources64());
-  EXPECT_EQ(merged.distinctDestinations(), reference.distinctDestinations());
-  EXPECT_EQ(merged.distinctAsns(), reference.distinctAsns());
-  EXPECT_EQ(merged.hourlyCounts(), reference.hourlyCounts());
-  EXPECT_EQ(merged.dailyCounts(), reference.dailyCounts());
-  EXPECT_EQ(merged.weeklyCounts(), reference.weeklyCounts());
+  std::set<net::Ipv6Address> sources128;
+  std::set<net::Ipv6Address> sources64;
+  std::set<net::Ipv6Address> destinations;
+  std::set<net::Asn> asns;
+  std::map<std::int64_t, std::uint64_t> hourly;
+  std::map<std::int64_t, std::uint64_t> daily;
+  std::map<std::int64_t, std::uint64_t> weekly;
+  std::array<std::uint64_t, 3> perProtocol{};
+  for (const net::Packet& p : reference.packets()) {
+    sources128.insert(p.src);
+    sources64.insert(p.src.maskedTo(64));
+    destinations.insert(p.dst);
+    if (!p.srcAsn.unattributed()) asns.insert(p.srcAsn);
+    ++hourly[p.ts.hourIndex()];
+    ++daily[p.ts.dayIndex()];
+    ++weekly[p.ts.weekIndex()];
+    ++perProtocol[static_cast<std::size_t>(p.proto)];
+  }
+  const telescope::CaptureStats stats =
+      telescope::captureStats(merged.packets());
+  EXPECT_EQ(stats.sources128, sources128.size());
+  EXPECT_EQ(stats.sources64, sources64.size());
+  EXPECT_EQ(stats.destinations, destinations.size());
+  EXPECT_EQ(stats.asns, asns.size());
+  EXPECT_EQ(stats.hourly, hourly);
+  EXPECT_EQ(stats.daily, daily);
+  EXPECT_EQ(stats.weekly, weekly);
   for (const net::Protocol proto :
        {net::Protocol::Icmpv6, net::Protocol::Tcp, net::Protocol::Udp}) {
-    EXPECT_EQ(merged.packetsPerProtocol(proto),
-              reference.packetsPerProtocol(proto));
+    EXPECT_EQ(stats.packetsPerProtocol(proto),
+              perProtocol[static_cast<std::size_t>(proto)]);
   }
 }
 
@@ -299,7 +322,7 @@ TEST(KWayMerge, OneShardKeepsItsBufferAndAccountsOnce) {
   // The default one-shard run moves its buffer in; nothing is copied.
   EXPECT_EQ(merged.packets().data(), buffer);
   EXPECT_EQ(merged.digest(), expected);
-  EXPECT_GT(merged.dailyCounts().size(), 1u);
+  EXPECT_GT(telescope::captureStats(merged.packets()).daily.size(), 1u);
   expectStatsMatchAppendOrder(merged);
 }
 
@@ -316,8 +339,12 @@ TEST(CaptureStore, ReserveIsObservablyInert) {
     reserved.append(p);
   }
   EXPECT_EQ(plain.digest(), reserved.digest());
-  EXPECT_EQ(plain.distinctSources128(), reserved.distinctSources128());
-  EXPECT_EQ(plain.hourlyCounts(), reserved.hourlyCounts());
+  const telescope::CaptureStats plainStats =
+      telescope::captureStats(plain.packets());
+  const telescope::CaptureStats reservedStats =
+      telescope::captureStats(reserved.packets());
+  EXPECT_EQ(plainStats.sources128, reservedStats.sources128);
+  EXPECT_EQ(plainStats.hourly, reservedStats.hourly);
 }
 
 // ------------------------------------------------------------ flat set
@@ -419,7 +446,9 @@ TEST(Engine, PendingCountUnderChurn) {
 
 // Differential check of the heap against the obvious reference: a
 // std::set of (when, seq) pending keys. Seeded random interleavings of
-// schedule (mostly colliding timestamps, some in the past), cancel (live,
+// schedule (mostly colliding timestamps, some in the past), reserveSeqs and
+// scheduleReserved (reserved seqs pushed later, out of reservation order,
+// between other operations — the BGP feed's pattern), cancel (live,
 // executed, cancelled, cleared and never-issued handles — stale handles
 // whose slot has since been reused included), run(until) and clear(); some
 // actions schedule a follow-up from inside the run, at the same instant or
@@ -429,13 +458,11 @@ class EngineUnderTest {
 public:
   /// Schedule an event tagged with its scheduling index.
   void schedule(sim::SimTime when) {
-    const std::uint64_t tag = ids_.size();
-    ids_.push_back(engine_.schedule(when, [this, tag] {
-      order_.push_back(tag);
-      if (tag % 5 == 0) {
-        schedule(engine_.now() + sim::millis(static_cast<std::int64_t>(tag % 3)));
-      }
-    }));
+    track(engine_.schedule(when, action(ids_.size())));
+  }
+  std::uint64_t reserveSeqs(std::uint64_t n) { return engine_.reserveSeqs(n); }
+  void scheduleReserved(sim::SimTime when, std::uint64_t seq) {
+    track(engine_.scheduleReserved(when, seq, action(ids_.size())));
   }
   bool cancel(std::uint64_t tag) { return engine_.cancel(ids_[tag]); }
   sim::Engine& engine() { return engine_; }
@@ -444,6 +471,16 @@ public:
   }
 
 private:
+  sim::Engine::Action action(std::uint64_t tag) {
+    return [this, tag] {
+      order_.push_back(tag);
+      if (tag % 5 == 0) {
+        schedule(engine_.now() + sim::millis(static_cast<std::int64_t>(tag % 3)));
+      }
+    };
+  }
+  void track(sim::EventId id) { ids_.push_back(id); }
+
   sim::Engine engine_;
   std::vector<sim::EventId> ids_; // tag -> handle
   std::vector<std::uint64_t> order_;
@@ -451,20 +488,24 @@ private:
 
 class ReferenceQueue {
 public:
-  void schedule(sim::SimTime when) {
-    const std::uint64_t tag = whenOf_.size();
+  void schedule(sim::SimTime when) { scheduleReserved(when, nextSeq_++); }
+  std::uint64_t reserveSeqs(std::uint64_t n) {
+    const std::uint64_t first = nextSeq_;
+    nextSeq_ += n;
+    return first;
+  }
+  void scheduleReserved(sim::SimTime when, std::uint64_t seq) {
+    const std::uint64_t tag = keyOf_.size();
     when = std::max(when, now_);
-    whenOf_.push_back(when);
-    pending_.insert({when, tag});
+    keyOf_.push_back({when, seq});
+    pending_.emplace(Key{when, seq}, tag);
   }
-  bool cancel(std::uint64_t tag) {
-    return pending_.erase({whenOf_[tag], tag}) == 1;
-  }
+  bool cancel(std::uint64_t tag) { return pending_.erase(keyOf_[tag]) == 1; }
   void run(sim::SimTime until) {
-    while (!pending_.empty() && pending_.begin()->first <= until) {
-      const auto [when, tag] = *pending_.begin();
+    while (!pending_.empty() && pending_.begin()->first.first <= until) {
+      const auto [key, tag] = *pending_.begin();
       pending_.erase(pending_.begin());
-      now_ = when;
+      now_ = key.first;
       order_.push_back(tag);
       if (tag % 5 == 0) {
         schedule(now_ + sim::millis(static_cast<std::int64_t>(tag % 3)));
@@ -474,16 +515,18 @@ public:
   }
   void clear() { pending_.clear(); }
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-  [[nodiscard]] std::uint64_t issued() const { return whenOf_.size(); }
+  [[nodiscard]] std::uint64_t issued() const { return keyOf_.size(); }
   [[nodiscard]] sim::SimTime now() const { return now_; }
   [[nodiscard]] const std::vector<std::uint64_t>& order() const {
     return order_;
   }
 
 private:
+  using Key = std::pair<sim::SimTime, std::uint64_t>; // (when, seq)
   sim::SimTime now_ = sim::kEpoch;
-  std::vector<sim::SimTime> whenOf_; // tag -> (clamped) firing time
-  std::set<std::pair<sim::SimTime, std::uint64_t>> pending_;
+  std::uint64_t nextSeq_ = 0;
+  std::vector<Key> keyOf_; // tag -> (clamped firing time, seq)
+  std::map<Key, std::uint64_t> pending_; // -> tag
   std::vector<std::uint64_t> order_;
 };
 
@@ -492,17 +535,32 @@ TEST(Engine, DifferentialAgainstOrderedSetReference) {
     sim::Rng rng{seed};
     EngineUnderTest engine;
     ReferenceQueue reference;
+    std::vector<std::uint64_t> reserved; // reserved seqs not pushed yet
     for (int step = 0; step < 3000; ++step) {
       const std::uint64_t op = rng.below(100);
       const std::int64_t now = reference.now().millis();
-      if (op < 55) {
-        // Few distinct instants, so most keys tie on `when`; one in ten
-        // lands in the past and is clamped to now().
-        const std::int64_t offset = static_cast<std::int64_t>(rng.below(8)) -
-                                    (rng.chance(0.1) ? 10 : 0);
-        const sim::SimTime when{now + offset};
+      // Few distinct instants, so most keys tie on `when`; one in ten
+      // lands in the past and is clamped to now().
+      const std::int64_t offset = static_cast<std::int64_t>(rng.below(8)) -
+                                  (rng.chance(0.1) ? 10 : 0);
+      const sim::SimTime when{now + offset};
+      if (op < 40) {
         engine.schedule(when);
         reference.schedule(when);
+      } else if (op < 45) {
+        const std::uint64_t n = 1 + rng.below(6);
+        const std::uint64_t first = engine.reserveSeqs(n);
+        ASSERT_EQ(first, reference.reserveSeqs(n));
+        for (std::uint64_t i = 0; i < n; ++i) reserved.push_back(first + i);
+      } else if (op < 55) {
+        if (reserved.empty()) continue;
+        // Push a random reserved seq: out of reservation order, and after
+        // whatever was scheduled or run since it was reserved.
+        const std::size_t pick = rng.below(reserved.size());
+        const std::uint64_t seq = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
+        engine.scheduleReserved(when, seq);
+        reference.scheduleReserved(when, seq);
       } else if (op < 80) {
         if (reference.issued() == 0) continue;
         const std::uint64_t tag = rng.below(reference.issued());

@@ -1,10 +1,10 @@
-// Unit and property tests for v6t::net::Prefix and PrefixTrie.
+// Unit and property tests for v6t::net::Prefix and PrefixTable.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "net/prefix.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_table.hpp"
 #include "sim/rng.hpp"
 
 namespace v6t::net {
@@ -101,74 +101,74 @@ TEST(Prefix, AddressAt) {
   EXPECT_TRUE(p.contains(p.addressAt(~static_cast<u128>(0))));
 }
 
-// ------------------------------------------------------------- PrefixTrie
+// ------------------------------------------------------------ PrefixTable
 
 TEST(PrefixTrie, InsertFindErase) {
-  PrefixTrie<int> trie;
-  EXPECT_TRUE(trie.insert(Prefix::mustParse("2001:db8::/32"), 1));
-  EXPECT_FALSE(trie.insert(Prefix::mustParse("2001:db8::/32"), 2)); // update
-  EXPECT_EQ(trie.size(), 1u);
-  ASSERT_NE(trie.findExact(Prefix::mustParse("2001:db8::/32")), nullptr);
-  EXPECT_EQ(*trie.findExact(Prefix::mustParse("2001:db8::/32")), 2);
-  EXPECT_EQ(trie.findExact(Prefix::mustParse("2001:db8::/33")), nullptr);
-  EXPECT_TRUE(trie.erase(Prefix::mustParse("2001:db8::/32")));
-  EXPECT_FALSE(trie.erase(Prefix::mustParse("2001:db8::/32")));
-  EXPECT_TRUE(trie.empty());
+  PrefixTable<int> table;
+  EXPECT_TRUE(table.insert(Prefix::mustParse("2001:db8::/32"), 1));
+  EXPECT_FALSE(table.insert(Prefix::mustParse("2001:db8::/32"), 2)); // update
+  EXPECT_EQ(table.size(), 1u);
+  ASSERT_NE(table.findExact(Prefix::mustParse("2001:db8::/32")), nullptr);
+  EXPECT_EQ(*table.findExact(Prefix::mustParse("2001:db8::/32")), 2);
+  EXPECT_EQ(table.findExact(Prefix::mustParse("2001:db8::/33")), nullptr);
+  EXPECT_TRUE(table.erase(Prefix::mustParse("2001:db8::/32")));
+  EXPECT_FALSE(table.erase(Prefix::mustParse("2001:db8::/32")));
+  EXPECT_TRUE(table.empty());
 }
 
 TEST(PrefixTrie, LongestMatchPrefersMoreSpecific) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix::mustParse("2001:db8::/32"), 32);
-  trie.insert(Prefix::mustParse("2001:db8:5::/48"), 48);
-  trie.insert(Prefix::mustParse("2001:db8:5:1::/64"), 64);
+  PrefixTable<int> table;
+  table.insert(Prefix::mustParse("2001:db8::/32"), 32);
+  table.insert(Prefix::mustParse("2001:db8:5::/48"), 48);
+  table.insert(Prefix::mustParse("2001:db8:5:1::/64"), 64);
 
-  auto m = trie.longestMatch(Ipv6Address::mustParse("2001:db8:5:1::9"));
+  auto m = table.longestMatch(Ipv6Address::mustParse("2001:db8:5:1::9"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m->second, 64);
   EXPECT_EQ(m->first.length(), 64u);
 
-  m = trie.longestMatch(Ipv6Address::mustParse("2001:db8:5:2::9"));
+  m = table.longestMatch(Ipv6Address::mustParse("2001:db8:5:2::9"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m->second, 48);
 
-  m = trie.longestMatch(Ipv6Address::mustParse("2001:db8:6::9"));
+  m = table.longestMatch(Ipv6Address::mustParse("2001:db8:6::9"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m->second, 32);
 
-  EXPECT_FALSE(trie.longestMatch(Ipv6Address::mustParse("2001:db9::1"))
+  EXPECT_FALSE(table.longestMatch(Ipv6Address::mustParse("2001:db9::1"))
                    .has_value());
 }
 
 TEST(PrefixTrie, DefaultRoute) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix::mustParse("::/0"), 0);
-  auto m = trie.longestMatch(Ipv6Address::mustParse("ff02::1"));
+  PrefixTable<int> table;
+  table.insert(Prefix::mustParse("::/0"), 0);
+  auto m = table.longestMatch(Ipv6Address::mustParse("ff02::1"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m->second, 0);
 }
 
 TEST(PrefixTrie, Entries) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix::mustParse("2001:db8:8000::/33"), 2);
-  trie.insert(Prefix::mustParse("2001:db8::/32"), 1);
-  const auto entries = trie.entries();
+  PrefixTable<int> table;
+  table.insert(Prefix::mustParse("2001:db8:8000::/33"), 2);
+  table.insert(Prefix::mustParse("2001:db8::/32"), 1);
+  const auto entries = table.entries();
   ASSERT_EQ(entries.size(), 2u);
-  // Trie order: shorter/parent first along each path.
+  // (address, length) order: a covering prefix before what it covers.
   EXPECT_EQ(entries[0].first.toString(), "2001:db8::/32");
   EXPECT_EQ(entries[1].first.toString(), "2001:db8:8000::/33");
 }
 
 TEST(PrefixTrie, LpmMatchesLinearScanProperty) {
-  // Compare trie LPM against a brute-force linear scan on random data.
+  // Compare table LPM against a brute-force linear scan on random data.
   sim::Rng rng{17};
-  PrefixTrie<std::size_t> trie;
+  PrefixTable<std::size_t> table;
   std::vector<Prefix> prefixes;
   for (int i = 0; i < 120; ++i) {
     const unsigned len = 8 + static_cast<unsigned>(rng.below(57));
     Prefix p{Ipv6Address{rng.next() & 0x3f00ffffffffffffULL, rng.next()},
              len};
     prefixes.push_back(p);
-    trie.insert(p, prefixes.size() - 1);
+    table.insert(p, prefixes.size() - 1);
   }
   for (int i = 0; i < 2000; ++i) {
     Ipv6Address addr;
@@ -187,7 +187,7 @@ TEST(PrefixTrie, LpmMatchesLinearScanProperty) {
         bestLen = static_cast<int>(p.length());
       }
     }
-    const auto m = trie.longestMatch(addr);
+    const auto m = table.longestMatch(addr);
     if (bestLen < 0) {
       EXPECT_FALSE(m.has_value());
     } else {

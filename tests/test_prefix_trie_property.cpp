@@ -1,4 +1,4 @@
-// Property tests for net::PrefixTrie's longest-prefix match: random prefix
+// Property tests for net::PrefixTable's longest-prefix match: random prefix
 // sets checked against a brute-force oracle, plus the exact shadowing
 // configuration the paper's telescopes depend on — a /48 inside a covering
 // /29, where LPM must pick the /48 while the /29 still covers the rest.
@@ -11,7 +11,7 @@
 #include "bgp/rib.hpp"
 #include "fault/invariants.hpp"
 #include "net/prefix.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_table.hpp"
 #include "sim/rng.hpp"
 
 namespace v6t::net {
@@ -48,6 +48,13 @@ public:
       if (!best || p.length() > best->first.length()) best = {p, v};
     }
     return best;
+  }
+
+  [[nodiscard]] const int* findExact(const Prefix& prefix) const {
+    for (const auto& [p, v] : entries_) {
+      if (p == prefix) return &v;
+    }
+    return nullptr;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -91,13 +98,13 @@ Ipv6Address insideOf(const Prefix& p, sim::Rng& rng) {
   return Ipv6Address{hi, lo};
 }
 
-void checkAgainstOracle(const PrefixTrie<int>& trie, const OracleLpm& oracle,
+void checkAgainstOracle(const PrefixTable<int>& table, const OracleLpm& oracle,
                         const Ipv6Address& addr) {
-  const auto got = trie.longestMatch(addr);
+  const auto got = table.longestMatch(addr);
   const auto want = oracle.longestMatch(addr);
   ASSERT_EQ(got.has_value(), want.has_value()) << addr.toString();
   if (got.has_value()) {
-    // The trie reports the match as (addr masked to depth); compare prefix
+    // The table reports the match as (addr masked to length); compare prefix
     // length and stored value.
     EXPECT_EQ(got->first.length(), want->first.length()) << addr.toString();
     EXPECT_EQ(*got->second, want->second) << addr.toString();
@@ -107,24 +114,24 @@ void checkAgainstOracle(const PrefixTrie<int>& trie, const OracleLpm& oracle,
 TEST(PrefixTriePropertyTest, RandomSetsMatchBruteForceOracle) {
   sim::Rng rng{0x7219e};
   for (int round = 0; round < 30; ++round) {
-    PrefixTrie<int> trie;
+    PrefixTable<int> table;
     OracleLpm oracle;
     const int prefixes = 1 + static_cast<int>(rng.below(40));
     for (int i = 0; i < prefixes; ++i) {
       const Prefix p = randomPrefix(rng);
-      trie.insert(p, i);
+      table.insert(p, i);
       oracle.insert(p, i);
     }
-    ASSERT_EQ(trie.size(), oracle.size());
+    ASSERT_EQ(table.size(), oracle.size());
 
     // Probe addresses inside stored prefixes (the interesting cases) and
     // fully random ones (mostly misses).
     for (const auto& [p, v] : oracle.entries()) {
-      checkAgainstOracle(trie, oracle, insideOf(p, rng));
-      checkAgainstOracle(trie, oracle, p.address());
+      checkAgainstOracle(table, oracle, insideOf(p, rng));
+      checkAgainstOracle(table, oracle, p.address());
     }
     for (int i = 0; i < 50; ++i) {
-      checkAgainstOracle(trie, oracle, randomAddress(rng));
+      checkAgainstOracle(table, oracle, randomAddress(rng));
     }
   }
 }
@@ -132,27 +139,89 @@ TEST(PrefixTriePropertyTest, RandomSetsMatchBruteForceOracle) {
 TEST(PrefixTriePropertyTest, EraseKeepsTrieConsistentWithOracle) {
   sim::Rng rng{0xe5a5e};
   for (int round = 0; round < 20; ++round) {
-    PrefixTrie<int> trie;
+    PrefixTable<int> table;
     OracleLpm oracle;
     std::vector<Prefix> inserted;
     for (int i = 0; i < 25; ++i) {
       const Prefix p = randomPrefix(rng);
-      trie.insert(p, i);
+      table.insert(p, i);
       oracle.insert(p, i);
       inserted.push_back(p);
     }
     // Erase half, in random order; check equivalence after each removal.
     for (int i = 0; i < 12; ++i) {
       const Prefix victim = inserted[rng.below(inserted.size())];
-      EXPECT_EQ(trie.erase(victim), oracle.erase(victim));
-      ASSERT_EQ(trie.size(), oracle.size());
+      EXPECT_EQ(table.erase(victim), oracle.erase(victim));
+      ASSERT_EQ(table.size(), oracle.size());
       for (int probe = 0; probe < 20; ++probe) {
-        checkAgainstOracle(trie, oracle, randomAddress(rng));
+        checkAgainstOracle(table, oracle, randomAddress(rng));
       }
       for (const auto& [p, v] : oracle.entries()) {
-        checkAgainstOracle(trie, oracle, p.address());
+        checkAgainstOracle(table, oracle, p.address());
       }
     }
+  }
+}
+
+TEST(PrefixTriePropertyTest, ChurnAcrossLengthsKeepsOrderAndCoverage) {
+  // Random insert/erase churn over 24 lengths in a narrow space, so each
+  // length's table fills, empties (dropping the length from the probe
+  // order) and refills. After every step, entries() must be the oracle's
+  // entries in (address, length) order — the order the scanners'
+  // bootstrap inherits through Rib::announcedRoutes — and covers() must
+  // agree with the oracle's longest match.
+  static constexpr unsigned kLengths[] = {0,  8,  16, 20, 24, 28,  29,  30,
+                                          32, 33, 36, 40, 44, 47,  48,  52,
+                                          56, 60, 63, 64, 65, 96, 127, 128};
+  sim::Rng rng{0xc4a2};
+  for (int round = 0; round < 10; ++round) {
+    PrefixTable<int> table;
+    OracleLpm oracle;
+    // Few distinct addresses per length, so erasing a length's last
+    // prefix and re-inserting it happens often.
+    auto drawPrefix = [&] {
+      const unsigned len = kLengths[rng.below(std::size(kLengths))];
+      const std::uint64_t hi = (0x3fffULL << 48) | (rng.below(4) << 40) |
+                               (rng.below(2) << 8);
+      return Prefix{Ipv6Address{hi, rng.below(2) << 63}, len};
+    };
+    std::size_t lengthsEmptied = 0;
+    for (int step = 0; step < 400; ++step) {
+      const Prefix p = drawPrefix();
+      if (rng.chance(0.45)) {
+        const bool lastOfLength =
+            std::count_if(oracle.entries().begin(), oracle.entries().end(),
+                          [&](const auto& e) {
+                            return e.first.length() == p.length();
+                          }) == 1;
+        const bool erased = oracle.erase(p);
+        ASSERT_EQ(table.erase(p), erased) << p.toString();
+        if (erased && lastOfLength) ++lengthsEmptied;
+      } else {
+        const int value = step;
+        ASSERT_EQ(table.insert(p, value), oracle.findExact(p) == nullptr);
+        oracle.insert(p, value);
+      }
+      ASSERT_EQ(table.size(), oracle.size());
+
+      std::vector<std::pair<Prefix, int>> want = oracle.entries();
+      std::sort(want.begin(), want.end());
+      const auto got = table.entries();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].first, want[i].first) << "step " << step;
+        ASSERT_EQ(*got[i].second, want[i].second) << "step " << step;
+      }
+      for (int probe = 0; probe < 8; ++probe) {
+        const Ipv6Address addr = probe % 2 == 0
+                                     ? drawPrefix().address()
+                                     : insideOf(drawPrefix(), rng);
+        ASSERT_EQ(table.covers(addr), oracle.longestMatch(addr).has_value())
+            << addr.toString();
+        checkAgainstOracle(table, oracle, addr);
+      }
+    }
+    EXPECT_GT(lengthsEmptied, 10u) << "round " << round;
   }
 }
 
@@ -166,44 +235,44 @@ TEST(PrefixTriePropertyTest, CoveringSlash29VsShadowingSlash48) {
   ASSERT_TRUE(covering.contains(t3.address()));
   ASSERT_TRUE(covering.contains(t4.address()));
 
-  PrefixTrie<int> trie;
-  trie.insert(covering, 29);
-  trie.insert(t3, 3);
-  trie.insert(t4, 4);
+  PrefixTable<int> table;
+  table.insert(covering, 29);
+  table.insert(t3, 3);
+  table.insert(t4, 4);
 
-  const auto inT3 = trie.longestMatch(Ipv6Address::mustParse("3fff:e03:3::1"));
+  const auto inT3 = table.longestMatch(Ipv6Address::mustParse("3fff:e03:3::1"));
   ASSERT_TRUE(inT3.has_value());
   EXPECT_EQ(inT3->first.length(), 48u);
   EXPECT_EQ(*inT3->second, 3);
 
   const auto inT4 =
-      trie.longestMatch(Ipv6Address::mustParse("3fff:e05:7:ffff::42"));
+      table.longestMatch(Ipv6Address::mustParse("3fff:e05:7:ffff::42"));
   ASSERT_TRUE(inT4.has_value());
   EXPECT_EQ(*inT4->second, 4);
 
   // Covered-but-unowned space: the /29 wins (the packet then disappears
   // into the void in the delivery fabric's terms).
-  const auto inVoid = trie.longestMatch(Ipv6Address::mustParse("3fff:e01::1"));
+  const auto inVoid = table.longestMatch(Ipv6Address::mustParse("3fff:e01::1"));
   ASSERT_TRUE(inVoid.has_value());
   EXPECT_EQ(inVoid->first.length(), 29u);
   EXPECT_EQ(*inVoid->second, 29);
 
   // Outside the /29 entirely: no match.
   EXPECT_FALSE(
-      trie.longestMatch(Ipv6Address::mustParse("3fff:100::1")).has_value());
+      table.longestMatch(Ipv6Address::mustParse("3fff:100::1")).has_value());
 
   // Withdrawing the /48 reveals the /29 underneath — exactly the withdraw
   // day's routing state.
-  trie.erase(t3);
+  table.erase(t3);
   const auto afterErase =
-      trie.longestMatch(Ipv6Address::mustParse("3fff:e03:3::1"));
+      table.longestMatch(Ipv6Address::mustParse("3fff:e03:3::1"));
   ASSERT_TRUE(afterErase.has_value());
   EXPECT_EQ(afterErase->first.length(), 29u);
 }
 
 // ------------------------------------------------- RIB churn vs oracle
 
-/// Fuzz the full bgp::Rib (trie + route metadata) through heavy churn —
+/// Fuzz the full bgp::Rib (table + route metadata) through heavy churn —
 /// random interleavings of announces, origin changes, withdraws, and
 /// rapid flap bursts — checking LPM against the brute-force oracle after
 /// every mutation, and letting fault::InvariantChecker's RIB rule audit
@@ -228,7 +297,7 @@ TEST(RibChurnProperty, LpmMatchesOracleThroughAnnounceWithdrawFlapStorms) {
       if (!got) return;
       EXPECT_EQ(got->first, want->first) << addr.toString();
       // Origins may differ between equal-length distinct prefixes only if
-      // the trie picked a different same-length match — impossible; assert
+      // the table picked a different same-length match — impossible; assert
       // the stored origin survived the churn too.
       EXPECT_EQ(got->second.origin.value(),
                 static_cast<std::uint32_t>(want->second))

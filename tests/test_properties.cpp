@@ -3,12 +3,15 @@
 // window-accounting consistency.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "core/summary.hpp"
+#include "fault/spec.hpp"
 #include "net/pcap.hpp"
-#include "net/prefix_trie.hpp"
+#include "net/prefix_table.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "telescope/session.hpp"
@@ -117,11 +120,11 @@ TEST(EngineStress, MatchesReferenceModel) {
   }
 }
 
-// ---------------------------------------------------- trie erase property
+// ------------------------------------------- prefix table erase property
 
 TEST(PrefixTrieProperty, EraseReinsertConsistency) {
   sim::Rng rng{104};
-  net::PrefixTrie<int> trie;
+  net::PrefixTable<int> table;
   std::map<net::Prefix, int> reference;
   for (int round = 0; round < 3000; ++round) {
     const unsigned len = 8 + static_cast<unsigned>(rng.below(41));
@@ -132,20 +135,20 @@ TEST(PrefixTrieProperty, EraseReinsertConsistency) {
         len};
     if (rng.chance(0.6)) {
       const int value = static_cast<int>(rng.below(1000));
-      trie.insert(p, value);
+      table.insert(p, value);
       reference[p] = value;
     } else {
       const bool had = reference.erase(p) > 0;
-      EXPECT_EQ(trie.erase(p), had);
+      EXPECT_EQ(table.erase(p), had);
     }
-    ASSERT_EQ(trie.size(), reference.size());
+    ASSERT_EQ(table.size(), reference.size());
   }
   for (const auto& [p, v] : reference) {
-    const int* found = trie.findExact(p);
+    const int* found = table.findExact(p);
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(*found, v);
   }
-  EXPECT_EQ(trie.entries().size(), reference.size());
+  EXPECT_EQ(table.entries().size(), reference.size());
 }
 
 // --------------------------------------- aggregation monotonicity property
@@ -233,6 +236,71 @@ TEST(SummaryProperty, DisjointWindowsSumToWhole) {
     }
     EXPECT_EQ(packetSum, whole.packets) << "telescope " << t;
     EXPECT_EQ(sessionSum, whole.sessions128) << "telescope " << t;
+  }
+}
+
+TEST(SummaryProperty, WindowStatsOfSubspanMatchesFilterOverAllPackets) {
+  // windowStats reads a window as a lower_bound pair over the time-ordered
+  // capture. Compare it with a plain filter over every packet, for window
+  // bounds drawn mostly from the packets' own timestamps — so they fall
+  // inside runs of equal timestamps — and otherwise anywhere, empty and
+  // inverted windows included.
+  sim::Rng rng{2718};
+  std::vector<std::vector<net::Packet>> shards(1);
+  std::int64_t ts = 0;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    if (rng.chance(0.3)) {
+      ts += static_cast<std::int64_t>(rng.below(4)) * sim::minutes(20).millis();
+    }
+    net::Packet p;
+    p.ts = sim::SimTime{ts};
+    p.src = net::Ipv6Address{0x2001'0db8'0000'0000ULL | rng.below(3),
+                             rng.below(40)};
+    p.dst = net::Ipv6Address{0x3fff'0100'0000'0000ULL, rng.below(500)};
+    p.srcAsn = net::Asn{static_cast<std::uint32_t>(rng.below(5))};
+    p.originId = i;
+    p.originSeq = i;
+    shards[0].push_back(p);
+  }
+  std::array<telescope::CaptureStore, 4> captures;
+  captures[0].mergeFrom(std::move(shards));
+  const auto summary = core::ExperimentSummary::compute(
+      {&captures[0], &captures[1], &captures[2], &captures[3]},
+      {"T1", "T2", "T3", "T4"}, fault::FaultSpec{});
+  const std::vector<net::Packet>& packets = captures[0].packets();
+
+  auto bound = [&] {
+    if (rng.chance(0.8)) return packets[rng.below(packets.size())].ts;
+    return sim::SimTime{static_cast<std::int64_t>(
+                            rng.below(static_cast<std::uint64_t>(ts) + 2)) -
+                        1};
+  };
+  for (int w = 0; w < 300; ++w) {
+    const core::Period period{bound(), bound()};
+    std::uint64_t inWindow = 0;
+    std::set<net::Ipv6Address> sources128;
+    std::set<net::Ipv6Address> sources64;
+    std::set<net::Ipv6Address> destinations;
+    std::set<std::uint32_t> asns;
+    for (const net::Packet& p : packets) {
+      if (!period.contains(p.ts)) continue;
+      ++inWindow;
+      sources128.insert(p.src);
+      sources64.insert(p.src.maskedTo(64));
+      destinations.insert(p.dst);
+      if (!p.srcAsn.unattributed()) asns.insert(p.srcAsn.value());
+    }
+    std::size_t sessions128 = 0;
+    for (const telescope::Session& s : summary.telescope(0).sessions128) {
+      sessions128 += period.contains(s.start) ? 1 : 0;
+    }
+    const auto stats = summary.windowStats(captures[0], 0, period);
+    EXPECT_EQ(stats.packets, inWindow) << "window " << w;
+    EXPECT_EQ(stats.sources128, sources128.size()) << "window " << w;
+    EXPECT_EQ(stats.sources64, sources64.size()) << "window " << w;
+    EXPECT_EQ(stats.destinations, destinations.size()) << "window " << w;
+    EXPECT_EQ(stats.asns, asns.size()) << "window " << w;
+    EXPECT_EQ(stats.sessions128, sessions128) << "window " << w;
   }
 }
 

@@ -207,14 +207,13 @@ TEST(Scanner, RotatorUsesManySourceAddresses) {
   w.engine.run(sim::kEpoch + sim::weeks(8));
 
   ASSERT_GT(w.t1.packets().size(), 0u);
-  // The telescope keeps no statistics; a store built from its buffer does.
-  telescope::CaptureStore capture;
-  capture.mergeFrom({w.t1.packets()});
+  const telescope::CaptureStats capture =
+      telescope::captureStats(w.t1.packets());
   // Many /128 sources, exactly one /64.
-  EXPECT_GT(capture.distinctSources128(), 10u);
-  EXPECT_EQ(capture.distinctSources64(), 1u);
+  EXPECT_GT(capture.sources128, 10u);
+  EXPECT_EQ(capture.sources64, 1u);
   // Every packet goes to the attractor.
-  EXPECT_EQ(capture.distinctDestinations(), 1u);
+  EXPECT_EQ(capture.destinations, 1u);
 }
 
 TEST(Scanner, WithdrawnPrefixIsForgotten) {

@@ -41,15 +41,16 @@ TEST(CaptureStore, Accounting) {
                         "3fff::1", Protocol::Udp));
 
   EXPECT_EQ(store.packetCount(), 3u);
-  EXPECT_EQ(store.distinctSources128(), 3u);
-  EXPECT_EQ(store.distinctSources64(), 2u); // two in 2001:db8:0::/64
-  EXPECT_EQ(store.distinctDestinations(), 2u);
-  EXPECT_EQ(store.packetsPerProtocol(Protocol::Icmpv6), 1u);
-  EXPECT_EQ(store.packetsPerProtocol(Protocol::Tcp), 1u);
-  EXPECT_EQ(store.packetsPerProtocol(Protocol::Udp), 1u);
-  EXPECT_EQ(store.hourlyCounts().size(), 3u);
-  EXPECT_EQ(store.dailyCounts().size(), 2u);
-  EXPECT_EQ(store.weeklyCounts().size(), 2u);
+  const CaptureStats stats = captureStats(store.packets());
+  EXPECT_EQ(stats.sources128, 3u);
+  EXPECT_EQ(stats.sources64, 2u); // two in 2001:db8:0::/64
+  EXPECT_EQ(stats.destinations, 2u);
+  EXPECT_EQ(stats.packetsPerProtocol(Protocol::Icmpv6), 1u);
+  EXPECT_EQ(stats.packetsPerProtocol(Protocol::Tcp), 1u);
+  EXPECT_EQ(stats.packetsPerProtocol(Protocol::Udp), 1u);
+  EXPECT_EQ(stats.hourly.size(), 3u);
+  EXPECT_EQ(stats.daily.size(), 2u);
+  EXPECT_EQ(stats.weekly.size(), 2u);
 }
 
 TEST(CaptureStore, SerializationRoundTrip) {
@@ -63,7 +64,7 @@ TEST(CaptureStore, SerializationRoundTrip) {
   CaptureStore restored;
   EXPECT_EQ(restored.readFrom(stream), 50u);
   EXPECT_EQ(restored.packetCount(), 50u);
-  EXPECT_EQ(restored.distinctSources128(), 1u);
+  EXPECT_EQ(captureStats(restored.packets()).sources128, 1u);
   EXPECT_EQ(restored.packets()[49].ts, sim::SimTime{49000});
 }
 

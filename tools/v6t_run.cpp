@@ -586,10 +586,13 @@ int main(int argc, char** argv) {
     // A telescope whose observation window overlaps a declared capture
     // outage is flagged: its numbers are lower bounds, not measurements.
     const bool inGap = !config.faults.gapWindowsFor(t).empty();
+    // Every packet lands in a /128 session and the taxonomy profiles each
+    // session source once, so its profile count is the distinct /128
+    // source count.
     table.addRow(
         {analysis::gapFlagged(names[t], inGap),
          analysis::withThousands(runner.capture(t).packetCount()),
-         analysis::withThousands(runner.capture(t).distinctSources128()),
+         analysis::withThousands(taxonomy.profiles.size()),
          analysis::withThousands(sessions.size()),
          analysis::withThousands(
              taxonomy.scannersOf(analysis::TemporalClass::OneOff)),
