@@ -11,16 +11,19 @@ int main() {
 
   const core::Period initial = ctx.initialPeriod();
   const std::vector<std::string> names{"T1", "T2", "T3", "T4"};
+  std::vector<std::span<const net::Packet>> windows;
+  for (std::size_t t = 0; t < 4; ++t) {
+    windows.push_back(
+        core::packetsIn(ctx.runner->capture(t).packets(), initial));
+  }
 
   // (a) ASNs.
   {
-    std::vector<std::set<std::uint32_t>> sets;
-    for (std::size_t t = 0; t < 4; ++t) {
-      sets.push_back(
-          core::ExperimentSummary::sourceAsns(ctx.runner->capture(t), initial));
-    }
-    const auto result =
-        analysis::upset(std::span<const std::set<std::uint32_t>>{sets});
+    const auto result = analysis::upset(analysis::membership(
+        windows, [](const net::Packet& p) -> std::optional<net::Asn> {
+          if (p.srcAsn.unattributed()) return std::nullopt;
+          return p.srcAsn;
+        }));
     std::cout << "(a) origin ASNs (set sizes: ";
     for (std::size_t t = 0; t < 4; ++t) {
       std::cout << names[t] << "=" << result.setTotals[t]
@@ -35,13 +38,8 @@ int main() {
 
   // (b) /128 sources.
   {
-    std::vector<std::set<net::Ipv6Address>> sets;
-    for (std::size_t t = 0; t < 4; ++t) {
-      sets.push_back(
-          core::ExperimentSummary::sources128(ctx.runner->capture(t), initial));
-    }
-    const auto result =
-        analysis::upset(std::span<const std::set<net::Ipv6Address>>{sets});
+    const auto result = analysis::upset(analysis::membership(
+        windows, [](const net::Packet& p) { return std::optional{p.src}; }));
     std::cout << "\n(b) /128 scan sources (set sizes: ";
     for (std::size_t t = 0; t < 4; ++t) {
       std::cout << names[t] << "=" << result.setTotals[t]

@@ -2,8 +2,7 @@
 // (a) sources observed at every telescope; (b) the share of T1∩T2 sources
 // seen at both on the same day, which declines once the BGP experiment
 // pulls T1's crowd away from T2's.
-#include <map>
-#include <set>
+#include <algorithm>
 
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
@@ -14,79 +13,75 @@ int main() {
   bench::RunContext ctx =
       bench::runStandard("Fig. 16: source overlap across telescopes");
 
-  const core::Period whole = ctx.wholePeriod();
+  // The period's packets at the first `count` telescopes.
+  const auto windowsIn = [&](core::Period period, std::size_t count) {
+    std::vector<std::span<const net::Packet>> windows;
+    for (std::size_t t = 0; t < count; ++t) {
+      windows.push_back(
+          core::packetsIn(ctx.runner->capture(t).packets(), period));
+    }
+    return windows;
+  };
 
   // (a) sources seen at all four telescopes.
-  std::set<net::Ipv6Address> perTelescope[4];
-  for (std::size_t t = 0; t < 4; ++t) {
-    perTelescope[t] =
-        core::ExperimentSummary::sources128(ctx.runner->capture(t), whole);
-  }
+  const auto whole = windowsIn(ctx.wholePeriod(), 4);
   std::vector<net::Ipv6Address> everywhere;
-  for (const auto& src : perTelescope[0]) {
-    if (perTelescope[1].contains(src) && perTelescope[2].contains(src) &&
-        perTelescope[3].contains(src)) {
-      everywhere.push_back(src);
-    }
+  for (const auto& e :
+       analysis::membership(whole, [](const net::Packet& p) {
+         return std::optional{p.src};
+       }).entries) {
+    if (e.mask == 0b1111) everywhere.push_back(e.key);
   }
   std::cout << "(a) /128 sources observed at all four telescopes: "
             << everywhere.size() << " (paper: 10 over the full period)\n";
+  // Each one's AS annotation from its first T1 packet.
+  std::vector<std::optional<net::Asn>> asns(everywhere.size());
+  for (const net::Packet& p : whole[core::T1]) {
+    const auto it =
+        std::lower_bound(everywhere.begin(), everywhere.end(), p.src);
+    if (it == everywhere.end() || *it != p.src) continue;
+    auto& asn = asns[static_cast<std::size_t>(it - everywhere.begin())];
+    if (!asn) asn = p.srcAsn;
+  }
   const auto& registry = ctx.runner->asRegistry();
-  for (const auto& src : everywhere) {
-    // Find its AS annotation from any capture.
-    net::Asn asn;
-    for (const auto& p :
-         ctx.runner->capture(core::T1).packets()) {
-      if (p.src == src) {
-        asn = p.srcAsn;
-        break;
-      }
-    }
-    std::cout << "    " << src.toString() << "  ("
-              << net::toString(registry.typeOf(asn)) << ")\n";
+  for (std::size_t i = 0; i < everywhere.size(); ++i) {
+    std::cout << "    " << everywhere[i].toString() << "  ("
+              << net::toString(registry.typeOf(asns[i].value_or(net::Asn{})))
+              << ")\n";
   }
 
-  // (b) same-day overlap share between T1 and T2, initial vs split.
-  auto sameDayShare = [&](core::Period period) {
-    std::map<net::Ipv6Address, std::set<std::int64_t>> daysAt[2];
-    for (std::size_t t = 0; t < 2; ++t) {
-      for (const net::Packet& p :
-           ctx.runner->capture(t).packets()) {
-        if (period.contains(p.ts)) daysAt[t][p.src].insert(p.ts.dayIndex());
-      }
-    }
+  // (b) same-day overlap share between T1 and T2, initial vs split: a
+  // source is shared when its (source, day) keys together cover both
+  // telescopes, and same-day when one of those keys does alone.
+  std::cout << "\n(b) T1 and T2 source overlap\n";
+  for (const auto& [label, period] :
+       {std::pair{"initial: ", ctx.initialPeriod()},
+        std::pair{"split:   ", ctx.splitPeriod()}}) {
+    const auto days = analysis::membership(
+        windowsIn(period, 2), [](const net::Packet& p) {
+          return std::optional{std::pair{p.src, p.ts.dayIndex()}};
+        });
     std::uint64_t shared = 0;
     std::uint64_t sameDay = 0;
-    for (const auto& [src, days1] : daysAt[0]) {
-      const auto it = daysAt[1].find(src);
-      if (it == daysAt[1].end()) continue;
-      ++shared;
-      for (std::int64_t d : days1) {
-        if (it->second.contains(d)) {
-          ++sameDay;
-          break;
-        }
+    for (auto it = days.entries.begin(); it != days.entries.end();) {
+      const net::Ipv6Address src = it->key.first;
+      std::uint32_t seenAt = 0;
+      bool together = false;
+      for (; it != days.entries.end() && it->key.first == src; ++it) {
+        seenAt |= it->mask;
+        together |= it->mask == 0b11;
+      }
+      if (seenAt == 0b11) {
+        ++shared;
+        sameDay += together;
       }
     }
-    return std::pair{shared, sameDay};
-  };
-  const auto [sharedInitial, sameDayInitial] =
-      sameDayShare(ctx.initialPeriod());
-  const auto [sharedSplit, sameDaySplit] = sameDayShare(ctx.splitPeriod());
-  std::cout << "\n(b) T1 and T2 source overlap\n"
-            << "    initial: " << sharedInitial << " shared sources, "
-            << analysis::fixed(
-                   analysis::percent(sameDayInitial,
-                                     std::max<std::uint64_t>(sharedInitial, 1)),
-                   1)
-            << "% seen on the same day\n"
-            << "    split:   " << sharedSplit << " shared sources, "
-            << analysis::fixed(
-                   analysis::percent(sameDaySplit,
-                                     std::max<std::uint64_t>(sharedSplit, 1)),
-                   1)
-            << "% seen on the same day\n"
-            << "paper: ~75% same-day during the initial period, declining "
+    const double share =
+        analysis::percent(sameDay, std::max<std::uint64_t>(shared, 1));
+    std::cout << "    " << label << shared << " shared sources, "
+              << analysis::fixed(share, 1) << "% seen on the same day\n";
+  }
+  std::cout << "paper: ~75% same-day during the initial period, declining "
                "toward ~30% as the active experiment attracts scanners to "
                "T1 only\n";
   return 0;

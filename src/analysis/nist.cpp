@@ -229,137 +229,6 @@ NistResult cusumTest(std::span<const std::uint8_t> bits, bool forward) {
   return {std::clamp(p, 0.0, 1.0)};
 }
 
-namespace {
-
-/// Regularized upper incomplete gamma function Q(a, x) = Γ(a,x)/Γ(a),
-/// via series / continued fraction (Numerical-Recipes style). Needed for
-/// the chi-square based tests.
-double igamc(double a, double x) {
-  if (x <= 0.0 || a <= 0.0) return 1.0;
-  const double logGammaA = std::lgamma(a);
-  if (x < a + 1.0) {
-    // Series for P(a,x); Q = 1 - P.
-    double sum = 1.0 / a;
-    double term = sum;
-    double ap = a;
-    for (int i = 0; i < 500; ++i) {
-      ap += 1.0;
-      term *= x / ap;
-      sum += term;
-      if (std::abs(term) < std::abs(sum) * 1e-15) break;
-    }
-    const double p = sum * std::exp(-x + a * std::log(x) - logGammaA);
-    return std::clamp(1.0 - p, 0.0, 1.0);
-  }
-  // Continued fraction for Q(a,x) (modified Lentz).
-  constexpr double tiny = 1e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / tiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= 500; ++i) {
-    const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::abs(d) < tiny) d = tiny;
-    c = b + an / c;
-    if (std::abs(c) < tiny) c = tiny;
-    d = 1.0 / d;
-    const double delta = d * c;
-    h *= delta;
-    if (std::abs(delta - 1.0) < 1e-15) break;
-  }
-  const double q = h * std::exp(-x + a * std::log(x) - logGammaA);
-  return std::clamp(q, 0.0, 1.0);
-}
-
-/// psi^2_m statistic of the serial / approximate entropy tests:
-/// (2^m / n) * sum over all m-bit patterns of count^2, minus n.
-/// Uses cyclic extension per the spec. m == 0 yields 0.
-double psiSquared(std::span<const std::uint8_t> bits, unsigned m) {
-  if (m == 0) return 0.0;
-  const std::size_t n = bits.size();
-  std::vector<std::uint64_t> counts(1ULL << m, 0);
-  const std::uint64_t mask = (1ULL << m) - 1;
-  // Build the initial window.
-  std::uint64_t window = 0;
-  for (unsigned i = 0; i < m; ++i) {
-    window = (window << 1) | (bits[i % n] != 0 ? 1 : 0);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ++counts[window & mask];
-    window = (window << 1) | (bits[(i + m) % n] != 0 ? 1 : 0);
-  }
-  double sum = 0.0;
-  for (std::uint64_t c : counts) {
-    sum += static_cast<double>(c) * static_cast<double>(c);
-  }
-  return sum * static_cast<double>(1ULL << m) / static_cast<double>(n) -
-         static_cast<double>(n);
-}
-
-} // namespace
-
-NistResult blockFrequencyTest(std::span<const std::uint8_t> bits,
-                              std::size_t blockLen) {
-  const std::size_t n = bits.size();
-  if (blockLen == 0 || n < blockLen) return {0.0};
-  const std::size_t blocks = n / blockLen;
-  double chi2 = 0.0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    std::size_t ones = 0;
-    for (std::size_t i = 0; i < blockLen; ++i) {
-      ones += bits[b * blockLen + i] != 0 ? 1 : 0;
-    }
-    const double pi = static_cast<double>(ones) /
-                      static_cast<double>(blockLen);
-    chi2 += (pi - 0.5) * (pi - 0.5);
-  }
-  chi2 *= 4.0 * static_cast<double>(blockLen);
-  return {igamc(static_cast<double>(blocks) / 2.0, chi2 / 2.0)};
-}
-
-NistResult serialTest(std::span<const std::uint8_t> bits, unsigned m) {
-  const std::size_t n = bits.size();
-  if (m < 1 || n < (1ULL << m)) return {0.0};
-  const double psiM = psiSquared(bits, m);
-  const double psiM1 = psiSquared(bits, m - 1);
-  const double del1 = psiM - psiM1;
-  return {igamc(std::pow(2.0, static_cast<double>(m) - 1.0) / 2.0,
-                del1 / 2.0)};
-}
-
-NistResult approximateEntropyTest(std::span<const std::uint8_t> bits,
-                                  unsigned m) {
-  const std::size_t n = bits.size();
-  if (n < (1ULL << m)) return {0.0};
-  // phi(m) from pattern frequencies (cyclic), per §2.12.4.
-  auto phi = [&](unsigned blockLen) {
-    if (blockLen == 0) return 0.0;
-    std::vector<std::uint64_t> counts(1ULL << blockLen, 0);
-    const std::uint64_t mask = (1ULL << blockLen) - 1;
-    std::uint64_t window = 0;
-    for (unsigned i = 0; i < blockLen; ++i) {
-      window = (window << 1) | (bits[i % n] != 0 ? 1 : 0);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ++counts[window & mask];
-      window = (window << 1) | (bits[(i + blockLen) % n] != 0 ? 1 : 0);
-    }
-    double sum = 0.0;
-    for (std::uint64_t c : counts) {
-      if (c == 0) continue;
-      const double p = static_cast<double>(c) / static_cast<double>(n);
-      sum += p * std::log(p);
-    }
-    return sum;
-  };
-  const double apEn = phi(m) - phi(m + 1);
-  const double chi2 =
-      2.0 * static_cast<double>(n) * (std::log(2.0) - apEn);
-  return {igamc(std::pow(2.0, static_cast<double>(m) - 1.0), chi2 / 2.0)};
-}
-
 BitSequence bitsFromAddresses(std::span<const net::Ipv6Address> addrs,
                               unsigned firstBit, unsigned bitCount) {
   BitSequence bits;

@@ -76,21 +76,6 @@ struct PackedBits {
 [[nodiscard]] NistResult cusumTest(std::span<const std::uint8_t> bits,
                                    bool forward = true);
 
-/// SP 800-22 §2.2 — frequency test within M-bit blocks. The paper's
-/// appendix restricts itself to four tests; these additional ones are
-/// provided for deeper analyses (they run fine on >=100-bit sessions).
-[[nodiscard]] NistResult blockFrequencyTest(
-    std::span<const std::uint8_t> bits, std::size_t blockLen = 32);
-
-/// SP 800-22 §2.11 — serial test (overlapping m-bit patterns). Returns
-/// the first p-value (nabla psi^2_m).
-[[nodiscard]] NistResult serialTest(std::span<const std::uint8_t> bits,
-                                    unsigned m = 4);
-
-/// SP 800-22 §2.12 — approximate entropy test.
-[[nodiscard]] NistResult approximateEntropyTest(
-    std::span<const std::uint8_t> bits, unsigned m = 3);
-
 /// Extract a bit sequence from target addresses: `firstBit`..`firstBit +
 /// bitCount - 1` of every address, concatenated in order. The paper uses
 /// bits 32..63 (the subnet under a /32 telescope) and 64..127 (the IID).

@@ -90,10 +90,6 @@ std::string fixed(double value, int decimals) {
   return obs::fmt::fixed(value, decimals);
 }
 
-std::string percentCell(double value, int decimals) {
-  return fixed(value, decimals);
-}
-
 std::string bar(double value, double maxValue, int width) {
   if (maxValue <= 0.0) return {};
   int filled = static_cast<int>(value / maxValue * width + 0.5);

@@ -39,7 +39,6 @@ private:
 /// Number formatting helpers used throughout the reports.
 [[nodiscard]] std::string withThousands(std::uint64_t value);
 [[nodiscard]] std::string fixed(double value, int decimals = 2);
-[[nodiscard]] std::string percentCell(double value, int decimals = 2);
 
 /// A labelled horizontal bar for ASCII "figures".
 [[nodiscard]] std::string bar(double value, double maxValue, int width = 40);

@@ -1,17 +1,23 @@
 // v6t::analysis — descriptive statistics used across the evaluation:
-// CDF series (Fig. 4), top-k port rankings (Table 4), UpSet set
-// intersections (Fig. 8), and share helpers.
+// CDF series (Fig. 4), top-k port rankings (Table 4), cross-telescope
+// membership and its UpSet intersections (Fig. 8, Fig. 16, §8), and share
+// helpers.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "telescope/flat_hash_set.hpp"
 #include "telescope/session.hpp"
 
 namespace v6t::analysis {
@@ -59,6 +65,70 @@ struct PortRank {
     std::span<const telescope::Session> sessions, net::Protocol proto,
     std::size_t k);
 
+/// Which windows saw each key: every distinct key once, ascending by
+/// `operator<`, with bit w of `mask` set when window w saw it. The one
+/// cross-telescope membership statistic behind Fig. 8 (UpSet), Fig. 16
+/// (source overlap) and the §8 attractor-bias finding.
+template <typename Key>
+struct Membership {
+  struct Entry {
+    Key key;
+    std::uint32_t mask = 0;
+  };
+  std::size_t windowCount = 0;
+  std::vector<Entry> entries;
+};
+
+namespace detail {
+/// std::hash, extended to pairs so that (source, day) keys fold too.
+struct KeyHash {
+  template <typename T>
+  std::size_t operator()(const T& v) const {
+    return std::hash<T>{}(v);
+  }
+  template <typename A, typename B>
+  std::size_t operator()(const std::pair<A, B>& v) const {
+    return std::hash<A>{}(v.first) ^
+           std::hash<B>{}(v.second) * 0x9e3779b97f4a7c15ULL;
+  }
+};
+} // namespace detail
+
+/// Fold up to 32 packet windows into their key membership. `key(packet)`
+/// returns std::optional<Key>; packets it maps to nullopt are skipped. One
+/// first-seen pass per window appends each (key, window bit) once, then a
+/// single sort by key ORs the bits of equal keys together.
+template <typename KeyFn>
+[[nodiscard]] auto membership(
+    std::span<const std::span<const net::Packet>> windows, KeyFn key) {
+  using Key = typename std::invoke_result_t<KeyFn,
+                                            const net::Packet&>::value_type;
+  Membership<Key> out;
+  out.windowCount = windows.size();
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    telescope::FlatHashSet<Key, detail::KeyHash> seen;
+    for (const net::Packet& p : windows[w]) {
+      const std::optional<Key> k = key(p);
+      if (k && seen.insert(*k)) {
+        out.entries.push_back({*k, std::uint32_t{1} << w});
+      }
+    }
+  }
+  auto& entries = out.entries;
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  std::size_t kept = 0;
+  for (const auto& e : entries) {
+    if (kept > 0 && entries[kept - 1].key == e.key) {
+      entries[kept - 1].mask |= e.mask;
+    } else {
+      entries[kept++] = e;
+    }
+  }
+  entries.resize(kept);
+  return out;
+}
+
 /// UpSet-style exclusive intersection counts over N named sets.
 struct UpsetRow {
   std::vector<bool> membership; // one flag per input set
@@ -67,37 +137,47 @@ struct UpsetRow {
   [[nodiscard]] std::string key(std::span<const std::string> names) const;
 };
 
-/// `sets[i]` holds the items observed at telescope i. Returns one row per
-/// non-empty exclusive combination, largest first, plus per-set totals.
+/// One row per non-empty exclusive combination, largest first, plus
+/// per-set totals.
 struct UpsetResult {
   std::vector<UpsetRow> rows;
   std::vector<std::uint64_t> setTotals;
 };
 
-template <typename Id>
-[[nodiscard]] UpsetResult upset(std::span<const std::set<Id>> sets) {
-  UpsetResult result;
-  result.setTotals.resize(sets.size());
-  std::map<std::vector<bool>, std::uint64_t> combos;
-  std::set<Id> universe;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    result.setTotals[i] = sets[i].size();
-    universe.insert(sets[i].begin(), sets[i].end());
-  }
-  for (const Id& id : universe) {
-    std::vector<bool> membership(sets.size());
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      membership[i] = sets[i].contains(id);
+/// The UpSet view of a membership fold. Equal counts keep lexicographic
+/// membership order: the first window most significant, absent before
+/// present.
+template <typename Key>
+[[nodiscard]] UpsetResult upset(const Membership<Key>& m) {
+  const std::size_t n = m.windowCount;
+  // That order is numeric order once window 0 is the highest bit.
+  std::vector<std::uint32_t> ranks;
+  ranks.reserve(m.entries.size());
+  for (const auto& e : m.entries) {
+    std::uint32_t r = 0;
+    for (std::size_t w = 0; w < n; ++w) {
+      r |= ((e.mask >> w) & 1u) << (n - 1 - w);
     }
-    ++combos[membership];
+    ranks.push_back(r);
   }
-  for (auto& [membership, count] : combos) {
-    result.rows.push_back(UpsetRow{membership, count});
+  std::sort(ranks.begin(), ranks.end());
+  UpsetResult result;
+  result.setTotals.assign(n, 0);
+  for (auto it = ranks.begin(); it != ranks.end();) {
+    const auto end = std::upper_bound(it, ranks.end(), *it);
+    UpsetRow row{std::vector<bool>(n),
+                 static_cast<std::uint64_t>(end - it)};
+    for (std::size_t w = 0; w < n; ++w) {
+      row.membership[w] = (*it >> (n - 1 - w)) & 1u;
+      if (row.membership[w]) result.setTotals[w] += row.count;
+    }
+    result.rows.push_back(std::move(row));
+    it = end;
   }
-  std::sort(result.rows.begin(), result.rows.end(),
-            [](const UpsetRow& a, const UpsetRow& b) {
-              return a.count > b.count;
-            });
+  std::stable_sort(result.rows.begin(), result.rows.end(),
+                   [](const UpsetRow& a, const UpsetRow& b) {
+                     return a.count > b.count;
+                   });
   return result;
 }
 

@@ -4,7 +4,6 @@
 
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
-#include "telescope/flat_hash_set.hpp"
 
 namespace v6t::core {
 
@@ -66,9 +65,7 @@ std::vector<Finding> GuidanceEngine::derive(
           }
         }
       }
-      return total == 0 ? 0.0
-                        : 100.0 * static_cast<double>(inDeepest) /
-                              static_cast<double>(total);
+      return analysis::percent(inDeepest, total);
     };
     const Period firstCycle{cycles.front().announceAt, cycles.front().endsAt};
     const Period lastCycle{cycles.back().announceAt, cycles.back().endsAt};
@@ -88,28 +85,19 @@ std::vector<Finding> GuidanceEngine::derive(
 
   // (iii) Different attractors draw different scanners.
   {
-    // `either` starts as T2's sources; a T1 source seen for the first time
-    // that is already in it is shared, and what remains is the union.
-    telescope::FlatHashSet<net::Ipv6Address> either;
-    for (const net::Packet& p : window(T2)) either.insert(p.src);
-    telescope::FlatHashSet<net::Ipv6Address> t1Sources;
-    std::size_t shared = 0;
-    for (const net::Packet& p : window(T1)) {
-      if (t1Sources.insert(p.src) && !either.insert(p.src)) ++shared;
-    }
-    const std::size_t unionSize = either.size();
+    const std::span<const net::Packet> windows[] = {window(T1), window(T2)};
+    const auto sources = analysis::membership(
+        windows, [](const net::Packet& p) { return std::optional{p.src}; });
+    std::uint64_t shared = 0;
+    for (const auto& e : sources.entries) shared += e.mask == 0b11;
     findings.push_back(Finding{
         "Attractor bias",
         "BGP announcements and DNS exposure attract largely disjoint "
         "scanner crowds; deploy the attractor matching the scanners you "
         "want to observe.",
         "only " +
-            analysis::fixed(unionSize == 0 ? 0.0
-                                           : 100.0 * static_cast<double>(
-                                                         shared) /
-                                                 static_cast<double>(
-                                                     unionSize),
-                            1) +
+            analysis::fixed(
+                analysis::percent(shared, sources.entries.size()), 1) +
             "% of T1+T2 /128 sources appear at both telescopes"});
   }
 

@@ -56,26 +56,6 @@ TelescopeSummary::WindowStats ExperimentSummary::windowStats(
   return stats;
 }
 
-std::set<net::Ipv6Address> ExperimentSummary::sources128(
-    const telescope::CaptureStore& capture, Period period) {
-  std::set<net::Ipv6Address> out;
-  for (const net::Packet& p : capture.packets()) {
-    if (period.contains(p.ts)) out.insert(p.src);
-  }
-  return out;
-}
-
-std::set<std::uint32_t> ExperimentSummary::sourceAsns(
-    const telescope::CaptureStore& capture, Period period) {
-  std::set<std::uint32_t> out;
-  for (const net::Packet& p : capture.packets()) {
-    if (period.contains(p.ts) && !p.srcAsn.unattributed()) {
-      out.insert(p.srcAsn.value());
-    }
-  }
-  return out;
-}
-
 std::span<const net::Packet> packetsIn(std::span<const net::Packet> packets,
                                        Period period) {
   const auto before = [](const net::Packet& p, sim::SimTime t) {

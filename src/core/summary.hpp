@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,13 +72,6 @@ public:
   [[nodiscard]] TelescopeSummary::WindowStats windowStats(
       const telescope::CaptureStore& capture, std::size_t telescopeIdx,
       Period period) const;
-
-  /// Distinct /128 sources (or origin ASes) seen in a capture window —
-  /// used by the overlap analyses (Fig. 8/16).
-  [[nodiscard]] static std::set<net::Ipv6Address> sources128(
-      const telescope::CaptureStore& capture, Period period);
-  [[nodiscard]] static std::set<std::uint32_t> sourceAsns(
-      const telescope::CaptureStore& capture, Period period);
 
 private:
   std::array<TelescopeSummary, 4> telescopes_;

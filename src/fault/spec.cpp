@@ -1,6 +1,7 @@
 #include "fault/spec.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 namespace v6t::fault {
@@ -65,7 +66,10 @@ std::optional<sim::Duration> parseDuration(std::string_view text) {
     return std::nullopt;
   }
   std::int64_t n = 0;
-  if (!parseI64(digits, n) || n < 0) return std::nullopt;
+  if (!parseI64(digits, n) || n < 0 ||
+      n > std::numeric_limits<std::int64_t>::max() / scale) {
+    return std::nullopt;
+  }
   return sim::Duration{n * scale};
 }
 
@@ -110,14 +114,6 @@ bool FaultSpec::hasBgpFaults() const {
          !flaps.empty() || coveringOutageAt.has_value();
 }
 
-std::vector<CaptureGap> FaultSpec::gapsFor(std::size_t telescopeIdx) const {
-  std::vector<CaptureGap> out;
-  for (const CaptureGap& g : gaps) {
-    if (g.applies(telescopeIdx)) out.push_back(g);
-  }
-  return out;
-}
-
 std::vector<std::pair<sim::SimTime, sim::SimTime>> FaultSpec::gapWindowsFor(
     std::size_t telescopeIdx) const {
   std::vector<std::pair<sim::SimTime, sim::SimTime>> out;
@@ -135,12 +131,20 @@ std::string FaultSpec::applyKey(std::string_view key, std::string_view value) {
     }
     return {};
   };
+  // Every fault start and duration, at most kMaxFaultSpan.
+  const auto bounded =
+      [](std::string_view text) -> std::optional<sim::Duration> {
+    const auto d = parseDuration(text);
+    if (!d || *d > kMaxFaultSpan) return std::nullopt;
+    return d;
+  };
   auto duration = [&](sim::Duration& out) -> std::string {
-    if (const auto d = parseDuration(v)) {
+    if (const auto d = bounded(v)) {
       out = *d;
       return {};
     }
-    return "bad duration '" + v + "' (want <int><ms|s|m|h|d|w>)";
+    return "bad duration '" + v +
+           "' (want <int><ms|s|m|h|d|w>, at most 520w)";
   };
 
   if (key == "bgp_drop") return prob(bgpDropProb);
@@ -158,8 +162,8 @@ std::string FaultSpec::applyKey(std::string_view key, std::string_view value) {
     if (plus == std::string::npos) {
       return "covering_outage wants <start>+<duration>: '" + v + "'";
     }
-    const auto start = parseDuration(v.substr(0, plus));
-    const auto dur = parseDuration(v.substr(plus + 1));
+    const auto start = bounded(v.substr(0, plus));
+    const auto dur = bounded(v.substr(plus + 1));
     if (!start || !dur || dur->millis() <= 0) {
       return "bad covering_outage '" + v + "'";
     }
@@ -175,8 +179,8 @@ std::string FaultSpec::applyKey(std::string_view key, std::string_view value) {
       return "gap wants <all|T1..T4>@<start>+<duration>: '" + v + "'";
     }
     const auto scope = parseScope(v.substr(0, at));
-    const auto start = parseDuration(v.substr(at + 1, plus - at - 1));
-    const auto dur = parseDuration(v.substr(plus + 1));
+    const auto start = bounded(v.substr(at + 1, plus - at - 1));
+    const auto dur = bounded(v.substr(plus + 1));
     if (!scope || !start || !dur || dur->millis() <= 0) {
       return "bad gap '" + v + "'";
     }
@@ -200,9 +204,9 @@ std::string FaultSpec::applyKey(std::string_view key, std::string_view value) {
         star == std::string::npos || !(plus < slash && slash < star)) {
       return "bad flap '" + v + "'";
     }
-    const auto start = parseDuration(v.substr(at + 1, plus - at - 1));
-    const auto period = parseDuration(v.substr(plus + 1, slash - plus - 1));
-    const auto down = parseDuration(v.substr(slash + 1, star - slash - 1));
+    const auto start = bounded(v.substr(at + 1, plus - at - 1));
+    const auto period = bounded(v.substr(plus + 1, slash - plus - 1));
+    const auto down = bounded(v.substr(slash + 1, star - slash - 1));
     std::int64_t count = 0;
     if (!start || !period || !down || period->millis() <= 0 ||
         down->millis() <= 0 || *down >= *period ||

@@ -87,8 +87,6 @@ struct FaultSpec {
   [[nodiscard]] bool hasPacketFaults() const;
   [[nodiscard]] bool hasBgpFaults() const;
 
-  /// Gaps relevant to one telescope, in declaration order.
-  [[nodiscard]] std::vector<CaptureGap> gapsFor(std::size_t telescopeIdx) const;
   /// Gap windows for one telescope as (start, end) pairs — the shape the
   /// gap-aware sessionizer consumes.
   [[nodiscard]] std::vector<std::pair<sim::SimTime, sim::SimTime>>
@@ -105,8 +103,9 @@ struct FaultSpec {
 
   /// Parse a compact comma-separated spec string, e.g.
   ///   "packet_loss=0.01,bgp_drop=0.1,gap=T1@2w+3d,covering_outage=13w+6h"
-  /// Durations/instants use <int><unit> with unit in {ms,s,m,h,d,w};
-  /// gap scope is all|T1..T4; flap is <prefix>@<start>+<period>/<down>*<n>.
+  /// Durations/instants use <int><unit> with unit in {ms,s,m,h,d,w}, each
+  /// at most kMaxFaultSpan; gap scope is all|T1..T4; flap is
+  /// <prefix>@<start>+<period>/<down>*<n>.
   [[nodiscard]] static ParseResult parse(std::string_view text);
 
   /// Render as `<prefix>key = value` config lines; "" for an empty spec,
@@ -121,9 +120,15 @@ struct FaultSpec::ParseResult {
   [[nodiscard]] bool ok() const { return errors.empty(); }
 };
 
-/// Parse "<int><unit>" (ms|s|m|h|d|w) into a duration. nullopt on error.
+/// Parse "<int><unit>" (ms|s|m|h|d|w) into a duration. nullopt on error,
+/// including a value whose milliseconds overflow.
 [[nodiscard]] std::optional<sim::Duration> parseDuration(
     std::string_view text);
+
+/// The longest fault start or duration a spec accepts: the 520 weeks the
+/// config's week keys allow. Every instant derived from them (a gap's or
+/// the covering outage's end, a flap's last cycle) then fits in SimTime.
+inline constexpr sim::Duration kMaxFaultSpan = sim::weeks(520);
 [[nodiscard]] std::string formatDuration(sim::Duration d);
 /// The shortest text that parses back to exactly `v`. For values <= 1
 /// with at most six significant digits it is the text an ostream prints,

@@ -33,13 +33,6 @@ bool AsRegistry::isResearch(Asn asn) const {
   return info != nullptr && info->research;
 }
 
-std::vector<Asn> AsRegistry::allAsns() const {
-  std::vector<Asn> out;
-  out.reserve(byAsn_.size());
-  for (const auto& [value, info] : byAsn_) out.emplace_back(value);
-  return out;
-}
-
 void RdnsRegistry::add(const Ipv6Address& addr, std::string name) {
   entries_[addr] = std::move(name);
 }

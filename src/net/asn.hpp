@@ -14,7 +14,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "net/ipv6.hpp"
 
@@ -66,7 +65,6 @@ public:
   [[nodiscard]] bool isResearch(Asn asn) const;
 
   [[nodiscard]] std::size_t size() const { return byAsn_.size(); }
-  [[nodiscard]] std::vector<Asn> allAsns() const;
 
 private:
   std::unordered_map<std::uint32_t, AsInfo> byAsn_;

@@ -55,8 +55,7 @@ public:
   /// <= 64 so that k fits a std::uint64_t.
   [[nodiscard]] Prefix subPrefix(std::uint64_t k, unsigned newLen) const;
 
-  /// First address (network address) and last address of the range.
-  [[nodiscard]] const Ipv6Address& firstAddress() const { return addr_; }
+  /// Last address of the range (the first is address()).
   [[nodiscard]] Ipv6Address lastAddress() const;
 
   /// Address at offset `off` from the network address (off interpreted

@@ -41,8 +41,6 @@ public:
   /// Stop ticking, write the final snapshot, join. Idempotent.
   void stop();
 
-  [[nodiscard]] bool fileOpen() const { return out_.is_open(); }
-
 private:
   void loop();
   void tick();

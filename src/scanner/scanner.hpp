@@ -165,7 +165,6 @@ public:
 
   [[nodiscard]] const ScannerConfig& config() const { return config_; }
   [[nodiscard]] const ScannerSelfStats& stats() const { return stats_; }
-  [[nodiscard]] net::Ipv6Address currentSource() const { return source_; }
 
   /// The source address a freshly constructed Scanner would start with —
   /// computable from the config alone, so population planning can register

@@ -1,5 +1,6 @@
 // Tests for DBSCAN, autocorrelation period detection (against a dense
-// integer oracle), descriptive stats, report rendering, and heavy-hitter
+// integer oracle), descriptive stats (the membership fold against the
+// std::set UpSet it replaced), report rendering, and heavy-hitter
 // detection.
 #include <gtest/gtest.h>
 
@@ -7,7 +8,9 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -357,11 +360,10 @@ TEST(Stats, CumulativeDistinct) {
 }
 
 TEST(Stats, Upset) {
-  std::vector<std::set<int>> sets(3);
-  sets[0] = {1, 2, 3};
-  sets[1] = {2, 3, 4};
-  sets[2] = {3};
-  const auto result = upset(std::span<const std::set<int>>{sets});
+  // Window 0 saw {1, 2, 3}, window 1 {2, 3, 4}, window 2 {3}.
+  const Membership<int> m{3, {{1, 0b001}, {2, 0b011}, {3, 0b111},
+                              {4, 0b010}}};
+  const auto result = upset(m);
   EXPECT_EQ(result.setTotals, (std::vector<std::uint64_t>{3, 3, 1}));
   // Combos: {0}: {1}; {0,1}: {2}; {0,1,2}: {3}; {1}: {4}.
   std::uint64_t total = 0;
@@ -376,6 +378,89 @@ TEST(Stats, Upset) {
     }
   }
   EXPECT_TRUE(sawTriple);
+}
+
+/// The std::set UpSet the membership fold replaced: a std::map over
+/// membership vectors (lexicographic order), then a sort by count.
+template <typename Id>
+UpsetResult setUpset(std::span<const std::set<Id>> sets) {
+  UpsetResult result;
+  result.setTotals.resize(sets.size());
+  std::map<std::vector<bool>, std::uint64_t> combos;
+  std::set<Id> universe;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    result.setTotals[i] = sets[i].size();
+    universe.insert(sets[i].begin(), sets[i].end());
+  }
+  for (const Id& id : universe) {
+    std::vector<bool> membership(sets.size());
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      membership[i] = sets[i].contains(id);
+    }
+    ++combos[membership];
+  }
+  for (auto& [membership, count] : combos) {
+    result.rows.push_back(UpsetRow{membership, count});
+  }
+  std::sort(result.rows.begin(), result.rows.end(),
+            [](const UpsetRow& a, const UpsetRow& b) {
+              return a.count > b.count;
+            });
+  return result;
+}
+
+TEST(Stats, MembershipUpsetMatchesSetReference) {
+  // 1-4 windows over 24 keys (port 0 is skipped by the key function):
+  // small enough that equal counts and all 15 four-window combinations
+  // occur, so the row order of ties is checked too.
+  std::size_t ties = 0;
+  std::set<std::vector<bool>> fourWindowCombos;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::Rng rng{seed};
+    const std::size_t n = 1 + seed % 4;
+    std::vector<std::vector<net::Packet>> packets(n);
+    std::vector<std::set<std::uint16_t>> sets(n);
+    for (std::size_t w = 0; w < n; ++w) {
+      const std::uint64_t count = rng.below(40);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        net::Packet p;
+        p.dstPort = static_cast<std::uint16_t>(rng.below(25));
+        packets[w].push_back(p);
+        if (p.dstPort != 0) sets[w].insert(p.dstPort);
+      }
+    }
+    const std::vector<std::span<const net::Packet>> windows(packets.begin(),
+                                                            packets.end());
+    const auto m = membership(windows, [](const net::Packet& p) {
+      return p.dstPort == 0 ? std::nullopt : std::optional{p.dstPort};
+    });
+    ASSERT_EQ(m.windowCount, n);
+    for (std::size_t i = 0; i < m.entries.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(m.entries[i - 1].key, m.entries[i].key);
+      }
+      for (std::size_t w = 0; w < n; ++w) {
+        EXPECT_EQ((m.entries[i].mask >> w) & 1u,
+                  sets[w].contains(m.entries[i].key) ? 1u : 0u);
+      }
+    }
+
+    const UpsetResult got = upset(m);
+    const UpsetResult want =
+        setUpset(std::span<const std::set<std::uint16_t>>{sets});
+    EXPECT_EQ(got.setTotals, want.setTotals) << "seed " << seed;
+    ASSERT_EQ(got.rows.size(), want.rows.size()) << "seed " << seed;
+    for (std::size_t r = 0; r < got.rows.size(); ++r) {
+      EXPECT_EQ(got.rows[r].membership, want.rows[r].membership)
+          << "seed " << seed << " row " << r;
+      EXPECT_EQ(got.rows[r].count, want.rows[r].count)
+          << "seed " << seed << " row " << r;
+      if (r > 0 && got.rows[r].count == got.rows[r - 1].count) ++ties;
+      if (n == 4) fourWindowCombos.insert(got.rows[r].membership);
+    }
+  }
+  EXPECT_GT(ties, 100u);
+  EXPECT_EQ(fourWindowCombos.size(), 15u);
 }
 
 TEST(Stats, TopPortsCountsOncePerSession) {

@@ -571,53 +571,3 @@ TEST(Irr, RpkiValidation) {
 } // namespace
 } // namespace v6t::bgp
 
-// Appended: looking-glass visibility checks (§3.2).
-#include "bgp/looking_glass.hpp"
-
-namespace v6t::bgp {
-namespace {
-
-TEST(LookingGlass, TracksConvergencePerVantagePoint) {
-  sim::Engine engine;
-  Rib rib;
-  BgpFeed feed{engine, rib, 9};
-  LookingGlass lg{engine,
-                  feed,
-                  {{"fast", {sim::seconds(10), sim::seconds(5)}},
-                   {"slow", {sim::minutes(30), sim::minutes(5)}}}};
-  ASSERT_EQ(lg.vantagePointCount(), 2u);
-  const net::Prefix p = net::Prefix::mustParse("3fff:100::/32");
-
-  engine.schedule(sim::kEpoch, [&] { feed.announce(p, net::Asn{65010}); });
-  // Before anything propagates: invisible everywhere.
-  EXPECT_EQ(lg.visibleAt(p), 0u);
-
-  engine.run(sim::kEpoch + sim::minutes(1));
-  EXPECT_EQ(lg.visibleAt(p), 1u); // only the fast vantage point
-  EXPECT_FALSE(lg.fullyVisible(p));
-  ASSERT_EQ(lg.missingAt(p).size(), 1u);
-  EXPECT_EQ(lg.missingAt(p)[0], "slow");
-
-  engine.run(sim::kEpoch + sim::hours(1));
-  EXPECT_TRUE(lg.fullyVisible(p));
-
-  // Withdrawal converges the same way.
-  feed.withdraw(p);
-  engine.run(sim::kEpoch + sim::hours(3));
-  EXPECT_EQ(lg.visibleAt(p), 0u);
-}
-
-TEST(LookingGlass, MoreSpecificVisibleThroughCoveringRoute) {
-  sim::Engine engine;
-  Rib rib;
-  BgpFeed feed{engine, rib, 10};
-  LookingGlass lg{engine, feed, {{"vp", {sim::seconds(1), {}}}}};
-  feed.announce(net::Prefix::mustParse("3fff:e00::/29"), net::Asn{65020});
-  engine.run(sim::kEpoch + sim::minutes(1));
-  // A covered /48 is reachable (covering route) even though never
-  // announced itself — the T3 situation.
-  EXPECT_EQ(lg.visibleAt(net::Prefix::mustParse("3fff:e03:3::/48")), 1u);
-}
-
-} // namespace
-} // namespace v6t::bgp

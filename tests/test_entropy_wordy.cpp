@@ -1,8 +1,7 @@
-// Tests for the Entropy/IP-style profiler and the wordy address category.
+// Tests for the wordy address category.
 #include <gtest/gtest.h>
 
 #include "analysis/addr_class.hpp"
-#include "analysis/entropy_profile.hpp"
 #include "scanner/target_gen.hpp"
 #include "sim/rng.hpp"
 
@@ -11,74 +10,6 @@ namespace {
 
 using net::Ipv6Address;
 using net::Prefix;
-
-// ------------------------------------------------------------ entropy
-
-TEST(EntropyProfile, ConstantPrefixRandomIid) {
-  sim::Rng rng{201};
-  std::vector<Ipv6Address> targets;
-  for (int i = 0; i < 400; ++i) {
-    targets.emplace_back(0x3fff010000000000ULL, rng.next());
-  }
-  const auto profile = profileTargets(targets);
-  EXPECT_EQ(profile.sampleCount, 400u);
-  // Prefix nibbles: zero entropy. IID nibbles: near maximal.
-  for (unsigned n = 0; n < 16; ++n) {
-    EXPECT_LT(profile.nibbleEntropy[n], 0.01) << "nibble " << n;
-  }
-  EXPECT_GT(profile.meanEntropy(16, 31), 3.5);
-
-  const auto segments = segmentProfile(profile);
-  ASSERT_GE(segments.size(), 2u);
-  EXPECT_EQ(segments.front().kind, SegmentKind::Constant);
-  EXPECT_EQ(segments.back().kind, SegmentKind::Random);
-  EXPECT_EQ(segments.back().lastNibble, 31u);
-}
-
-TEST(EntropyProfile, StructuredSubnetSegment) {
-  // Subnet nibble cycling over 4 values: entropy ~2 bits (structured).
-  std::vector<Ipv6Address> targets;
-  for (int i = 0; i < 256; ++i) {
-    targets.emplace_back(0x3fff010000000000ULL |
-                             static_cast<std::uint64_t>(i % 4) << 16,
-                         1 + static_cast<std::uint64_t>(i % 8));
-  }
-  const auto profile = profileTargets(targets);
-  // Nibble 11 (the cycling one: position 64-16-4... compute: hi64 bit 16-19
-  // => nibble index (64-20)/4 = 11): entropy ~2.
-  EXPECT_NEAR(profile.nibbleEntropy[11], 2.0, 0.1);
-  const auto segments = segmentProfile(profile);
-  bool sawStructured = false;
-  for (const auto& s : segments) {
-    if (s.kind == SegmentKind::Structured) sawStructured = true;
-  }
-  EXPECT_TRUE(sawStructured);
-  EXPECT_FALSE(describeSegments(segments).empty());
-}
-
-TEST(EntropyProfile, EmptyInput) {
-  const auto profile = profileTargets({});
-  EXPECT_EQ(profile.sampleCount, 0u);
-  for (double h : profile.nibbleEntropy) EXPECT_EQ(h, 0.0);
-}
-
-TEST(EntropyProfile, SegmentsPartitionAllNibbles) {
-  sim::Rng rng{202};
-  std::vector<Ipv6Address> targets;
-  for (int i = 0; i < 100; ++i) {
-    targets.emplace_back(rng.next(), rng.next());
-  }
-  const auto segments = segmentProfile(profileTargets(targets));
-  unsigned covered = 0;
-  unsigned expectedNext = 0;
-  for (const auto& s : segments) {
-    EXPECT_EQ(s.firstNibble, expectedNext);
-    EXPECT_LE(s.firstNibble, s.lastNibble);
-    covered += s.lastNibble - s.firstNibble + 1;
-    expectedNext = s.lastNibble + 1;
-  }
-  EXPECT_EQ(covered, 32u);
-}
 
 // -------------------------------------------------------------- wordy
 

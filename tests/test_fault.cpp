@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -51,6 +52,13 @@ TEST(FaultSpec, ParseDurationUnits) {
   EXPECT_FALSE(fault::parseDuration("h"));
   EXPECT_FALSE(fault::parseDuration("-3s"));
   EXPECT_FALSE(fault::parseDuration(""));
+  // Milliseconds past INT64_MAX are rejected, not wrapped.
+  EXPECT_EQ(fault::parseDuration("9223372036854775807ms")->millis(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(fault::parseDuration("9223372036854775s")->millis(),
+            9223372036854775000LL);
+  EXPECT_FALSE(fault::parseDuration("9223372036854776s"));
+  EXPECT_FALSE(fault::parseDuration("99999999999999w"));
 }
 
 TEST(FaultSpec, FormatDurationRoundTrips) {
@@ -103,6 +111,21 @@ TEST(FaultSpec, RejectsBadInput) {
   // down must be shorter than the period.
   EXPECT_FALSE(fault::FaultSpec::parse("flap=3fff:2::/48@1w+1h/2h*3").ok());
   EXPECT_FALSE(fault::FaultSpec::parse("justgarbage").ok());
+  // Every start and duration is at most 520 weeks, so no derived end
+  // overflows or falls before its start.
+  for (const char* entry :
+       {"gap=T1@99999999999999w+3d", "gap=T1@15000000000w+15000000000w",
+        "gap=all@1w+521w", "covering_outage=15000000000w+15000000000w",
+        "covering_outage=521w+1d", "flap=3fff:2::/48@521w+1d/2h*3",
+        "flap=3fff:2::/48@1w+15000000000w/1d*10000",
+        "flap=3fff:2::/48@1w+2w/15000000000w*2", "bgp_delay_max=521w"}) {
+    EXPECT_FALSE(fault::FaultSpec::parse(entry).ok()) << entry;
+  }
+  const auto longest = fault::FaultSpec::parse(
+      "gap=T1@520w+520w,covering_outage=520w+520w,"
+      "flap=3fff:2::/48@520w+520w/519w*10000");
+  ASSERT_TRUE(longest.ok());
+  EXPECT_EQ(longest.spec.gaps[0].end, sim::kEpoch + sim::weeks(1040));
   for (const char* nan : {"nan", "-nan", "NAN"}) {
     for (const char* key : {"bgp_drop", "bgp_dup", "bgp_delay", "packet_loss",
                             "packet_dup", "truncate", "stall"}) {

@@ -1,10 +1,15 @@
-// Tests for the overlap analytics (Fig. 16 estimators) and the hop-limit
-// traceroute detector.
+// Tests for the cross-telescope membership fold (the Fig. 16 overlap) and
+// the hop-limit traceroute detector.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "analysis/fingerprint.hpp"
 #include "analysis/hoplimit.hpp"
-#include "analysis/overlap.hpp"
+#include "analysis/stats.hpp"
 #include "sim/rng.hpp"
 
 namespace v6t::analysis {
@@ -24,42 +29,65 @@ Packet at(const char* src, std::int64_t day, std::uint8_t hops = 60) {
 
 // ------------------------------------------------------------- overlap
 
-TEST(Overlap, CalendarAndComparison) {
-  std::vector<Packet> a{at("2400::1", 0), at("2400::1", 5), at("2400::2", 1),
-                        at("2400::3", 2)};
-  std::vector<Packet> b{at("2400::1", 5), at("2400::2", 7),
-                        at("2400::9", 3)};
-  const auto calA = buildCalendar(a);
-  const auto calB = buildCalendar(b);
-  ASSERT_EQ(calA.size(), 3u);
-  EXPECT_EQ(calA.at(Ipv6Address::mustParse("2400::1")).size(), 2u);
+std::optional<Ipv6Address> bySource(const Packet& p) { return p.src; }
 
-  const auto stats = compareCalendars(calA, calB);
-  EXPECT_EQ(stats.shared, 2u); // ::1 and ::2
-  EXPECT_EQ(stats.onlyA, 1u); // ::3
-  EXPECT_EQ(stats.onlyB, 1u); // ::9
-  EXPECT_EQ(stats.sharedSameDay, 1u); // ::1 on day 5; ::2 on different days
-  EXPECT_DOUBLE_EQ(stats.sameDayShare(), 0.5);
-  EXPECT_DOUBLE_EQ(stats.jaccard(), 0.5);
+std::optional<std::pair<Ipv6Address, std::int64_t>> bySourceDay(
+    const Packet& p) {
+  return std::pair{p.src, p.ts.dayIndex()};
 }
 
-TEST(Overlap, SourcesInAll) {
-  std::vector<Packet> a{at("2400::1", 0), at("2400::2", 0)};
-  std::vector<Packet> b{at("2400::1", 1)};
-  std::vector<Packet> c{at("2400::1", 2), at("2400::3", 2)};
-  const std::vector<ActivityCalendar> calendars{
-      buildCalendar(a), buildCalendar(b), buildCalendar(c)};
-  const auto everywhere = sourcesInAll(calendars);
-  ASSERT_EQ(everywhere.size(), 1u);
-  EXPECT_EQ(everywhere[0], Ipv6Address::mustParse("2400::1"));
-  EXPECT_TRUE(sourcesInAll({}).empty());
+TEST(Overlap, SharedExclusiveAndSameDay) {
+  const std::vector<Packet> a{at("2400::1", 0), at("2400::1", 5),
+                              at("2400::2", 1), at("2400::3", 2)};
+  const std::vector<Packet> b{at("2400::1", 5), at("2400::2", 7),
+                              at("2400::9", 3)};
+  const std::span<const Packet> windows[] = {a, b};
+
+  const auto sources = membership(windows, bySource);
+  EXPECT_EQ(sources.windowCount, 2u);
+  std::vector<std::pair<Ipv6Address, std::uint32_t>> got;
+  for (const auto& e : sources.entries) got.emplace_back(e.key, e.mask);
+  // ::1 and ::2 shared, ::3 only at A, ::9 only at B; keys ascending.
+  EXPECT_EQ(got, (std::vector<std::pair<Ipv6Address, std::uint32_t>>{
+                     {Ipv6Address::mustParse("2400::1"), 0b11},
+                     {Ipv6Address::mustParse("2400::2"), 0b11},
+                     {Ipv6Address::mustParse("2400::3"), 0b01},
+                     {Ipv6Address::mustParse("2400::9"), 0b10}}));
+
+  // Same day: only ::1 (day 5 at both); ::2 came on different days.
+  const auto days = membership(windows, bySourceDay);
+  EXPECT_EQ(days.entries.size(), 6u); // ::1 twice, ::2 twice, ::3, ::9
+  std::vector<std::pair<Ipv6Address, std::int64_t>> together;
+  for (const auto& e : days.entries) {
+    if (e.mask == 0b11) together.push_back(e.key);
+  }
+  EXPECT_EQ(together, (std::vector<std::pair<Ipv6Address, std::int64_t>>{
+                          {Ipv6Address::mustParse("2400::1"), 5}}));
 }
 
-TEST(Overlap, EmptyCalendars) {
-  const auto stats = compareCalendars({}, {});
-  EXPECT_EQ(stats.shared, 0u);
-  EXPECT_DOUBLE_EQ(stats.jaccard(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.sameDayShare(), 0.0);
+TEST(Overlap, SourceInEveryWindow) {
+  const std::vector<Packet> a{at("2400::1", 0), at("2400::2", 0)};
+  const std::vector<Packet> b{at("2400::1", 1)};
+  const std::vector<Packet> c{at("2400::1", 2), at("2400::3", 2)};
+  const std::span<const Packet> windows[] = {a, b, c};
+  std::vector<Ipv6Address> everywhere;
+  for (const auto& e : membership(windows, bySource).entries) {
+    if (e.mask == 0b111) everywhere.push_back(e.key);
+  }
+  EXPECT_EQ(everywhere,
+            std::vector<Ipv6Address>{Ipv6Address::mustParse("2400::1")});
+}
+
+TEST(Overlap, EmptyInput) {
+  const auto none = membership({}, bySource);
+  EXPECT_EQ(none.windowCount, 0u);
+  EXPECT_TRUE(none.entries.empty());
+  EXPECT_TRUE(upset(none).rows.empty());
+
+  const std::span<const Packet> empty[2] = {};
+  const auto result = upset(membership(empty, bySource));
+  EXPECT_TRUE(result.rows.empty());
+  EXPECT_EQ(result.setTotals, (std::vector<std::uint64_t>{0, 0}));
 }
 
 // ------------------------------------------------------------ hop limits
