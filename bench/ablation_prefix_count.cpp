@@ -8,11 +8,8 @@
 #include "analysis/report.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void ablation_prefix_count(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Ablation: announcement count vs announced space");
-
   const auto& schedule = ctx.runner->schedule();
   const auto& sessions = ctx.summary.telescope(core::T1).sessions128;
 
@@ -62,5 +59,4 @@ int main() {
                "throughout\n"
             << "=> visibility scales with announcement count, not with "
                "announced bytes (guidance ii)\n";
-  return 0;
 }

@@ -11,11 +11,8 @@
 #include "telescope/capture_store.hpp"
 #include "telescope/sketch.hpp"
 
-int main() {
+void ablation_scan_shapes(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Ablation: scan shapes and streaming counters");
-
   // (a) port-scan shapes per telescope.
   analysis::TextTable shapes{{"telescope", "none", "horizontal", "vertical",
                               "mixed", "sequential-port sessions"}};
@@ -67,5 +64,4 @@ int main() {
   std::cout << "a 4 KiB sketch per aggregation level tracks months of "
                "distinct sources within ~2% — the live-dashboard path for "
                "deployments that cannot retain full captures\n";
-  return 0;
 }

@@ -1,16 +1,13 @@
 // Ablation — the sessionization timeout (§3.3). The paper adopts one hour
-// (Richter et al. / Zhao et al.); this bench shows how session counts and
+// (Richter et al. / Zhao et al.); this section shows how session counts and
 // the temporal taxonomy respond to other choices, supporting the claim
 // that sessions are a stable measure around the chosen value.
 #include "analysis/report.hpp"
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void ablation_session_timeout(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Ablation: sessionization timeout");
-
   const auto& packets = ctx.runner->capture(core::T1).packets();
 
   analysis::TextTable table{{"timeout", "sessions /128", "sessions /64",
@@ -40,5 +37,4 @@ int main() {
   std::cout << "expected shape: session counts change sharply below ~30 min "
                "(scan bursts get fragmented) and only mildly above 1 h — "
                "the paper's choice sits on the plateau\n";
-  return 0;
 }

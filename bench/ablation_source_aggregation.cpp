@@ -1,6 +1,6 @@
 // Ablation — source aggregation level (§3.3 / Fig. 4). The paper analyzes
 // /128 and /64 because they diverge; /48 would start merging unrelated
-// scanners (especially in hosting networks). This bench quantifies all
+// scanners (especially in hosting networks). This section quantifies all
 // three on the same capture.
 #include <unordered_map>
 #include <unordered_set>
@@ -8,11 +8,8 @@
 #include "analysis/report.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void ablation_source_aggregation(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Ablation: source aggregation level");
-
   for (std::size_t t = 0; t < 4; ++t) {
     const auto& capture = ctx.runner->capture(t);
     if (capture.packetCount() == 0) continue;
@@ -46,5 +43,4 @@ int main() {
   std::cout << "expected shape: T2 shows the strongest /128-vs-/64 "
                "divergence (source rotators); /48 merges scanner farms "
                "into single keys\n";
-  return 0;
 }

@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::RunContext ctx =
-      bench::runStandard("analysis_speedup: parallel pipeline vs serial");
+  std::cout << "== analysis_speedup: parallel pipeline vs serial ==\n";
+  bench::RunContext ctx = bench::runStandard();
   const unsigned threads = bench::analysisThreads();
 
   const auto& capture = ctx.runner->capture(core::T1);

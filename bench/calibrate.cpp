@@ -8,10 +8,8 @@
 #include "bench/harness.hpp"
 #include "telescope/capture_store.hpp"
 
-int main() {
+void calibrate(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard("calibration overview");
-
   analysis::TextTable table{{"metric", "T1", "T2", "T3", "T4"}};
   const core::Period initial = ctx.initialPeriod();
   const core::Period whole = ctx.wholePeriod();
@@ -81,5 +79,4 @@ int main() {
                        .value_or(0.0))
             << " noRoute=" << stats.droppedNoRoute
             << " void=" << stats.deliveredToVoid << "\n";
-  return 0;
 }

@@ -6,11 +6,8 @@
 #include "analysis/report.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig03_new_prefix_decay(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 3: new source prefixes per day after the first announcement");
-
   const core::Period initial = ctx.initialPeriod();
   const auto& packets = ctx.runner->capture(core::T1).packets();
 
@@ -47,5 +44,4 @@ int main() {
             << " (" << analysis::fixed(dailyLate, 1) << "/day)\n"
             << "paper: discovery rate drops notably after ~2 weeks, which "
                "fixed the announcement-cycle length\n";
-  return 0;
 }

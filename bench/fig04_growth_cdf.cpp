@@ -8,11 +8,8 @@
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig04_growth_cdf(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 4: cumulative growth of packets / ASes / sources / sessions");
-
   // Collect (week, id) observations across all telescopes.
   std::map<std::int64_t, std::uint64_t> packetsPerWeek;
   std::vector<std::pair<std::int64_t, net::Ipv6Address>> src128;
@@ -78,5 +75,4 @@ int main() {
             << " sess64=" << sess64.total() << "\n"
             << "paper shape: /128 series outgrow /64 after the split phase "
                "begins; packets jump discontinuously at heavy hitters\n";
-  return 0;
 }

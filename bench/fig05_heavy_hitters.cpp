@@ -4,11 +4,8 @@
 #include "analysis/report.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig05_heavy_hitters(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Fig. 5: heavy hitters at the four telescopes");
-
   analysis::TextTable table{{"Telescope", "Source", "AS type", "Packets",
                              "share %", "Sessions", "days active", "rDNS"}};
   const auto& registry = ctx.runner->asRegistry();
@@ -16,12 +13,9 @@ int main() {
   int total = 0;
   for (std::size_t t = 0; t < 4; ++t) {
     const auto& capture = ctx.runner->capture(t);
-    analysis::PipelineOptions opts;
-    opts.taxonomy = false;
-    opts.fingerprint = false;
     const auto report = bench::analyzeWindow(
         capture.packets(), ctx.summary.telescope(t).sessions128, nullptr,
-        opts);
+        {.taxonomy = false, .fingerprint = false});
     const auto& hitters = report.heavyHitters;
     for (const auto& h : hitters) {
       ++total;
@@ -48,5 +42,4 @@ int main() {
             << " (paper: 10 across the telescopes — 4/3/2/2, one shared "
                "T2+T4; 73% of packets, 0.04% of sessions; 7 of 10 research "
                "context)\n";
-  return 0;
 }

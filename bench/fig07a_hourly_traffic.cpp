@@ -8,11 +8,8 @@
 #include "bench/harness.hpp"
 #include "telescope/capture_store.hpp"
 
-int main() {
+void fig07a_hourly_traffic(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 7(a): hourly traffic per telescope, initial period");
-
   const core::Period initial = ctx.initialPeriod();
   const std::int64_t hours = initial.to.hourIndex();
 
@@ -68,5 +65,4 @@ int main() {
   std::cout << "paper shape: T2 shows longer and higher peaks than T1 "
                "(scanners hammering the DNS-named address); T3 nearly "
                "silent; T4 sporadic\n";
-  return 0;
 }

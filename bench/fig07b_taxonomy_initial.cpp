@@ -5,11 +5,8 @@
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig07b_taxonomy_initial(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 7(b): taxonomy classification per telescope, initial period");
-
   const core::Period initial = ctx.initialPeriod();
   analysis::TextTable table{{"Telescope", "Temporal", "structured", "random",
                              "unknown", "sessions"}};
@@ -17,11 +14,9 @@ int main() {
     const auto& capture = ctx.runner->capture(t);
     const auto sessions =
         core::sessionsIn(ctx.summary.telescope(t).sessions128, initial);
-    analysis::PipelineOptions opts;
-    opts.heavyHitters = false;
-    opts.fingerprint = false;
     const auto taxonomy =
-        bench::analyzeWindow(capture.packets(), sessions, nullptr, opts)
+        bench::analyzeWindow(capture.packets(), sessions, nullptr,
+                             {.heavyHitters = false, .fingerprint = false})
             .taxonomy;
 
     for (const auto cls :
@@ -48,5 +43,4 @@ int main() {
   std::cout << "paper shape: most scanners return (intermittent 41% / "
                "periodic 29%) and use structured selection; T3/T4 sessions "
                "are exclusively structured, none random\n";
-  return 0;
 }

@@ -4,11 +4,8 @@
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig08_upset(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 8: ASN and source intersections between telescopes");
-
   const core::Period initial = ctx.initialPeriod();
   const std::vector<std::string> names{"T1", "T2", "T3", "T4"};
   std::vector<std::span<const net::Packet>> windows;
@@ -61,5 +58,4 @@ int main() {
               << "% (paper: ~90% — differently configured telescopes "
                  "attract different scanners)\n";
   }
-  return 0;
 }

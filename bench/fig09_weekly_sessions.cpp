@@ -3,11 +3,8 @@
 #include "analysis/report.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig09_weekly_sessions(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Fig. 9: weekly scan sessions per telescope");
-
   const core::Period initial = ctx.initialPeriod();
   const std::int64_t weeks = initial.to.weekIndex();
 
@@ -31,5 +28,4 @@ int main() {
   table.render(std::cout);
   std::cout << "paper shape: rather stable for T1/T2, sporadic for T3/T4 "
                "(single October campaign peak at T4)\n";
-  return 0;
 }

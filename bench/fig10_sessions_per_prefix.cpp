@@ -6,11 +6,8 @@
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig10_sessions_per_prefix(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 10: cumulative sessions per most-specific prefix at T1");
-
   const auto& schedule = ctx.runner->schedule();
   const auto& packets = ctx.runner->capture(core::T1).packets();
   const auto& sessions = ctx.summary.telescope(core::T1).sessions128;
@@ -65,11 +62,10 @@ int main() {
   // The headline /48 ratio: session share of the (eventual) /48 prefixes
   // during the first split cycle vs the final cycle.
   auto shareIn48 = [&](const bgp::AnnouncementCycle& cycle) {
-    std::uint64_t total = 0;
+    const auto inCycle =
+        core::sessionsIn(sessions, {cycle.announceAt, cycle.endsAt});
     std::uint64_t in48 = 0;
-    for (const auto& s : sessions) {
-      if (s.start < cycle.announceAt || s.start >= cycle.endsAt) continue;
-      ++total;
+    for (const auto& s : inCycle) {
       const net::Ipv6Address target = packets[s.packetIdx.front()].dst;
       for (const auto& p : allPrefixes) {
         if (p.length() == 48 && p.contains(target)) {
@@ -78,7 +74,7 @@ int main() {
         }
       }
     }
-    return total == 0 ? 0.0 : analysis::percent(in48, total);
+    return inCycle.empty() ? 0.0 : analysis::percent(in48, inCycle.size());
   };
   const double early = shareIn48(schedule.cycles()[1]);
   const double late = shareIn48(schedule.cycles().back());
@@ -89,5 +85,4 @@ int main() {
                           : "")
             << "\npaper: 0.4% -> 15.7% (x39) — addresses only attract "
                "attention once their prefix is announced\n";
-  return 0;
 }

@@ -3,6 +3,7 @@
 // (Fig. 12) and after numeric sorting (Fig. 13's traversal structure).
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "analysis/report.hpp"
 #include "analysis/taxonomy.hpp"
@@ -39,33 +40,9 @@ void nibbleProfile(const std::vector<net::Ipv6Address>& targets,
 
 } // namespace
 
-int main() {
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 12/13: structured vs randomized target generation");
-
+void fig12_address_patterns(const v6t::bench::RunContext& ctx) {
   const auto& packets = ctx.runner->capture(core::T1).packets();
   const auto& sessions = ctx.summary.telescope(core::T1).sessions128;
-
-  // Pick the largest structured and the largest random session (>= 100
-  // packets), using the same classifier as the paper.
-  const telescope::Session* structured = nullptr;
-  const telescope::Session* random = nullptr;
-  for (const auto& s : sessions) {
-    if (s.packetCount() < 100) continue;
-    std::vector<net::Ipv6Address> targets;
-    targets.reserve(s.packetCount());
-    for (std::uint32_t idx : s.packetIdx) targets.push_back(packets[idx].dst);
-    const auto cls = analysis::classifyAddressSelection(targets);
-    if (cls == analysis::AddressSelection::Structured &&
-        (structured == nullptr ||
-         s.packetCount() > structured->packetCount())) {
-      structured = &s;
-    }
-    if (cls == analysis::AddressSelection::Random &&
-        (random == nullptr || s.packetCount() > random->packetCount())) {
-      random = &s;
-    }
-  }
 
   auto targetsOf = [&](const telescope::Session* s) {
     std::vector<net::Ipv6Address> targets;
@@ -77,11 +54,29 @@ int main() {
     return targets;
   };
 
+  // Pick the largest structured and the largest random session (>= 100
+  // packets), using the same classifier as the paper.
+  const telescope::Session* structured = nullptr;
+  const telescope::Session* random = nullptr;
+  for (const auto& s : sessions) {
+    if (s.packetCount() < 100) continue;
+    const auto cls = analysis::classifyAddressSelection(targetsOf(&s));
+    if (cls == analysis::AddressSelection::Structured &&
+        (structured == nullptr ||
+         s.packetCount() > structured->packetCount())) {
+      structured = &s;
+    }
+    if (cls == analysis::AddressSelection::Random &&
+        (random == nullptr || s.packetCount() > random->packetCount())) {
+      random = &s;
+    }
+  }
+
   auto structuredTargets = targetsOf(structured);
   auto randomTargets = targetsOf(random);
   if (structuredTargets.empty() || randomTargets.empty()) {
-    std::cout << "could not find both sample sessions at this scale\n";
-    return 1;
+    throw std::runtime_error{
+        "could not find both sample sessions at this scale"};
   }
 
   std::cout << "--- Fig. 12(a): structured session, arrival order ---\n";
@@ -92,12 +87,9 @@ int main() {
   // Fig. 13: sorting the structured session exposes the traversal.
   std::sort(structuredTargets.begin(), structuredTargets.end());
   std::cout << "\n--- Fig. 13: structured session, numerically sorted ---\n";
-  std::size_t ordered = 0;
   nibbleProfile(structuredTargets, "structured (sorted)");
-  (void)ordered;
   std::cout << "\npaper shape: the structured session's subnet nibbles "
                "iterate (low distinct counts, monotone after sorting); the "
                "random session mixes all 16 values in the IID nibbles "
                "while the subnet nibbles stay structured\n";
-  return 0;
 }

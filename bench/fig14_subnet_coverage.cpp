@@ -7,11 +7,8 @@
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig14_subnet_coverage(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 14: packets per scanner type across /48 subnets of T1");
-
   const core::Period split = ctx.splitPeriod();
   const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
@@ -92,5 +89,4 @@ int main() {
   std::cout << "paper shape: one-off scanners concentrate on few subnets; "
                "intermittent scanners spread most evenly; periodic "
                "scanners cover a wide range but selectively\n";
-  return 0;
 }

@@ -6,21 +6,16 @@
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig15_taxonomy_split(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 15: taxonomy of T1 scanners during the split period");
-
   const core::Period split = ctx.splitPeriod();
   const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  analysis::PipelineOptions opts;
-  opts.heavyHitters = false;
-  opts.fingerprint = false;
   const auto taxonomy =
       bench::analyzeWindow(capture.packets(), sessions,
-                           &ctx.runner->schedule(), opts)
+                           &ctx.runner->schedule(),
+                           {.heavyHitters = false, .fingerprint = false})
           .taxonomy;
 
   analysis::TextTable grid{{"temporal \\ addr-sel", "structured", "random",
@@ -65,5 +60,4 @@ int main() {
                "structured; periodic sessions mostly inconsistent (54%) or "
                "size-independent (39%); many periodic sessions use random "
                "traversal (topology probing)\n";
-  return 0;
 }

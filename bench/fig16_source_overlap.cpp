@@ -8,11 +8,8 @@
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig16_source_overlap(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Fig. 16: source overlap across telescopes");
-
   // The period's packets at the first `count` telescopes.
   const auto windowsIn = [&](core::Period period, std::size_t count) {
     std::vector<std::span<const net::Packet>> windows;
@@ -84,5 +81,4 @@ int main() {
   std::cout << "paper: ~75% same-day during the initial period, declining "
                "toward ~30% as the active experiment attracts scanners to "
                "T1 only\n";
-  return 0;
 }

@@ -8,21 +8,15 @@
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void fig17_nist(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Fig. 17: NIST randomness tests on IID vs subnet bits (T1)");
-
   const core::Period split = ctx.splitPeriod();
   const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  analysis::PipelineOptions opts;
-  opts.heavyHitters = false;
-  opts.fingerprint = false;
-  opts.nistBattery = true;
   const auto report = bench::analyzeWindow(
-      capture.packets(), sessions, &ctx.runner->schedule(), opts);
+      capture.packets(), sessions, &ctx.runner->schedule(),
+      {.heavyHitters = false, .fingerprint = false, .nistBattery = true});
   const auto& taxonomy = report.taxonomy;
 
   // Session -> owning scanner's temporal class (every session belongs to
@@ -81,5 +75,4 @@ int main() {
             << "paper shape: IID selections pass far more often than subnet "
                "selections — scanners structure the subnet walk but "
                "randomize inside prefixes\n";
-  return 0;
 }

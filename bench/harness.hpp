@@ -1,15 +1,14 @@
 // Shared infrastructure for the reproduction benches: one standard
-// experiment configuration (fixed seed, scaled volume) and helpers to
-// print paper-vs-measured rows. Every bench binary runs the same
-// simulation so numbers are consistent across tables.
+// experiment configuration (fixed seed, scaled volume), the analysis
+// worker count, and the simulated world every paper_report section reads.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <span>
-#include <string>
 #include <thread>
 
 #include "bench/env.hpp"
@@ -18,7 +17,6 @@
 #include "core/summary.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/report.hpp"
-#include "obs/metrics.hpp"
 
 namespace v6t::bench {
 
@@ -90,8 +88,7 @@ struct RunContext {
 /// Run the standard experiment once through the ExperimentRunner (one
 /// shard; the merged result is identical at any shard count) and
 /// sessionize its captures. A few seconds at default scale.
-inline RunContext runStandard(const char* benchName) {
-  std::cout << "== " << benchName << " ==\n";
+inline RunContext runStandard() {
   core::RunnerConfig config;
   config.experiment = standardConfig();
   std::cout << "running calibrated simulation (seed=" << config.experiment.seed
@@ -99,26 +96,18 @@ inline RunContext runStandard(const char* benchName) {
             << ", volumeScale=" << config.experiment.volumeScale << ") ...\n";
   RunContext ctx;
   ctx.runner = std::make_unique<core::ExperimentRunner>(config);
-  // Bench wall-clock flows through the metrics registry (`bench.*`), the
-  // same channel `--metrics-out` exports, so calibration scripts can read
-  // timings from the snapshot instead of scraping stdout.
-  obs::Span runSpan(ctx.runner->metrics(), "bench.run_seconds");
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
   ctx.runner->run();
-  const double runSeconds = runSpan.stop();
-  obs::Span analyzeSpan(ctx.runner->metrics(), "bench.analyze_seconds");
+  const Clock::time_point ran = Clock::now();
   ctx.summary = core::ExperimentSummary::compute(*ctx.runner);
-  const double analyzeSeconds = analyzeSpan.stop();
+  const std::chrono::duration<double> run = ran - start;
+  const std::chrono::duration<double> analyze = Clock::now() - ran;
   std::cout << "simulated " << sim::toString(ctx.runner->experimentEnd())
             << ", events=" << ctx.runner->stats().totalEvents
             << ", agents=" << ctx.runner->populationSize() << " (run "
-            << runSeconds << "s, analyze " << analyzeSeconds << "s)\n\n";
+            << run.count() << "s, analyze " << analyze.count() << "s)\n\n";
   return ctx;
-}
-
-/// "paper X / measured Y" cell helper for shape comparisons.
-inline std::string paperVsMeasured(const std::string& paper,
-                                   const std::string& measured) {
-  return paper + " | " + measured;
 }
 
 } // namespace v6t::bench

@@ -1,31 +1,25 @@
 // Table 2 — packets, sessions, and sources per transport protocol,
 // aggregated over all four telescopes, full observation period.
-#include <unordered_set>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void table2_protocols(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Table 2: packets / sessions / sources per transport protocol");
-
   std::uint64_t packets[3] = {};
   std::uint64_t sessions[3] = {};
-  std::unordered_set<net::Ipv6Address> sources[3];
   std::uint64_t totalPackets = 0;
   std::uint64_t totalSessions = 0;
-  std::unordered_set<net::Ipv6Address> allSources;
+  std::vector<std::span<const net::Packet>> windows;
 
   for (std::size_t t = 0; t < 4; ++t) {
     const auto& capture = ctx.runner->capture(t);
-    for (const net::Packet& p : capture.packets()) {
-      ++packets[static_cast<std::size_t>(p.proto)];
-      ++totalPackets;
-      sources[static_cast<std::size_t>(p.proto)].insert(p.src);
-      allSources.insert(p.src);
-    }
+    windows.push_back(capture.packets());
     const auto& sessionList = ctx.summary.telescope(t).sessions128;
     totalSessions += sessionList.size();
     for (const auto& s : sessionList) {
@@ -37,6 +31,20 @@ int main() {
         if (seen[proto]) ++sessions[proto];
       }
     }
+  }
+  // One entry per (source, protocol) pair over all four telescopes, sorted
+  // by source. The key function sees every packet once, so it counts them.
+  const auto pairs =
+      analysis::membership(windows, [&](const net::Packet& p) {
+        ++packets[static_cast<std::size_t>(p.proto)];
+        ++totalPackets;
+        return std::optional{std::pair{p.src, p.proto}};
+      }).entries;
+  std::uint64_t sources[3] = {};
+  std::uint64_t allSources = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ++sources[static_cast<std::size_t>(pairs[i].key.second)];
+    allSources += i == 0 || pairs[i - 1].key.first != pairs[i].key.first;
   }
 
   analysis::TextTable table{{"Protocol", "Packets", "[%]", "Sessions /128",
@@ -55,12 +63,11 @@ int main() {
                   analysis::withThousands(sessions[proto]),
                   analysis::fixed(analysis::percent(sessions[proto],
                                                     totalSessions), 1),
-                  analysis::withThousands(sources[proto].size()),
-                  analysis::fixed(analysis::percent(sources[proto].size(),
-                                                    allSources.size()), 1),
+                  analysis::withThousands(sources[proto]),
+                  analysis::fixed(analysis::percent(sources[proto],
+                                                    allSources), 1),
                   paperRef[row]});
   }
   table.render(std::cout);
   std::cout << "(shares may exceed 100%: multi-protocol scanners)\n";
-  return 0;
 }

@@ -1,34 +1,38 @@
 // Table 3 — distribution of target address types over all telescopes,
 // full observation period (packets and /128 sources per type).
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "analysis/addr_class.hpp"
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void table3_target_types(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Table 3: target address-type distribution");
-
   std::uint64_t packets[analysis::kAddressTypeCount] = {};
-  std::unordered_set<net::Ipv6Address>
-      sources[analysis::kAddressTypeCount];
   std::uint64_t totalPackets = 0;
-  std::unordered_set<net::Ipv6Address> allSources;
-
+  std::vector<std::span<const net::Packet>> windows;
   for (std::size_t t = 0; t < 4; ++t) {
-    for (const net::Packet& p :
-         ctx.runner->capture(t).packets()) {
-      const auto type =
-          static_cast<std::size_t>(analysis::classifyAddress(p.dst));
-      ++packets[type];
-      ++totalPackets;
-      sources[type].insert(p.src);
-      allSources.insert(p.src);
-    }
+    windows.push_back(ctx.runner->capture(t).packets());
+  }
+  // One entry per (source, target type) pair over all four telescopes,
+  // sorted by source. The key function sees every packet once, so it
+  // counts them.
+  const auto pairs =
+      analysis::membership(windows, [&](const net::Packet& p) {
+        const analysis::AddressType type = analysis::classifyAddress(p.dst);
+        ++packets[static_cast<std::size_t>(type)];
+        ++totalPackets;
+        return std::optional{std::pair{p.src, type}};
+      }).entries;
+  std::uint64_t sources[analysis::kAddressTypeCount] = {};
+  std::uint64_t allSources = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ++sources[static_cast<std::size_t>(pairs[i].key.second)];
+    allSources += i == 0 || pairs[i - 1].key.first != pairs[i].key.first;
   }
 
   // Paper reference (packet% / source%) in Table 3's order.
@@ -56,14 +60,12 @@ int main() {
                   analysis::withThousands(packets[i]),
                   analysis::fixed(analysis::percent(packets[i], totalPackets),
                                   2),
-                  analysis::withThousands(sources[i].size()),
-                  analysis::fixed(
-                      analysis::percent(sources[i].size(), allSources.size()),
-                      2),
+                  analysis::withThousands(sources[i]),
+                  analysis::fixed(analysis::percent(sources[i], allSources),
+                                  2),
                   row.paper});
   }
   table.render(std::cout);
   std::cout << "(source shares may exceed 100%: scanners probe multiple "
                "types)\n";
-  return 0;
 }

@@ -4,18 +4,14 @@
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void table4_ports(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Table 4: top-5 TCP/UDP destination ports");
-
   // Combine all telescopes; the paper aggregates sessions at /64 for this
   // analysis (vertical scanners rotate source IIDs per port).
   for (const net::Protocol proto : {net::Protocol::Tcp, net::Protocol::Udp}) {
     analysis::TextTable table{{"Rank", "Port", "Sessions", "[%]"}};
     // Rank across telescopes by summing session counts per port.
-    std::map<std::string, std::pair<std::uint64_t, double>> merged;
-    std::uint64_t sessionsWithProto = 0;
+    std::map<std::string, std::uint64_t> merged;
     for (std::size_t t = 0; t < 4; ++t) {
       const auto& capture = ctx.runner->capture(t);
       const auto& sessions = ctx.summary.telescope(t).sessions64;
@@ -25,11 +21,7 @@ int main() {
         const std::string key =
             r.tracerouteRange ? "traceroute[33434-33523]"
                               : std::to_string(r.port);
-        merged[key].first += r.sessions;
-        if (r.share > 0) {
-          sessionsWithProto += static_cast<std::uint64_t>(
-              static_cast<double>(r.sessions) / r.share * 100.0 + 0.5);
-        }
+        merged[key] += r.sessions;
       }
     }
     // Recompute shares against the total sessions carrying this protocol.
@@ -45,8 +37,8 @@ int main() {
         }
       }
     }
-    std::vector<std::pair<std::string, std::uint64_t>> sorted;
-    for (const auto& [key, value] : merged) sorted.emplace_back(key, value.first);
+    std::vector<std::pair<std::string, std::uint64_t>> sorted(merged.begin(),
+                                                              merged.end());
     std::sort(sorted.begin(), sorted.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });
     std::cout << (proto == net::Protocol::Tcp ? "TCP" : "UDP")
@@ -65,5 +57,4 @@ int main() {
     table.render(std::cout);
     std::cout << "distinct ports/buckets hit: " << merged.size() << "\n\n";
   }
-  return 0;
 }

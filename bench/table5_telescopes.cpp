@@ -1,16 +1,17 @@
 // Table 5 — comparison of the four telescopes during the initial 12-week
 // observation period: (a) sources, ASes, destinations, packets; (b)
 // distinct sources per transport protocol.
-#include <unordered_set>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void table5_telescopes(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Table 5: telescope comparison, initial observation period");
   const core::Period initial = ctx.initialPeriod();
 
   // (a) volume metrics. Paper row order & values for reference.
@@ -45,30 +46,33 @@ int main() {
   std::cout << "\n(b) distinct /128 sources per transport protocol\n";
   analysis::TextTable b{{"Protocol", "T1 [#]", "T1 [%]", "T2 [#]", "T2 [%]",
                          "T3 [#]", "T3 [%]", "T4 [#]", "T4 [%]"}};
-  std::unordered_set<net::Ipv6Address> perProto[4][3];
-  std::unordered_set<net::Ipv6Address> all[4];
+  // One entry per (source, protocol) pair; bit t of its mask is telescope t.
+  std::vector<std::span<const net::Packet>> windows;
   for (std::size_t t = 0; t < 4; ++t) {
-    for (const net::Packet& p :
-         ctx.runner->capture(t).packets()) {
-      if (!initial.contains(p.ts)) continue;
-      perProto[t][static_cast<std::size_t>(p.proto)].insert(p.src);
-      all[t].insert(p.src);
-    }
+    windows.push_back(
+        core::packetsIn(ctx.runner->capture(t).packets(), initial));
+  }
+  std::uint64_t sources[3][4] = {}; // [protocol][telescope]
+  for (const auto& e :
+       analysis::membership(windows, [](const net::Packet& p) {
+         return std::optional{std::pair{p.src, p.proto}};
+       }).entries) {
+    const auto proto = static_cast<std::size_t>(e.key.second);
+    for (std::size_t t = 0; t < 4; ++t) sources[proto][t] += (e.mask >> t) & 1u;
   }
   const net::Protocol order[3] = {net::Protocol::Icmpv6, net::Protocol::Tcp,
                                   net::Protocol::Udp};
   for (const net::Protocol proto : order) {
     std::vector<std::string> cells{std::string{net::toString(proto)}};
+    const auto& perTelescope = sources[static_cast<std::size_t>(proto)];
     for (std::size_t t = 0; t < 4; ++t) {
-      const auto& set = perProto[t][static_cast<std::size_t>(proto)];
-      cells.push_back(std::to_string(set.size()));
-      cells.push_back(
-          analysis::fixed(analysis::percent(set.size(), all[t].size()), 1));
+      cells.push_back(std::to_string(perTelescope[t]));
+      cells.push_back(analysis::fixed(
+          analysis::percent(perTelescope[t], stats[t].sources128), 1));
     }
     b.addRow(cells);
   }
   b.render(std::cout);
   std::cout << "paper 5(b): ICMPv6 80/62/100/97%, TCP 3/80/0/2%, "
                "UDP 19/27/0/0% of each telescope's sources\n";
-  return 0;
 }

@@ -5,21 +5,16 @@
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void table6_taxonomy(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx = bench::runStandard(
-      "Table 6: taxonomy of T1 scanners during the split period");
-
   const core::Period split = ctx.splitPeriod();
   const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  analysis::PipelineOptions opts;
-  opts.heavyHitters = false;
-  opts.fingerprint = false;
   const auto taxonomy =
       bench::analyzeWindow(capture.packets(), sessions,
-                           &ctx.runner->schedule(), opts)
+                           &ctx.runner->schedule(),
+                           {.heavyHitters = false, .fingerprint = false})
           .taxonomy;
 
   const auto scanners = taxonomy.profiles.size();
@@ -64,5 +59,4 @@ int main() {
   table.render(std::cout);
   std::cout << "T1 split-period scanners: " << scanners
             << ", sessions: " << totalSessions << "\n";
-  return 0;
 }

@@ -5,11 +5,8 @@
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void table7_tools(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Table 7: identified scan tools at T1");
-
   const core::Period split = ctx.splitPeriod();
   const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
@@ -60,5 +57,4 @@ int main() {
             << ", DBSCAN clusters: " << result.clusterCount << "\n"
             << "(paper: 40% of packets carry payloads, from 93% of sources "
                "covering 76% of sessions)\n";
-  return 0;
 }

@@ -8,23 +8,17 @@
 #include "analysis/stats.hpp"
 #include "bench/harness.hpp"
 
-int main() {
+void table8_network_types(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  bench::RunContext ctx =
-      bench::runStandard("Table 8: network types of scan sources at T1");
-
   const core::Period split = ctx.splitPeriod();
   const auto& capture = ctx.runner->capture(core::T1);
   const auto& registry = ctx.runner->asRegistry();
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  analysis::PipelineOptions hitterOpts;
-  hitterOpts.taxonomy = false;
-  hitterOpts.fingerprint = false;
   const auto hitters =
       bench::analyzeWindow(capture.packets(),
                            ctx.summary.telescope(core::T1).sessions128,
-                           nullptr, hitterOpts)
+                           nullptr, {.taxonomy = false, .fingerprint = false})
           .heavyHitters;
   std::unordered_set<net::Ipv6Address> hitterSet;
   for (const auto& h : hitters) hitterSet.insert(h.source);
@@ -94,5 +88,4 @@ int main() {
     }
   }
   table.render(std::cout);
-  return 0;
 }

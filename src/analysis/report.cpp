@@ -57,31 +57,6 @@ std::string TextTable::toString() const {
   return out.str();
 }
 
-void TextTable::writeCsv(std::ostream& out) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ',';
-      const bool quote =
-          row[c].find_first_of(",\"\n") != std::string::npos;
-      if (quote) {
-        out << '"';
-        for (char ch : row[c]) {
-          if (ch == '"') out << '"';
-          out << ch;
-        }
-        out << '"';
-      } else {
-        out << row[c];
-      }
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) {
-    if (!row.empty()) emit(row);
-  }
-}
-
 std::string withThousands(std::uint64_t value) {
   return obs::fmt::withThousands(value);
 }

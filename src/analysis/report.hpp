@@ -1,8 +1,8 @@
 // v6t::analysis — plain-text report rendering.
 //
-// Every bench binary prints its table/figure through TextTable so the
-// output lines up with the paper's rows and stays grep-able in
-// bench_output.txt. Also provides CSV emission for downstream plotting.
+// The paper report, v6t_run and the examples print their tables through
+// TextTable, so the output lines up with the paper's rows and stays
+// grep-able.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,6 @@ public:
 
   void render(std::ostream& out) const;
   [[nodiscard]] std::string toString() const;
-
-  void writeCsv(std::ostream& out) const;
 
   [[nodiscard]] std::size_t rowCount() const { return rows_.size(); }
 

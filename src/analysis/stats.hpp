@@ -96,8 +96,9 @@ struct KeyHash {
 
 /// Fold up to 32 packet windows into their key membership. `key(packet)`
 /// returns std::optional<Key>; packets it maps to nullopt are skipped. One
-/// first-seen pass per window appends each (key, window bit) once, then a
-/// single sort by key ORs the bits of equal keys together.
+/// first-seen pass per window, calling `key` once per packet, appends each
+/// (key, window bit) once, then a single sort by key ORs the bits of equal
+/// keys together.
 template <typename KeyFn>
 [[nodiscard]] auto membership(
     std::span<const std::span<const net::Packet>> windows, KeyFn key) {

@@ -56,24 +56,29 @@ TelescopeSummary::WindowStats ExperimentSummary::windowStats(
   return stats;
 }
 
-std::span<const net::Packet> packetsIn(std::span<const net::Packet> packets,
-                                       Period period) {
-  const auto before = [](const net::Packet& p, sim::SimTime t) {
-    return p.ts < t;
-  };
-  const auto from =
-      std::lower_bound(packets.begin(), packets.end(), period.from, before);
-  const auto to = std::lower_bound(from, packets.end(), period.to, before);
+namespace {
+
+/// The items of a run sorted by `time` whose time falls inside the period:
+/// a lower_bound pair, no scan and no copy.
+template <typename T>
+std::span<const T> within(std::span<const T> items, Period period,
+                          sim::SimTime T::*time) {
+  const auto from = std::ranges::lower_bound(items, period.from, {}, time);
+  const auto to =
+      std::ranges::lower_bound(from, items.end(), period.to, {}, time);
   return {from, to};
 }
 
-std::vector<telescope::Session> sessionsIn(
+} // namespace
+
+std::span<const net::Packet> packetsIn(std::span<const net::Packet> packets,
+                                       Period period) {
+  return within(packets, period, &net::Packet::ts);
+}
+
+std::span<const telescope::Session> sessionsIn(
     std::span<const telescope::Session> sessions, Period period) {
-  std::vector<telescope::Session> out;
-  for (const telescope::Session& s : sessions) {
-    if (period.contains(s.start)) out.push_back(s);
-  }
-  return out;
+  return within(sessions, period, &telescope::Session::start);
 }
 
 } // namespace v6t::core

@@ -1,9 +1,9 @@
 // v6t::core — shared post-run computation.
 //
-// Most benches and examples need the same derived views: per-telescope
-// session lists at both aggregation levels and time-window filters for the
-// initial vs. split periods. Computing them once here keeps every bench
-// binary small and consistent.
+// The report sections, v6t_run and the examples need the same derived
+// views: per-telescope session lists at both aggregation levels and time
+// windows for the initial vs. split periods. Computing them once here keeps
+// every reader of a run consistent.
 #pragma once
 
 #include <array>
@@ -82,8 +82,9 @@ private:
 [[nodiscard]] std::span<const net::Packet> packetsIn(
     std::span<const net::Packet> packets, Period period);
 
-/// Sessions whose start time falls inside the period.
-[[nodiscard]] std::vector<telescope::Session> sessionsIn(
+/// The sessions of a list sorted by start (every Sessionizer result is)
+/// whose start falls inside the period: a lower_bound pair, no copy.
+[[nodiscard]] std::span<const telescope::Session> sessionsIn(
     std::span<const telescope::Session> sessions, Period period);
 
 } // namespace v6t::core

@@ -1,6 +1,7 @@
 #include "fault/invariants.hpp"
 
 #include <sstream>
+#include <tuple>
 
 #include "sim/time.hpp"
 
@@ -96,20 +97,25 @@ bool InvariantChecker::checkCanonicalOrder(
   const std::vector<net::Packet>& packets = capture.packets();
   bool good = true;
   for (std::size_t i = 1; i < packets.size(); ++i) {
-    const net::Packet& a = packets[i - 1];
-    const net::Packet& b = packets[i];
-    const auto keyA = std::tuple{a.ts, a.originId, a.originSeq};
-    const auto keyB = std::tuple{b.ts, b.originId, b.originSeq};
-    if (keyB < keyA) {
-      std::ostringstream msg;
-      msg << "capture not in canonical (ts, originId, originSeq) order at "
-          << "index " << i << ": (" << timeStr(a.ts) << ", " << a.originId
-          << ", " << a.originSeq << ") > (" << timeStr(b.ts) << ", "
-          << b.originId << ", " << b.originSeq << ")";
-      good = fail(msg.str());
-    }
+    good &= checkCanonicalStep(packets[i - 1], packets[i], i);
   }
   return good;
+}
+
+bool InvariantChecker::checkCanonicalStep(const net::Packet& prev,
+                                          const net::Packet& next,
+                                          std::uint64_t index) {
+  if (std::tuple{next.ts, next.originId, next.originSeq} >=
+      std::tuple{prev.ts, prev.originId, prev.originSeq}) {
+    return true;
+  }
+  std::ostringstream msg;
+  msg << "capture not in canonical (ts, originId, originSeq) order at "
+      << "index " << index << ": (" << timeStr(prev.ts) << ", "
+      << prev.originId << ", " << prev.originSeq << ") > ("
+      << timeStr(next.ts) << ", " << next.originId << ", " << next.originSeq
+      << ")";
+  return fail(msg.str());
 }
 
 bool InvariantChecker::checkMetricFold(

@@ -9,6 +9,7 @@
 // broken fixture trips exactly this rule).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
@@ -47,6 +48,12 @@ public:
   /// (ts, originId, originSeq). Exact duplicates are legal (packet
   /// duplication faults record a packet twice); inversions are not.
   bool checkCanonicalOrder(const telescope::CaptureStore& capture);
+
+  /// Rule 3 for one step of a stream: `next`, the packet at position
+  /// `index`, may follow `prev`. checkCanonicalOrder applies it to every
+  /// step of a capture; a spilled run applies it as the stream goes by.
+  bool checkCanonicalStep(const net::Packet& prev, const net::Packet& next,
+                          std::uint64_t index);
 
   /// Rule 4 — folding the shard registries reproduces `folded` exactly:
   /// every flattened metric of a fresh aggregate equals the run's

@@ -11,7 +11,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -512,14 +511,6 @@ TEST(Report, TableRendersAligned) {
   EXPECT_NE(out.find("| alpha"), std::string::npos);
   EXPECT_NE(out.find("| beta "), std::string::npos);
   EXPECT_EQ(table.rowCount(), 3u);
-}
-
-TEST(Report, CsvEscapes) {
-  TextTable table{{"a", "b"}};
-  table.addRow({"x,y", "with \"quote\""});
-  std::ostringstream out;
-  table.writeCsv(out);
-  EXPECT_EQ(out.str(), "a,b\n\"x,y\",\"with \"\"quote\"\"\"\n");
 }
 
 TEST(Report, Numbers) {

@@ -712,6 +712,33 @@ TEST(InvariantChecker, CanonicalOrderPositiveAndNegative) {
   EXPECT_NE(broken.violations()[0].find("canonical"), std::string::npos);
 }
 
+TEST(InvariantChecker, CanonicalStepOnAStream) {
+  // The rule a spilled run applies as its merged stream goes by: the same
+  // one checkCanonicalOrder applies to a whole capture.
+  const std::vector<net::Packet> stream{
+      packetAt(sim::kEpoch + sim::seconds(1), 2, 0),
+      packetAt(sim::kEpoch + sim::seconds(1), 2, 1),
+      packetAt(sim::kEpoch + sim::seconds(1), 2, 1), // packet_dup's copy
+      packetAt(sim::kEpoch + sim::seconds(1), 5, 0),
+      packetAt(sim::kEpoch + sim::seconds(2), 1, 0),
+      packetAt(sim::kEpoch + sim::seconds(2), 1, 0)};
+  fault::InvariantChecker checker;
+  for (std::size_t i = 1; i < stream.size(); ++i) {
+    EXPECT_TRUE(checker.checkCanonicalStep(stream[i - 1], stream[i], i))
+        << "step " << i;
+  }
+  EXPECT_TRUE(checker.ok());
+
+  // Each kind of inversion fails, naming the step's position.
+  fault::InvariantChecker broken;
+  EXPECT_FALSE(broken.checkCanonicalStep(stream[4], stream[3], 7));
+  EXPECT_FALSE(broken.checkCanonicalStep(stream[3], stream[2], 8));
+  EXPECT_FALSE(broken.checkCanonicalStep(stream[1], stream[0], 9));
+  ASSERT_EQ(broken.violations().size(), 3u);
+  EXPECT_NE(broken.violations()[0].find("at index 7"), std::string::npos);
+  EXPECT_NE(broken.violations()[2].find("at index 9"), std::string::npos);
+}
+
 TEST(InvariantChecker, MetricFoldPositiveAndNegative) {
   obs::Registry shardA;
   obs::Registry shardB;

@@ -240,11 +240,12 @@ TEST(SummaryProperty, DisjointWindowsSumToWhole) {
 }
 
 TEST(SummaryProperty, WindowStatsOfSubspanMatchesFilterOverAllPackets) {
-  // windowStats reads a window as a lower_bound pair over the time-ordered
-  // capture. Compare it with a plain filter over every packet, for window
-  // bounds drawn mostly from the packets' own timestamps — so they fall
-  // inside runs of equal timestamps — and otherwise anywhere, empty and
-  // inverted windows included.
+  // windowStats and sessionsIn read a window as a lower_bound pair over
+  // the time-ordered capture or start-ordered session list. Compare them
+  // with a plain filter over every packet and session, for window bounds
+  // drawn mostly from the packets' own timestamps — so they fall inside
+  // runs of equal timestamps — and otherwise anywhere, empty and inverted
+  // windows included.
   sim::Rng rng{2718};
   std::vector<std::vector<net::Packet>> shards(1);
   std::int64_t ts = 0;
@@ -293,6 +294,19 @@ TEST(SummaryProperty, WindowStatsOfSubspanMatchesFilterOverAllPackets) {
     std::size_t sessions128 = 0;
     for (const telescope::Session& s : summary.telescope(0).sessions128) {
       sessions128 += period.contains(s.start) ? 1 : 0;
+    }
+    // The subspan holds exactly the filter's sessions, in list order.
+    for (const auto* list : {&summary.telescope(0).sessions128,
+                             &summary.telescope(0).sessions64}) {
+      std::vector<const telescope::Session*> filtered;
+      for (const telescope::Session& s : *list) {
+        if (period.contains(s.start)) filtered.push_back(&s);
+      }
+      std::vector<const telescope::Session*> window;
+      for (const telescope::Session& s : core::sessionsIn(*list, period)) {
+        window.push_back(&s);
+      }
+      EXPECT_EQ(window, filtered) << "window " << w;
     }
     const auto stats = summary.windowStats(captures[0], 0, period);
     EXPECT_EQ(stats.packets, inWindow) << "window " << w;

@@ -57,7 +57,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/pipeline.hpp"
@@ -401,17 +400,32 @@ int main(int argc, char** argv) {
               << obs::fmt::fixed(stats.runWallSeconds, 3) << "s)\n";
   };
 
+  // Canonical capture order is the anchor every downstream analysis
+  // assumes. On a violation, dump the flight-recorder rings (the most
+  // recent causal history) and flush a final "abort" snapshot instead of
+  // dying between heartbeats.
+  const auto orderGateFailed = [&](const fault::InvariantChecker& checker) {
+    if (checker.ok()) return false;
+    std::cerr << "FATAL: capture invariant violated\n";
+    for (const std::string& v : checker.violations()) {
+      std::cerr << "  " << v << "\n";
+    }
+    obs::trace::dumpRegisteredRings(std::cerr);
+    flushObservability("abort");
+    return true;
+  };
+
   // Spill mode: the in-memory captures drained to per-shard segment stores
   // during the run, so every downstream consumer streams the canonical
   // k-way merge instead of touching runner.capture() (which is empty). The
   // windowed analysis digest is bitwise-identical to the in-memory path
-  // (DESIGN.md §15); the canonical-order invariant gate runs inline on the
-  // stream for the same reason.
+  // (DESIGN.md §15); the canonical-order gate applies the same rule to
+  // each step of the stream.
   if (spillMode) {
     const unsigned analysisThreads = config.effectiveAnalysisThreads();
     std::array<analysis::StreamingResult, 4> results;
     std::array<std::uint64_t, 4> segmentCounts{};
-    std::vector<std::string> orderViolations;
+    fault::InvariantChecker checker;
     {
       obs::Span phaseSpan(metrics, "runner.phase.analyze_seconds");
       for (std::size_t t = 0; t < 4; ++t) {
@@ -424,35 +438,21 @@ int main(int argc, char** argv) {
         opts.captureGaps = config.faults.gapWindowsFor(t);
         analysis::StreamingAnalyzer analyzer{opts};
         auto cursor = runner.streamCapture(t);
-        bool first = true;
-        std::tuple<std::int64_t, std::uint32_t, std::uint64_t> prev{};
+        net::Packet prev;
+        std::uint64_t index = 0;
         if (!cursor.empty()) {
           do {
             const net::Packet& p = cursor.head();
-            const std::tuple<std::int64_t, std::uint32_t, std::uint64_t> key{
-                p.ts.millis(), p.originId, p.originSeq};
-            if (!first && !(prev < key)) {
-              orderViolations.push_back(
-                  names[t] + ": spilled stream not strictly canonical at ts=" +
-                  std::to_string(p.ts.millis()));
-            }
-            prev = key;
-            first = false;
+            if (index > 0) checker.checkCanonicalStep(prev, p, index);
+            prev = p;
+            ++index;
             analyzer.ingest(p);
           } while (cursor.advance());
         }
         results[t] = analyzer.finish();
       }
     }
-    if (!orderViolations.empty()) {
-      std::cerr << "FATAL: capture invariant violated\n";
-      for (const std::string& v : orderViolations) {
-        std::cerr << "  " << v << "\n";
-      }
-      obs::trace::dumpRegisteredRings(std::cerr);
-      flushObservability("abort");
-      return 1;
-    }
+    if (orderGateFailed(checker)) return 1;
     if (!flushObservability("final")) return 1;
 
     analysis::TextTable table{{"telescope", "packets", "sources /128",
@@ -517,24 +517,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Post-merge invariant gate: canonical capture order is the anchor every
-  // downstream analysis assumes. On violation, dump the flight-recorder
-  // rings (the most recent causal history) and flush a final "abort"
-  // snapshot instead of dying between heartbeats.
+  // Post-merge gate over the in-memory captures.
   {
     fault::InvariantChecker checker;
     for (std::size_t t = 0; t < 4; ++t) {
       checker.checkCanonicalOrder(runner.capture(t));
     }
-    if (!checker.ok()) {
-      std::cerr << "FATAL: capture invariant violated\n";
-      for (const std::string& v : checker.violations()) {
-        std::cerr << "  " << v << "\n";
-      }
-      obs::trace::dumpRegisteredRings(std::cerr);
-      flushObservability("abort");
-      return 1;
-    }
+    if (orderGateFailed(checker)) return 1;
   }
 
   // Post-run analysis: summary sessionization plus the per-telescope
