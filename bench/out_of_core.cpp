@@ -8,8 +8,8 @@
 //   parent  the spilled path: SegmentStore under V6T_OOC_BUDGET_BYTES,
 //           then StreamingAnalyzer over the segment cursor. Peak RSS must
 //           stay bounded by the budget (plus a fixed slack for the
-//           binary, window buffers and tracker state) no matter how large
-//           the capture is.
+//           binary, the read buffers and tracker state) no matter how
+//           large the capture is.
 //
 // The child reports (digest, peak RSS, packet count) over a pipe; the
 // bench FAILS (nonzero exit) when the streamed digest differs from the
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   const double parentRss = peakRssBytes();
   std::cout << "streamed: " << streamed.totalPackets << " packets, "
             << streamed.sources.size() << " sources, "
-            << streamed.windows.size() << " windows, analyze "
+            << streamed.windows << " windows, analyze "
             << analyzeSeconds << "s, peak RSS "
             << parentRss / (1024.0 * 1024.0) << " MiB\n";
 
@@ -222,9 +222,9 @@ int main(int argc, char** argv) {
 
   const bool digestMatch = streamed.digest() == reference.digest &&
                            streamed.totalPackets == reference.packets;
-  // The bound: a fixed floor for code + allocator + window/tracker state,
-  // plus 3x the budget (memtable + its canonical sort + compaction I/O
-  // never hold more than a few budgets' worth at once).
+  // The bound: a fixed floor for code + allocator + tracker state, plus 3x
+  // the budget (the memtable and its canonical sort never hold more than a
+  // few budgets' worth at once).
   const double rssBound = 256.0 * 1024.0 * 1024.0 + 3.0 * static_cast<double>(budget);
   const bool rssBounded = parentRss <= rssBound;
 
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
   summary.gauge("bench.out_of_core.rss_bound_ok").set(rssBounded ? 1 : 0);
   summary.gauge("bench.out_of_core.digest_match").set(digestMatch ? 1 : 0);
   summary.gauge("bench.out_of_core.windows")
-      .set(static_cast<double>(streamed.windows.size()));
+      .set(static_cast<double>(streamed.windows));
   summary.gauge("bench.out_of_core.sources")
       .set(static_cast<double>(streamed.sources.size()));
   summary.aggregateFrom(metrics); // capture.spill.* / analysis.stream.*

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <optional>
 #include <unordered_map>
 
 #include "analysis/capture_index.hpp"
@@ -152,60 +151,32 @@ StreamingResult foldSummaries(
 }
 
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions opts)
-    : opts_(std::move(opts)), tracker_(opts_.agg, opts_.sessionTimeout) {
+    : opts_(std::move(opts)), tracker_(telescope::SourceAgg::Addr128) {
   if (!opts_.captureGaps.empty()) {
     tracker_.setCaptureGaps(opts_.captureGaps);
   }
 }
 
 void StreamingAnalyzer::ingest(const net::Packet& p) {
-  const std::int64_t len = opts_.windowLength.millis();
-  const std::int64_t idx = len > 0 ? p.ts.millis() / len : 0;
-  if (haveWindow_ && idx != windowIdx_) closeWindow();
-  if (!haveWindow_) {
-    windowIdx_ = idx;
-    haveWindow_ = true;
-  }
-  window_.push_back(p);
+  const std::int64_t idx = p.ts.millis() / kStreamWindow.millis();
+  if (windowPackets_ > 0 && idx != windowIdx_) closeWindow();
+  windowIdx_ = idx;
+  ++windowPackets_;
   tracker_.offer(p);
   ++totalPackets_;
 }
 
 void StreamingAnalyzer::closeWindow() {
-  if (!haveWindow_) return;
-  std::optional<obs::Span> span;
-  if (opts_.metrics != nullptr) {
-    span.emplace(*opts_.metrics, "analysis.stream.window_seconds");
-  }
-
-  // Window-local view: sessionize just this window's packets and count
-  // their sources with the grouping CaptureIndex uses. Observability only —
-  // the capture-level fold below runs off the cross-window tracker, so
-  // sessions spanning a window edge are never split in the result.
-  telescope::Sessionizer local{opts_.agg, opts_.sessionTimeout};
-  if (!opts_.captureGaps.empty()) local.setCaptureGaps(opts_.captureGaps);
-  for (std::uint32_t i = 0; i < window_.size(); ++i) {
-    local.offer(window_[i], i);
-  }
-  const std::vector<telescope::Session> localSessions = local.finish();
-
-  const std::int64_t len = opts_.windowLength.millis();
-  StreamingWindowReport report;
-  report.start = sim::SimTime{len > 0 ? windowIdx_ * len : 0};
-  report.end = len > 0 ? sim::SimTime{(windowIdx_ + 1) * len}
-                       : window_.back().ts;
-  report.packets = window_.size();
-  report.sources = telescope::groupBySource(localSessions).size();
-  report.sessions = localSessions.size();
-  windows_.push_back(report);
-
+  if (windowPackets_ == 0) return;
+  // Only sessions the tracker has closed leave it, so a session spanning a
+  // window edge is never split.
   std::vector<telescope::SessionSummary> closed = tracker_.drainClosed();
   summaries_.insert(summaries_.end(), closed.begin(), closed.end());
 
   if (opts_.metrics != nullptr) {
     opts_.metrics->counter("analysis.stream.windows_total").inc();
     opts_.metrics->histogram("analysis.stream.window_packets", countBounds())
-        .observe(static_cast<double>(window_.size()));
+        .observe(static_cast<double>(windowPackets_));
     opts_.metrics->counter("analysis.stream.sessions_closed_total")
         .inc(closed.size());
     opts_.metrics
@@ -213,9 +184,8 @@ void StreamingAnalyzer::closeWindow() {
                 obs::GaugeMode::Max)
         .set(static_cast<double>(tracker_.openSessions()));
   }
-  window_.clear();
-  haveWindow_ = false;
-  ++windowsClosed_;
+  windowPackets_ = 0;
+  ++windows_;
 }
 
 StreamingResult StreamingAnalyzer::finish() {
@@ -225,7 +195,7 @@ StreamingResult StreamingAnalyzer::finish() {
   StreamingResult result = foldSummaries(std::move(summaries_),
                                          totalPackets_, tracker_.stats(),
                                          opts_);
-  result.windows = std::move(windows_);
+  result.windows = windows_;
   summaries_.clear();
   return result;
 }
@@ -238,7 +208,8 @@ StreamingResult analyzeOneShot(std::span<const net::Packet> packets,
   // against itself.
   telescope::Sessionizer::Stats stats;
   const std::vector<telescope::Session> sessions =
-      telescope::sessionize(packets, opts.agg, opts.sessionTimeout, &stats,
+      telescope::sessionize(packets, telescope::SourceAgg::Addr128,
+                            telescope::kSessionTimeout, &stats,
                             opts.captureGaps);
   const CaptureIndex index{packets, sessions};
 

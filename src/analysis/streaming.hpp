@@ -2,19 +2,17 @@
 //
 // The one-shot pipeline holds the whole merged packet vector in memory.
 // The streaming path consumes the canonical (ts, originId, originSeq)
-// packet stream — typically a SegmentStore cursor — in bounded time
-// windows: packets are buffered only for the current window, sessions are
-// tracked across window boundaries by the O(1)-state SessionTracker, and
-// each closed window is sessionized on its own for windowed observability
-// (packets, sources, sessions per window; no CaptureIndex).
-// Capture-level results are folded from SessionSummary records, which are
-// exactly the facts CaptureIndex aggregates from full sessions — so the
-// StreamingResult, and its digest, is bitwise-identical to the one-shot
-// reference (`analyzeOneShot`) at any window length, any spill budget and
-// any thread count (DESIGN.md §15).
+// packet stream — typically a SegmentStore cursor — one packet at a time:
+// the O(1)-state SessionTracker sessionizes it, and every 24 h window of
+// sim time only counts its packets and drains the sessions that closed
+// (no packet buffer, no CaptureIndex). Capture-level results are folded
+// from SessionSummary records, which are exactly the facts CaptureIndex
+// aggregates from full sessions — so the StreamingResult, and its digest,
+// is bitwise-identical to the one-shot reference (`analyzeOneShot`) at any
+// spill budget and any thread count (DESIGN.md §15).
 //
-// Peak memory is O(window packets + open sessions + session summaries):
-// the packet vector never materializes.
+// Peak memory is O(open sessions + session summaries): the packet vector
+// never materializes.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +28,13 @@
 
 namespace v6t::analysis {
 
+/// Width of the windows the stream is counted in, aligned to an absolute
+/// grid (floor(ts / kStreamWindow)) so boundaries do not depend on the
+/// first packet observed. Sessions are tracked on /128 sources with
+/// telescope::kSessionTimeout; heavy hitters at kHeavyHitterThresholdPercent.
+inline constexpr sim::Duration kStreamWindow = sim::hours(24);
+
 struct StreamingOptions {
-  /// Width of the bounded analysis windows. Windows are aligned to an
-  /// absolute grid (floor(ts / windowLength)) so boundaries do not depend
-  /// on the first packet observed.
-  sim::Duration windowLength = sim::hours(24);
-  sim::Duration sessionTimeout = telescope::kSessionTimeout;
-  /// Aggregation for session tracking; heavy hitters are defined on /128
-  /// at kHeavyHitterThresholdPercent.
-  telescope::SourceAgg agg = telescope::SourceAgg::Addr128;
   /// Worker count for the per-source fold at finish(); 1 = serial
   /// reference. The result is bitwise-identical for every value.
   unsigned threads = 1;
@@ -59,33 +55,19 @@ struct StreamingSourceReport {
   net::Asn asn;
 };
 
-/// Observability record for one closed window (window-local views — not
-/// part of the capture-level digest).
-struct StreamingWindowReport {
-  sim::SimTime start;
-  sim::SimTime end;
-  std::uint64_t packets = 0;
-  /// Distinct sources within the window (groupBySource over the window's
-  /// own sessions).
-  std::uint64_t sources = 0;
-  /// Window-local session count (sessions split at window edges here;
-  /// the capture-level tracker does not).
-  std::uint64_t sessions = 0;
-};
-
 struct StreamingResult {
   std::uint64_t totalPackets = 0;
   std::vector<StreamingSourceReport> sources;
   std::vector<HeavyHitter> heavyHitters;
   HeavyHitterImpact heavyHitterImpact;
   telescope::Sessionizer::Stats sessionStats;
-  /// Closed windows in time order. Empty for the one-shot reference;
-  /// excluded from digest() so windowing cannot perturb equivalence.
-  std::vector<StreamingWindowReport> windows;
+  /// Windows that held packets. Zero for the one-shot reference; excluded
+  /// from digest() so windowing cannot perturb equivalence.
+  std::uint64_t windows = 0;
 
   /// Order-sensitive FNV-1a over every capture-level field. Equal digests
   /// mean bitwise-identical results — the witness the spill-equivalence
-  /// tests compare across budgets, window lengths and thread counts.
+  /// tests compare across spill budgets and thread counts.
   [[nodiscard]] std::uint64_t digest() const;
 };
 
@@ -109,21 +91,16 @@ public:
   /// Close the open window, flush the tracker and fold. Call once.
   [[nodiscard]] StreamingResult finish();
 
-  [[nodiscard]] const StreamingOptions& options() const { return opts_; }
-  [[nodiscard]] std::uint64_t windowsClosed() const { return windowsClosed_; }
-
 private:
   void closeWindow();
 
   StreamingOptions opts_;
   telescope::SessionTracker tracker_;
-  std::vector<net::Packet> window_; // current window's packets only
   std::int64_t windowIdx_ = 0;
-  bool haveWindow_ = false;
+  std::uint64_t windowPackets_ = 0; // 0 = no open window
+  std::uint64_t windows_ = 0;
   std::vector<telescope::SessionSummary> summaries_;
-  std::vector<StreamingWindowReport> windows_;
   std::uint64_t totalPackets_ = 0;
-  std::uint64_t windowsClosed_ = 0;
 };
 
 /// The in-memory reference: sessionize the whole capture, build one

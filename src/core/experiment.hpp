@@ -80,7 +80,8 @@ struct ExperimentConfig {
   /// segment stores under `<dir>/shard-<s>/<telescope>` at every epoch
   /// boundary instead of accumulating them in memory, and analysis runs
   /// the streaming windowed path over the merged segment cursors. Results
-  /// are bitwise-identical to the in-memory path for every budget.
+  /// are bitwise-identical to the in-memory path for every budget. The
+  /// directory must not hold the segments of an earlier run.
   std::string captureSpillDir;
   /// Per-(shard, telescope) memtable byte budget before a segment is
   /// spilled; 0 = the SegmentStore default (64 MiB).

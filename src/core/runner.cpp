@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "bgp/feed.hpp"
@@ -94,6 +96,33 @@ struct ShardWorld {
 double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Throws when a `shard-<s>/<telescope>` store under the spill directory
+/// already holds segment files. A store adopts the sealed segments it
+/// finds, so a second run into the same directory would count the first
+/// run's packets again; the old files are left as they are.
+void requireUnusedSpillDir(const std::filesystem::path& dir) {
+  namespace fs = std::filesystem;
+  if (!fs::is_directory(dir)) return;
+  for (const auto& shard : fs::directory_iterator{dir}) {
+    if (!shard.is_directory() ||
+        !shard.path().filename().string().starts_with("shard-")) {
+      continue;
+    }
+    for (const auto& store : fs::directory_iterator{shard.path()}) {
+      if (!store.is_directory()) continue;
+      for (const auto& file : fs::directory_iterator{store.path()}) {
+        if (file.path().filename().string().find(".v6tseg") !=
+            std::string::npos) {
+          throw std::runtime_error(
+              "spill directory " + dir.string() +
+              " already holds segment files of an earlier run (" +
+              file.path().string() + "); spill into an empty directory");
+        }
+      }
+    }
+  }
 }
 
 } // namespace
@@ -279,6 +308,7 @@ std::string ExperimentRunner::progressLine() const {
 void ExperimentRunner::run() {
   if (ran_) return;
   ran_ = true;
+  if (spillEnabled()) requireUnusedSpillDir(config_.experiment.captureSpillDir);
 
   using Clock = std::chrono::steady_clock;
   const unsigned shardCount = std::max(1u, config_.experiment.threads);
@@ -443,6 +473,11 @@ void ExperimentRunner::run() {
             epochStart = Clock::now();
           });
       closeEpoch();
+      // Seal what the memtables still hold, so the spill directory holds
+      // the whole capture once run() returns.
+      for (telescope::SegmentStore* store : stores) {
+        if (store != nullptr) store->spill();
+      }
       epochsDone_[shardId].store(totalEpochs_, std::memory_order_relaxed);
 
       for (const auto& t : world->telescopes) {

@@ -103,7 +103,9 @@ public:
   explicit ExperimentRunner(RunnerConfig config);
 
   /// Execute the timeline across the shards and merge the captures. Call
-  /// once.
+  /// once. In spill mode every store is sealed before it returns, and a
+  /// spill directory that already holds segment files is refused with
+  /// std::runtime_error before anything is simulated.
   void run();
 
   [[nodiscard]] const RunnerConfig& config() const { return config_; }

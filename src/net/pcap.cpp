@@ -5,32 +5,6 @@
 
 namespace v6t::net {
 
-namespace {
-
-template <typename T>
-std::size_t putLe(unsigned char* buf, T value) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<unsigned char>(
-        (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xff);
-  }
-  return sizeof(T);
-}
-
-template <typename T>
-bool getLe(std::istream& in, T& value) {
-  std::array<char, sizeof(T)> buf;
-  in.read(buf.data(), buf.size());
-  if (in.gcount() != static_cast<std::streamsize>(buf.size())) return false;
-  std::uint64_t v = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;) {
-    v = (v << 8) | static_cast<std::uint8_t>(buf[i]);
-  }
-  value = static_cast<T>(v);
-  return true;
-}
-
-} // namespace
-
 std::size_t encodeRecord(unsigned char* buf, const Packet& p,
                          bool withOrigin) {
   std::size_t n = 0;
@@ -66,49 +40,59 @@ void writeRecord(std::ostream& out, const Packet& p, bool withOrigin) {
             static_cast<std::streamsize>(n));
 }
 
-RecordStatus readRecord(std::istream& in, Packet& p, bool withOrigin) {
+RecordStatus decodeRecord(const unsigned char* buf, std::size_t size,
+                          Packet& p, bool withOrigin) {
+  // Field offsets follow the record layout in pcap.hpp.
+  const std::size_t header = recordHeaderBytes(withOrigin);
+  if (size < header) return RecordStatus::Malformed;
+  const std::uint8_t proto = buf[40];
+  const auto payloadLen = getLe<std::uint16_t>(buf + header - 2);
+  // A payload longer than any this model can emit is a foreign or corrupt
+  // record, rejected like an unknown protocol.
+  if (proto > 2 || payloadLen > PayloadBuf::kCapacity ||
+      size != header + payloadLen) {
+    return RecordStatus::Malformed;
+  }
+  p = Packet{};
+  p.ts = sim::SimTime{getLe<std::int64_t>(buf)};
+  std::array<std::uint8_t, 16> addr{};
+  std::memcpy(addr.data(), buf + 8, 16);
+  p.src = Ipv6Address{addr};
+  std::memcpy(addr.data(), buf + 24, 16);
+  p.dst = Ipv6Address{addr};
+  p.proto = static_cast<Protocol>(proto);
+  p.srcPort = getLe<std::uint16_t>(buf + 41);
+  p.dstPort = getLe<std::uint16_t>(buf + 43);
+  p.icmpType = buf[45];
+  p.icmpCode = buf[46];
+  p.hopLimit = buf[47];
+  p.srcAsn = Asn{getLe<std::uint32_t>(buf + 48)};
+  if (withOrigin) {
+    p.originId = getLe<std::uint32_t>(buf + 52);
+    p.originSeq = getLe<std::uint64_t>(buf + 56);
+  }
+  p.payload.resize(payloadLen);
+  std::memcpy(p.payload.data(), buf + header, payloadLen);
+  return RecordStatus::Ok;
+}
+
+RecordStatus readRecord(std::istream& in, Packet& p, bool withOrigin,
+                        unsigned char* buf, std::size_t& size) {
   // A file ends at a record boundary: zero bytes left is a clean end, and
   // any partial record — a partial timestamp included — is torn.
-  if (in.peek() == std::istream::traits_type::eof()) return RecordStatus::Eof;
-  std::int64_t ts = 0;
-  if (!getLe(in, ts)) return RecordStatus::Malformed;
-  p = Packet{};
-  p.ts = sim::SimTime{ts};
-  std::array<std::uint8_t, 16> addr{};
-  auto readAddr = [&](Ipv6Address& out) {
-    in.read(reinterpret_cast<char*>(addr.data()), 16);
-    if (in.gcount() != 16) return false;
-    out = Ipv6Address{addr};
-    return true;
-  };
-  std::uint8_t proto = 0;
-  std::uint32_t asn = 0;
-  std::uint16_t payloadLen = 0;
-  if (!readAddr(p.src) || !readAddr(p.dst) || !getLe(in, proto) ||
-      !getLe(in, p.srcPort) || !getLe(in, p.dstPort) ||
-      !getLe(in, p.icmpType) || !getLe(in, p.icmpCode) ||
-      !getLe(in, p.hopLimit) || !getLe(in, asn)) {
-    return RecordStatus::Malformed; // torn record
-  }
-  if (withOrigin &&
-      (!getLe(in, p.originId) || !getLe(in, p.originSeq))) {
-    return RecordStatus::Malformed;
-  }
-  if (!getLe(in, payloadLen)) return RecordStatus::Malformed;
-  if (proto > 2) return RecordStatus::Malformed;
-  p.proto = static_cast<Protocol>(proto);
-  p.srcAsn = Asn{asn};
-  if (payloadLen > PayloadBuf::kCapacity) {
-    // Longer than any payload this model can emit: a foreign or corrupt
-    // record, rejected like an unknown protocol.
-    return RecordStatus::Malformed;
-  }
+  const std::size_t header = recordHeaderBytes(withOrigin);
+  in.read(reinterpret_cast<char*>(buf), static_cast<std::streamsize>(header));
+  const auto got = static_cast<std::size_t>(in.gcount());
+  if (got == 0) return RecordStatus::Eof;
+  if (got != header) return RecordStatus::Malformed;
+  const auto payloadLen = getLe<std::uint16_t>(buf + header - 2);
+  if (payloadLen > PayloadBuf::kCapacity) return RecordStatus::Malformed;
+  size = header + payloadLen;
   if (payloadLen > 0) {
-    p.payload.resize(payloadLen);
-    in.read(reinterpret_cast<char*>(p.payload.data()), payloadLen);
+    in.read(reinterpret_cast<char*>(buf + header), payloadLen);
     if (in.gcount() != payloadLen) return RecordStatus::Malformed;
   }
-  return RecordStatus::Ok;
+  return decodeRecord(buf, size, p, withOrigin);
 }
 
 CaptureWriter::CaptureWriter(std::ostream& out) : out_(out) {
@@ -130,7 +114,9 @@ CaptureReader::CaptureReader(std::istream& in) : in_(in) {
 std::optional<Packet> CaptureReader::next() {
   if (!ok_) return std::nullopt;
   Packet p;
-  switch (readRecord(in_, p, /*withOrigin=*/false)) {
+  unsigned char buf[kMaxRecordBytes];
+  std::size_t size = 0;
+  switch (readRecord(in_, p, /*withOrigin=*/false, buf, size)) {
   case RecordStatus::Ok:
     return p;
   case RecordStatus::Eof:

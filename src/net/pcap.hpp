@@ -36,9 +36,36 @@ inline constexpr char kCaptureMagic[8] = {'V', '6', 'T', 'C',
 // deliberately omits. Segments need the key on disk — it is what makes the
 // spilled capture re-mergeable into the exact in-memory canonical order.
 
-/// Upper bound on one encoded record: the base v6tcap fields (70 bytes at
-/// full payload) plus originId:u32 + originSeq:u64 when extended.
-inline constexpr std::size_t kMaxRecordBytes = 82;
+/// Store `value` little-endian at `buf`; returns sizeof(T).
+template <typename T>
+std::size_t putLe(unsigned char* buf, T value) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    buf[i] = static_cast<unsigned char>(
+        (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xff);
+  }
+  return sizeof(T);
+}
+
+/// Load a little-endian T from `buf`.
+template <typename T>
+[[nodiscard]] T getLe(const unsigned char* buf) {
+  std::uint64_t v = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) {
+    v = (v << 8) | buf[i];
+  }
+  return static_cast<T>(v);
+}
+
+/// Bytes of a record before its payload: every fixed field up to and
+/// including payloadLen — 54, or 66 with originId:u32 + originSeq:u64.
+[[nodiscard]] constexpr std::size_t recordHeaderBytes(bool withOrigin) {
+  return withOrigin ? 66 : 54;
+}
+
+/// Upper bound on one encoded record: the origin-extended header plus a
+/// full payload.
+inline constexpr std::size_t kMaxRecordBytes =
+    recordHeaderBytes(true) + PayloadBuf::kCapacity;
 
 /// Encode one record into `buf` (>= kMaxRecordBytes); returns the byte
 /// count. With `withOrigin`, originId/originSeq are inserted after srcAsn.
@@ -56,9 +83,20 @@ enum class RecordStatus : std::uint8_t {
              ///< timestamp), unknown protocol, or oversized payload
 };
 
-/// Read the next record from `in`. `withOrigin` must match how the stream
-/// was written — the base layout leaves originId/originSeq zero.
-RecordStatus readRecord(std::istream& in, Packet& p, bool withOrigin);
+/// Decode the record held in exactly `size` bytes at `buf` — the inverse
+/// of encodeRecord. Malformed when `size` is not the length the record's
+/// header announces, or a field is out of range.
+RecordStatus decodeRecord(const unsigned char* buf, std::size_t size,
+                          Packet& p, bool withOrigin);
+
+/// Read the next record from `in` into `buf` (>= kMaxRecordBytes) with at
+/// most two stream reads — the header, then the payload its length field
+/// announces — and decode it with decodeRecord. On Ok, `size` holds the
+/// record's byte count, so a caller can checksum exactly the bytes read.
+/// `withOrigin` must match how the stream was written; the base layout
+/// leaves originId/originSeq zero.
+RecordStatus readRecord(std::istream& in, Packet& p, bool withOrigin,
+                        unsigned char* buf, std::size_t& size);
 
 class CaptureWriter {
 public:

@@ -1,12 +1,12 @@
 // v6t::telescope — the shared reserving k-way merge heap.
 //
-// Three places need the same operation — merge canonical-key-sorted packet
+// Two places need the same operation — merge canonical-key-sorted packet
 // runs into one canonical stream: CaptureStore::mergeFrom (per-shard
-// in-memory buffers), the SegmentStore read cursor (on-disk segment runs
-// plus the memtable), and segment compaction (rewriting k sealed runs as
-// one). They all instantiate KWayMerge below over their own cursor type,
-// so the merge order is definitionally identical across in-memory and
-// out-of-core paths — the bitwise-equality contract of DESIGN.md §8/§15.
+// in-memory buffers) and the SegmentStore read cursor (on-disk segment
+// runs plus the memtable). Both instantiate KWayMerge below over their own
+// cursor type, so the merge order is definitionally identical across
+// in-memory and out-of-core paths — the bitwise-equality contract of
+// DESIGN.md §8/§15.
 //
 // Cursor concept:
 //   bool empty() const              true when the cursor has no head at all
@@ -56,8 +56,9 @@ inline void sortCanonicalRuns(std::span<net::Packet> packets) {
 }
 
 /// Binary heap of k cursors, emitting the globally smallest canonical key
-/// first. k is single digits in practice (shards, or segments between
-/// compactions), so the heap stays cache-resident.
+/// first. k is the shard count, or a store's sealed segments (capture
+/// bytes over the spill budget, tens at paper scale), so the heap stays
+/// cache-resident.
 template <typename Cursor>
 class KWayMerge {
 public:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <span>
 #include <stdexcept>
 
 #include "net/pcap.hpp"
@@ -23,132 +23,104 @@ constexpr std::size_t kFooterPrefixBytes = 8 + 8 + 8 + 4 + 4 + 8 + 8;
 static_assert(kFooterPrefixBytes + 8 + sizeof(kSegmentFooterMagic) ==
               kSegmentFooterBytes);
 
-template <typename T>
-void putLe(std::string& out, T value) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out.push_back(static_cast<char>(
-        (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xff));
+using net::getLe;
+using net::putLe;
+
+/// Address-sorted packet counts per source of `records` — the segment's
+/// source table.
+std::vector<SegmentSourceCount> countSources(
+    std::span<const net::Packet> records) {
+  std::vector<net::Ipv6Address> addrs;
+  addrs.reserve(records.size());
+  for (const net::Packet& p : records) addrs.push_back(p.src);
+  std::sort(addrs.begin(), addrs.end());
+  std::vector<SegmentSourceCount> sources;
+  for (const net::Ipv6Address& addr : addrs) {
+    if (sources.empty() || sources.back().addr != addr) {
+      sources.push_back(SegmentSourceCount{addr, 0});
+    }
+    ++sources.back().count;
   }
+  return sources;
 }
 
-template <typename T>
-T getLe(const unsigned char* buf) {
-  std::uint64_t v = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;) {
-    v = (v << 8) | buf[i];
+/// Writes `records` (non-empty, canonical order) to `<finalPath>.tmp`,
+/// appends the sparse index, source table and footer, and seals the file by
+/// renaming it to `finalPath` (the RdbDump shape — a reader never sees a
+/// half-written segment under its final name). `beforeSeal` runs after the
+/// stream is closed and before the rename — the crash seam of the recovery
+/// tests. Returns the file's byte count.
+std::uint64_t writeSegment(
+    const fs::path& finalPath, std::span<const net::Packet> records,
+    std::uint64_t indexStride,
+    const std::function<void(const fs::path&)>& beforeSeal) {
+  const fs::path tmpPath{finalPath.string() + ".tmp"};
+  std::ofstream out{tmpPath, std::ios::binary | std::ios::trunc};
+  if (!out) {
+    throw std::runtime_error("cannot open segment " + tmpPath.string());
   }
-  return static_cast<T>(v);
-}
+  out.write(kSegmentMagic, sizeof(kSegmentMagic));
 
-/// Writes one segment to `<final>.tmp`, records in canonical order, then
-/// seals it: sparse index + source table + footer appended, stream closed,
-/// file renamed into place (the RdbDump shape — a reader never sees a
-/// half-written segment under its final name).
-class SegmentFileWriter {
-public:
-  SegmentFileWriter(fs::path finalPath, std::uint64_t indexStride)
-      : finalPath_(std::move(finalPath)),
-        tmpPath_(finalPath_.string() + ".tmp"),
-        stride_(indexStride == 0 ? 1 : indexStride) {
-    out_.open(tmpPath_, std::ios::binary | std::ios::trunc);
-    if (!out_) {
-      throw std::runtime_error("cannot open segment " + tmpPath_.string());
+  const std::uint64_t stride = indexStride == 0 ? 1 : indexStride;
+  std::vector<SegmentIndexEntry> sparse;
+  std::uint64_t offset = kHeaderBytes;
+  std::uint64_t dataChecksum = kFnvBasis;
+  unsigned char buf[net::kMaxRecordBytes];
+  for (std::uint64_t i = 0; i < records.size(); ++i) {
+    const net::Packet& p = records[i];
+    if (i % stride == 0) {
+      sparse.push_back(SegmentIndexEntry{p.ts.millis(), i, offset});
     }
-    out_.write(kSegmentMagic, sizeof(kSegmentMagic));
-    offset_ = kHeaderBytes;
-  }
-
-  void write(const net::Packet& p) {
-    if (meta_.recordCount % stride_ == 0) {
-      meta_.sparse.push_back(
-          SegmentIndexEntry{p.ts.millis(), meta_.recordCount, offset_});
-    }
-    unsigned char buf[net::kMaxRecordBytes];
     const std::size_t n = net::encodeRecord(buf, p, /*withOrigin=*/true);
-    fnv1aBytes(meta_.dataChecksum, buf, n);
-    out_.write(reinterpret_cast<const char*>(buf),
-               static_cast<std::streamsize>(n));
-    offset_ += n;
-    if (meta_.recordCount == 0 || p.ts < meta_.minTs) meta_.minTs = p.ts;
-    if (meta_.recordCount == 0 || meta_.maxTs < p.ts) meta_.maxTs = p.ts;
-    ++sourceCounts_[{p.src.hi64(), p.src.lo64()}];
-    ++meta_.recordCount;
+    fnv1aBytes(dataChecksum, buf, n);
+    out.write(reinterpret_cast<const char*>(buf),
+              static_cast<std::streamsize>(n));
+    offset += n;
   }
+  const std::vector<SegmentSourceCount> sources = countSources(records);
 
-  /// Returns (meta, total file bytes). `beforeSeal` runs after the bytes
-  /// are fully written and the stream closed but before the rename — the
-  /// crash seam of the recovery tests.
-  std::pair<SegmentMeta, std::uint64_t> seal(
-      const std::function<void(const fs::path&)>& beforeSeal) {
-    meta_.indexOffset = offset_;
-    meta_.sources.reserve(sourceCounts_.size());
-    for (const auto& [key, count] : sourceCounts_) {
-      std::array<std::uint8_t, 16> bytes{};
-      for (int i = 0; i < 8; ++i) {
-        bytes[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(key.first >> (8 * (7 - i)));
-        bytes[static_cast<std::size_t>(8 + i)] =
-            static_cast<std::uint8_t>(key.second >> (8 * (7 - i)));
-      }
-      meta_.sources.push_back(
-          SegmentSourceCount{net::Ipv6Address{bytes}, count});
-    }
-
-    // Meta block: sparse index, source table, footer prefix — checksummed
-    // as one contiguous range so probe() can validate with a single read.
-    std::string block;
-    block.reserve(meta_.sparse.size() * kIndexEntryBytes +
-                  meta_.sources.size() * kSourceEntryBytes +
-                  kSegmentFooterBytes);
-    for (const SegmentIndexEntry& e : meta_.sparse) {
-      putLe<std::int64_t>(block, e.ts);
-      putLe<std::uint64_t>(block, e.record);
-      putLe<std::uint64_t>(block, e.offset);
-    }
-    for (const SegmentSourceCount& s : meta_.sources) {
-      putLe<std::uint64_t>(block, s.addr.hi64());
-      putLe<std::uint64_t>(block, s.addr.lo64());
-      putLe<std::uint64_t>(block, s.count);
-    }
-    putLe<std::int64_t>(block, meta_.minTs.millis());
-    putLe<std::int64_t>(block, meta_.maxTs.millis());
-    putLe<std::uint64_t>(block, meta_.recordCount);
-    putLe<std::uint32_t>(block,
-                         static_cast<std::uint32_t>(meta_.sparse.size()));
-    putLe<std::uint32_t>(block,
-                         static_cast<std::uint32_t>(meta_.sources.size()));
-    putLe<std::uint64_t>(block, meta_.indexOffset);
-    putLe<std::uint64_t>(block, meta_.dataChecksum);
-    std::uint64_t metaChecksum = kFnvBasis;
-    fnv1aBytes(metaChecksum,
-               reinterpret_cast<const unsigned char*>(block.data()),
-               block.size());
-    putLe<std::uint64_t>(block, metaChecksum);
-    block.append(kSegmentFooterMagic, sizeof(kSegmentFooterMagic));
-
-    out_.write(block.data(), static_cast<std::streamsize>(block.size()));
-    out_.flush();
-    if (!out_) {
-      throw std::runtime_error("short write sealing " + tmpPath_.string());
-    }
-    out_.close();
-    if (beforeSeal) beforeSeal(tmpPath_);
-    fs::rename(tmpPath_, finalPath_);
-    return {std::move(meta_), offset_ + block.size()};
+  // Meta block: sparse index, source table, footer prefix — checksummed
+  // as one contiguous range so probe() can validate with a single read.
+  std::vector<unsigned char> block(sparse.size() * kIndexEntryBytes +
+                                   sources.size() * kSourceEntryBytes +
+                                   kSegmentFooterBytes);
+  unsigned char* q = block.data();
+  for (const SegmentIndexEntry& e : sparse) {
+    q += putLe<std::int64_t>(q, e.ts);
+    q += putLe<std::uint64_t>(q, e.record);
+    q += putLe<std::uint64_t>(q, e.offset);
   }
+  for (const SegmentSourceCount& s : sources) {
+    q += putLe<std::uint64_t>(q, s.addr.hi64());
+    q += putLe<std::uint64_t>(q, s.addr.lo64());
+    q += putLe<std::uint64_t>(q, s.count);
+  }
+  // Canonical order leads with ts, so the first and last records carry
+  // the segment's time bounds.
+  q += putLe<std::int64_t>(q, records.front().ts.millis());
+  q += putLe<std::int64_t>(q, records.back().ts.millis());
+  q += putLe<std::uint64_t>(q, records.size());
+  q += putLe<std::uint32_t>(q, static_cast<std::uint32_t>(sparse.size()));
+  q += putLe<std::uint32_t>(q, static_cast<std::uint32_t>(sources.size()));
+  q += putLe<std::uint64_t>(q, offset); // indexOffset
+  q += putLe<std::uint64_t>(q, dataChecksum);
+  std::uint64_t metaChecksum = kFnvBasis;
+  fnv1aBytes(metaChecksum, block.data(),
+             static_cast<std::size_t>(q - block.data()));
+  q += putLe<std::uint64_t>(q, metaChecksum);
+  std::memcpy(q, kSegmentFooterMagic, sizeof(kSegmentFooterMagic));
 
-private:
-  fs::path finalPath_;
-  fs::path tmpPath_;
-  std::uint64_t stride_;
-  std::ofstream out_;
-  std::uint64_t offset_ = 0;
-  SegmentMeta meta_{sim::SimTime{0}, sim::SimTime{0}, 0, 0, kFnvBasis, {},
-                    {}};
-  // Ordered by (hi, lo) => the table comes out address-sorted.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
-      sourceCounts_;
-};
+  out.write(reinterpret_cast<const char*>(block.data()),
+            static_cast<std::streamsize>(block.size()));
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("short write sealing " + tmpPath.string());
+  }
+  out.close();
+  if (beforeSeal) beforeSeal(tmpPath);
+  fs::rename(tmpPath, finalPath);
+  return offset + block.size();
+}
 
 [[nodiscard]] std::optional<std::uint64_t> parseSegmentSeq(
     const std::string& name) {
@@ -200,19 +172,16 @@ bool SegmentCursor::advance() {
 }
 
 void SegmentCursor::readNext() {
-  if (net::readRecord(in_, head_, /*withOrigin=*/true) !=
+  unsigned char buf[net::kMaxRecordBytes];
+  std::size_t size = 0;
+  if (net::readRecord(in_, head_, /*withOrigin=*/true, buf, size) !=
       net::RecordStatus::Ok) {
     valid_ = false;
     throw std::runtime_error("torn record in segment " + path_);
   }
-  if (verify_) {
-    // Re-encode and fold: canonical encoding means encode(decode(x)) is
-    // byte-identical, so a full-file cursor reproduces the writer's
-    // checksum without a second I/O pass.
-    unsigned char buf[net::kMaxRecordBytes];
-    const std::size_t n = net::encodeRecord(buf, head_, /*withOrigin=*/true);
-    fnv1aBytes(runningChecksum_, buf, n);
-  }
+  // A full-file cursor folds the bytes it read into the data checksum, so
+  // reading a segment to its end also verifies it.
+  if (verify_) fnv1aBytes(runningChecksum_, buf, size);
   --remaining_;
   valid_ = true;
 }
@@ -281,17 +250,9 @@ std::optional<SegmentMeta> SegmentReader::probe(const fs::path& path) {
   }
   meta.sources.reserve(sourceCount);
   for (std::uint32_t i = 0; i < sourceCount; ++i, p += kSourceEntryBytes) {
-    const std::uint64_t hi = getLe<std::uint64_t>(p);
-    const std::uint64_t lo = getLe<std::uint64_t>(p + 8);
-    std::array<std::uint8_t, 16> bytes{};
-    for (int b = 0; b < 8; ++b) {
-      bytes[static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(hi >> (8 * (7 - b)));
-      bytes[static_cast<std::size_t>(8 + b)] =
-          static_cast<std::uint8_t>(lo >> (8 * (7 - b)));
-    }
-    meta.sources.push_back(SegmentSourceCount{net::Ipv6Address{bytes},
-                                              getLe<std::uint64_t>(p + 16)});
+    meta.sources.push_back(SegmentSourceCount{
+        net::Ipv6Address{getLe<std::uint64_t>(p), getLe<std::uint64_t>(p + 8)},
+        getLe<std::uint64_t>(p + 16)});
   }
   return meta;
 }
@@ -410,9 +371,9 @@ void SegmentStore::spill() {
     span.emplace(*options_.metrics, "capture.spill.flush_seconds");
   }
   sortCanonicalRuns(memtable_);
-  SegmentFileWriter writer{segmentPath(nextSeq_), options_.indexStride};
-  for (const net::Packet& p : memtable_) writer.write(p);
-  const std::uint64_t bytes = writer.seal(options_.beforeSeal).second;
+  const std::uint64_t bytes =
+      writeSegment(segmentPath(nextSeq_), memtable_, options_.indexStride,
+                   options_.beforeSeal);
   segments_.emplace_back(segmentPath(nextSeq_));
   ++nextSeq_;
   sealedRecords_ += memtable_.size();
@@ -426,40 +387,6 @@ void SegmentStore::spill() {
         .set(static_cast<double>(segments_.size()));
   }
   memtable_.clear();
-  if (options_.compactFanout > 0 &&
-      segments_.size() >= options_.compactFanout) {
-    compact();
-  }
-}
-
-void SegmentStore::compact() {
-  if (segments_.size() < 2) return;
-  std::optional<obs::Span> span;
-  if (options_.metrics != nullptr) {
-    span.emplace(*options_.metrics, "capture.spill.compact_seconds");
-  }
-  std::vector<SegmentCursor> cursors;
-  cursors.reserve(segments_.size());
-  for (const SegmentReader& seg : segments_) cursors.push_back(seg.cursor());
-
-  const fs::path outPath = segmentPath(nextSeq_);
-  SegmentFileWriter writer{outPath, options_.indexStride};
-  std::uint64_t merged = 0;
-  for (KWayMerge<SegmentCursor> merge{std::move(cursors)}; !merge.done();
-       merge.pop()) {
-    writer.write(merge.head());
-    ++merged;
-  }
-  writer.seal(options_.beforeSeal);
-  for (const SegmentReader& seg : segments_) fs::remove(seg.path());
-  segments_.clear();
-  segments_.emplace_back(outPath);
-  ++nextSeq_;
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("capture.spill.compactions_total").inc();
-    options_.metrics->counter("capture.spill.compacted_records_total")
-        .inc(merged);
-  }
 }
 
 std::uint64_t SegmentStore::spilledBytes() const {

@@ -6,9 +6,9 @@
 // sorted into canonical (ts, originId, originSeq) order and dumped as one
 // immutable segment file — the RdbBase/RdbDump spill-run shape. Each
 // segment carries a sparse (ts, offset) index, a per-source packet-count
-// table, min/max timestamps and FNV checksums (the RdbMap role); when
-// enough sealed runs accumulate they are k-way-merged into one (RdbMerge).
-// Reads go through a merge cursor over the sealed segments plus the
+// table, min/max timestamps and FNV checksums (the RdbMap role). Each
+// record is written once, by the spill that seals it, and never rewritten.
+// Reads go through a merge cursor over every sealed segment plus the
 // memtable, built on the same kway_merge.hpp heap as the in-memory
 // CaptureStore::mergeFrom — so the streamed order, and therefore every
 // digest downstream, is bitwise-identical to the in-memory path.
@@ -72,8 +72,9 @@ struct SegmentMeta {
 /// Streams one sealed segment's records in canonical order (a
 /// kway_merge.hpp cursor). Self-contained: owns its ifstream, so it
 /// outlives the SegmentReader/SegmentStore that minted it. A cursor that
-/// started at record 0 re-computes the data checksum and throws on
-/// mismatch when it reaches the end — a full read IS a verification pass.
+/// started at record 0 folds the bytes it reads into the data checksum and
+/// throws on mismatch when it reaches the end — a full read IS a
+/// verification pass.
 class SegmentCursor {
 public:
   /// Cursor over `[firstRecord, recordCount)` starting at `startOffset`.
@@ -135,8 +136,6 @@ struct SegmentStoreOptions {
   /// Memtable byte budget (packets * sizeof(net::Packet)); crossing it
   /// triggers a spill. 0 = never auto-spill (explicit spill() only).
   std::uint64_t spillBytes = 64ull << 20;
-  /// Sealed-segment count that triggers a compaction after a spill.
-  std::size_t compactFanout = 8;
   /// One sparse index entry every this many records.
   std::uint64_t indexStride = 1024;
   obs::Registry* metrics = nullptr;
@@ -170,12 +169,9 @@ public:
   /// (same time-ordered contract as CaptureStore::append). May spill.
   void append(const net::Packet& p);
 
-  /// Force the memtable to disk (no-op when empty). Auto-invoked when the
-  /// byte budget is crossed; compacts when the fanout threshold is hit.
+  /// Force the memtable to disk as one sealed segment (no-op when empty).
+  /// Auto-invoked when the byte budget is crossed.
   void spill();
-
-  /// Merge every sealed segment into one. No-op below two segments.
-  void compact();
 
   [[nodiscard]] std::uint64_t recordCount() const {
     return sealedRecords_ + memtable_.size();
@@ -199,7 +195,7 @@ public:
 
   /// Canonical-order stream over sealed segments + memtable; itself a
   /// kway_merge.hpp cursor, so per-shard stores compose into one run-wide
-  /// merge. Valid until the next append/spill/compact.
+  /// merge. Valid until the next append/spill.
   class Cursor {
   public:
     Cursor(std::vector<SegmentCursor> segments,

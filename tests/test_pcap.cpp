@@ -60,6 +60,29 @@ TEST(Pcap, RoundTrip) {
   }
 }
 
+TEST(Pcap, DecodeRecordInvertsEncodeRecord) {
+  sim::Rng rng{23};
+  for (int i = 0; i < 200; ++i) {
+    Packet in = samplePacket(rng);
+    in.originId = static_cast<std::uint32_t>(rng.next());
+    in.originSeq = rng.next();
+    for (const bool withOrigin : {false, true}) {
+      unsigned char buf[kMaxRecordBytes + 1] = {};
+      const std::size_t n = encodeRecord(buf, in, withOrigin);
+      Packet out;
+      ASSERT_EQ(decodeRecord(buf, n, out, withOrigin), RecordStatus::Ok);
+      EXPECT_TRUE(equal(in, out)) << "record " << i;
+      EXPECT_EQ(out.originId, withOrigin ? in.originId : 0u);
+      EXPECT_EQ(out.originSeq, withOrigin ? in.originSeq : 0u);
+      // The byte count must be exactly the one the header announces.
+      EXPECT_EQ(decodeRecord(buf, n - 1, out, withOrigin),
+                RecordStatus::Malformed);
+      EXPECT_EQ(decodeRecord(buf, n + 1, out, withOrigin),
+                RecordStatus::Malformed);
+    }
+  }
+}
+
 TEST(Pcap, RejectsForeignMagic) {
   std::stringstream stream;
   stream << "NOTACAPFILE";

@@ -309,7 +309,6 @@ TEST(SegmentStore, PacketsFromSourceMatchesLinearScanOracle) {
   SegmentStoreOptions options;
   options.dir = dir.path();
   options.spillBytes = 4096; // several sealed segments + a memtable tail
-  options.compactFanout = 100; // keep the segments separate
   SegmentStore store{options};
   for (const net::Packet& p : packets) store.append(p);
   ASSERT_GE(store.segmentCount(), 2u);
@@ -339,7 +338,6 @@ TEST(SegmentStore, RangedCursorEqualsFilteredFullDumpByteForByte) {
   SegmentStoreOptions options;
   options.dir = dir.path();
   options.spillBytes = 8192; // several sealed segments + a memtable tail
-  options.compactFanout = 100;
   options.indexStride = 32;
   SegmentStore store{options};
   for (const net::Packet& p : packets) store.append(p);
@@ -392,7 +390,6 @@ TEST(SegmentStore, SourceCursorEqualsFilteredFullDumpByteForByte) {
   SegmentStoreOptions options;
   options.dir = dir.path();
   options.spillBytes = 8192; // several sealed segments + a memtable tail
-  options.compactFanout = 100;
   SegmentStore store{options};
   for (const net::Packet& p : packets) store.append(p);
   ASSERT_GE(store.segmentCount(), 2u);
@@ -470,15 +467,12 @@ TEST(SegmentStore, RandomSpillSchedulesYieldByteIdenticalCapture) {
     // Budget sweep: never / tiny (spill every few packets) / medium.
     options.spillBytes =
         (schedule % 3 == 0) ? 0 : (schedule % 3 == 1) ? 2048 : 64 * 1024;
-    options.compactFanout = 2 + rng.below(6);
     options.indexStride = 1 + rng.below(64);
     SegmentStore store{options};
     for (const net::Packet& p : packets) {
       store.append(p);
-      // Random explicit spill/compact interleavings on top of the
-      // automatic budget-driven ones.
+      // Random explicit spills on top of the automatic budget-driven ones.
       if (rng.below(200) == 0) store.spill();
-      if (rng.below(400) == 0) store.compact();
     }
     EXPECT_EQ(store.recordCount(), packets.size());
     EXPECT_EQ(store.digest(), referenceDigest)
@@ -497,63 +491,81 @@ TEST(SegmentStore, RandomSpillSchedulesYieldByteIdenticalCapture) {
 TEST(SegmentStore, CrashAtFlushBoundaryQuarantinesAndReplaysToReference) {
   const std::vector<net::Packet> packets = makeCapture(91, 1500);
   const std::uint64_t referenceDigest = canonicalReference(packets).digest();
+  constexpr std::uint64_t kBudget = 8192;
 
-  ScopedTempDir dir;
-  std::size_t seals = 0;
+  // The seals of an uninterrupted run; the store may die at any of them.
+  std::size_t runSeals = 0;
   {
+    ScopedTempDir dir;
     SegmentStoreOptions options;
     options.dir = dir.path();
-    options.spillBytes = 8192;
-    options.compactFanout = 100; // no compaction noise in this test
-    // Crash seam: die on the third flush, after the segment was written
-    // but truncated mid-file — a torn write at the worst moment.
-    options.beforeSeal = [&](const fs::path& tmpPath) {
-      if (++seals == 3) {
-        fs::resize_file(tmpPath, fs::file_size(tmpPath) / 2);
-        throw std::runtime_error{"injected crash at segment flush"};
-      }
-    };
+    options.spillBytes = kBudget;
+    options.beforeSeal = [&](const fs::path&) { ++runSeals; };
     SegmentStore store{options};
-    std::size_t appended = 0;
-    try {
-      for (const net::Packet& p : packets) {
-        store.append(p);
-        ++appended;
+    for (const net::Packet& p : packets) store.append(p);
+  }
+  ASSERT_GE(runSeals, 3u);
+
+  for (std::size_t crashAt = 1; crashAt <= runSeals; ++crashAt) {
+    ScopedTempDir dir;
+    std::size_t seals = 0;
+    {
+      SegmentStoreOptions options;
+      options.dir = dir.path();
+      options.spillBytes = kBudget;
+      // Crash seam: die at this flush, after the segment was written but
+      // truncated mid-file — a torn write at the worst moment.
+      options.beforeSeal = [&](const fs::path& tmpPath) {
+        if (++seals == crashAt) {
+          fs::resize_file(tmpPath, fs::file_size(tmpPath) / 2);
+          throw std::runtime_error{"injected crash at segment flush"};
+        }
+      };
+      SegmentStore store{options};
+      std::size_t appended = 0;
+      try {
+        for (const net::Packet& p : packets) {
+          store.append(p);
+          ++appended;
+        }
+        FAIL() << "crash seam never fired at seal " << crashAt;
+      } catch (const std::runtime_error&) {
+        EXPECT_LT(appended, packets.size());
       }
-      FAIL() << "crash seam never fired";
-    } catch (const std::runtime_error&) {
-      EXPECT_LT(appended, packets.size());
+      // The store object is abandoned here, like a killed process.
     }
-    // The store object is abandoned here, like a killed process.
-  }
-  ASSERT_EQ(seals, 3u);
+    ASSERT_EQ(seals, crashAt);
 
-  // Reopen: the torn .tmp is quarantined (kept, renamed), the two sealed
-  // segments are adopted, and the watermark says exactly how many appends
-  // are durable.
-  SegmentStoreOptions options;
-  options.dir = dir.path();
-  options.spillBytes = 8192;
-  SegmentStore recovered{options};
-  const SegmentStore::Recovery& rec = recovered.recovery();
-  EXPECT_EQ(rec.sealedSegments, 2u);
-  EXPECT_EQ(rec.quarantined, 1u);
-  ASSERT_GT(rec.durableRecords, 0u);
-  ASSERT_LT(rec.durableRecords, packets.size());
-  std::size_t quarantinedFiles = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path())) {
-    if (entry.path().string().ends_with(".quarantined")) ++quarantinedFiles;
-  }
-  EXPECT_EQ(quarantinedFiles, 1u);
+    // Reopen: the torn .tmp is quarantined (kept, renamed), the segments
+    // sealed before it are adopted, and the watermark says exactly how
+    // many appends are durable.
+    SegmentStoreOptions options;
+    options.dir = dir.path();
+    options.spillBytes = kBudget;
+    SegmentStore recovered{options};
+    const SegmentStore::Recovery& rec = recovered.recovery();
+    EXPECT_EQ(rec.sealedSegments, crashAt - 1) << "crash at seal " << crashAt;
+    EXPECT_EQ(rec.quarantined, 1u) << "crash at seal " << crashAt;
+    EXPECT_EQ(rec.durableRecords == 0, crashAt == 1)
+        << "crash at seal " << crashAt;
+    ASSERT_LT(rec.durableRecords, packets.size());
+    std::size_t quarantinedFiles = 0;
+    for (const auto& entry : fs::directory_iterator(dir.path())) {
+      if (entry.path().string().ends_with(".quarantined")) ++quarantinedFiles;
+    }
+    EXPECT_EQ(quarantinedFiles, 1u) << "crash at seal " << crashAt;
 
-  // Spills drain the whole memtable, so the sealed segments hold exactly
-  // the first durableRecords appends: replay the rest and the recovered
-  // store must reach the reference digest bit for bit.
-  for (std::size_t i = rec.durableRecords; i < packets.size(); ++i) {
-    recovered.append(packets[i]);
+    // Spills drain the whole memtable, so the sealed segments hold exactly
+    // the first durableRecords appends: replay the rest and the recovered
+    // store must reach the reference digest bit for bit.
+    for (std::size_t i = rec.durableRecords; i < packets.size(); ++i) {
+      recovered.append(packets[i]);
+    }
+    EXPECT_EQ(recovered.recordCount(), packets.size())
+        << "crash at seal " << crashAt;
+    EXPECT_EQ(recovered.digest(), referenceDigest)
+        << "crash at seal " << crashAt;
   }
-  EXPECT_EQ(recovered.recordCount(), packets.size());
-  EXPECT_EQ(recovered.digest(), referenceDigest);
 }
 
 TEST(SegmentStore, ReopenQuarantinesCorruptSealedSegment) {
@@ -563,8 +575,7 @@ TEST(SegmentStore, ReopenQuarantinesCorruptSealedSegment) {
     SegmentStoreOptions options;
     options.dir = dir.path();
     options.spillBytes = 8192;
-    options.compactFanout = 100;
-    SegmentStore store{options};
+      SegmentStore store{options};
     for (const net::Packet& p : packets) store.append(p);
     store.spill();
     ASSERT_GE(store.segmentCount(), 2u);

@@ -1,18 +1,25 @@
 // Streaming windowed analysis vs the one-shot in-memory reference: the
-// StreamingResult digest must be bitwise-identical at every window length,
-// every spill budget and every thread count, with and without declared
-// capture gaps (DESIGN.md §15). Also the SessionTracker / Sessionizer
-// decision-equivalence the whole construction rests on.
+// StreamingResult digest must be bitwise-identical at every spill budget
+// and every thread count, with and without declared capture gaps
+// (DESIGN.md §15). Also the SessionTracker / Sessionizer
+// decision-equivalence the whole construction rests on, and the spilled
+// runner's contract with its spill directory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "analysis/streaming.hpp"
+#include "core/runner.hpp"
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "telescope/capture_store.hpp"
@@ -93,7 +100,7 @@ TEST(Streaming, OneShotReferenceIsThreadCountInvariant) {
   EXPECT_FALSE(reference.sources.empty());
   EXPECT_FALSE(reference.heavyHitters.empty())
       << "the dominant source must cross the 10% threshold";
-  EXPECT_TRUE(reference.windows.empty()) << "one-shot has no windows";
+  EXPECT_EQ(reference.windows, 0u) << "one-shot has no windows";
   for (const unsigned threads : {2u, 8u}) {
     StreamingOptions opts;
     opts.threads = threads;
@@ -104,49 +111,44 @@ TEST(Streaming, OneShotReferenceIsThreadCountInvariant) {
 
 // --- windowed == one-shot ------------------------------------------------
 
-TEST(Streaming, WindowedDigestMatchesOneShotAcrossLengthsAndThreads) {
+TEST(Streaming, WindowedDigestMatchesOneShotAcrossThreads) {
   const std::vector<net::Packet> packets = scannerCapture(17, 3000);
   const StreamingResult reference = analyzeOneShot(packets);
-  for (const sim::Duration window :
-       {sim::hours(1), sim::hours(6), sim::hours(24), sim::days(7)}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      StreamingOptions opts;
-      opts.windowLength = window;
-      opts.threads = threads;
-      StreamingAnalyzer analyzer{opts};
-      for (const net::Packet& p : packets) analyzer.ingest(p);
-      const StreamingResult result = analyzer.finish();
-      EXPECT_EQ(result.digest(), reference.digest())
-          << "window=" << window.millis() << "ms threads=" << threads;
-      EXPECT_EQ(result.totalPackets, reference.totalPackets);
-      EXPECT_EQ(result.sources.size(), reference.sources.size());
-      EXPECT_EQ(result.heavyHitters.size(), reference.heavyHitters.size());
-      EXPECT_FALSE(result.windows.empty());
-    }
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    StreamingOptions opts;
+    opts.threads = threads;
+    StreamingAnalyzer analyzer{opts};
+    for (const net::Packet& p : packets) analyzer.ingest(p);
+    const StreamingResult result = analyzer.finish();
+    EXPECT_EQ(result.digest(), reference.digest()) << "threads=" << threads;
+    EXPECT_EQ(result.totalPackets, reference.totalPackets);
+    EXPECT_EQ(result.sources.size(), reference.sources.size());
+    EXPECT_EQ(result.heavyHitters.size(), reference.heavyHitters.size());
+    EXPECT_GT(result.windows, 0u);
   }
 }
 
 TEST(Streaming, WindowReportsPartitionTheStream) {
   const std::vector<net::Packet> packets = scannerCapture(27, 2000);
+  obs::Registry metrics;
   StreamingOptions opts;
-  opts.windowLength = sim::hours(24);
+  opts.metrics = &metrics;
   StreamingAnalyzer analyzer{opts};
   for (const net::Packet& p : packets) analyzer.ingest(p);
   const StreamingResult result = analyzer.finish();
-  ASSERT_GT(result.windows.size(), 1u) << "multi-day capture, daily windows";
-  EXPECT_EQ(result.windows.size(), analyzer.windowsClosed());
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < result.windows.size(); ++i) {
-    const StreamingWindowReport& w = result.windows[i];
-    sum += w.packets;
-    EXPECT_GT(w.packets, 0u) << "empty windows are never emitted";
-    EXPECT_GE(w.sources, 1u);
-    EXPECT_LT(w.start, w.end);
-    if (i > 0) {
-      EXPECT_GE(w.start, result.windows[i - 1].end);
-    }
+
+  std::set<std::int64_t> windowsWithPackets;
+  for (const net::Packet& p : packets) {
+    windowsWithPackets.insert(p.ts.millis() / kStreamWindow.millis());
   }
-  EXPECT_EQ(sum, result.totalPackets)
+  ASSERT_GT(windowsWithPackets.size(), 1u) << "multi-day capture";
+  EXPECT_EQ(result.windows, windowsWithPackets.size())
+      << "one window per 24 h slot that holds packets";
+  const auto flat = metrics.flatten();
+  EXPECT_EQ(flat.at("analysis.stream.windows_total"),
+            static_cast<double>(result.windows));
+  EXPECT_EQ(flat.at("analysis.stream.window_packets.sum"),
+            static_cast<double>(result.totalPackets))
       << "window packet counts must partition the capture";
 }
 
@@ -209,7 +211,6 @@ TEST(Streaming, CaptureGapsPreserveEquivalence) {
       StreamingOptions opts;
       opts.threads = threads;
       opts.captureGaps = gaps;
-      opts.windowLength = sim::hours(6);
       StreamingAnalyzer analyzer{opts};
       auto cursor = store.cursor();
       analyzer.ingestAll(cursor);
@@ -304,6 +305,76 @@ TEST(Streaming, FoldIsInvariantToSummaryArrivalOrder) {
               reference)
         << "shuffle round " << round;
   }
+}
+
+// --- the spilled runner and its spill directory --------------------------
+
+/// tests/data/tiny.conf: a world that simulates in well under a second.
+core::RunnerConfig tinyRun() {
+  core::RunnerConfig config;
+  config.experiment.seed = 7;
+  config.experiment.sourceScale = 0.05;
+  config.experiment.volumeScale = 0.004;
+  config.experiment.baseline = sim::weeks(2);
+  config.experiment.cycle = sim::weeks(2);
+  config.experiment.splits = 2;
+  return config;
+}
+
+TEST(Streaming, SpilledRunLeavesTheWholeCaptureOnDisk) {
+  core::ExperimentRunner inMemory{tinyRun()};
+  inMemory.run();
+
+  ScopedTempDir dir;
+  core::RunnerConfig config = tinyRun();
+  config.experiment.captureSpillDir = dir.path().string();
+  config.experiment.captureSpillBytes = 65536;
+  core::ExperimentRunner spilled{config};
+  spilled.run();
+
+  // Reopen each store as v6t_serve --spill-dir does: only sealed segments
+  // survive the process, so they must hold every captured packet.
+  for (std::size_t t = 0; t < 4; ++t) {
+    telescope::SegmentStoreOptions options;
+    options.dir = dir.path() / "shard-0" / inMemory.telescopeName(t);
+    const telescope::SegmentStore store{options};
+    const telescope::CaptureStore& reference = inMemory.capture(t);
+    ASSERT_GT(reference.packetCount(), 0u) << inMemory.telescopeName(t);
+    EXPECT_EQ(store.recovery().quarantined, 0u) << inMemory.telescopeName(t);
+    EXPECT_EQ(store.recordCount(), reference.packetCount())
+        << inMemory.telescopeName(t);
+    EXPECT_EQ(store.digest(), reference.digest()) << inMemory.telescopeName(t);
+  }
+}
+
+TEST(Streaming, SpilledRunRefusesADirectoryHoldingSegments) {
+  namespace fs = std::filesystem;
+  ScopedTempDir dir;
+  const fs::path storeDir = dir.path() / "shard-0" / "T3";
+  {
+    telescope::SegmentStoreOptions options;
+    options.dir = storeDir;
+    telescope::SegmentStore earlier{options};
+    for (const net::Packet& p : scannerCapture(77, 50)) earlier.append(p);
+    earlier.spill();
+  }
+  const auto listing = [&] {
+    std::set<std::string> names;
+    for (const auto& entry : fs::directory_iterator(storeDir)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  };
+  const std::set<std::string> before = listing();
+  ASSERT_EQ(before.size(), 1u);
+
+  // Adopting the earlier segment would count its packets in this run.
+  core::RunnerConfig config = tinyRun();
+  config.experiment.captureSpillDir = dir.path().string();
+  core::ExperimentRunner runner{config};
+  EXPECT_THROW(runner.run(), std::runtime_error);
+  EXPECT_EQ(runner.stats().totalEvents, 0u) << "refused before simulating";
+  EXPECT_EQ(listing(), before) << "the earlier run's files are kept";
 }
 
 } // namespace

@@ -18,7 +18,9 @@
 // results bitwise-identical for every N. An in-memory run reports the
 // per-telescope table, the §8 operator guidance and the shard stats; a
 // spilled run (--spill-dir) reports the streamed table instead of the
-// guidance.
+// guidance and leaves the whole capture sealed in the spill directory. A
+// spill directory that already holds segment files is refused (exit 1)
+// before anything is simulated.
 //
 // --analysis-threads N (or `analysis.threads = N` in the config file)
 // fans the post-run analysis pipeline — summary sessionization plus the
@@ -51,6 +53,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -314,7 +317,12 @@ int main(int argc, char** argv) {
         },
         [&runner] { return runner.progressLine(); });
   }
-  runner.run();
+  try {
+    runner.run();
+  } catch (const std::exception& e) {
+    std::cerr << "v6t_run: " << e.what() << "\n";
+    return 1;
+  }
   obs::Registry& metrics = runner.metrics();
 
   // Flush every observability artifact — last metrics snapshot, Prometheus
@@ -466,7 +474,7 @@ int main(int argc, char** argv) {
                     analysis::withThousands(r.sources.size()),
                     analysis::withThousands(r.sessionStats.opened),
                     analysis::withThousands(r.heavyHitters.size()),
-                    analysis::withThousands(r.windows.size()),
+                    analysis::withThousands(r.windows),
                     analysis::withThousands(segmentCounts[t])});
     }
     table.render(std::cout);
