@@ -6,10 +6,11 @@ namespace v6t::bgp {
 
 BgpFeed::SubscriberId BgpFeed::subscribe(PropagationModel model,
                                          std::uint64_t streamKey,
-                                         Callback cb) {
+                                         Callback cb, Ignores ignores) {
   subscribers_.push_back(
       Subscriber{model, std::move(cb),
-                 sim::Rng{sim::deriveStreamSeed(seed_, streamKey)}});
+                 sim::Rng{sim::deriveStreamSeed(seed_, streamKey)},
+                 std::move(ignores)});
   return subscribers_.size(); // ids are dense from 1
 }
 
@@ -29,6 +30,7 @@ void BgpFeed::bindMetrics(obs::Registry& registry) {
   announcesMetric_ = &registry.counter("bgp.feed.announces_total");
   withdrawsMetric_ = &registry.counter("bgp.feed.withdraws_total");
   deliveriesMetric_ = &registry.counter("bgp.feed.deliveries_total");
+  skippedMetric_ = &registry.counter("bgp.feed.deliveries_skipped_total");
   delayMetric_ = &registry.histogram("bgp.feed.convergence_delay_seconds",
                                      obs::delayBoundsSeconds());
 }
@@ -90,10 +92,15 @@ void BgpFeed::publish(const BgpUpdate& update) {
     Subscriber& s = subscribers_[sub];
     if (!s.cb) continue; // unsubscribed: no lag drawn, nothing scheduled
     const sim::Duration delay = s.model.sample(s.rng);
+    const bool skipped = s.ignores && s.ignores(update.prefix);
     if (delayMetric_ != nullptr) {
       delayMetric_->observe(static_cast<double>(delay.millis()) / 1000.0);
       deliveriesMetric_->inc();
+      if (skipped) skippedMetric_->inc();
     }
+    // A no-op on arrival: its lag is drawn, but it takes no engine seq.
+    // Seqs are only ever compared, so no other event changes order.
+    if (skipped) continue;
     r.pending.push_back(
         Delivery{now + delay, static_cast<std::uint32_t>(sub),
                  static_cast<std::uint32_t>(r.pending.size())});
@@ -102,7 +109,7 @@ void BgpFeed::publish(const BgpUpdate& update) {
     freeRuns_.push_back(run);
     return;
   }
-  // The seqs one schedule() per live subscriber, in id order, would draw.
+  // The seqs one schedule() per kept delivery, in id order, would draw.
   r.firstSeq = engine_.reserveSeqs(r.pending.size());
   std::sort(r.pending.begin(), r.pending.end(),
             [](const Delivery& a, const Delivery& b) {

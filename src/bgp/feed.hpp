@@ -10,15 +10,17 @@
 // Fan-out (DESIGN.md §11): every subscriber gets one delivery per update,
 // the highest-volume event of a run, but the engine holds one key per
 // update in flight, not one per delivery. publish() reserves one engine
-// seq per live subscriber — the seqs one schedule() per subscriber would
-// have drawn — and keeps the update's deliveries as a run of 16-byte
+// seq per delivery — the seqs one schedule() per delivery would have
+// drawn — and keeps the update's deliveries as a run of 16-byte
 // entries sorted by (visibility time, seq). Only the run's head sits in
 // the engine; when it fires, it schedules its successor under that
 // delivery's reserved seq and then delivers. Every delivery keeps the
 // (when, seq) key it would have had as its own event, so dispatch order is
 // unchanged. The update is stored once; subscribers sit in
 // reference-stable storage indexed by id − 1, so a delivery is an index,
-// not a search.
+// not a search. A subscriber may say up front which deliveries would
+// change nothing for it (subscribe's `ignores`); publish() still draws
+// their lags but leaves them out of the run.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +53,8 @@ class BgpFeed {
 public:
   using SubscriberId = std::uint64_t;
   using Callback = std::function<void(const BgpUpdate&)>;
+  /// Whether the subscriber ignores updates of a prefix (see subscribe).
+  using Ignores = std::function<bool(const net::Prefix&)>;
 
   BgpFeed(sim::Engine& engine, Rib& rib, std::uint64_t seed)
       : engine_(engine), rib_(rib), seed_(seed) {}
@@ -62,8 +66,18 @@ public:
   /// invariant the sharded experiment runner builds on — a scanner keyed by
   /// its id behaves identically whether it shares the feed with the whole
   /// population or with a 1/N shard of it.
+  ///
+  /// `ignores` (optional) is asked once per update at publish. Contract:
+  /// it is monotone — once true for a prefix, true for it forever — and
+  /// true only when delivering an update of that prefix would change
+  /// nothing, not even a trace record (so a subscriber whose tracer
+  /// records passes none). A true answer leaves that delivery out of the
+  /// engine: its lag is still drawn, observed and counted in
+  /// deliveries_total, and deliveries_skipped_total counts it. Every other
+  /// event keeps its order. Whatever the callback does to the predicate's
+  /// state takes effect at the next publish.
   SubscriberId subscribe(PropagationModel model, std::uint64_t streamKey,
-                         Callback cb);
+                         Callback cb, Ignores ignores = nullptr);
 
   /// Convenience for consumers without a natural stable key (tests, ad-hoc
   /// probes): keys off the subscription counter. Not shard-invariant.
@@ -99,11 +113,12 @@ private:
     PropagationModel model;
     Callback cb; // empty once unsubscribed
     sim::Rng rng; // private lag stream, derived from (seed_, streamKey)
+    Ignores ignores; // may be empty: every delivery is made
   };
 
-  /// One pending delivery of a run. `rank` is the subscriber's position
-  /// among the live subscribers at publish: its offset from the run's
-  /// first reserved seq.
+  /// One pending delivery of a run. `rank` is its position among the
+  /// run's deliveries at publish, in subscriber id order: its offset from
+  /// the run's first reserved seq.
   struct Delivery {
     sim::SimTime ts;
     std::uint32_t sub;
@@ -138,6 +153,7 @@ private:
   obs::Counter* announcesMetric_ = nullptr;
   obs::Counter* withdrawsMetric_ = nullptr;
   obs::Counter* deliveriesMetric_ = nullptr;
+  obs::Counter* skippedMetric_ = nullptr;
   obs::Histogram* delayMetric_ = nullptr;
   // Subscriber id − 1 indexes this. A deque never moves its elements on
   // push_back, so a callback that subscribes someone else keeps running

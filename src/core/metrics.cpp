@@ -9,6 +9,7 @@ namespace v6t::core {
 ComponentSampler::ComponentSampler(obs::Registry& registry)
     : registry_(&registry) {
   events_.counter = &registry.counter("sim.events_total");
+  inlineEvents_.counter = &registry.counter("sim.inline_events_total");
   lookups_.counter = &registry.counter("bgp.rib.lpm_lookups_total");
   announces_.counter = &registry.counter("bgp.rib.announces_total");
   withdraws_.counter = &registry.counter("bgp.rib.withdraws_total");
@@ -25,6 +26,7 @@ void ComponentSampler::sample(
     const telescope::DeliveryFabric& fabric,
     const std::array<std::unique_ptr<telescope::Telescope>, 4>& telescopes) {
   events_.sampleTo(engine.executedEvents());
+  inlineEvents_.sampleTo(engine.inlineEvents());
   lookups_.sampleTo(rib.lpmLookups());
   announces_.sampleTo(rib.announceCount());
   withdraws_.sampleTo(rib.withdrawCount());

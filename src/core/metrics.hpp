@@ -51,6 +51,7 @@ private:
 
   obs::Registry* registry_;
   Delta events_;
+  Delta inlineEvents_; // part of events_: run by Engine::continueInline
   Delta lookups_;
   Delta announces_;
   Delta withdraws_;

@@ -82,6 +82,16 @@ void Scanner::start(bgp::BgpFeed* feed, bgp::HitlistService* hitlist,
                                     b.second.announcedAt;
                            });
           for (const auto& [p, entry] : routes) learnPrefix(p);
+          // An update of an ignored prefix changes nothing here: ignored_
+          // only grows, and its prefixes never enter known_ or
+          // causeByPrefix_. So the feed may leave such deliveries out —
+          // unless the tracer records each one (FeedDelivery).
+          bgp::BgpFeed::Ignores ignores;
+          if (tracer_ == nullptr || !tracer_->enabled()) {
+            ignores = [this](const net::Prefix& p) {
+              return ignored_.contains(p);
+            };
+          }
           // Keyed by the scanner id: the lag stream survives population
           // sharding (see BgpFeed::subscribe).
           feed->subscribe(config_.reaction, config_.id,
@@ -105,7 +115,8 @@ void Scanner::start(bgp::BgpFeed* feed, bgp::HitlistService* hitlist,
                               forgetPrefix(u.prefix);
                             }
                             pendingCause_ = Cause{};
-                          });
+                          },
+                          std::move(ignores));
         });
       }
       break;
@@ -406,35 +417,57 @@ void Scanner::emitSession(const net::Prefix& prefix, sim::SimTime start,
 
 void Scanner::sessionStep(const std::shared_ptr<SessionState>& state) {
   if (state->remaining == 0) return;
-  --state->remaining;
+  // Nothing holds an EventId to a session's steps, so a step whose
+  // successor is the engine's very next event runs it in place.
+  for (;;) {
+    sendProbe(*state);
+    if (state->remaining == 0) {
+      // Session complete: release the serialization slot after the
+      // sessionization timeout.
+      nextFree_ = std::max(nextFree_, engine_.now() + kSessionGap);
+      return;
+    }
+    const auto gap = static_cast<std::int64_t>(rng_.exponential(
+        static_cast<double>(config_.interPacketMean.millis())));
+    const sim::SimTime next =
+        engine_.now() + sim::millis(std::max<std::int64_t>(gap, 1));
+    if (!engine_.continueInline(next)) {
+      engine_.schedule(next, [this, state]() { sessionStep(state); });
+      return;
+    }
+  }
+}
+
+void Scanner::sendProbe(SessionState& state) {
+  --state.remaining;
   net::Ipv6Address dst = config_.fixedTarget ? *config_.fixedTarget
-                                             : state->gen.next();
+                                             : state.gen.next();
   net::Packet p = makePacket(dst);
-  p.src = state->src;
+  p.src = state.src;
   const std::uint64_t originSeq = p.originSeq;
   const sim::SimTime now = engine_.now();
   if (tracer_ != nullptr) {
-    tracer_->record({now.millis(), state->cause.traceId, originSeq,
+    tracer_->record({now.millis(), state.cause.traceId, originSeq,
                      dst.hi64(), static_cast<std::uint32_t>(config_.id),
                      obs::trace::EventKind::PacketSent,
                      obs::trace::ClockDomain::Sim});
     // Delivery is synchronous: the telescope's capture hook reads this
     // context slot to link (originId, originSeq) back to the update.
-    tracer_->setContext({state->cause.traceId, state->cause.originTsMillis});
+    tracer_->setContext({state.cause.traceId, state.cause.originTsMillis});
   }
   const telescope::DeliveryResult result = fabric_.send(std::move(p));
   if (tracer_ != nullptr) tracer_->clearContext();
   ++stats_.packetsEmitted;
-  if (state->reactionPending && result.captured) {
+  if (state.reactionPending && result.captured) {
     // First captured probe of an update-caused session: the paper's
     // reactivity observable (announcement -> first probe at the telescope).
-    state->reactionPending = false;
-    const std::int64_t delayMillis = now.millis() - state->cause.originTsMillis;
+    state.reactionPending = false;
+    const std::int64_t delayMillis = now.millis() - state.cause.originTsMillis;
     if (tracer_ != nullptr) {
       tracer_->observeReaction(static_cast<std::size_t>(config_.knowledge),
                                toClassName(config_.knowledge),
                                static_cast<double>(delayMillis) / 1000.0);
-      tracer_->record({now.millis(), state->cause.traceId,
+      tracer_->record({now.millis(), state.cause.traceId,
                        static_cast<std::uint64_t>(delayMillis), originSeq,
                        static_cast<std::uint32_t>(config_.id),
                        obs::trace::EventKind::ReactionObserved,
@@ -444,23 +477,13 @@ void Scanner::sessionStep(const std::shared_ptr<SessionState>& state) {
   if (result.responded) {
     ++stats_.responsesSeen;
     if (config_.knowledge == Knowledge::ResponsiveExplorer) {
-      const net::Prefix hot{state->gen.prefix().address(),
-                            state->gen.prefix().length()};
+      const net::Prefix hot{state.gen.prefix().address(),
+                            state.gen.prefix().length()};
       if (!responsive_.contains(hot)) {
         responsive_.insert(hot);
         scheduleDrill(hot); // dynamic-TGA: keep digging where it answers
       }
     }
-  }
-  if (state->remaining > 0) {
-    const auto gap = static_cast<std::int64_t>(rng_.exponential(
-        static_cast<double>(config_.interPacketMean.millis())));
-    engine_.scheduleAfter(sim::millis(std::max<std::int64_t>(gap, 1)),
-                          [this, state]() { sessionStep(state); });
-  } else {
-    // Session complete: release the serialization slot after the
-    // sessionization timeout.
-    nextFree_ = std::max(nextFree_, engine_.now() + kSessionGap);
   }
 }
 

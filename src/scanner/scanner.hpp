@@ -193,7 +193,11 @@ private:
   void emitSession(const net::Prefix& prefix, sim::SimTime start,
                    const Cause& cause);
   struct SessionState;
+  /// Send the session's probes, one event each; a step whose successor
+  /// is the engine's next event runs it in place (Engine::continueInline).
   void sessionStep(const std::shared_ptr<SessionState>& state);
+  /// Send one probe of the session (one step's packet).
+  void sendProbe(SessionState& state);
   net::Packet makePacket(const net::Ipv6Address& dst);
   void rotateSource();
   [[nodiscard]] std::uint64_t sessionSize();

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/log.hpp"
@@ -64,21 +65,24 @@ void Engine::releaseSlot(std::uint32_t slot) {
   freeSlots_.push_back(slot);
 }
 
+SimTime Engine::notBeforeNow(SimTime when) const {
+  if (when >= now_) return when;
+  // Clamped-to-now is tolerated but suspicious; surface it without
+  // flooding (schedule() is the hottest call in the system).
+  if (obs::Logger::global().enabled(obs::Level::Debug)) {
+    static obs::EveryN rateLimit{4096};
+    if (rateLimit.allow()) {
+      obs::logDebug("sim", "schedule in the past clamped to now",
+                    {{"behind_ms", (now_ - when).millis()},
+                     {"occurrences", rateLimit.seen()}});
+    }
+  }
+  return now_;
+}
+
 EventId Engine::scheduleReserved(SimTime when, std::uint64_t seq,
                                  Action action) {
-  if (when < now_) {
-    // Clamped-to-now is tolerated but suspicious; surface it without
-    // flooding (schedule() is the hottest call in the system).
-    if (obs::Logger::global().enabled(obs::Level::Debug)) {
-      static obs::EveryN rateLimit{4096};
-      if (rateLimit.allow()) {
-        obs::logDebug("sim", "schedule in the past clamped to now",
-                      {{"behind_ms", (now_ - when).millis()},
-                       {"occurrences", rateLimit.seen()}});
-      }
-    }
-    when = now_;
-  }
+  when = notBeforeNow(when);
   std::uint32_t slot;
   if (!freeSlots_.empty()) {
     slot = freeSlots_.back();
@@ -93,6 +97,21 @@ EventId Engine::scheduleReserved(SimTime when, std::uint64_t seq,
   const EventId id = (static_cast<EventId>(s.generation) << 32) | slot;
   push(Key{when, seq, slot});
   return id;
+}
+
+bool Engine::continueInline(SimTime when) {
+  when = notBeforeNow(when);
+  if (when > horizon_) return false;
+  // The key a schedule() would push; run() discards cancelled keys at the
+  // root before its next pop, so compare against the first live one.
+  if (skipCancelled() && !later(heap_.front(), Key{when, nextSeq_, 0})) {
+    return false;
+  }
+  ++nextSeq_;
+  now_ = when;
+  ++executed_;
+  ++inlineEvents_;
+  return true;
 }
 
 bool Engine::cancel(EventId id) {
@@ -130,14 +149,18 @@ void Engine::dispatchTop() {
   ++executed_;
 }
 
-std::uint64_t Engine::run(SimTime until) {
-  std::uint64_t n = 0;
+std::uint64_t Engine::drain(SimTime until) {
+  const std::uint64_t before = executed_;
+  const SimTime outer = std::exchange(horizon_, until);
   // Peek-before-pop: a key past the horizon is simply left at the root —
   // no pop, no re-push through the heap.
-  while (skipCancelled() && heap_.front().when <= until) {
-    dispatchTop();
-    ++n;
-  }
+  while (skipCancelled() && heap_.front().when <= until) dispatchTop();
+  horizon_ = outer;
+  return executed_ - before;
+}
+
+std::uint64_t Engine::run(SimTime until) {
+  const std::uint64_t n = drain(until);
   if (now_ < until) now_ = until;
   return n;
 }
@@ -157,12 +180,7 @@ std::uint64_t Engine::runEpochs(
 }
 
 std::uint64_t Engine::runAll() {
-  std::uint64_t n = 0;
-  while (skipCancelled()) {
-    dispatchTop();
-    ++n;
-  }
-  return n;
+  return drain(SimTime{std::numeric_limits<std::int64_t>::max()});
 }
 
 void Engine::clear() {

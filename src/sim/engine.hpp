@@ -14,11 +14,14 @@
 // lives in a slot table, the same table that makes cancellation O(1): a
 // slot carries a generation stamp, cancel() is a stamp check and a flag
 // flip, and dead keys are discarded lazily when they surface at the top of
-// the heap. A slot is owned by its key until the key leaves the heap.
+// the heap. A slot is owned by its key until the key leaves the heap. An
+// action whose successor would be the very next event popped runs it in
+// place instead (continueInline): no key, no slot, same order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -68,6 +71,18 @@ public:
     return schedule(now_ + delay, std::move(action));
   }
 
+  /// An action's last act in place of scheduling its successor at `when`
+  /// (clamped to now() as in schedule()). Returns true when that successor
+  /// is the very next event run() would pop: its key (when, next seq)
+  /// sorts before every pending key, and `when` is within the horizon of
+  /// the run() or runAll() in progress, so an inline step never crosses an
+  /// epoch barrier. It then takes the seq, advances now() and counts the
+  /// event, exactly as a push and a pop would, and the caller runs the
+  /// successor itself. Otherwise, and always outside run(), nothing
+  /// changes and the caller schedules the successor. Only for events
+  /// nobody holds an EventId to.
+  bool continueInline(SimTime when);
+
   /// Cancel a pending event. Returns false if it already ran, was already
   /// cancelled, or never existed. O(1): a generation check on the slot
   /// table; the heap entry is discarded lazily.
@@ -75,10 +90,11 @@ public:
 
   /// Run events until the queue is empty or simulated time would exceed
   /// `until` (events at exactly `until` still run). Advances now() to
-  /// `until` even if the queue drains early. Returns events executed.
+  /// `until` even if the queue drains early. Returns events executed, the
+  /// change in executedEvents() (inline continuations included).
   std::uint64_t run(SimTime until);
 
-  /// Run everything to quiescence.
+  /// Run everything to quiescence. Returns events executed, as run().
   std::uint64_t runAll();
 
   /// Epoch-wise execution: advance from now() to `until` in fixed slices of
@@ -99,6 +115,8 @@ public:
     return heap_.size() - cancelledPending_;
   }
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
+  /// The part of executedEvents() that ran through continueInline().
+  [[nodiscard]] std::uint64_t inlineEvents() const { return inlineEvents_; }
   /// Largest pending-queue size ever reached — the engine's memory
   /// high-water mark, reported through the obs registry. It counts heap
   /// keys: a BGP update in flight holds one, however many subscribers
@@ -129,7 +147,12 @@ private:
     return a.seq > b.seq;
   }
 
+  /// Clamp a time in the past to now() (logged, rate-limited).
+  SimTime notBeforeNow(SimTime when) const;
   void releaseSlot(std::uint32_t slot);
+  /// Dispatch live keys up to `until` with continueInline() bounded by it;
+  /// returns events executed.
+  std::uint64_t drain(SimTime until);
   /// Discard cancelled keys at the root; false once the heap is empty.
   bool skipCancelled();
   /// Pop the (live) root key, advance now() to it and run its action.
@@ -144,6 +167,11 @@ private:
   SimTime now_ = kEpoch;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t inlineEvents_ = 0;
+  /// The running drain's horizon; kNotRunning outside run() and runAll().
+  static constexpr SimTime kNotRunning{
+      std::numeric_limits<std::int64_t>::min()};
+  SimTime horizon_ = kNotRunning;
   std::size_t queueHighWater_ = 0;
   std::size_t cancelledPending_ = 0;
   std::vector<Key> heap_; // 4-ary implicit heap

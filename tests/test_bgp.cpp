@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -185,7 +186,9 @@ TEST(BgpFeed, WithdrawCarriesOrigin) {
 /// One engine event per live subscriber per update, scheduled in id order
 /// at publish: the fan-out BgpFeed's sorted per-update runs must reproduce
 /// delivery for delivery, including the order against unrelated events
-/// at the same instant.
+/// at the same instant. It delivers everything and never asks a
+/// subscriber's `ignores` predicate: the callback itself does nothing for
+/// what it ignores.
 class OneEventPerDeliveryFeed {
 public:
   using SubscriberId = std::uint64_t;
@@ -194,11 +197,14 @@ public:
       : engine_(engine), rib_(rib), seed_(seed) {}
 
   SubscriberId subscribe(PropagationModel model, std::uint64_t streamKey,
-                         BgpFeed::Callback cb) {
+                         BgpFeed::Callback cb, BgpFeed::Ignores = nullptr) {
     subscribers_.push_back(
         Subscriber{model, std::move(cb),
                    sim::Rng{sim::deriveStreamSeed(seed_, streamKey)}});
     return subscribers_.size();
+  }
+  void bindMetrics(obs::Registry& registry) {
+    deliveries_ = &registry.counter("bgp.feed.deliveries_total");
   }
   void unsubscribe(SubscriberId id) {
     if (id != 0 && id <= subscribers_.size()) subscribers_[id - 1].cb = nullptr;
@@ -232,6 +238,7 @@ private:
       Subscriber& s = subscribers_[sub];
       if (!s.cb) continue;
       const sim::SimTime ts = engine_.now() + s.model.sample(s.rng);
+      deliveries_->inc();
       engine_.schedule(ts, [this, sub, index, ts] {
         if (!subscribers_[sub].cb) return;
         BgpUpdate delivered = published_[index];
@@ -247,6 +254,7 @@ private:
   std::uint64_t updateSeq_ = 0;
   std::deque<Subscriber> subscribers_;
   std::vector<BgpUpdate> published_;
+  obs::Counter* deliveries_ = nullptr;
 };
 
 /// One seeded scenario against feed type `Feed`, returning its dispatch
@@ -255,12 +263,17 @@ private:
 /// each other and with unrelated events scheduled before, during and after
 /// each publish. Unrelated events and one callback unsubscribe others
 /// while deliveries are in flight; one callback publishes (two updates at
-/// a time, so the run table grows mid-callback) and one subscribes.
+/// a time, so the run table grows mid-callback) and one subscribes. Some
+/// subscribers ignore prefixes: each keeps a set that only grows, from its
+/// own callback, and passes it as its `ignores` predicate; its callback
+/// does nothing for those prefixes.
 template <typename Feed>
 class FeedScenario {
 public:
   explicit FeedScenario(std::uint64_t seed)
-      : feed_{engine_, rib_, seed}, rng_{seed ^ 0x5ca1ab1eULL} {}
+      : feed_{engine_, rib_, seed}, rng_{seed ^ 0x5ca1ab1eULL} {
+    feed_.bindMetrics(metrics_);
+  }
 
   std::vector<std::string> run() {
     const std::size_t n = rng_.below(120);
@@ -283,6 +296,10 @@ public:
     return std::move(log_);
   }
 
+  [[nodiscard]] double counter(std::string_view name) const {
+    return metrics_.value(name).value_or(0.0);
+  }
+
 private:
   void subscribeOne(std::uint64_t key) {
     const sim::Duration jitter =
@@ -292,8 +309,17 @@ private:
     const PropagationModel model{
         sim::millis(static_cast<std::int64_t>(rng_.below(3))), jitter};
     const std::size_t tag = ids_.size();
+    ignored_.emplace_back();
+    BgpFeed::Ignores ignores;
+    if (rng_.chance(0.4)) {
+      ignoring_.insert(tag);
+      ignores = [this, tag](const Prefix& p) {
+        return ignored_[tag].contains(p);
+      };
+    }
     ids_.push_back(feed_.subscribe(
-        model, key, [this, tag](const BgpUpdate& u) { onDelivery(tag, u); }));
+        model, key, [this, tag](const BgpUpdate& u) { onDelivery(tag, u); },
+        std::move(ignores)));
   }
 
   void publish() {
@@ -322,8 +348,14 @@ private:
   }
 
   void onDelivery(std::size_t tag, const BgpUpdate& u) {
+    if (ignored_[tag].contains(u.prefix)) return;
     log_.push_back(stamp() + " sub " + std::to_string(tag) + " " +
                    u.toString() + " seq " + std::to_string(u.seq));
+    // From the next publish on, the fan-out leaves this prefix's
+    // deliveries to `tag` out.
+    if (ignoring_.contains(tag) && rng_.chance(0.25)) {
+      ignored_[tag].insert(u.prefix);
+    }
     if (tag == publisher_ && publishedFromCallback_ < 6) {
       ++publishedFromCallback_;
       publish();
@@ -346,9 +378,12 @@ private:
 
   sim::Engine engine_;
   Rib rib_;
+  obs::Registry metrics_;
   Feed feed_;
   sim::Rng rng_;
   std::vector<std::uint64_t> ids_; // tag -> subscriber id
+  std::set<std::size_t> ignoring_; // tags that passed a predicate
+  std::vector<std::set<Prefix>> ignored_; // tag -> prefixes it ignores
   std::vector<std::string> log_;
   std::size_t publisher_ = 0;
   std::size_t joiner_ = 0;
@@ -360,20 +395,28 @@ private:
 
 TEST(BgpFeed, RunFanOutMatchesOneEventPerDeliveryReference) {
   std::size_t deliveries = 0;
+  double skipped = 0.0;
   for (std::uint64_t seed = 1; seed <= 80; ++seed) {
-    const std::vector<std::string> got = FeedScenario<BgpFeed>{seed}.run();
-    const std::vector<std::string> want =
-        FeedScenario<OneEventPerDeliveryFeed>{seed}.run();
+    FeedScenario<BgpFeed> fanOut{seed};
+    FeedScenario<OneEventPerDeliveryFeed> reference{seed};
+    const std::vector<std::string> got = fanOut.run();
+    const std::vector<std::string> want = reference.run();
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << " line " << i;
     }
+    // A skipped delivery still counts: its lag was drawn.
+    EXPECT_EQ(fanOut.counter("bgp.feed.deliveries_total"),
+              reference.counter("bgp.feed.deliveries_total"))
+        << "seed " << seed;
+    skipped += fanOut.counter("bgp.feed.deliveries_skipped_total");
     deliveries += static_cast<std::size_t>(
         std::count_if(got.begin(), got.end(), [](const std::string& line) {
           return line.find(" sub ") != std::string::npos;
         }));
   }
   EXPECT_GT(deliveries, 10'000u); // the scenarios are not vacuous
+  EXPECT_GT(skipped, 1'000.0); // nor is the skipping
 }
 
 // ------------------------------------------------------------ SplitSchedule

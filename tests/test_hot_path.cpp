@@ -452,22 +452,51 @@ TEST(Engine, PendingCountUnderChurn) {
 // executed, cancelled, cleared and never-issued handles — stale handles
 // whose slot has since been reused included), run(until) and clear(); some
 // actions schedule a follow-up from inside the run, at the same instant or
-// just after. Executed order, pendingEvents() and every cancel() verdict
-// must match.
+// just after. Chains are the session pattern: each link picks its
+// successor's time and runs it in place when continueInline() allows,
+// else schedules it; the reference schedules every successor. Executed
+// order, now(), executedEvents(), run()'s count, pendingEvents() and every
+// cancel() verdict must match.
+
+/// A chain link's gap to its successor: 0–7 ms, a pure function of the
+/// link's tag, so both sides draw the same one. With run() horizons 0–5 ms
+/// ahead, some successors tie with pending keys and some fall past the
+/// horizon.
+sim::Duration chainGap(std::uint64_t tag) {
+  return sim::millis(
+      static_cast<std::int64_t>(sim::deriveStreamSeed(0xc4a1, tag) % 8));
+}
+
 class EngineUnderTest {
 public:
   /// Schedule an event tagged with its scheduling index.
   void schedule(sim::SimTime when) {
     track(engine_.schedule(when, action(ids_.size())));
   }
+  /// Schedule the first link of a chain with `length` more links after it.
+  void chain(sim::SimTime when, std::uint64_t length) {
+    track(engine_.schedule(when, link(ids_.size(), length)));
+  }
   std::uint64_t reserveSeqs(std::uint64_t n) { return engine_.reserveSeqs(n); }
   void scheduleReserved(sim::SimTime when, std::uint64_t seq) {
     track(engine_.scheduleReserved(when, seq, action(ids_.size())));
   }
   bool cancel(std::uint64_t tag) { return engine_.cancel(ids_[tag]); }
+  std::uint64_t run(sim::SimTime until) {
+    until_ = until;
+    return engine_.run(until);
+  }
+  std::uint64_t runAll() {
+    until_ = sim::SimTime{std::numeric_limits<std::int64_t>::max()};
+    return engine_.runAll();
+  }
   sim::Engine& engine() { return engine_; }
   [[nodiscard]] const std::vector<std::uint64_t>& order() const {
     return order_;
+  }
+  [[nodiscard]] std::uint64_t scheduledLinks() const { return scheduledLinks_; }
+  [[nodiscard]] std::uint64_t linksPastHorizon() const {
+    return linksPastHorizon_;
   }
 
 private:
@@ -479,16 +508,43 @@ private:
       }
     };
   }
+  sim::Engine::Action link(std::uint64_t tag, std::uint64_t left) {
+    return [this, tag, left] { runChain(tag, left); };
+  }
+  void runChain(std::uint64_t tag, std::uint64_t left) {
+    for (;;) {
+      order_.push_back(tag);
+      if (left-- == 0) return;
+      const sim::SimTime next = engine_.now() + chainGap(tag);
+      tag = ids_.size(); // the successor's tag, as the reference issues it
+      if (!engine_.continueInline(next)) {
+        track(engine_.schedule(next, link(tag, left)));
+        ++scheduledLinks_;
+        if (next > until_) ++linksPastHorizon_;
+        return;
+      }
+      // Ran in place: no handle, so cancelling it fails, as cancelling an
+      // executed event does on the reference.
+      track(~sim::EventId{0});
+    }
+  }
   void track(sim::EventId id) { ids_.push_back(id); }
 
   sim::Engine engine_;
   std::vector<sim::EventId> ids_; // tag -> handle
   std::vector<std::uint64_t> order_;
+  sim::SimTime until_; // horizon of the run() in progress
+  std::uint64_t scheduledLinks_ = 0;
+  std::uint64_t linksPastHorizon_ = 0;
 };
 
 class ReferenceQueue {
 public:
   void schedule(sim::SimTime when) { scheduleReserved(when, nextSeq_++); }
+  void chain(sim::SimTime when, std::uint64_t length) {
+    chainLeft_[keyOf_.size()] = length;
+    schedule(when);
+  }
   std::uint64_t reserveSeqs(std::uint64_t n) {
     const std::uint64_t first = nextSeq_;
     nextSeq_ += n;
@@ -501,21 +557,28 @@ public:
     pending_.emplace(Key{when, seq}, tag);
   }
   bool cancel(std::uint64_t tag) { return pending_.erase(keyOf_[tag]) == 1; }
-  void run(sim::SimTime until) {
+  /// Returns the events executed.
+  std::uint64_t run(sim::SimTime until) {
+    const std::uint64_t before = executed_;
     while (!pending_.empty() && pending_.begin()->first.first <= until) {
       const auto [key, tag] = *pending_.begin();
       pending_.erase(pending_.begin());
       now_ = key.first;
       order_.push_back(tag);
-      if (tag % 5 == 0) {
+      ++executed_;
+      if (const auto link = chainLeft_.find(tag); link != chainLeft_.end()) {
+        if (link->second > 0) chain(now_ + chainGap(tag), link->second - 1);
+      } else if (tag % 5 == 0) {
         schedule(now_ + sim::millis(static_cast<std::int64_t>(tag % 3)));
       }
     }
     now_ = std::max(now_, until);
+    return executed_ - before;
   }
   void clear() { pending_.clear(); }
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   [[nodiscard]] std::uint64_t issued() const { return keyOf_.size(); }
+  [[nodiscard]] std::uint64_t executed() const { return executed_; }
   [[nodiscard]] sim::SimTime now() const { return now_; }
   [[nodiscard]] const std::vector<std::uint64_t>& order() const {
     return order_;
@@ -525,12 +588,17 @@ private:
   using Key = std::pair<sim::SimTime, std::uint64_t>; // (when, seq)
   sim::SimTime now_ = sim::kEpoch;
   std::uint64_t nextSeq_ = 0;
+  std::uint64_t executed_ = 0;
   std::vector<Key> keyOf_; // tag -> (clamped firing time, seq)
   std::map<Key, std::uint64_t> pending_; // -> tag
+  std::map<std::uint64_t, std::uint64_t> chainLeft_; // link tag -> links after
   std::vector<std::uint64_t> order_;
 };
 
 TEST(Engine, DifferentialAgainstOrderedSetReference) {
+  std::uint64_t inlined = 0;
+  std::uint64_t scheduledLinks = 0;
+  std::uint64_t pastHorizon = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     sim::Rng rng{seed};
     EngineUnderTest engine;
@@ -544,9 +612,13 @@ TEST(Engine, DifferentialAgainstOrderedSetReference) {
       const std::int64_t offset = static_cast<std::int64_t>(rng.below(8)) -
                                   (rng.chance(0.1) ? 10 : 0);
       const sim::SimTime when{now + offset};
-      if (op < 40) {
+      if (op < 32) {
         engine.schedule(when);
         reference.schedule(when);
+      } else if (op < 40) {
+        const std::uint64_t length = 1 + rng.below(6);
+        engine.chain(when, length);
+        reference.chain(when, length);
       } else if (op < 45) {
         const std::uint64_t n = 1 + rng.below(6);
         const std::uint64_t first = engine.reserveSeqs(n);
@@ -570,24 +642,38 @@ TEST(Engine, DifferentialAgainstOrderedSetReference) {
         // A handle that was never issued.
         EXPECT_FALSE(engine.engine().cancel(
             (sim::EventId{rng.below(4)} << 32) | (1u << 30)));
+        // No inline step outside run(): no seq taken, no clock move.
+        EXPECT_FALSE(engine.engine().continueInline(when));
       } else if (op < 98) {
         const sim::SimTime until{now + static_cast<std::int64_t>(rng.below(6))};
-        engine.engine().run(until);
-        reference.run(until);
+        ASSERT_EQ(engine.run(until), reference.run(until))
+            << "seed " << seed << " step " << step;
         ASSERT_EQ(engine.order(), reference.order())
             << "seed " << seed << " step " << step;
-        ASSERT_EQ(engine.engine().now(), reference.now());
       } else {
         engine.engine().clear();
         reference.clear();
       }
+      ASSERT_EQ(engine.engine().now(), reference.now())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(engine.engine().executedEvents(), reference.executed())
+          << "seed " << seed << " step " << step;
       ASSERT_EQ(engine.engine().pendingEvents(), reference.pending())
           << "seed " << seed << " step " << step;
     }
-    engine.engine().runAll();
-    reference.run(sim::SimTime{std::numeric_limits<std::int64_t>::max()});
+    const sim::SimTime end{std::numeric_limits<std::int64_t>::max()};
+    EXPECT_EQ(engine.runAll(), reference.run(end)) << "seed " << seed;
     EXPECT_EQ(engine.order(), reference.order()) << "seed " << seed;
+    EXPECT_EQ(engine.engine().executedEvents(), reference.executed());
+    inlined += engine.engine().inlineEvents();
+    scheduledLinks += engine.scheduledLinks();
+    pastHorizon += engine.linksPastHorizon();
   }
+  // Both outcomes of continueInline() occur, the horizon refusing some, so
+  // the check is not vacuous.
+  EXPECT_GT(inlined, 100u);
+  EXPECT_GT(scheduledLinks, 100u);
+  EXPECT_GT(pastHorizon, 10u);
 }
 
 } // namespace

@@ -176,16 +176,39 @@ TEST(TraceTest, TraceBytesIdenticalAcrossThreadCounts) {
   }
 }
 
+// Recording also turns off the feed's skipping of deliveries a scanner
+// would ignore (BgpFeed::subscribe), so this is the world-level check that
+// skipping them changes nothing: the untraced run skips, the traced one
+// delivers everything, and the captures must not tell them apart.
 TEST(TraceTest, TracingDoesNotPerturbTheSimulation) {
-  core::RunnerConfig plain;
-  plain.experiment = tinyConfig();
-  plain.experiment.threads = 2;
-  core::ExperimentRunner untraced{plain};
-  untraced.run();
-  const auto traced = tracedRun(2);
-  for (std::size_t t = 0; t < 4; ++t) {
-    EXPECT_EQ(traced->capture(t).digest(), untraced.capture(t).digest())
-        << "tracing changed telescope " << t;
+  for (const unsigned threads : {1u, 2u}) {
+    core::RunnerConfig plain;
+    plain.experiment = tinyConfig();
+    plain.experiment.threads = threads;
+    core::ExperimentRunner untraced{plain};
+    untraced.run();
+    const auto traced = tracedRun(threads);
+    for (std::size_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(traced->capture(t).digest(), untraced.capture(t).digest())
+          << "tracing changed telescope " << t << " at " << threads
+          << " threads";
+    }
+    obs::Registry plainMetrics;
+    obs::Registry tracedMetrics;
+    untraced.snapshotMetrics(plainMetrics);
+    traced->snapshotMetrics(tracedMetrics);
+    const auto metric = [](const obs::Registry& r, std::string_view name) {
+      return r.value(name).value_or(0.0);
+    };
+    EXPECT_EQ(metric(plainMetrics, "bgp.feed.deliveries_total"),
+              metric(tracedMetrics, "bgp.feed.deliveries_total"));
+    EXPECT_GT(metric(plainMetrics, "bgp.feed.deliveries_total"), 0.0);
+    if (obs::trace::kCompiledIn) {
+      EXPECT_GT(metric(plainMetrics, "bgp.feed.deliveries_skipped_total"),
+                0.0);
+      EXPECT_EQ(metric(tracedMetrics, "bgp.feed.deliveries_skipped_total"),
+                0.0);
+    }
   }
 }
 
