@@ -10,7 +10,7 @@
 // with V6T_BENCH_OUT or argv[1]). Scale the workload with
 // V6T_HOT_PATH_SCALE (default 1.0; CI uses a small fraction).
 //
-//   bench.hot_path.engine_events_per_sec   schedule+cancel+dispatch rate
+//   bench.hot_path.engine_events_per_sec   schedule+dispatch rate
 //   bench.hot_path.append_packets_per_sec  build+copy+append rate, with one
 //                                          captureStats pass over the store
 //   bench.hot_path.merge_packets_per_sec   8-shard consuming merge rate
@@ -45,12 +45,10 @@ volatile std::uint64_t g_sink = 0;
 
 // ------------------------------------------------------------------ engine
 //
-// Mixed schedule/cancel/dispatch workload. The lambda capture is sized
-// like the scanner's session lambdas (a pointer plus a few counters), i.e.
-// larger than std::function's 16-byte SBO — the exact shape that used to
-// cost one heap allocation per scheduled event. One in eight events is
-// cancelled while the queue is deep, which exercises the cancellation
-// path at depth.
+// Schedule/dispatch workload in waves of 4096 pending events. The lambda
+// capture is sized like the scanner's session lambdas (a pointer plus a
+// few counters), i.e. larger than std::function's 16-byte SBO — the exact
+// shape that used to cost one heap allocation per scheduled event.
 double benchEngine(std::uint64_t events, std::uint64_t& executed) {
   v6t::sim::Engine engine;
   v6t::sim::Rng rng{42};
@@ -59,21 +57,18 @@ double benchEngine(std::uint64_t events, std::uint64_t& executed) {
   std::uint64_t scheduled = 0;
   std::int64_t horizon = 0;
   while (scheduled < events) {
-    // Fill a wave of pending events, cancel a slice, then drain the wave.
+    // Fill a wave of pending events, then drain it.
     const std::uint64_t wave = 4096;
-    std::vector<v6t::sim::EventId> ids;
-    ids.reserve(wave);
     for (std::uint64_t i = 0; i < wave && scheduled < events; ++i) {
       const std::int64_t when = horizon + static_cast<std::int64_t>(rng.below(10'000));
       const std::uint64_t a = rng.next();
       const std::uint64_t b = scheduled;
       const std::uint64_t c = i;
       std::uint64_t* accPtr = &acc;
-      ids.push_back(engine.schedule(v6t::sim::SimTime{when},
-                                    [accPtr, a, b, c] { *accPtr += a ^ b ^ c; }));
+      engine.schedule(v6t::sim::SimTime{when},
+                      [accPtr, a, b, c] { *accPtr += a ^ b ^ c; });
       ++scheduled;
     }
-    for (std::size_t i = 0; i < ids.size(); i += 8) engine.cancel(ids[i]);
     horizon += 10'000;
     engine.run(v6t::sim::SimTime{horizon});
   }

@@ -1,6 +1,6 @@
 #include "bgp/feed.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace v6t::bgp {
 
@@ -19,11 +19,6 @@ BgpFeed::SubscriberId BgpFeed::subscribe(PropagationModel model, Callback cb) {
   // subscription order — consumers that must survive sharding pass a key.
   return subscribe(model, 0x5559bbbf00000000ULL | (subscribers_.size() + 1),
                    std::move(cb));
-}
-
-void BgpFeed::unsubscribe(SubscriberId id) {
-  if (id == 0 || id > subscribers_.size()) return;
-  subscribers_[id - 1].cb = nullptr;
 }
 
 void BgpFeed::bindMetrics(obs::Registry& registry) {
@@ -65,7 +60,7 @@ void BgpFeed::withdraw(const net::Prefix& prefix) {
   const sim::SimTime now = engine_.now();
   const RouteEntry* entry = rib_.findExact(prefix);
   const net::Asn origin = entry != nullptr ? entry->origin : net::Asn{};
-  rib_.withdraw(prefix, now);
+  rib_.withdraw(prefix);
   if (withdrawsMetric_ != nullptr) withdrawsMetric_->inc();
   BgpUpdate update{UpdateKind::Withdraw, prefix, origin, now, now, 0, 0};
   stampTrace(update, now);
@@ -73,24 +68,11 @@ void BgpFeed::withdraw(const net::Prefix& prefix) {
 }
 
 void BgpFeed::publish(const BgpUpdate& update) {
-  const auto index = static_cast<std::uint32_t>(published_.size());
+  const std::size_t index = published_.size();
   published_.push_back(update);
-  std::uint32_t run;
-  if (!freeRuns_.empty()) {
-    run = freeRuns_.back();
-    freeRuns_.pop_back();
-  } else {
-    run = static_cast<std::uint32_t>(runs_.size());
-    runs_.emplace_back();
-  }
-  Run& r = runs_[run];
-  r.update = index;
-  r.next = 0;
-  r.pending.clear();
   const sim::SimTime now = engine_.now();
   for (std::size_t sub = 0; sub < subscribers_.size(); ++sub) {
     Subscriber& s = subscribers_[sub];
-    if (!s.cb) continue; // unsubscribed: no lag drawn, nothing scheduled
     const sim::Duration delay = s.model.sample(s.rng);
     const bool skipped = s.ignores && s.ignores(update.prefix);
     if (delayMetric_ != nullptr) {
@@ -101,53 +83,17 @@ void BgpFeed::publish(const BgpUpdate& update) {
     // A no-op on arrival: its lag is drawn, but it takes no engine seq.
     // Seqs are only ever compared, so no other event changes order.
     if (skipped) continue;
-    r.pending.push_back(
-        Delivery{now + delay, static_cast<std::uint32_t>(sub),
-                 static_cast<std::uint32_t>(r.pending.size())});
+    const sim::SimTime ts = now + delay;
+    engine_.schedule(ts, [this, sub, index, ts] { deliver(sub, index, ts); });
   }
-  if (r.pending.empty()) {
-    freeRuns_.push_back(run);
-    return;
-  }
-  // The seqs one schedule() per kept delivery, in id order, would draw.
-  r.firstSeq = engine_.reserveSeqs(r.pending.size());
-  std::sort(r.pending.begin(), r.pending.end(),
-            [](const Delivery& a, const Delivery& b) {
-              return a.ts != b.ts ? a.ts < b.ts : a.rank < b.rank;
-            });
-  scheduleHead(run);
-}
-
-void BgpFeed::scheduleHead(std::uint32_t run) {
-  const Run& r = runs_[run];
-  const Delivery& head = r.pending[r.next];
-  engine_.scheduleReserved(head.ts, r.firstSeq + head.rank,
-                           [this, run]() { fireHead(run); });
-}
-
-void BgpFeed::fireHead(std::uint32_t run) {
-  Run& r = runs_[run];
-  const Delivery due = r.pending[r.next++];
-  const std::uint32_t update = r.update;
-  // The successor's key sorts after this one's, so pushing it now keeps
-  // the engine's minimum the global minimum.
-  if (r.next < r.pending.size()) {
-    scheduleHead(run);
-  } else {
-    freeRuns_.push_back(run);
-  }
-  // `r` may dangle from here on: the callback may publish.
-  deliver(due.sub, update, due.ts);
 }
 
 void BgpFeed::deliver(std::size_t sub, std::size_t update, sim::SimTime ts) {
-  const Subscriber& s = subscribers_[sub];
-  if (!s.cb) return; // unsubscribed after the update was published
   // A copy, not a reference into published_: the callback may publish,
   // which can reallocate the log.
   BgpUpdate delivered = published_[update];
   delivered.ts = ts;
-  s.cb(delivered);
+  subscribers_[sub].cb(delivered);
 }
 
 } // namespace v6t::bgp

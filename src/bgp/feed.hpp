@@ -7,20 +7,14 @@
 // origin RIB is updated immediately, and each subscriber receives the
 // update after its own convergence delay.
 //
-// Fan-out (DESIGN.md §11): every subscriber gets one delivery per update,
-// the highest-volume event of a run, but the engine holds one key per
-// update in flight, not one per delivery. publish() reserves one engine
-// seq per delivery — the seqs one schedule() per delivery would have
-// drawn — and keeps the update's deliveries as a run of 16-byte
-// entries sorted by (visibility time, seq). Only the run's head sits in
-// the engine; when it fires, it schedules its successor under that
-// delivery's reserved seq and then delivers. Every delivery keeps the
-// (when, seq) key it would have had as its own event, so dispatch order is
-// unchanged. The update is stored once; subscribers sit in
-// reference-stable storage indexed by id − 1, so a delivery is an index,
-// not a search. A subscriber may say up front which deliveries would
-// change nothing for it (subscribe's `ignores`); publish() still draws
-// their lags but leaves them out of the run.
+// Fan-out (DESIGN.md §11): every subscriber gets one delivery per update.
+// publish() draws each subscriber's lag in id order and schedules one
+// engine event per delivery, so deliveries due at one instant fire in id
+// order. The update is stored once and each event carries its index;
+// subscribers sit in reference-stable storage indexed by id − 1, so a
+// delivery is an index, not a search. A subscriber may say up front which
+// deliveries would change nothing for it (subscribe's `ignores`);
+// publish() still draws their lags but schedules nothing for them.
 #pragma once
 
 #include <cstdint>
@@ -83,10 +77,6 @@ public:
   /// probes): keys off the subscription counter. Not shard-invariant.
   SubscriberId subscribe(PropagationModel model, Callback cb);
 
-  /// Stop notifying `id`; deliveries already scheduled for it are dropped.
-  /// A delivery callback may unsubscribe any subscriber but its own.
-  void unsubscribe(SubscriberId id);
-
   /// Announce at the origin: the RIB changes now; subscribers are notified
   /// after their sampled propagation delay.
   void announce(const net::Prefix& prefix, net::Asn origin);
@@ -111,36 +101,14 @@ public:
 private:
   struct Subscriber {
     PropagationModel model;
-    Callback cb; // empty once unsubscribed
+    Callback cb;
     sim::Rng rng; // private lag stream, derived from (seed_, streamKey)
     Ignores ignores; // may be empty: every delivery is made
   };
 
-  /// One pending delivery of a run. `rank` is its position among the
-  /// run's deliveries at publish, in subscriber id order: its offset from
-  /// the run's first reserved seq.
-  struct Delivery {
-    sim::SimTime ts;
-    std::uint32_t sub;
-    std::uint32_t rank;
-  };
-  /// One published update's pending deliveries, sorted by (ts, rank);
-  /// `pending[next]` is the head, the only one the engine holds a key for.
-  struct Run {
-    std::uint64_t firstSeq = 0;
-    std::uint32_t update = 0;
-    std::uint32_t next = 0;
-    std::vector<Delivery> pending;
-  };
-
   void publish(const BgpUpdate& update);
-  /// Give run `run`'s head delivery its engine event.
-  void scheduleHead(std::uint32_t run);
-  /// The head of run `run` is due: schedule its successor (or recycle the
-  /// run), then deliver.
-  void fireHead(std::uint32_t run);
   /// Hand published update `update` to subscriber `sub`, stamped with its
-  /// visibility time — unless the subscriber has left since.
+  /// visibility time.
   void deliver(std::size_t sub, std::size_t update, sim::SimTime ts);
   /// Assign seq/originTs/traceId and record the trace root.
   void stampTrace(BgpUpdate& update, sim::SimTime now);
@@ -162,11 +130,6 @@ private:
   // same-instant deliveries — but it must be deterministic.
   std::deque<Subscriber> subscribers_;
   std::vector<BgpUpdate> published_; // every update, once, in publish order
-  // Runs in flight plus finished ones awaiting reuse. A delivery callback
-  // may publish, which can grow this table: fireHead copies what it needs
-  // before delivering.
-  std::vector<Run> runs_;
-  std::vector<std::uint32_t> freeRuns_;
 };
 
 } // namespace v6t::bgp

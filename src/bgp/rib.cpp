@@ -14,17 +14,11 @@ std::string BgpUpdate::toString() const {
 
 void Rib::announce(const net::Prefix& prefix, net::Asn origin, sim::SimTime t) {
   table_.insert(prefix, RouteEntry{origin, t});
-  history_.push_back(BgpUpdate{UpdateKind::Announce, prefix, origin, t, t});
   ++announces_;
 }
 
-void Rib::withdraw(const net::Prefix& prefix, sim::SimTime t) {
-  const RouteEntry* entry = table_.findExact(prefix);
-  if (entry == nullptr) return;
-  const net::Asn origin = entry->origin;
-  table_.erase(prefix);
-  history_.push_back(BgpUpdate{UpdateKind::Withdraw, prefix, origin, t, t});
-  ++withdraws_;
+void Rib::withdraw(const net::Prefix& prefix) {
+  if (table_.erase(prefix)) ++withdraws_;
 }
 
 std::optional<std::pair<net::Prefix, RouteEntry>> Rib::lookup(

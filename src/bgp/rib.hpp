@@ -22,12 +22,12 @@ struct RouteEntry {
 
 class Rib {
 public:
-  /// Install (or refresh) a route. Records the update in the history log.
+  /// Install (or refresh) a route.
   void announce(const net::Prefix& prefix, net::Asn origin, sim::SimTime t);
 
   /// Remove a route; silently ignores withdrawals of unknown prefixes
   /// (as a real speaker would).
-  void withdraw(const net::Prefix& prefix, sim::SimTime t);
+  void withdraw(const net::Prefix& prefix);
 
   /// Longest-prefix match: the most specific route covering `addr`.
   [[nodiscard]] std::optional<std::pair<net::Prefix, RouteEntry>> lookup(
@@ -54,11 +54,6 @@ public:
   [[nodiscard]] std::vector<std::pair<net::Prefix, RouteEntry>>
   announcedRoutes() const;
 
-  /// Full update history, in application order.
-  [[nodiscard]] const std::vector<BgpUpdate>& history() const {
-    return history_;
-  }
-
   [[nodiscard]] std::size_t size() const { return table_.size(); }
 
   // Instrumentation counters, sampled into the obs registry by whoever
@@ -70,7 +65,6 @@ public:
 
 private:
   net::PrefixTable<RouteEntry> table_;
-  std::vector<BgpUpdate> history_;
   std::uint64_t announces_ = 0;
   std::uint64_t withdraws_ = 0;
   // mutable: lookup() is logically const; each RIB is owned by exactly one

@@ -73,7 +73,6 @@ struct ShardWorld {
     hitlist = std::make_unique<bgp::HitlistService>(
         engine, *feed, bgp::HitlistService::Params{}, config.seed ^ 0x417);
     fabric = std::make_unique<telescope::DeliveryFabric>(engine, rib);
-    fabric->setShard(shardId, shardCount);
     telescopes = makeTelescopes(config);
     for (std::size_t i = 0; i < telescopes.size(); ++i) {
       telescopes[i]->bindTrace(tracer, static_cast<std::uint32_t>(1000 + i));

@@ -417,8 +417,8 @@ void Scanner::emitSession(const net::Prefix& prefix, sim::SimTime start,
 
 void Scanner::sessionStep(const std::shared_ptr<SessionState>& state) {
   if (state->remaining == 0) return;
-  // Nothing holds an EventId to a session's steps, so a step whose
-  // successor is the engine's very next event runs it in place.
+  // A step whose successor is the engine's very next event runs it in
+  // place.
   for (;;) {
     sendProbe(*state);
     if (state->remaining == 0) {

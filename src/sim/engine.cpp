@@ -57,14 +57,6 @@ void Engine::dropTop() {
   }
 }
 
-void Engine::releaseSlot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.action = Action{}; // a cancelled event's captures die here
-  s.live = false;
-  ++s.generation; // outstanding handles to this slot go stale here
-  freeSlots_.push_back(slot);
-}
-
 SimTime Engine::notBeforeNow(SimTime when) const {
   if (when >= now_) return when;
   // Clamped-to-now is tolerated but suspicious; surface it without
@@ -80,31 +72,25 @@ SimTime Engine::notBeforeNow(SimTime when) const {
   return now_;
 }
 
-EventId Engine::scheduleReserved(SimTime when, std::uint64_t seq,
-                                 Action action) {
+void Engine::schedule(SimTime when, Action action) {
   when = notBeforeNow(when);
   std::uint32_t slot;
   if (!freeSlots_.empty()) {
     slot = freeSlots_.back();
     freeSlots_.pop_back();
+    slots_[slot] = std::move(action);
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slots_.push_back(std::move(action));
   }
-  Slot& s = slots_[slot];
-  s.action = std::move(action);
-  s.live = true;
-  const EventId id = (static_cast<EventId>(s.generation) << 32) | slot;
-  push(Key{when, seq, slot});
-  return id;
+  push(Key{when, nextSeq_++, slot});
 }
 
 bool Engine::continueInline(SimTime when) {
   when = notBeforeNow(when);
   if (when > horizon_) return false;
-  // The key a schedule() would push; run() discards cancelled keys at the
-  // root before its next pop, so compare against the first live one.
-  if (skipCancelled() && !later(heap_.front(), Key{when, nextSeq_, 0})) {
+  // The key a schedule() would push must sort before the root.
+  if (!heap_.empty() && !later(heap_.front(), Key{when, nextSeq_, 0})) {
     return false;
   }
   ++nextSeq_;
@@ -114,36 +100,13 @@ bool Engine::continueInline(SimTime when) {
   return true;
 }
 
-bool Engine::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.live || s.generation != static_cast<std::uint32_t>(id >> 32)) {
-    return false; // already ran, already cancelled, or never existed
-  }
-  s.live = false;
-  ++cancelledPending_;
-  return true;
-}
-
-bool Engine::skipCancelled() {
-  while (!heap_.empty()) {
-    const std::uint32_t slot = heap_.front().slot;
-    if (slots_[slot].live) return true;
-    releaseSlot(slot);
-    --cancelledPending_;
-    dropTop();
-  }
-  return false;
-}
-
 void Engine::dispatchTop() {
   const Key top = heap_.front();
   now_ = top.when;
   // Move the action out before it runs: it may schedule, and a new slot
   // can grow (reallocate) the table under it.
-  Action action = std::move(slots_[top.slot].action);
-  releaseSlot(top.slot);
+  Action action = std::move(slots_[top.slot]);
+  freeSlots_.push_back(top.slot);
   dropTop();
   action();
   ++executed_;
@@ -154,7 +117,7 @@ std::uint64_t Engine::drain(SimTime until) {
   const SimTime outer = std::exchange(horizon_, until);
   // Peek-before-pop: a key past the horizon is simply left at the root —
   // no pop, no re-push through the heap.
-  while (skipCancelled() && heap_.front().when <= until) dispatchTop();
+  while (!heap_.empty() && heap_.front().when <= until) dispatchTop();
   horizon_ = outer;
   return executed_ - before;
 }
@@ -181,14 +144,6 @@ std::uint64_t Engine::runEpochs(
 
 std::uint64_t Engine::runAll() {
   return drain(SimTime{std::numeric_limits<std::int64_t>::max()});
-}
-
-void Engine::clear() {
-  // Each key owns its slot until popped, so releasing per key releases
-  // each exactly once and stales every outstanding handle.
-  for (const Key& k : heap_) releaseSlot(k.slot);
-  heap_.clear();
-  cancelledPending_ = 0;
 }
 
 } // namespace v6t::sim

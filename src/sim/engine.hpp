@@ -11,12 +11,10 @@
 // heap of trivially copyable 24-byte keys — (when, seq, slot) — so a sift
 // step is a plain copy, never a call through an action's relocate hook.
 // The action itself (a SmallFunc: inline captures only, no allocation)
-// lives in a slot table, the same table that makes cancellation O(1): a
-// slot carries a generation stamp, cancel() is a stamp check and a flag
-// flip, and dead keys are discarded lazily when they surface at the top of
-// the heap. A slot is owned by its key until the key leaves the heap. An
-// action whose successor would be the very next event popped runs it in
-// place instead (continueInline): no key, no slot, same order.
+// lives in a slot table; a slot is owned by its key until the key leaves
+// the heap, and freed slots are reused. An action whose successor would be
+// the very next event popped runs it in place instead (continueInline): no
+// key, no slot, same order.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +28,6 @@
 
 namespace v6t::sim {
 
-/// Handle for a scheduled event; can be used to cancel it. Encodes a slot
-/// index in the low 32 bits and that slot's generation stamp in the high
-/// 32, so a handle goes stale the moment its event runs or is cancelled —
-/// a recycled slot can never be cancelled through an old handle.
-using EventId = std::uint64_t;
-
 class Engine {
 public:
   using Action = SmallFunc;
@@ -46,29 +38,11 @@ public:
   /// Schedule `action` at absolute time `when`. Scheduling in the past is a
   /// logic error and is clamped to `now()` (the event fires immediately on
   /// the next step) — the capture path must never time-travel.
-  EventId schedule(SimTime when, Action action) {
-    return scheduleReserved(when, nextSeq_++, std::move(action));
-  }
-
-  /// Reserve `n` consecutive sequence numbers and return the first. The
-  /// counter advances exactly as `n` schedule() calls would, so events
-  /// scheduled later still sort after every reserved seq at equal times.
-  std::uint64_t reserveSeqs(std::uint64_t n) {
-    const std::uint64_t first = nextSeq_;
-    nextSeq_ += n;
-    return first;
-  }
-
-  /// Schedule `action` at `when` under a seq taken from reserveSeqs(). The
-  /// event fires exactly where a schedule() call that drew that seq would
-  /// have fired it, however late it is pushed — the BGP feed pushes one
-  /// delivery of an update at a time (DESIGN.md §11). Each reserved seq is
-  /// used at most once. Past times are clamped as in schedule().
-  EventId scheduleReserved(SimTime when, std::uint64_t seq, Action action);
+  void schedule(SimTime when, Action action);
 
   /// Schedule `action` after a relative delay.
-  EventId scheduleAfter(Duration delay, Action action) {
-    return schedule(now_ + delay, std::move(action));
+  void scheduleAfter(Duration delay, Action action) {
+    schedule(now_ + delay, std::move(action));
   }
 
   /// An action's last act in place of scheduling its successor at `when`
@@ -79,14 +53,8 @@ public:
   /// epoch barrier. It then takes the seq, advances now() and counts the
   /// event, exactly as a push and a pop would, and the caller runs the
   /// successor itself. Otherwise, and always outside run(), nothing
-  /// changes and the caller schedules the successor. Only for events
-  /// nobody holds an EventId to.
+  /// changes and the caller schedules the successor.
   bool continueInline(SimTime when);
-
-  /// Cancel a pending event. Returns false if it already ran, was already
-  /// cancelled, or never existed. O(1): a generation check on the slot
-  /// table; the heap entry is discarded lazily.
-  bool cancel(EventId id);
 
   /// Run events until the queue is empty or simulated time would exceed
   /// `until` (events at exactly `until` still run). Advances now() to
@@ -108,19 +76,13 @@ public:
   std::uint64_t runEpochs(SimTime until, Duration epoch,
                           const std::function<void(int, SimTime)>& beforeEpoch);
 
-  /// Drop all pending events (e.g., between independent experiment phases).
-  void clear();
-
-  [[nodiscard]] std::size_t pendingEvents() const {
-    return heap_.size() - cancelledPending_;
-  }
+  [[nodiscard]] std::size_t pendingEvents() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
   /// The part of executedEvents() that ran through continueInline().
   [[nodiscard]] std::uint64_t inlineEvents() const { return inlineEvents_; }
   /// Largest pending-queue size ever reached — the engine's memory
   /// high-water mark, reported through the obs registry. It counts heap
-  /// keys: a BGP update in flight holds one, however many subscribers
-  /// still wait for it.
+  /// keys, and each BGP feed delivery in flight holds one.
   [[nodiscard]] std::size_t queueDepthHighWater() const {
     return queueHighWater_;
   }
@@ -133,14 +95,6 @@ private:
     std::uint32_t slot;
   };
 
-  /// One row per pending (live or cancelled) event. `generation` advances
-  /// every time the slot is released, invalidating outstanding EventIds.
-  struct Slot {
-    Action action;
-    std::uint32_t generation = 0;
-    bool live = false;
-  };
-
   // Min-heap ordering on (when, seq).
   static bool later(const Key& a, const Key& b) {
     if (a.when != b.when) return a.when > b.when;
@@ -149,13 +103,10 @@ private:
 
   /// Clamp a time in the past to now() (logged, rate-limited).
   SimTime notBeforeNow(SimTime when) const;
-  void releaseSlot(std::uint32_t slot);
-  /// Dispatch live keys up to `until` with continueInline() bounded by it;
+  /// Dispatch keys up to `until` with continueInline() bounded by it;
   /// returns events executed.
   std::uint64_t drain(SimTime until);
-  /// Discard cancelled keys at the root; false once the heap is empty.
-  bool skipCancelled();
-  /// Pop the (live) root key, advance now() to it and run its action.
+  /// Pop the root key, advance now() to it and run its action.
   void dispatchTop();
 
   void push(Key k);
@@ -173,9 +124,8 @@ private:
       std::numeric_limits<std::int64_t>::min()};
   SimTime horizon_ = kNotRunning;
   std::size_t queueHighWater_ = 0;
-  std::size_t cancelledPending_ = 0;
   std::vector<Key> heap_; // 4-ary implicit heap
-  std::vector<Slot> slots_;
+  std::vector<Action> slots_; // a key's action; empty once popped
   std::vector<std::uint32_t> freeSlots_;
 };
 

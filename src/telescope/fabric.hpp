@@ -75,12 +75,6 @@ public:
   /// reactive scanners can adapt.
   DeliveryResult send(net::Packet p);
 
-  /// Is the destination routable right now? (Scanners cannot ask this —
-  /// they only see the BGP feed — but tests and stats can.)
-  [[nodiscard]] bool routable(const net::Ipv6Address& dst) const {
-    return rib_.isRoutable(dst);
-  }
-
   [[nodiscard]] std::uint64_t sentPackets() const { return sent_; }
   [[nodiscard]] std::uint64_t droppedNoRoute() const { return noRoute_; }
   [[nodiscard]] std::uint64_t deliveredToVoid() const { return toVoid_; }
@@ -89,17 +83,6 @@ public:
   /// the fabric. Without a tap the packet path is exactly the historical
   /// one — zero-fault runs stay bitwise-identical.
   void setTap(PacketTap* tap) { tap_ = tap; }
-  [[nodiscard]] PacketTap* tap() const { return tap_; }
-
-  /// Which slice of the population feeds this fabric. The sharded runner
-  /// replicates one fabric per worker and tags it so drop/void counters can
-  /// be attributed per shard; the default (0 of 1) is a one-shard world.
-  void setShard(unsigned shardId, unsigned shardCount) {
-    shardId_ = shardId;
-    shardCount_ = shardCount;
-  }
-  [[nodiscard]] unsigned shardId() const { return shardId_; }
-  [[nodiscard]] unsigned shardCount() const { return shardCount_; }
 
 private:
   sim::Engine& engine_;
@@ -110,8 +93,6 @@ private:
   std::uint64_t sent_ = 0;
   std::uint64_t noRoute_ = 0;
   std::uint64_t toVoid_ = 0;
-  unsigned shardId_ = 0;
-  unsigned shardCount_ = 1;
 };
 
 } // namespace v6t::telescope

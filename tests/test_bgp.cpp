@@ -38,19 +38,18 @@ TEST(Rib, AnnounceWithdrawLookup) {
 
   EXPECT_FALSE(rib.isRoutable(Ipv6Address::mustParse("2001:db9::1")));
 
-  rib.withdraw(Prefix::mustParse("2001:db8:5::/48"), sim::SimTime{20});
+  rib.withdraw(Prefix::mustParse("2001:db8:5::/48"));
   route = rib.lookup(Ipv6Address::mustParse("2001:db8:5::1"));
   ASSERT_TRUE(route.has_value());
   EXPECT_EQ(route->second.origin, net::Asn{65001}); // falls back to /32
-
-  EXPECT_EQ(rib.history().size(), 3u);
-  EXPECT_EQ(rib.history()[2].kind, UpdateKind::Withdraw);
+  EXPECT_EQ(rib.announceCount(), 2u);
+  EXPECT_EQ(rib.withdrawCount(), 1u);
 }
 
 TEST(Rib, WithdrawUnknownIsNoop) {
   Rib rib;
-  rib.withdraw(Prefix::mustParse("2001:db8::/32"), sim::SimTime{0});
-  EXPECT_TRUE(rib.history().empty());
+  rib.withdraw(Prefix::mustParse("2001:db8::/32"));
+  EXPECT_EQ(rib.withdrawCount(), 0u);
   EXPECT_EQ(rib.size(), 0u);
 }
 
@@ -99,35 +98,22 @@ TEST(BgpFeed, DelayedDelivery) {
   EXPECT_LE(arrivals[0], sim::kEpoch + sim::minutes(15));
 }
 
-TEST(BgpFeed, UnsubscribeDropsPendingDeliveries) {
-  sim::Engine engine;
-  Rib rib;
-  BgpFeed feed{engine, rib, 2};
-  int delivered = 0;
-  const auto id = feed.subscribe(PropagationModel{sim::minutes(1), {}},
-                                 [&](const BgpUpdate&) { ++delivered; });
-  feed.announce(Prefix::mustParse("2001:db8::/32"), net::Asn{65001});
-  feed.unsubscribe(id);
-  engine.runAll();
-  EXPECT_EQ(delivered, 0);
-}
-
-TEST(BgpFeed, CallbackMaySubscribeAndUnsubscribeOthers) {
+TEST(BgpFeed, CallbackMaySubscribeOthers) {
   // The first subscriber's first delivery subscribes 64 newcomers — enough
-  // to move every element of a reallocating container — and unsubscribes
-  // a later subscriber whose delivery of the same update is still pending.
-  // The running callback must survive that (the sanitizer build checks its
-  // captures are still live), the victim must hear nothing more, and
-  // same-instant notifications must arrive in subscription order.
+  // to move every element of a reallocating container — while a later
+  // subscriber's delivery of the same update is still pending. The running
+  // callback must survive that (the sanitizer build checks its captures
+  // are still live), the pending delivery must still arrive, the
+  // newcomers hear only later updates, and same-instant notifications
+  // arrive in subscription order.
   sim::Engine engine;
   Rib rib;
   BgpFeed feed{engine, rib, 4};
   struct State {
     BgpFeed* feed = nullptr;
-    BgpFeed::SubscriberId victim = 0;
     std::vector<BgpFeed::SubscriberId> newcomers;
     std::vector<std::string> log;
-  } state{&feed, 0, {}, {}};
+  } state{&feed, {}, {}};
   const PropagationModel oneMinute{sim::minutes(1), {}};
   // Captures one pointer, so std::function keeps it inside the subscriber
   // record itself.
@@ -141,28 +127,28 @@ TEST(BgpFeed, CallbackMaySubscribeAndUnsubscribeOthers) {
                   s->log.push_back("new" + std::to_string(i));
                 }));
           }
-          s->feed->unsubscribe(s->victim);
         }
         s->log.push_back("first");
       });
-  state.victim = feed.subscribe(
+  const BgpFeed::SubscriberId second = feed.subscribe(
       PropagationModel{sim::minutes(2), {}},
-      [s = &state](const BgpUpdate&) { s->log.push_back("victim"); });
+      [s = &state](const BgpUpdate&) { s->log.push_back("second"); });
   EXPECT_EQ(first, 1u);
-  EXPECT_EQ(state.victim, 2u);
+  EXPECT_EQ(second, 2u);
 
   feed.announce(Prefix::mustParse("2001:db8::/32"), net::Asn{65001});
   engine.run(sim::kEpoch + sim::minutes(10));
   ASSERT_EQ(state.newcomers.size(), 64u);
   EXPECT_EQ(state.newcomers.front(), 3u); // ids stay dense
-  EXPECT_EQ(state.log, std::vector<std::string>{"first"});
+  EXPECT_EQ(state.log, (std::vector<std::string>{"first", "second"}));
 
-  // Every live subscriber draws the same one-minute lag, so the second
-  // update reaches all of them at one instant, in id order.
+  // Every subscriber but the second draws the same one-minute lag, so the
+  // second update reaches them at one instant, in id order.
   feed.withdraw(Prefix::mustParse("2001:db8::/32"));
   engine.runAll();
-  std::vector<std::string> expected{"first", "first"};
+  std::vector<std::string> expected{"first", "second", "first"};
   for (int i = 0; i < 64; ++i) expected.push_back("new" + std::to_string(i));
+  expected.push_back("second");
   EXPECT_EQ(state.log, expected);
 }
 
@@ -183,12 +169,12 @@ TEST(BgpFeed, WithdrawCarriesOrigin) {
 
 // ------------------------------------------- fan-out differential check
 
-/// One engine event per live subscriber per update, scheduled in id order
-/// at publish: the fan-out BgpFeed's sorted per-update runs must reproduce
-/// delivery for delivery, including the order against unrelated events
-/// at the same instant. It delivers everything and never asks a
-/// subscriber's `ignores` predicate: the callback itself does nothing for
-/// what it ignores.
+/// One engine event per subscriber per update, scheduled in id order at
+/// publish. It delivers everything and never asks a subscriber's `ignores`
+/// predicate: the callback itself does nothing for what it ignores. BgpFeed
+/// leaves those deliveries out at publish and must reproduce this delivery
+/// for delivery, including the order against unrelated events at the same
+/// instant.
 class OneEventPerDeliveryFeed {
 public:
   using SubscriberId = std::uint64_t;
@@ -206,9 +192,6 @@ public:
   void bindMetrics(obs::Registry& registry) {
     deliveries_ = &registry.counter("bgp.feed.deliveries_total");
   }
-  void unsubscribe(SubscriberId id) {
-    if (id != 0 && id <= subscribers_.size()) subscribers_[id - 1].cb = nullptr;
-  }
   void announce(const Prefix& prefix, net::Asn origin) {
     const sim::SimTime now = engine_.now();
     rib_.announce(prefix, origin, now);
@@ -219,7 +202,7 @@ public:
     const sim::SimTime now = engine_.now();
     const RouteEntry* entry = rib_.findExact(prefix);
     const net::Asn origin = entry != nullptr ? entry->origin : net::Asn{};
-    rib_.withdraw(prefix, now);
+    rib_.withdraw(prefix);
     publish(BgpUpdate{UpdateKind::Withdraw, prefix, origin, now, now,
                       updateSeq_++, 0});
   }
@@ -236,11 +219,9 @@ private:
     published_.push_back(update);
     for (std::size_t sub = 0; sub < subscribers_.size(); ++sub) {
       Subscriber& s = subscribers_[sub];
-      if (!s.cb) continue;
       const sim::SimTime ts = engine_.now() + s.model.sample(s.rng);
       deliveries_->inc();
       engine_.schedule(ts, [this, sub, index, ts] {
-        if (!subscribers_[sub].cb) return;
         BgpUpdate delivered = published_[index];
         delivered.ts = ts;
         subscribers_[sub].cb(delivered);
@@ -261,12 +242,11 @@ private:
 /// log. Lags are a few milliseconds (half the subscribers have no jitter)
 /// and every action lands on a handful of instants, so deliveries tie with
 /// each other and with unrelated events scheduled before, during and after
-/// each publish. Unrelated events and one callback unsubscribe others
-/// while deliveries are in flight; one callback publishes (two updates at
-/// a time, so the run table grows mid-callback) and one subscribes. Some
-/// subscribers ignore prefixes: each keeps a set that only grows, from its
-/// own callback, and passes it as its `ignores` predicate; its callback
-/// does nothing for those prefixes.
+/// each publish. One callback publishes (two updates at a time, so the
+/// update log grows mid-callback) and one subscribes. Some subscribers
+/// ignore prefixes: each keeps a set that only grows, from its own
+/// callback, and passes it as its `ignores` predicate; its callback does
+/// nothing for those prefixes.
 template <typename Feed>
 class FeedScenario {
 public:
@@ -280,10 +260,6 @@ public:
     for (std::size_t i = 0; i < n; ++i) subscribeOne(i + 1);
     publisher_ = rng_.below(n + 1); // == n: nobody
     joiner_ = rng_.below(n + 1);
-    remover_ = rng_.below(n + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng_.chance(0.1)) feed_.unsubscribe(ids_[i]);
-    }
     for (int k = 0; k < 30; ++k) {
       unrelatedAt(sim::SimTime{static_cast<std::int64_t>(rng_.below(30))});
     }
@@ -308,7 +284,7 @@ private:
                                1 + rng_.below(4)));
     const PropagationModel model{
         sim::millis(static_cast<std::int64_t>(rng_.below(3))), jitter};
-    const std::size_t tag = ids_.size();
+    const std::size_t tag = ignored_.size();
     ignored_.emplace_back();
     BgpFeed::Ignores ignores;
     if (rng_.chance(0.4)) {
@@ -317,9 +293,9 @@ private:
         return ignored_[tag].contains(p);
       };
     }
-    ids_.push_back(feed_.subscribe(
+    feed_.subscribe(
         model, key, [this, tag](const BgpUpdate& u) { onDelivery(tag, u); },
-        std::move(ignores)));
+        std::move(ignores));
   }
 
   void publish() {
@@ -341,9 +317,6 @@ private:
     const std::uint64_t tag = events_++;
     engine_.schedule(when, [this, tag] {
       log_.push_back(stamp() + " event " + std::to_string(tag));
-      if (tag % 4 == 0 && !ids_.empty()) {
-        feed_.unsubscribe(ids_[rng_.below(ids_.size())]);
-      }
     });
   }
 
@@ -365,10 +338,6 @@ private:
       ++joined_;
       subscribeOne(10'000 + joined_);
     }
-    if (tag == remover_) {
-      const std::size_t victim = rng_.below(ids_.size());
-      if (victim != tag) feed_.unsubscribe(ids_[victim]);
-    }
     if (rng_.chance(0.2)) unrelatedAt(engine_.now());
   }
 
@@ -381,13 +350,11 @@ private:
   obs::Registry metrics_;
   Feed feed_;
   sim::Rng rng_;
-  std::vector<std::uint64_t> ids_; // tag -> subscriber id
   std::set<std::size_t> ignoring_; // tags that passed a predicate
   std::vector<std::set<Prefix>> ignored_; // tag -> prefixes it ignores
   std::vector<std::string> log_;
   std::size_t publisher_ = 0;
   std::size_t joiner_ = 0;
-  std::size_t remover_ = 0;
   int publishedFromCallback_ = 0;
   int joined_ = 0;
   std::uint64_t events_ = 0;

@@ -47,8 +47,12 @@ std::string goldenReport() {
         << " src64=" << stats.sources64
         << " asns=" << stats.asns
         << " sessions128=" << ts.sessions128.size()
-        << " sessions64=" << ts.sessions64.size() << "\n";
+        << " sessions64=" << ts.sessions64.size() << " digest=0x" << std::hex
+        << capture.digest() << std::dec << "\n";
   }
+  // Dispatch order reaches the captures through the digests; the count
+  // pins how many events the engine ran to get there.
+  out << "events=" << runner.stats().totalEvents << "\n";
 
   const analysis::TaxonomyResult taxonomy = analysis::classifyCapture(
       runner.capture(T1).packets(), summary.telescope(T1).sessions128,
@@ -85,10 +89,11 @@ std::string goldenReport() {
 
 TEST(GoldenOutputsTest, MiniExperimentAnalysisReport) {
   const std::string kGolden =
-      R"(T1 packets=23757 src128=287 src64=287 asns=104 sessions128=878 sessions64=878
-T2 packets=11292 src128=299 src64=229 asns=94 sessions128=906 sessions64=865
-T3 packets=66 src128=17 src64=17 asns=9 sessions128=21 sessions64=21
-T4 packets=3334 src128=189 src64=189 asns=74 sessions128=346 sessions64=346
+      R"(T1 packets=23757 src128=287 src64=287 asns=104 sessions128=878 sessions64=878 digest=0x9b503b4293d5c78c
+T2 packets=11292 src128=299 src64=229 asns=94 sessions128=906 sessions64=865 digest=0x802ca01c173d21f8
+T3 packets=66 src128=17 src64=17 asns=9 sessions128=21 sessions64=21 digest=0x4bc315dae9ec4dac
+T4 packets=3334 src128=189 src64=189 asns=74 sessions128=346 sessions64=346 digest=0x80d06d9f44bff58c
+events=54100
 T1 temporal oneoff=244/244 periodic=33/567 intermittent=10/67
 T1 netsel single=250 sizeindep=27 sizedep=0 inconsistent=10
 T1 fingerprint clusters=4 hoplimit=0 payloadSessions=836

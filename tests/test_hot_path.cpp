@@ -390,73 +390,50 @@ TEST(SmallFunc, CarriesMoveOnlyCaptures) {
   EXPECT_EQ(seen, 31);
 }
 
-TEST(Engine, CancelIsGenerationStamped) {
-  sim::Engine engine;
-  int fired = 0;
-  const sim::EventId first = engine.schedule(sim::SimTime{10}, [&] { ++fired; });
-  engine.runAll();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(engine.cancel(first)); // already ran
-  // The slot is recycled for the next event, but the stale handle must
-  // keep failing — it cannot reach through to the new occupant.
-  const sim::EventId second =
-      engine.schedule(sim::SimTime{20}, [&] { fired += 10; });
-  EXPECT_FALSE(engine.cancel(first));
-  EXPECT_TRUE(engine.cancel(second));
-  EXPECT_FALSE(engine.cancel(second));
-  engine.runAll();
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(Engine, HorizonEntryStaysQueuedWithoutReinsertion) {
   // The old implementation popped the minimum, noticed it was past the
   // horizon, and re-pushed it through the heap. The rewrite peeks first;
-  // this pins the observable contract: nothing fires, nothing is lost,
-  // FIFO order survives, even with cancelled events screening the top.
+  // this pins the observable contract: nothing past the horizon fires,
+  // nothing is lost, FIFO order survives.
   sim::Engine engine;
   std::vector<int> order;
-  const sim::EventId a = engine.schedule(sim::SimTime{40}, [&] { order.push_back(0); });
-  const sim::EventId b = engine.schedule(sim::SimTime{50}, [&] { order.push_back(1); });
+  engine.schedule(sim::SimTime{40}, [&] { order.push_back(0); });
+  engine.schedule(sim::SimTime{50}, [&] { order.push_back(1); });
   engine.schedule(sim::SimTime{100}, [&] { order.push_back(2); });
   engine.schedule(sim::SimTime{100}, [&] { order.push_back(3); });
-  engine.cancel(a);
-  engine.cancel(b);
-  EXPECT_EQ(engine.run(sim::SimTime{60}), 0u); // drains cancelled, fires none
+  EXPECT_EQ(engine.run(sim::SimTime{60}), 2u);
   EXPECT_EQ(engine.pendingEvents(), 2u);
   EXPECT_EQ(engine.now(), sim::SimTime{60});
   engine.runAll();
-  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(Engine, PendingCountUnderChurn) {
+  // Every even event schedules a follow-up 100 ms on while it runs, so
+  // the queue fills as it drains; freed slots are reused.
   sim::Engine engine;
-  std::vector<sim::EventId> ids;
   for (int i = 0; i < 100; ++i) {
-    ids.push_back(engine.schedule(sim::SimTime{i}, [] {}));
+    engine.schedule(sim::SimTime{i}, [&engine, i] {
+      if (i % 2 == 0) engine.scheduleAfter(sim::millis(100), [] {});
+    });
   }
-  for (std::size_t i = 0; i < ids.size(); i += 2) engine.cancel(ids[i]);
-  EXPECT_EQ(engine.pendingEvents(), 50u);
-  engine.run(sim::SimTime{49});
-  EXPECT_EQ(engine.pendingEvents(), 25u);
-  engine.clear();
+  EXPECT_EQ(engine.pendingEvents(), 100u);
+  EXPECT_EQ(engine.run(sim::SimTime{49}), 50u);
+  EXPECT_EQ(engine.pendingEvents(), 75u);
+  EXPECT_EQ(engine.runAll(), 100u);
   EXPECT_EQ(engine.pendingEvents(), 0u);
-  // Post-clear handles are stale even though slots were recycled.
-  for (const sim::EventId id : ids) EXPECT_FALSE(engine.cancel(id));
+  EXPECT_EQ(engine.executedEvents(), 150u);
 }
 
 // Differential check of the heap against the obvious reference: a
 // std::set of (when, seq) pending keys. Seeded random interleavings of
-// schedule (mostly colliding timestamps, some in the past), reserveSeqs and
-// scheduleReserved (reserved seqs pushed later, out of reservation order,
-// between other operations — the BGP feed's pattern), cancel (live,
-// executed, cancelled, cleared and never-issued handles — stale handles
-// whose slot has since been reused included), run(until) and clear(); some
-// actions schedule a follow-up from inside the run, at the same instant or
-// just after. Chains are the session pattern: each link picks its
-// successor's time and runs it in place when continueInline() allows,
+// schedule (mostly colliding timestamps, some in the past) and run(until);
+// some actions schedule a follow-up from inside the run, at the same
+// instant or just after. Chains are the session pattern: each link picks
+// its successor's time and runs it in place when continueInline() allows,
 // else schedules it; the reference schedules every successor. Executed
-// order, now(), executedEvents(), run()'s count, pendingEvents() and every
-// cancel() verdict must match.
+// order, now(), executedEvents(), run()'s count and pendingEvents() must
+// match.
 
 /// A chain link's gap to its successor: 0–7 ms, a pure function of the
 /// link's tag, so both sides draw the same one. With run() horizons 0–5 ms
@@ -471,17 +448,12 @@ class EngineUnderTest {
 public:
   /// Schedule an event tagged with its scheduling index.
   void schedule(sim::SimTime when) {
-    track(engine_.schedule(when, action(ids_.size())));
+    engine_.schedule(when, action(issued_++));
   }
   /// Schedule the first link of a chain with `length` more links after it.
   void chain(sim::SimTime when, std::uint64_t length) {
-    track(engine_.schedule(when, link(ids_.size(), length)));
+    engine_.schedule(when, link(issued_++, length));
   }
-  std::uint64_t reserveSeqs(std::uint64_t n) { return engine_.reserveSeqs(n); }
-  void scheduleReserved(sim::SimTime when, std::uint64_t seq) {
-    track(engine_.scheduleReserved(when, seq, action(ids_.size())));
-  }
-  bool cancel(std::uint64_t tag) { return engine_.cancel(ids_[tag]); }
   std::uint64_t run(sim::SimTime until) {
     until_ = until;
     return engine_.run(until);
@@ -516,22 +488,18 @@ private:
       order_.push_back(tag);
       if (left-- == 0) return;
       const sim::SimTime next = engine_.now() + chainGap(tag);
-      tag = ids_.size(); // the successor's tag, as the reference issues it
+      tag = issued_++; // the successor's tag, as the reference issues it
       if (!engine_.continueInline(next)) {
-        track(engine_.schedule(next, link(tag, left)));
+        engine_.schedule(next, link(tag, left));
         ++scheduledLinks_;
         if (next > until_) ++linksPastHorizon_;
         return;
       }
-      // Ran in place: no handle, so cancelling it fails, as cancelling an
-      // executed event does on the reference.
-      track(~sim::EventId{0});
     }
   }
-  void track(sim::EventId id) { ids_.push_back(id); }
 
   sim::Engine engine_;
-  std::vector<sim::EventId> ids_; // tag -> handle
+  std::uint64_t issued_ = 0; // tags handed out
   std::vector<std::uint64_t> order_;
   sim::SimTime until_; // horizon of the run() in progress
   std::uint64_t scheduledLinks_ = 0;
@@ -540,23 +508,13 @@ private:
 
 class ReferenceQueue {
 public:
-  void schedule(sim::SimTime when) { scheduleReserved(when, nextSeq_++); }
+  void schedule(sim::SimTime when) {
+    pending_.emplace(Key{std::max(when, now_), nextSeq_++}, issued_++);
+  }
   void chain(sim::SimTime when, std::uint64_t length) {
-    chainLeft_[keyOf_.size()] = length;
+    chainLeft_[issued_] = length;
     schedule(when);
   }
-  std::uint64_t reserveSeqs(std::uint64_t n) {
-    const std::uint64_t first = nextSeq_;
-    nextSeq_ += n;
-    return first;
-  }
-  void scheduleReserved(sim::SimTime when, std::uint64_t seq) {
-    const std::uint64_t tag = keyOf_.size();
-    when = std::max(when, now_);
-    keyOf_.push_back({when, seq});
-    pending_.emplace(Key{when, seq}, tag);
-  }
-  bool cancel(std::uint64_t tag) { return pending_.erase(keyOf_[tag]) == 1; }
   /// Returns the events executed.
   std::uint64_t run(sim::SimTime until) {
     const std::uint64_t before = executed_;
@@ -575,9 +533,7 @@ public:
     now_ = std::max(now_, until);
     return executed_ - before;
   }
-  void clear() { pending_.clear(); }
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-  [[nodiscard]] std::uint64_t issued() const { return keyOf_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
   [[nodiscard]] sim::SimTime now() const { return now_; }
   [[nodiscard]] const std::vector<std::uint64_t>& order() const {
@@ -588,8 +544,8 @@ private:
   using Key = std::pair<sim::SimTime, std::uint64_t>; // (when, seq)
   sim::SimTime now_ = sim::kEpoch;
   std::uint64_t nextSeq_ = 0;
+  std::uint64_t issued_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Key> keyOf_; // tag -> (clamped firing time, seq)
   std::map<Key, std::uint64_t> pending_; // -> tag
   std::map<std::uint64_t, std::uint64_t> chainLeft_; // link tag -> links after
   std::vector<std::uint64_t> order_;
@@ -603,7 +559,6 @@ TEST(Engine, DifferentialAgainstOrderedSetReference) {
     sim::Rng rng{seed};
     EngineUnderTest engine;
     ReferenceQueue reference;
-    std::vector<std::uint64_t> reserved; // reserved seqs not pushed yet
     for (int step = 0; step < 3000; ++step) {
       const std::uint64_t op = rng.below(100);
       const std::int64_t now = reference.now().millis();
@@ -612,47 +567,22 @@ TEST(Engine, DifferentialAgainstOrderedSetReference) {
       const std::int64_t offset = static_cast<std::int64_t>(rng.below(8)) -
                                   (rng.chance(0.1) ? 10 : 0);
       const sim::SimTime when{now + offset};
-      if (op < 32) {
+      if (op < 50) {
         engine.schedule(when);
         reference.schedule(when);
-      } else if (op < 40) {
+      } else if (op < 62) {
         const std::uint64_t length = 1 + rng.below(6);
         engine.chain(when, length);
         reference.chain(when, length);
-      } else if (op < 45) {
-        const std::uint64_t n = 1 + rng.below(6);
-        const std::uint64_t first = engine.reserveSeqs(n);
-        ASSERT_EQ(first, reference.reserveSeqs(n));
-        for (std::uint64_t i = 0; i < n; ++i) reserved.push_back(first + i);
-      } else if (op < 55) {
-        if (reserved.empty()) continue;
-        // Push a random reserved seq: out of reservation order, and after
-        // whatever was scheduled or run since it was reserved.
-        const std::size_t pick = rng.below(reserved.size());
-        const std::uint64_t seq = reserved[pick];
-        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
-        engine.scheduleReserved(when, seq);
-        reference.scheduleReserved(when, seq);
-      } else if (op < 80) {
-        if (reference.issued() == 0) continue;
-        const std::uint64_t tag = rng.below(reference.issued());
-        ASSERT_EQ(engine.cancel(tag), reference.cancel(tag))
-            << "seed " << seed << " step " << step << " tag " << tag;
-      } else if (op < 82) {
-        // A handle that was never issued.
-        EXPECT_FALSE(engine.engine().cancel(
-            (sim::EventId{rng.below(4)} << 32) | (1u << 30)));
+      } else if (op < 64) {
         // No inline step outside run(): no seq taken, no clock move.
         EXPECT_FALSE(engine.engine().continueInline(when));
-      } else if (op < 98) {
+      } else {
         const sim::SimTime until{now + static_cast<std::int64_t>(rng.below(6))};
         ASSERT_EQ(engine.run(until), reference.run(until))
             << "seed " << seed << " step " << step;
         ASSERT_EQ(engine.order(), reference.order())
             << "seed " << seed << " step " << step;
-      } else {
-        engine.engine().clear();
-        reference.clear();
       }
       ASSERT_EQ(engine.engine().now(), reference.now())
           << "seed " << seed << " step " << step;

@@ -316,13 +316,13 @@ TEST(RibChurnProperty, LpmMatchesOracleThroughAnnounceWithdrawFlapStorms) {
         oracle.insert(p, static_cast<int>(asn));
         break;
       case 2: // withdraw (possibly of an unrouted prefix — must be a no-op)
-        rib.withdraw(p, now);
+        rib.withdraw(p);
         oracle.erase(p);
         break;
       case 3: { // flap burst: down/up several times in quick succession
         const int cycles = 1 + static_cast<int>(rng.below(3));
         for (int c = 0; c < cycles; ++c) {
-          rib.withdraw(p, now);
+          rib.withdraw(p);
           oracle.erase(p);
           check(insideOf(p, rng));
           now += sim::minutes(5);

@@ -82,29 +82,18 @@ TEST(PcapFuzz, BitflipsNeverCrash) {
 // --------------------------------------------------------- engine stress
 
 TEST(EngineStress, MatchesReferenceModel) {
-  // Random schedule/cancel workload, compared against a sorted-multimap
+  // Random schedule workload, compared against a sorted-multimap
   // reference.
   sim::Rng rng{103};
   sim::Engine engine;
   std::vector<std::int64_t> fired;
   std::multimap<std::int64_t, int> reference;
-  std::vector<std::pair<sim::EventId, std::multimap<std::int64_t, int>::iterator>>
-      live;
 
-  int tag = 0;
-  for (int i = 0; i < 2000; ++i) {
-    if (!live.empty() && rng.chance(0.2)) {
-      const std::size_t pick = rng.below(live.size());
-      EXPECT_TRUE(engine.cancel(live[pick].first));
-      reference.erase(live[pick].second);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else {
-      const auto when = static_cast<std::int64_t>(rng.below(1'000'000));
-      const int id = tag++;
-      const auto handle = engine.schedule(
-          sim::SimTime{when}, [&fired, when]() { fired.push_back(when); });
-      live.emplace_back(handle, reference.emplace(when, id));
-    }
+  for (int id = 0; id < 2000; ++id) {
+    const auto when = static_cast<std::int64_t>(rng.below(1'000'000));
+    engine.schedule(sim::SimTime{when},
+                    [&fired, when]() { fired.push_back(when); });
+    reference.emplace(when, id);
   }
   engine.runAll();
   ASSERT_EQ(fired.size(), reference.size());

@@ -91,33 +91,14 @@ TEST(Engine, PastSchedulingClampsToNow) {
   EXPECT_EQ(observed, SimTime{100});
 }
 
-TEST(Engine, Cancel) {
-  Engine engine;
-  int fired = 0;
-  const EventId id = engine.schedule(SimTime{10}, [&] { ++fired; });
-  engine.schedule(SimTime{20}, [&] { ++fired; });
-  EXPECT_TRUE(engine.cancel(id));
-  EXPECT_FALSE(engine.cancel(id)); // already cancelled
-  EXPECT_FALSE(engine.cancel(9999)); // never existed
-  engine.runAll();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Engine, CancelAfterExecutionFails) {
-  Engine engine;
-  const EventId id = engine.schedule(SimTime{1}, [] {});
-  engine.runAll();
-  EXPECT_FALSE(engine.cancel(id));
-}
-
 TEST(Engine, PendingCount) {
   Engine engine;
-  const EventId a = engine.schedule(SimTime{10}, [] {});
+  engine.schedule(SimTime{10}, [] {});
   engine.schedule(SimTime{20}, [] {});
   EXPECT_EQ(engine.pendingEvents(), 2u);
-  engine.cancel(a);
+  engine.run(SimTime{10});
   EXPECT_EQ(engine.pendingEvents(), 1u);
-  engine.clear();
+  engine.runAll();
   EXPECT_EQ(engine.pendingEvents(), 0u);
 }
 

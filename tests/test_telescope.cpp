@@ -266,7 +266,7 @@ TEST(Fabric, RoutesOnlyAnnouncedSpace) {
   EXPECT_TRUE(r.captured);
   EXPECT_EQ(t1.packets().size(), 1u);
 
-  rib.withdraw(Prefix::mustParse("3fff:100::/32"), sim::kEpoch);
+  rib.withdraw(Prefix::mustParse("3fff:100::/32"));
   r = fabric.send(packetAt(sim::kEpoch, "2400::1", "3fff:100::1"));
   EXPECT_FALSE(r.captured);
   EXPECT_EQ(fabric.droppedNoRoute(), 2u);

@@ -11,6 +11,9 @@
 // restrict the dump to ts in [from, to) milliseconds; in spill mode the
 // start position comes from the segments' sparse time index
 // (SegmentReader::lowerBound), so nothing before `from` is read off disk.
+// --from, --to and --source without --dump-captures, and a spill budget
+// (--spill-bytes or capture.spill_bytes) without a spill directory, are
+// usage errors (exit 2), never silently ignored.
 //
 // Every run goes through the ExperimentRunner: --threads N (or
 // `threads = N` in the config file; default 1) executes the population
@@ -100,7 +103,9 @@ int usage() {
                "index instead of a full scan.\n"
                "--source restricts --dump-captures to packets from one\n"
                "/128 source address; in spill mode segments that hold\n"
-               "nothing from it (per their source tables) are never read.\n";
+               "nothing from it (per their source tables) are never read.\n"
+               "--from, --to and --source need --dump-captures, and\n"
+               "--spill-bytes needs a spill directory.\n";
   return 2;
 }
 
@@ -267,6 +272,19 @@ int main(int argc, char** argv) {
   if (!spillDir.empty()) config.captureSpillDir = spillDir;
   if (spillBytes != 0) config.captureSpillBytes = spillBytes;
   const bool spillMode = config.captureSpillEnabled();
+  // Options that only act together with another one are refused alone
+  // rather than ignored.
+  if (config.captureSpillBytes != 0 && !spillMode) {
+    std::cerr << (spillBytes != 0 ? "--spill-bytes" : "capture.spill_bytes")
+              << " requires a spill directory (--spill-dir or "
+                 "capture.spill_dir)\n";
+    return usage();
+  }
+  if (!dumpCaptures && (dumpFromMs || dumpToMs || dumpSource)) {
+    std::cerr << (dumpFromMs ? "--from" : dumpToMs ? "--to" : "--source")
+              << " requires --dump-captures\n";
+    return usage();
+  }
   if (!traceOut.empty()) {
     // Export needs every sim-domain event, not just the bounded ring.
     config.traceEnabled = true;
