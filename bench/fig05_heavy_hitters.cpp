@@ -12,12 +12,8 @@ void fig05_heavy_hitters(const v6t::bench::RunContext& ctx) {
   const auto& rdns = ctx.runner->rdns();
   int total = 0;
   for (std::size_t t = 0; t < 4; ++t) {
-    const auto& capture = ctx.runner->capture(t);
-    const auto report = bench::analyzeWindow(
-        capture.packets(), ctx.summary.telescope(t).sessions128, nullptr,
-        {.taxonomy = false, .fingerprint = false});
-    const auto& hitters = report.heavyHitters;
-    for (const auto& h : hitters) {
+    const auto& report = ctx.reports[t];
+    for (const auto& h : report.heavyHitters) {
       ++total;
       const auto name = rdns.lookup(h.source);
       table.addRow({ctx.runner->telescopeName(t),

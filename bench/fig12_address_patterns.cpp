@@ -55,12 +55,14 @@ void fig12_address_patterns(const v6t::bench::RunContext& ctx) {
   };
 
   // Pick the largest structured and the largest random session (>= 100
-  // packets), using the same classifier as the paper.
+  // packets), as the full-period taxonomy labelled them.
+  const auto& labels = ctx.reports[core::T1].taxonomy.sessionAddrSel;
   const telescope::Session* structured = nullptr;
   const telescope::Session* random = nullptr;
-  for (const auto& s : sessions) {
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const telescope::Session& s = sessions[i];
     if (s.packetCount() < 100) continue;
-    const auto cls = analysis::classifyAddressSelection(targetsOf(&s));
+    const analysis::AddressSelection cls = labels[i];
     if (cls == analysis::AddressSelection::Structured &&
         (structured == nullptr ||
          s.packetCount() > structured->packetCount())) {

@@ -3,6 +3,7 @@
 // few subnets, intermittent scanners cover the range more evenly.
 #include <unordered_map>
 
+#include "analysis/capture_index.hpp"
 #include "analysis/report.hpp"
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
@@ -13,21 +14,15 @@ void fig14_subnet_coverage(const v6t::bench::RunContext& ctx) {
   const auto& capture = ctx.runner->capture(core::T1);
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  analysis::Pipeline pipeline{capture.packets(), sessions};
-  analysis::PipelineOptions opts;
-  opts.threads = bench::analysisThreads();
-  opts.heavyHitters = false;
-  opts.fingerprint = false;
-  const auto taxonomy = pipeline.run(&ctx.runner->schedule(), opts).taxonomy;
+  const analysis::CaptureIndex index{capture.packets(), sessions};
 
-  // subnet key: the /48 index within the /32 (16 bits). The per-session
-  // hi64 target lanes come straight from the shared index — no second
-  // walk over the packet vector.
+  // subnet key: the /48 index within the /32 (16 bits), read off the
+  // index's hi64 target lanes of the split taxonomy's sessions.
   std::unordered_map<std::uint16_t, std::uint64_t> perClass[3];
-  for (const auto& profile : taxonomy.profiles) {
+  for (const auto& profile : ctx.splitTaxonomy.profiles) {
     const auto cls = static_cast<std::size_t>(profile.temporal.cls);
     for (std::uint32_t si : profile.sessionIdx) {
-      for (const std::uint64_t hi : pipeline.index().columnsOf(si).hi) {
+      for (const std::uint64_t hi : index.columnsOf(si).hi) {
         const auto subnet = static_cast<std::uint16_t>((hi >> 16) & 0xffff);
         ++perClass[cls][subnet];
       }

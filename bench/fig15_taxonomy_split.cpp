@@ -2,21 +2,12 @@
 // temporal × address-selection session grid, plus the cross-category
 // breakdown of §7.1 (temporal × network selection).
 #include "analysis/report.hpp"
-#include "analysis/stats.hpp"
 #include "analysis/taxonomy.hpp"
 #include "bench/harness.hpp"
 
 void fig15_taxonomy_split(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  const core::Period split = ctx.splitPeriod();
-  const auto& capture = ctx.runner->capture(core::T1);
-  const auto sessions =
-      core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  const auto taxonomy =
-      bench::analyzeWindow(capture.packets(), sessions,
-                           &ctx.runner->schedule(),
-                           {.heavyHitters = false, .fingerprint = false})
-          .taxonomy;
+  const analysis::TaxonomyResult& taxonomy = ctx.splitTaxonomy;
 
   analysis::TextTable grid{{"temporal \\ addr-sel", "structured", "random",
                             "unknown"}};

@@ -15,9 +15,10 @@ void fig17_nist(const v6t::bench::RunContext& ctx) {
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
   const auto report = bench::analyzeWindow(
-      capture.packets(), sessions, &ctx.runner->schedule(),
-      {.heavyHitters = false, .fingerprint = false, .nistBattery = true});
-  const auto& taxonomy = report.taxonomy;
+      capture.packets(), sessions, nullptr,
+      {.taxonomy = false, .heavyHitters = false, .fingerprint = false,
+       .nistBattery = true});
+  const analysis::TaxonomyResult& taxonomy = ctx.splitTaxonomy;
 
   // Session -> owning scanner's temporal class (every session belongs to
   // exactly one profile).

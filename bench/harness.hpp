@@ -3,6 +3,7 @@
 // worker count, and the simulated world every paper_report section reads.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -70,6 +71,10 @@ inline analysis::PipelineResult analyzeWindow(
 struct RunContext {
   std::unique_ptr<core::ExperimentRunner> runner;
   core::ExperimentSummary summary;
+  /// Shared analyses: the full-period /128 reports v6t_run prints, and
+  /// T1's taxonomy over sessionsIn(T1 sessions128, splitPeriod()).
+  std::array<analysis::PipelineResult, 4> reports;
+  analysis::TaxonomyResult splitTaxonomy;
 
   [[nodiscard]] sim::SimTime baselineEnd() const {
     return sim::kEpoch + runner->config().experiment.baseline;
@@ -86,8 +91,8 @@ struct RunContext {
 };
 
 /// Run the standard experiment once through the ExperimentRunner (one
-/// shard; the merged result is identical at any shard count) and
-/// sessionize its captures. A few seconds at default scale.
+/// shard; the merged result is identical at any shard count), then
+/// sessionize and analyse its captures. A few seconds at default scale.
 inline RunContext runStandard() {
   core::RunnerConfig config;
   config.experiment = standardConfig();
@@ -101,6 +106,16 @@ inline RunContext runStandard() {
   ctx.runner->run();
   const Clock::time_point ran = Clock::now();
   ctx.summary = core::ExperimentSummary::compute(*ctx.runner);
+  ctx.reports =
+      core::analyzeTelescopes(*ctx.runner, ctx.summary, analysisThreads());
+  // Only the taxonomy outlives the split window's index.
+  const auto& t1Sessions = ctx.summary.telescope(core::T1).sessions128;
+  ctx.splitTaxonomy =
+      analyzeWindow(ctx.runner->capture(core::T1).packets(),
+                    core::sessionsIn(t1Sessions, ctx.splitPeriod()),
+                    &ctx.runner->schedule(),
+                    {.heavyHitters = false, .fingerprint = false})
+          .taxonomy;
   const std::chrono::duration<double> run = ran - start;
   const std::chrono::duration<double> analyze = Clock::now() - ran;
   std::cout << "simulated " << sim::toString(ctx.runner->experimentEnd())

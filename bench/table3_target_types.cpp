@@ -1,9 +1,7 @@
 // Table 3 — distribution of target address types over all telescopes,
-// full observation period (packets and /128 sources per type).
-#include <optional>
-#include <span>
-#include <utility>
-#include <vector>
+// full observation period (packets and /128 sources per type), summed
+// from the taxonomy's per-scanner target-type tallies.
+#include <map>
 
 #include "analysis/addr_class.hpp"
 #include "analysis/report.hpp"
@@ -12,27 +10,22 @@
 
 void table3_target_types(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  std::uint64_t packets[analysis::kAddressTypeCount] = {};
-  std::uint64_t totalPackets = 0;
-  std::vector<std::span<const net::Packet>> windows;
-  for (std::size_t t = 0; t < 4; ++t) {
-    windows.push_back(ctx.runner->capture(t).packets());
+  // Each /128 source's target types over all four telescopes. Every
+  // packet is a target of one /128 session, so the tallies count each
+  // packet once.
+  std::map<net::Ipv6Address, analysis::AddressTypeHistogram> typesOf;
+  for (const analysis::PipelineResult& report : ctx.reports) {
+    for (const analysis::ScannerProfile& profile : report.taxonomy.profiles) {
+      typesOf[profile.source.addr] += profile.targetTypes;
+    }
   }
-  // One entry per (source, target type) pair over all four telescopes,
-  // sorted by source. The key function sees every packet once, so it
-  // counts them.
-  const auto pairs =
-      analysis::membership(windows, [&](const net::Packet& p) {
-        const analysis::AddressType type = analysis::classifyAddress(p.dst);
-        ++packets[static_cast<std::size_t>(type)];
-        ++totalPackets;
-        return std::optional{std::pair{p.src, type}};
-      }).entries;
+  analysis::AddressTypeHistogram packets;
   std::uint64_t sources[analysis::kAddressTypeCount] = {};
-  std::uint64_t allSources = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ++sources[static_cast<std::size_t>(pairs[i].key.second)];
-    allSources += i == 0 || pairs[i - 1].key.first != pairs[i].key.first;
+  for (const auto& [source, types] : typesOf) {
+    packets += types;
+    for (std::size_t i = 0; i < analysis::kAddressTypeCount; ++i) {
+      sources[i] += types.count[i] > 0;
+    }
   }
 
   // Paper reference (packet% / source%) in Table 3's order.
@@ -57,12 +50,12 @@ void table3_target_types(const v6t::bench::RunContext& ctx) {
   for (const Row& row : rows) {
     const auto i = static_cast<std::size_t>(row.type);
     table.addRow({std::string{analysis::toString(row.type)},
-                  analysis::withThousands(packets[i]),
-                  analysis::fixed(analysis::percent(packets[i], totalPackets),
-                                  2),
+                  analysis::withThousands(packets.count[i]),
+                  analysis::fixed(
+                      analysis::percent(packets.count[i], packets.total()), 2),
                   analysis::withThousands(sources[i]),
-                  analysis::fixed(analysis::percent(sources[i], allSources),
-                                  2),
+                  analysis::fixed(
+                      analysis::percent(sources[i], typesOf.size()), 2),
                   row.paper});
   }
   table.render(std::cout);

@@ -7,15 +7,9 @@
 
 void table6_taxonomy(const v6t::bench::RunContext& ctx) {
   using namespace v6t;
-  const core::Period split = ctx.splitPeriod();
-  const auto& capture = ctx.runner->capture(core::T1);
-  const auto sessions =
-      core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  const auto taxonomy =
-      bench::analyzeWindow(capture.packets(), sessions,
-                           &ctx.runner->schedule(),
-                           {.heavyHitters = false, .fingerprint = false})
-          .taxonomy;
+  const auto sessions = core::sessionsIn(
+      ctx.summary.telescope(core::T1).sessions128, ctx.splitPeriod());
+  const analysis::TaxonomyResult& taxonomy = ctx.splitTaxonomy;
 
   const auto scanners = taxonomy.profiles.size();
   std::uint64_t totalSessions = sessions.size();

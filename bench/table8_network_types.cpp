@@ -15,11 +15,7 @@ void table8_network_types(const v6t::bench::RunContext& ctx) {
   const auto& registry = ctx.runner->asRegistry();
   const auto sessions =
       core::sessionsIn(ctx.summary.telescope(core::T1).sessions128, split);
-  const auto hitters =
-      bench::analyzeWindow(capture.packets(),
-                           ctx.summary.telescope(core::T1).sessions128,
-                           nullptr, {.taxonomy = false, .fingerprint = false})
-          .heavyHitters;
+  const auto& hitters = ctx.reports[core::T1].heavyHitters;
   std::unordered_set<net::Ipv6Address> hitterSet;
   for (const auto& h : hitters) hitterSet.insert(h.source);
 

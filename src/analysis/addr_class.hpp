@@ -64,6 +64,10 @@ struct AddressTypeHistogram {
   std::uint64_t count[kAddressTypeCount] = {};
 
   void add(AddressType t) { ++count[static_cast<std::size_t>(t)]; }
+  AddressTypeHistogram& operator+=(const AddressTypeHistogram& o) {
+    for (std::size_t i = 0; i < kAddressTypeCount; ++i) count[i] += o.count[i];
+    return *this;
+  }
   [[nodiscard]] std::uint64_t total() const {
     std::uint64_t sum = 0;
     for (std::uint64_t c : count) sum += c;

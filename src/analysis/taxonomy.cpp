@@ -132,7 +132,8 @@ AddressSelection classifyAddressSelection(
 }
 
 AddressSelection classifyAddressSelection(const CaptureIndex& index,
-                                          std::uint32_t s) {
+                                          std::uint32_t s,
+                                          AddressTypeHistogram* types) {
   // Columnar mirror of the row path above: same decision sequence, same
   // doubles, word kernels throughout (DESIGN.md §16).
   const CaptureIndex::TargetColumns cols = index.columnsOf(s);
@@ -140,6 +141,7 @@ AddressSelection classifyAddressSelection(const CaptureIndex& index,
   if (n == 0) return AddressSelection::Unknown;
 
   const AddressTypeHistogram histogram = classifyLanes(cols.lo);
+  if (types != nullptr) *types += histogram;
   std::uint64_t structured = 0;
   for (std::size_t i = 0; i < kAddressTypeCount; ++i) {
     if (isStructuredType(static_cast<AddressType>(i))) {
@@ -362,17 +364,18 @@ std::uint64_t TaxonomyResult::sessionsOf(NetworkSelection s) const {
 namespace {
 
 /// Address-classify a block of one source's sessions: per-session labels
-/// go to disjoint `sessionAddrSel` slots, the tallies to `counts` — the
-/// profile's own counters for an unsplit source, a private per-block slot
-/// for a split one. Pure function of the block.
+/// go to disjoint `sessionAddrSel` slots, the tallies to `tally` — the
+/// source's own profile when unsplit, a private per-block one when split.
+/// Pure function of the block.
 void classifyAddrBlock(const CaptureIndex& index,
                        std::span<const std::uint32_t> sessionIdx,
                        std::vector<AddressSelection>& sessionAddrSel,
-                       std::uint64_t counts[3]) {
+                       ScannerProfile& tally) {
   for (std::uint32_t si : sessionIdx) {
-    const AddressSelection sel = classifyAddressSelection(index, si);
+    const AddressSelection sel =
+        classifyAddressSelection(index, si, &tally.targetTypes);
     sessionAddrSel[si] = sel;
-    counts[static_cast<std::size_t>(sel)]++;
+    tally.sessionsByAddrSel[static_cast<std::size_t>(sel)]++;
   }
 }
 
@@ -457,12 +460,12 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
     std::uint32_t source;
     std::uint32_t begin; // session-block range within sessionsOf(source)
     std::uint32_t end;
-    std::uint32_t countSlot; // into blockCounts (Block tasks only)
+    std::uint32_t countSlot; // into blockTallies (Block tasks only)
     Kind kind;
   };
   std::vector<Task> tasks;
   std::vector<std::uint64_t> costs;
-  std::vector<std::array<std::uint64_t, 3>> blockCounts;
+  std::vector<ScannerProfile> blockTallies;
   std::uint64_t splits = 0;
   const std::uint64_t blockTarget =
       std::max<std::uint64_t>(minSplitCost / 2, 1);
@@ -484,9 +487,9 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
       acc += index.sessionPacketCountOf(sess[k]) + 32;
       if (acc >= blockTarget || k + 1 == sessCount) {
         tasks.push_back({source, begin, k + 1,
-                         static_cast<std::uint32_t>(blockCounts.size()),
+                         static_cast<std::uint32_t>(blockTallies.size()),
                          Task::Block});
-        blockCounts.push_back({0, 0, 0});
+        blockTallies.emplace_back();
         costs.push_back(acc);
         begin = k + 1;
         acc = 0;
@@ -505,14 +508,14 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
         switch (task.kind) {
           case Task::Whole:
             classifyAddrBlock(index, sess, result.sessionAddrSel,
-                              result.profiles[task.source].sessionsByAddrSel);
+                              result.profiles[task.source]);
             classifySourceRest(index, task.source, schedule, result);
             break;
           case Task::Block:
             classifyAddrBlock(index,
                               sess.subspan(task.begin, task.end - task.begin),
                               result.sessionAddrSel,
-                              blockCounts[task.countSlot].data());
+                              blockTallies[task.countSlot]);
             break;
           case Task::Rest:
             classifySourceRest(index, task.source, schedule, result);
@@ -521,13 +524,15 @@ TaxonomyResult classifyIndexed(const CaptureIndex& index,
       });
   stats.splits = splits;
 
-  // Canonical reduction: fold the private block counters into their
+  // Canonical reduction: fold the private block tallies into their
   // profiles in task-list (source, block) order — fixed regardless of
   // which worker computed each block.
   for (const Task& task : tasks) {
     if (task.kind != Task::Block) continue;
+    const ScannerProfile& block = blockTallies[task.countSlot];
     std::uint64_t* dst = result.profiles[task.source].sessionsByAddrSel;
-    for (std::size_t c = 0; c < 3; ++c) dst[c] += blockCounts[task.countSlot][c];
+    for (std::size_t c = 0; c < 3; ++c) dst[c] += block.sessionsByAddrSel[c];
+    result.profiles[task.source].targetTypes += block.targetTypes;
   }
 
   if (statsOut != nullptr) *statsOut = std::move(stats);

@@ -11,11 +11,12 @@
 //                        over each session's 64 IID bits
 //
 // Address selection has two entry points with one body each: the row
-// overload runs the scalar reference kernels, the index overload the
-// word-level ones over the CaptureIndex lanes (DESIGN.md §16), and the
-// two agree session for session. The estimators' thresholds are named
-// constants beside their one use in taxonomy.cpp, each citing the paper
-// section it comes from.
+// overload runs the scalar reference kernels (the tests' reference), the
+// index overload the word-level ones over the CaptureIndex lanes
+// (DESIGN.md §16) and tallies each scanner's target types; the two agree
+// session for session. The estimators' thresholds are named constants
+// beside their one use in taxonomy.cpp, each citing the paper section it
+// comes from.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +60,7 @@ enum class AddressSelection : std::uint8_t { Structured, Random, Unknown };
 
 /// Classify one session's target list — the row path, built on the
 /// scalar reference classifier (classifyAll) and the byte-per-bit NIST
-/// frequency test.
+/// frequency test; the tests' reference for the index overload.
 [[nodiscard]] AddressSelection classifyAddressSelection(
     std::span<const net::Ipv6Address> targets);
 
@@ -103,6 +104,9 @@ struct ScannerProfile {
   NetworkSelection network = NetworkSelection::SinglePrefix;
   /// Session counts per address-selection class for this source.
   std::uint64_t sessionsByAddrSel[3] = {0, 0, 0};
+  /// addr6 types of every target of this source's sessions, as the address
+  /// classifier counted them. Not part of PipelineResult::digest().
+  AddressTypeHistogram targetTypes;
 };
 
 struct TaxonomyResult {
@@ -132,9 +136,10 @@ class CaptureIndex;
 /// lanes with the word kernels — classifyLanes over the IID lane,
 /// monotonic share on the (hi, lo) lane pair, packed frequency test on
 /// the bit column — with no address materialization. Equal to the row
-/// overload over the session's targets.
+/// overload over the session's targets; adds their types to `*types`.
 [[nodiscard]] AddressSelection classifyAddressSelection(
-    const CaptureIndex& index, std::uint32_t s);
+    const CaptureIndex& index, std::uint32_t s,
+    AddressTypeHistogram* types = nullptr);
 
 /// Taxonomy over a pre-built shared index: target lanes and session-start
 /// runs come from the index memos instead of fresh packet-vector walks,
@@ -143,8 +148,8 @@ class CaptureIndex;
 /// costs estimated from the index aggregates. Sources whose estimated cost
 /// reaches `minSplitCost` are split: their per-session address
 /// classification becomes session-block subtasks writing disjoint
-/// `sessionAddrSel` slots plus private per-block counters, the
-/// temporal/network axes become a rest subtask, and the block counters
+/// `sessionAddrSel` slots plus private per-block tallies, the
+/// temporal/network axes become a rest subtask, and the block tallies
 /// fold into the profile in canonical block order after the dispatch.
 /// Every subtask is a pure function of its slice writing to pre-sized
 /// slots, so the result is bitwise-identical for every thread count

@@ -117,29 +117,14 @@ std::vector<Finding> GuidanceEngine::derive(
 
   // (v) Structured target addresses dominate scanner behavior.
   {
-    const auto& packets = runner.capture(T1).packets();
-    const auto& sessions = summary.telescope(T1).sessions128;
-    std::uint64_t structured = 0;
-    std::uint64_t lowByteScanners = 0;
-    for (const auto& s : t1Taxonomy.sessionAddrSel) {
-      if (s == analysis::AddressSelection::Structured) ++structured;
-    }
-    for (const auto& profile : t1Taxonomy.profiles) {
-      // A scanner counts as low-byte-seeking if any of its sessions
-      // contains a low-byte target.
-      bool hit = false;
-      for (std::uint32_t si : profile.sessionIdx) {
-        for (std::uint32_t pi : sessions[si].packetIdx) {
-          if (analysis::classifyAddress(packets[pi].dst) ==
-              analysis::AddressType::LowByte) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit) break;
-      }
-      if (hit) ++lowByteScanners;
-    }
+    const auto structured = static_cast<std::uint64_t>(
+        std::ranges::count(t1Taxonomy.sessionAddrSel,
+                           analysis::AddressSelection::Structured));
+    // A scanner counts as low-byte-seeking if any of its targets is one.
+    const auto lowByteScanners = static_cast<std::uint64_t>(
+        std::ranges::count_if(t1Taxonomy.profiles, [](const auto& p) {
+          return p.targetTypes.of(analysis::AddressType::LowByte) > 0;
+        }));
     findings.push_back(Finding{
         "Target structure",
         "Populate (or monitor) structured addresses: low-byte and other "

@@ -25,8 +25,8 @@ class GuidanceEngine {
 public:
   /// Derive the §8 guidance from a finished in-memory run. `t1Taxonomy` is
   /// the caller's classification of T1 over `summary`'s /128 sessions;
-  /// guidance reads only its per-session address selection and per-source
-  /// session lists, so a taxonomy built with or without the schedule will
+  /// guidance reads only its per-session address selection and per-scanner
+  /// target types, so a taxonomy built with or without the schedule will
   /// do.
   [[nodiscard]] static std::vector<Finding> derive(
       const ExperimentRunner& runner, const ExperimentSummary& summary,

@@ -56,6 +56,22 @@ TelescopeSummary::WindowStats ExperimentSummary::windowStats(
   return stats;
 }
 
+std::array<analysis::PipelineResult, 4> analyzeTelescopes(
+    const ExperimentRunner& runner, const ExperimentSummary& summary,
+    unsigned threads, obs::Registry* registry) {
+  const analysis::PipelineOptions opts{
+      .threads = threads,
+      .minSplitCost = runner.config().experiment.analysisMinSplitCost,
+      .fingerprint = false};
+  std::array<analysis::PipelineResult, 4> reports;
+  for (std::size_t t = 0; t < 4; ++t) {
+    reports[t] = analysis::Pipeline::analyze(
+        runner.capture(t).packets(), summary.telescope(t).sessions128,
+        t == T1 ? &runner.schedule() : nullptr, opts, registry);
+  }
+  return reports;
+}
+
 namespace {
 
 /// The items of a run sorted by `time` whose time falls inside the period:

@@ -1,9 +1,9 @@
 // v6t::core — shared post-run computation.
 //
 // The report sections, v6t_run and the examples need the same derived
-// views: per-telescope session lists at both aggregation levels and time
-// windows for the initial vs. split periods. Computing them once here keeps
-// every reader of a run consistent.
+// views: per-telescope session lists at both aggregation levels, time
+// windows for the initial vs. split periods and the full-period analysis.
+// Computing them once here keeps every reader of a run consistent.
 #pragma once
 
 #include <array>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/pipeline.hpp"
 #include "core/runner.hpp"
 #include "telescope/session.hpp"
 
@@ -76,6 +77,14 @@ public:
 private:
   std::array<TelescopeSummary, 4> telescopes_;
 };
+
+/// The full-period /128 analysis v6t_run prints: per telescope, one
+/// pipeline over the whole capture and its /128 sessions with taxonomy (T1
+/// against the split schedule) and heavy hitters, no fingerprint, at the
+/// run's `analysis.min_split_cost`. One index is alive at a time.
+[[nodiscard]] std::array<analysis::PipelineResult, 4> analyzeTelescopes(
+    const ExperimentRunner& runner, const ExperimentSummary& summary,
+    unsigned threads, obs::Registry* registry = nullptr);
 
 /// The packets of a time-ordered run (every capture is one) whose
 /// timestamps fall inside the period: a lower_bound pair, no scan.

@@ -12,6 +12,7 @@
 
 #include "analysis/fingerprint.hpp"
 #include "analysis/taxonomy.hpp"
+#include "core/guidance.hpp"
 #include "core/runner.hpp"
 #include "core/summary.hpp"
 
@@ -73,6 +74,11 @@ std::string goldenReport() {
       << taxonomy.scannersOf(analysis::NetworkSelection::SizeDependent)
       << " inconsistent="
       << taxonomy.scannersOf(analysis::NetworkSelection::Inconsistent) << "\n";
+  // The numbers behind the five §8 findings.
+  for (const Finding& finding :
+       GuidanceEngine::derive(runner, summary, taxonomy)) {
+    out << "guidance " << finding.evidence << "\n";
+  }
 
   const analysis::FingerprintResult fingerprint = analysis::fingerprintSessions(
       runner.capture(T1).packets(), summary.telescope(T1).sessions128,
@@ -96,6 +102,11 @@ T4 packets=3334 src128=189 src64=189 asns=74 sessions128=346 sessions64=346 dige
 events=54100
 T1 temporal oneoff=244/244 periodic=33/567 intermittent=10/67
 T1 netsel single=250 sizeindep=27 sizedep=0 inconsistent=10
+guidance separately announced telescopes received >= 3x the packets of the busiest covered-only telescope (T1=23,757, T2=11,292 vs T3=66, T4=3,334)
+guidance /35 sub-space share of T1 sessions: 0.00% while silent inside the covering prefix vs 57.9% once announced as prefixes
+guidance only 6.4% of T1+T2 /128 sources appear at both telescopes
+guidance reactive T4 received 51x the packets of the equally-covered silent T3
+guidance 72.9% of T1 sessions use structured target selection; 93.4% of scanners probe at least one low-byte address
 T1 fingerprint clusters=4 hoplimit=0 payloadSessions=836
 T1 tool RIPEAtlasProbe scanners=237 sessions=237
 T1 tool Yarrp6 scanners=2 sessions=11

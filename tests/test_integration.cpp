@@ -6,7 +6,9 @@
 
 #include <memory>
 #include <sstream>
+#include <vector>
 
+#include "analysis/addr_class.hpp"
 #include "analysis/fingerprint.hpp"
 #include "analysis/heavy_hitter.hpp"
 #include "analysis/taxonomy.hpp"
@@ -212,6 +214,36 @@ TEST_F(ExperimentTest, FingerprintsIdentifyAtlas) {
     }
   }
   EXPECT_EQ(bestTool, net::ScanTool::RipeAtlas);
+}
+
+TEST_F(ExperimentTest, TargetTypeTallyMatchesScalarReference) {
+  // Each T1 scanner's tally, summed from the word classifier's per-session
+  // histograms, equals the scalar reference over all of its targets.
+  const auto& packets = runner_->capture(T1).packets();
+  const auto& sessions = summary_->telescope(T1).sessions128;
+  const auto taxonomy =
+      analysis::classifyCapture(packets, sessions, &runner_->schedule());
+  ASSERT_FALSE(taxonomy.profiles.empty());
+  std::size_t lowByteScanners = 0;
+  for (const auto& profile : taxonomy.profiles) {
+    std::vector<net::Ipv6Address> targets;
+    for (std::uint32_t si : profile.sessionIdx) {
+      for (std::uint32_t pi : sessions[si].packetIdx) {
+        targets.push_back(packets[pi].dst);
+      }
+    }
+    const analysis::AddressTypeHistogram reference =
+        analysis::classifyAll(targets);
+    for (std::size_t t = 0; t < analysis::kAddressTypeCount; ++t) {
+      EXPECT_EQ(profile.targetTypes.count[t], reference.count[t])
+          << profile.source.addr.toString() << " type "
+          << analysis::toString(static_cast<analysis::AddressType>(t));
+    }
+    if (reference.of(analysis::AddressType::LowByte) > 0) ++lowByteScanners;
+  }
+  // Most scanners probe a low-byte address (§8), so the check above
+  // compares real counts.
+  EXPECT_GT(2 * lowByteScanners, taxonomy.profiles.size());
 }
 
 TEST_F(ExperimentTest, GuidanceDerivesAllFiveFindings) {

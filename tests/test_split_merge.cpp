@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/addr_class.hpp"
 #include "analysis/capture_index.hpp"
 #include "analysis/fingerprint.hpp"
 #include "analysis/nist.hpp"
@@ -93,6 +94,13 @@ void expectTaxonomyEqual(const TaxonomyResult& got, const TaxonomyResult& ref,
       EXPECT_EQ(g.sessionsByAddrSel[c], r.sessionsByAddrSel[c])
           << what << " profile " << i << " class " << c;
     }
+    // The type tally is not in PipelineResult::digest(), so the digest
+    // comparisons elsewhere cannot see it.
+    for (std::size_t t = 0; t < kAddressTypeCount; ++t) {
+      EXPECT_EQ(g.targetTypes.count[t], r.targetTypes.count[t])
+          << what << " profile " << i << " type "
+          << toString(static_cast<AddressType>(t));
+    }
   }
   ASSERT_EQ(got.sessionAddrSel.size(), ref.sessionAddrSel.size());
   for (std::size_t s = 0; s < ref.sessionAddrSel.size(); ++s) {
@@ -116,6 +124,13 @@ TEST_F(SplitMergeTest, ClassifySplitBitwiseEqualsUnsplit) {
   const TaxonomyResult ref =
       classifyIndexed(*index_, nullptr, 1, &refStats, ~std::uint64_t{0});
   EXPECT_EQ(refStats.splits, 0u);
+  // Every packet of a source is one of its targets, so the tallies the
+  // split runs must match are not empty.
+  for (std::size_t i = 0; i < ref.profiles.size(); ++i) {
+    EXPECT_EQ(ref.profiles[i].targetTypes.total(),
+              index_->aggregatesOf(i).packets)
+        << "profile " << i;
+  }
 
   // A split threshold of 256 forces the heavy source (and more) to dice.
   for (const unsigned threads : {1u, 2u, 8u, 16u}) {

@@ -11,8 +11,9 @@
 // restrict the dump to ts in [from, to) milliseconds; in spill mode the
 // start position comes from the segments' sparse time index
 // (SegmentReader::lowerBound), so nothing before `from` is read off disk.
-// --from, --to and --source without --dump-captures, and a spill budget
-// (--spill-bytes or capture.spill_bytes) without a spill directory, are
+// --out, --from, --to and --source without --dump-captures,
+// --metrics-interval without --metrics-out, and a spill budget
+// (--spill-bytes or capture.spill_bytes) without a spill directory are
 // usage errors (exit 2), never silently ignored.
 //
 // Every run goes through the ExperimentRunner: --threads N (or
@@ -104,8 +105,9 @@ int usage() {
                "--source restricts --dump-captures to packets from one\n"
                "/128 source address; in spill mode segments that hold\n"
                "nothing from it (per their source tables) are never read.\n"
-               "--from, --to and --source need --dump-captures, and\n"
-               "--spill-bytes needs a spill directory.\n";
+               "--out, --from, --to and --source need --dump-captures,\n"
+               "--metrics-interval needs --metrics-out, and --spill-bytes\n"
+               "needs a spill directory.\n";
   return 2;
 }
 
@@ -125,11 +127,11 @@ int main(int argc, char** argv) {
   using namespace v6t;
 
   std::string configPath;
-  std::string outDir = ".";
+  std::optional<std::string> outDir;
   std::string metricsOut;
   std::string metricsProm;
   std::string traceOut;
-  double metricsInterval = 1.0;
+  std::optional<double> metricsInterval;
   bool dumpCaptures = false;
   bool printConfig = false;
   std::uint64_t threadsOverride = 0; // 0 = not given on the command line
@@ -188,12 +190,14 @@ int main(int argc, char** argv) {
       traceOut = argv[i];
     } else if (arg == "--metrics-interval") {
       if (++i >= argc) return usage();
-      if (!core::parseDouble(argv[i], metricsInterval) ||
-          !std::isfinite(metricsInterval) || !(metricsInterval > 0.0)) {
+      double seconds = 0.0;
+      if (!core::parseDouble(argv[i], seconds) || !std::isfinite(seconds) ||
+          !(seconds > 0.0)) {
         std::cerr << "--metrics-interval takes a number of seconds > 0, not '"
                   << argv[i] << "'\n";
         return usage();
       }
+      metricsInterval = seconds;
     } else if (arg == "--log-level") {
       if (++i >= argc) return usage();
       const std::string name = argv[i];
@@ -280,9 +284,16 @@ int main(int argc, char** argv) {
                  "capture.spill_dir)\n";
     return usage();
   }
-  if (!dumpCaptures && (dumpFromMs || dumpToMs || dumpSource)) {
-    std::cerr << (dumpFromMs ? "--from" : dumpToMs ? "--to" : "--source")
+  if (!dumpCaptures && (outDir || dumpFromMs || dumpToMs || dumpSource)) {
+    std::cerr << (outDir       ? "--out"
+                  : dumpFromMs ? "--from"
+                  : dumpToMs   ? "--to"
+                               : "--source")
               << " requires --dump-captures\n";
+    return usage();
+  }
+  if (metricsInterval && metricsOut.empty()) {
+    std::cerr << "--metrics-interval requires --metrics-out\n";
     return usage();
   }
   if (!traceOut.empty()) {
@@ -299,6 +310,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const std::filesystem::path dumpDir = outDir.value_or(".");
   std::cout << "running experiment (seed " << config.seed << ", "
             << config.splits << " splits, threads " << config.threads
             << ") ...\n";
@@ -321,7 +333,7 @@ int main(int argc, char** argv) {
   if (!metricsOut.empty()) {
     obs::ExporterOptions exporterOptions;
     exporterOptions.jsonlPath = metricsOut;
-    exporterOptions.intervalSeconds = metricsInterval;
+    if (metricsInterval) exporterOptions.intervalSeconds = *metricsInterval;
     // The exporter thread only reads relaxed-atomic metric values; it
     // cannot perturb the shards (DESIGN.md §9 determinism contract).
     exporter = std::make_unique<obs::PeriodicExporter>(
@@ -505,10 +517,9 @@ int main(int argc, char** argv) {
     printRunnerStats();
 
     if (dumpCaptures) {
-      std::filesystem::create_directories(outDir);
+      std::filesystem::create_directories(dumpDir);
       for (std::size_t t = 0; t < 4; ++t) {
-        const auto path =
-            std::filesystem::path{outDir} / (names[t] + ".v6tcap");
+        const auto path = dumpDir / (names[t] + ".v6tcap");
         std::ofstream out{path, std::ios::binary};
         net::CaptureWriter writer{out};
         // Ranged dump: the cursor starts at the sparse-index lower bound
@@ -543,48 +554,43 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Post-merge gate over the in-memory captures.
-  {
-    fault::InvariantChecker checker;
-    for (std::size_t t = 0; t < 4; ++t) {
-      checker.checkCanonicalOrder(runner.capture(t));
-    }
-    if (orderGateFailed(checker)) return 1;
-  }
-
-  // Post-run analysis: summary sessionization plus the per-telescope
-  // pipeline (shared capture index, parallel taxonomy), all inside the
-  // runner.phase.analyze_seconds span so the final snapshot carries the
-  // full analysis cost and the analysis.* instrumentation.
-  const unsigned analysisThreads = config.effectiveAnalysisThreads();
+  // Post-run analysis inside the runner.phase.analyze_seconds span, so the
+  // final snapshot carries its full cost and the analysis.* metrics: the
+  // canonical-order gate, then (if it passed) summary sessionization and
+  // the per-telescope pipelines.
   std::optional<core::ExperimentSummary> summary;
   std::array<analysis::PipelineResult, 4> reports;
   // Analysis scheduler slices land in tracer 0's wall-domain lane.
   if (config.traceEnabled && !traceHandles.empty()) {
     obs::trace::setWallTracer(traceHandles.front());
   }
+  fault::InvariantChecker checker;
   {
     obs::Span phaseSpan(metrics, "runner.phase.analyze_seconds");
-    {
-      obs::Span analyzeSpan(metrics, "experiment.phase.analyze_seconds");
-      summary = core::ExperimentSummary::compute(runner, analysisThreads);
-    }
-    core::collectSummaryMetrics(*summary, metrics);
-
-    analysis::PipelineOptions pipelineOptions;
-    pipelineOptions.threads = analysisThreads;
-    pipelineOptions.minSplitCost = config.analysisMinSplitCost;
-    pipelineOptions.fingerprint = false; // overview needs taxonomy + hitters
     for (std::size_t t = 0; t < 4; ++t) {
-      const analysis::Pipeline pipeline{runner.capture(t).packets(),
-                                        summary->telescope(t).sessions128,
-                                        &metrics};
-      reports[t] = pipeline.run(t == core::T1 ? &runner.schedule() : nullptr,
-                                pipelineOptions);
+      checker.checkCanonicalOrder(runner.capture(t));
+    }
+    if (checker.ok()) {
+      const unsigned analysisThreads = config.effectiveAnalysisThreads();
+      {
+        obs::Span analyzeSpan(metrics, "experiment.phase.analyze_seconds");
+        summary = core::ExperimentSummary::compute(runner, analysisThreads);
+      }
+      core::collectSummaryMetrics(*summary, metrics);
+      reports = core::analyzeTelescopes(runner, *summary, analysisThreads,
+                                        &metrics);
     }
   }
-
   obs::trace::setWallTracer(nullptr);
+  if (orderGateFailed(checker)) return 1;
+
+  // §8 operator guidance, from the T1 taxonomy the pipeline just built.
+  std::vector<core::Finding> findings;
+  {
+    obs::Span phaseSpan(metrics, "runner.phase.report_seconds");
+    findings = core::GuidanceEngine::derive(runner, *summary,
+                                            reports[core::T1].taxonomy);
+  }
 
   // The live exporter's ticks are done; the final post-analysis snapshot,
   // the Prometheus dump, and the trace file come from the fully aggregated
@@ -618,10 +624,8 @@ int main(int argc, char** argv) {
   }
   table.render(std::cout);
 
-  // §8 operator guidance, from the T1 taxonomy the pipeline just built.
   std::cout << "\n";
-  for (const auto& finding : core::GuidanceEngine::derive(
-           runner, *summary, reports[core::T1].taxonomy)) {
+  for (const core::Finding& finding : findings) {
     std::cout << "* " << finding.topic << ": " << finding.statement
               << "\n  (" << finding.evidence << ")\n";
   }
@@ -629,10 +633,9 @@ int main(int argc, char** argv) {
   printRunnerStats();
 
   if (dumpCaptures) {
-    std::filesystem::create_directories(outDir);
+    std::filesystem::create_directories(dumpDir);
     for (std::size_t t = 0; t < 4; ++t) {
-      const auto path =
-          std::filesystem::path{outDir} / (names[t] + ".v6tcap");
+      const auto path = dumpDir / (names[t] + ".v6tcap");
       std::ofstream out{path, std::ios::binary};
       if (!dumpFromMs && !dumpToMs && !dumpSource) {
         runner.capture(t).writeTo(out);
