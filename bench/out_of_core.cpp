@@ -8,7 +8,7 @@
 //   parent  the spilled path: SegmentStore under V6T_OOC_BUDGET_BYTES,
 //           then StreamingAnalyzer over the segment cursor. Peak RSS must
 //           stay bounded by the budget (plus a fixed slack for the
-//           binary, the read buffers and tracker state) no matter how
+//           binary, the read buffers and open sessions) no matter how
 //           large the capture is.
 //
 // The child reports (digest, peak RSS, packet count) over a pipe; the
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
 
   const bool digestMatch = streamed.digest() == reference.digest &&
                            streamed.totalPackets == reference.packets;
-  // The bound: a fixed floor for code + allocator + tracker state, plus 3x
+  // The bound: a fixed floor for code + allocator + open sessions, plus 3x
   // the budget (the memtable and its canonical sort never hold more than a
   // few budgets' worth at once).
   const double rssBound = 256.0 * 1024.0 * 1024.0 + 3.0 * static_cast<double>(budget);

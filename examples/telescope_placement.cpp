@@ -28,9 +28,12 @@ int main() {
   const auto t1Taxonomy = analysis::classifyCapture(
       runner.capture(core::T1).packets(),
       summary.telescope(core::T1).sessions128, &runner.schedule());
+  const auto t2Taxonomy = analysis::classifyCapture(
+      runner.capture(core::T2).packets(),
+      summary.telescope(core::T2).sessions128, nullptr);
 
   const auto findings =
-      core::GuidanceEngine::derive(runner, summary, t1Taxonomy);
+      core::GuidanceEngine::derive(runner, summary, t1Taxonomy, t2Taxonomy);
   std::cout << "operational guidance, derived from this run:\n\n";
   int index = 1;
   for (const auto& finding : findings) {

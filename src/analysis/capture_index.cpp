@@ -11,7 +11,6 @@ CaptureIndex::CaptureIndex(std::span<const net::Packet> packets,
   std::vector<telescope::SourceSessions> bySource =
       telescope::groupBySource(sessions);
 
-  sources_.reserve(bySource.size());
   sourceOffsets_.reserve(bySource.size() + 1);
   sessionIdx_.reserve(sessions.size());
   sessionStarts_.reserve(sessions.size());
@@ -59,19 +58,21 @@ CaptureIndex::CaptureIndex(std::span<const net::Packet> packets,
     subnetWordOffsets_.push_back(subnetWords_.size());
   }
 
-  // CSR over the source grouping plus the per-source aggregates. A
-  // source's sessions are disjoint in time and ordered by start, so its
-  // first session's first packet and last session's last packet bound its
+  // CSR over the source grouping plus the per-source rows. A source's
+  // sessions are disjoint in time and ordered by start, so its first
+  // session's first packet and last session's last packet bound its
   // activity.
   sourceOffsets_.push_back(0);
   for (telescope::SourceSessions& src : bySource) {
-    sources_.push_back(src.source);
-    SourceAggregates agg;
+    SourceAggregate agg;
+    agg.source = src.source;
+    agg.sessions = src.sessionIdx.size();
     for (std::uint32_t si : src.sessionIdx) {
       const telescope::Session& s = sessions[si];
       sessionIdx_.push_back(si);
       sessionStarts_.push_back(s.start);
       agg.packets += s.packetCount();
+      agg.payloadPackets += sessionPayloadPackets_[si];
     }
     const telescope::Session& first = sessions[src.sessionIdx.front()];
     const telescope::Session& last = sessions[src.sessionIdx.back()];

@@ -15,7 +15,9 @@
 //                    (hi64, lo64), session-major, arrival order
 //   subnet words     address bits 32..63, two packets per word
 //   payload memo     per-session first-payload packet + payload counts
-//   per-source aggregates  packets, first/last day, origin ASN
+//   per-source rows  SourceAggregate: packets, sessions, payload
+//                    packets, first/last day, origin ASN — the rows
+//                    heavy-hitter selection reads (heavy_hitter.hpp)
 //
 // The lanes are the only per-packet copy (DESIGN.md §16): an address's 64
 // IID bits ARE its lo64 lane word, so the NIST IID bit column and the
@@ -31,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "analysis/heavy_hitter.hpp"
 #include "analysis/nist.hpp"
 #include "net/packet.hpp"
 #include "telescope/session.hpp"
@@ -59,9 +62,11 @@ public:
 
   // --- canonical source order -------------------------------------------
 
-  [[nodiscard]] std::size_t sourceCount() const { return sources_.size(); }
+  [[nodiscard]] std::size_t sourceCount() const {
+    return aggregates_.size();
+  }
   [[nodiscard]] const telescope::SourceKey& source(std::size_t i) const {
-    return sources_[i];
+    return aggregates_[i].source;
   }
   /// Session indices of source `i`, in session-vector order.
   [[nodiscard]] std::span<const std::uint32_t> sessionsOf(
@@ -119,15 +124,13 @@ public:
     return sessionPayloadPackets_[s];
   }
 
-  // --- per-source aggregates (heavy hitters) ----------------------------
+  // --- per-source rows (heavy hitters) ----------------------------------
 
-  struct SourceAggregates {
-    std::uint64_t packets = 0;
-    std::int64_t firstDay = 0;
-    std::int64_t lastDay = 0;
-    net::Asn asn;
-  };
-  [[nodiscard]] const SourceAggregates& aggregatesOf(std::size_t i) const {
+  /// One row per source, in canonical source order.
+  [[nodiscard]] std::span<const SourceAggregate> aggregates() const {
+    return aggregates_;
+  }
+  [[nodiscard]] const SourceAggregate& aggregatesOf(std::size_t i) const {
     return aggregates_[i];
   }
   /// Total packets covered by the session table (== packets().size() when
@@ -164,7 +167,6 @@ private:
   std::span<const net::Packet> packets_;
   std::span<const telescope::Session> sessions_;
 
-  std::vector<telescope::SourceKey> sources_;
   std::vector<std::size_t> sourceOffsets_; // size sourceCount()+1
   std::vector<std::uint32_t> sessionIdx_; // grouped by source
   std::vector<sim::SimTime> sessionStarts_; // parallel to sessionIdx_
@@ -180,7 +182,7 @@ private:
   std::vector<std::uint64_t> subnetWords_; // 2 addresses per word
   std::vector<std::size_t> subnetWordOffsets_; // size sessions.size()+1
 
-  std::vector<SourceAggregates> aggregates_;
+  std::vector<SourceAggregate> aggregates_;
 };
 
 } // namespace v6t::analysis

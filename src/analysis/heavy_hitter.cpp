@@ -19,25 +19,23 @@ std::vector<HeavyHitter> findHeavyHitters(std::span<const net::Packet> packets,
   return findHeavyHitters(index, thresholdPercent);
 }
 
-std::vector<HeavyHitter> findHeavyHitters(const CaptureIndex& index,
-                                          double thresholdPercent) {
-  // Per-source packets, day bounds, ASN and session counts were all
-  // aggregated at index build time — this is pure selection.
-  const auto total = static_cast<double>(index.packets().size());
+std::vector<HeavyHitter> findHeavyHitters(
+    std::span<const SourceAggregate> sources, std::uint64_t totalPackets,
+    double thresholdPercent) {
+  const auto total = static_cast<double>(totalPackets);
   std::vector<HeavyHitter> hitters;
-  for (std::size_t i = 0; i < index.sourceCount(); ++i) {
-    const CaptureIndex::SourceAggregates& agg = index.aggregatesOf(i);
+  for (const SourceAggregate& row : sources) {
     const double share =
-        total == 0.0 ? 0.0 : 100.0 * static_cast<double>(agg.packets) / total;
+        total == 0.0 ? 0.0 : 100.0 * static_cast<double>(row.packets) / total;
     if (share <= thresholdPercent) continue;
     HeavyHitter h;
-    h.source = index.source(i).addr;
-    h.asn = agg.asn;
-    h.packets = agg.packets;
+    h.source = row.source.addr;
+    h.asn = row.asn;
+    h.packets = row.packets;
     h.shareOfTelescope = share;
-    h.sessions = index.sessionsOf(i).size();
-    h.firstDay = agg.firstDay;
-    h.lastDay = agg.lastDay;
+    h.sessions = row.sessions;
+    h.firstDay = row.firstDay;
+    h.lastDay = row.lastDay;
     hitters.push_back(h);
   }
   // stable_sort over canonical source order makes ties deterministic (the
@@ -47,6 +45,12 @@ std::vector<HeavyHitter> findHeavyHitters(const CaptureIndex& index,
                      return a.packets > b.packets;
                    });
   return hitters;
+}
+
+std::vector<HeavyHitter> findHeavyHitters(const CaptureIndex& index,
+                                          double thresholdPercent) {
+  return findHeavyHitters(index.aggregates(), index.packets().size(),
+                          thresholdPercent);
 }
 
 HeavyHitterImpact heavyHitterImpact(
@@ -76,23 +80,30 @@ HeavyHitterImpact heavyHitterImpact(
   return impact;
 }
 
-HeavyHitterImpact heavyHitterImpact(const CaptureIndex& index,
+HeavyHitterImpact heavyHitterImpact(std::span<const SourceAggregate> sources,
+                                    std::uint64_t totalPackets,
+                                    std::uint64_t totalSessions,
                                     std::span<const HeavyHitter> hitters) {
   HeavyHitterImpact impact;
-  for (std::size_t i = 0; i < index.sourceCount(); ++i) {
-    const telescope::SourceKey& key = index.source(i);
-    const unsigned maskBits = telescope::bits(key.agg);
+  for (const SourceAggregate& row : sources) {
+    const unsigned maskBits = telescope::bits(row.source.agg);
     for (const HeavyHitter& h : hitters) {
-      if (h.source.maskedTo(maskBits) == key.addr) {
-        impact.packets += index.aggregatesOf(i).packets;
-        impact.sessions += index.sessionsOf(i).size();
+      if (h.source.maskedTo(maskBits) == row.source.addr) {
+        impact.packets += row.packets;
+        impact.sessions += row.sessions;
         break;
       }
     }
   }
-  impact.packetShare = percent(impact.packets, index.packets().size());
-  impact.sessionShare = percent(impact.sessions, index.sessions().size());
+  impact.packetShare = percent(impact.packets, totalPackets);
+  impact.sessionShare = percent(impact.sessions, totalSessions);
   return impact;
+}
+
+HeavyHitterImpact heavyHitterImpact(const CaptureIndex& index,
+                                    std::span<const HeavyHitter> hitters) {
+  return heavyHitterImpact(index.aggregates(), index.packets().size(),
+                           index.sessions().size(), hitters);
 }
 
 } // namespace v6t::analysis

@@ -1,38 +1,29 @@
 #include "analysis/pipeline.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <utility>
+
+#include "telescope/digest.hpp"
 
 namespace v6t::analysis {
 
 namespace {
 
-void fnv1a(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
+using telescope::fnv1aMix;
+using telescope::fnv1aMixDouble;
+
+void fnv1aMix(std::uint64_t& h, const net::Ipv6Address& a) {
+  fnv1aMix(h, a.hi64());
+  fnv1aMix(h, a.lo64());
 }
 
-void fnvDouble(std::uint64_t& h, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  fnv1a(h, bits);
-}
-
-void fnv1a(std::uint64_t& h, const net::Ipv6Address& a) {
-  fnv1a(h, a.hi64());
-  fnv1a(h, a.lo64());
-}
-
-void fnv1a(std::uint64_t& h, const NistSummary& s) {
-  fnvDouble(h, s.frequency.pValue);
-  fnvDouble(h, s.runs.pValue);
-  fnvDouble(h, s.spectral.pValue);
-  fnvDouble(h, s.cusumForward.pValue);
-  fnvDouble(h, s.cusumBackward.pValue);
+void fnv1aMix(std::uint64_t& h, const NistSummary& s) {
+  fnv1aMixDouble(h, s.frequency.pValue);
+  fnv1aMixDouble(h, s.runs.pValue);
+  fnv1aMixDouble(h, s.spectral.pValue);
+  fnv1aMixDouble(h, s.cusumForward.pValue);
+  fnv1aMixDouble(h, s.cusumBackward.pValue);
 }
 
 /// Bucket bounds for the `analysis.sched.task_cost` histogram, in
@@ -62,59 +53,59 @@ CaptureIndex makeIndex(std::span<const net::Packet> packets,
 } // namespace
 
 std::uint64_t PipelineResult::digest() const {
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = telescope::kFnvBasis;
 
-  fnv1a(h, static_cast<std::uint64_t>(taxonomy.profiles.size()));
+  fnv1aMix(h, static_cast<std::uint64_t>(taxonomy.profiles.size()));
   for (const ScannerProfile& p : taxonomy.profiles) {
-    fnv1a(h, p.source.addr);
-    fnv1a(h, static_cast<std::uint64_t>(p.source.agg));
-    fnv1a(h, static_cast<std::uint64_t>(p.sessionIdx.size()));
-    for (std::uint32_t si : p.sessionIdx) fnv1a(h, si);
-    fnv1a(h, static_cast<std::uint64_t>(p.temporal.cls));
-    fnv1a(h, p.temporal.period
+    fnv1aMix(h, p.source.addr);
+    fnv1aMix(h, static_cast<std::uint64_t>(p.source.agg));
+    fnv1aMix(h, static_cast<std::uint64_t>(p.sessionIdx.size()));
+    for (std::uint32_t si : p.sessionIdx) fnv1aMix(h, si);
+    fnv1aMix(h, static_cast<std::uint64_t>(p.temporal.cls));
+    fnv1aMix(h, p.temporal.period
                  ? static_cast<std::uint64_t>(p.temporal.period->millis())
                  : static_cast<std::uint64_t>(-1));
-    fnv1a(h, static_cast<std::uint64_t>(p.network));
-    for (std::uint64_t c : p.sessionsByAddrSel) fnv1a(h, c);
+    fnv1aMix(h, static_cast<std::uint64_t>(p.network));
+    for (std::uint64_t c : p.sessionsByAddrSel) fnv1aMix(h, c);
   }
   for (AddressSelection sel : taxonomy.sessionAddrSel) {
-    fnv1a(h, static_cast<std::uint64_t>(sel));
+    fnv1aMix(h, static_cast<std::uint64_t>(sel));
   }
 
-  fnv1a(h, static_cast<std::uint64_t>(heavyHitters.size()));
+  fnv1aMix(h, static_cast<std::uint64_t>(heavyHitters.size()));
   for (const HeavyHitter& hh : heavyHitters) {
-    fnv1a(h, hh.source);
-    fnv1a(h, static_cast<std::uint64_t>(hh.asn.value()));
-    fnv1a(h, hh.packets);
-    fnvDouble(h, hh.shareOfTelescope);
-    fnv1a(h, hh.sessions);
-    fnv1a(h, static_cast<std::uint64_t>(hh.firstDay));
-    fnv1a(h, static_cast<std::uint64_t>(hh.lastDay));
+    fnv1aMix(h, hh.source);
+    fnv1aMix(h, static_cast<std::uint64_t>(hh.asn.value()));
+    fnv1aMix(h, hh.packets);
+    fnv1aMixDouble(h, hh.shareOfTelescope);
+    fnv1aMix(h, hh.sessions);
+    fnv1aMix(h, static_cast<std::uint64_t>(hh.firstDay));
+    fnv1aMix(h, static_cast<std::uint64_t>(hh.lastDay));
   }
-  fnv1a(h, heavyHitterImpact.packets);
-  fnv1a(h, heavyHitterImpact.sessions);
-  fnvDouble(h, heavyHitterImpact.packetShare);
-  fnvDouble(h, heavyHitterImpact.sessionShare);
+  fnv1aMix(h, heavyHitterImpact.packets);
+  fnv1aMix(h, heavyHitterImpact.sessions);
+  fnv1aMixDouble(h, heavyHitterImpact.packetShare);
+  fnv1aMixDouble(h, heavyHitterImpact.sessionShare);
 
   for (net::ScanTool tool : fingerprint.sessionTool) {
-    fnv1a(h, static_cast<std::uint64_t>(tool));
+    fnv1aMix(h, static_cast<std::uint64_t>(tool));
   }
-  fnv1a(h, fingerprint.hopLimitAttributions);
+  fnv1aMix(h, fingerprint.hopLimitAttributions);
   for (const auto& [tool, count] : fingerprint.byTool) {
-    fnv1a(h, static_cast<std::uint64_t>(tool));
-    fnv1a(h, count.scanners);
-    fnv1a(h, count.sessions);
+    fnv1aMix(h, static_cast<std::uint64_t>(tool));
+    fnv1aMix(h, count.scanners);
+    fnv1aMix(h, count.sessions);
   }
-  fnv1a(h, static_cast<std::uint64_t>(fingerprint.clusterCount));
-  fnv1a(h, fingerprint.payloadPackets);
-  fnv1a(h, fingerprint.payloadSessions);
-  fnv1a(h, fingerprint.payloadSources);
+  fnv1aMix(h, static_cast<std::uint64_t>(fingerprint.clusterCount));
+  fnv1aMix(h, fingerprint.payloadPackets);
+  fnv1aMix(h, fingerprint.payloadSessions);
+  fnv1aMix(h, fingerprint.payloadSources);
 
-  fnv1a(h, static_cast<std::uint64_t>(nist.size()));
+  fnv1aMix(h, static_cast<std::uint64_t>(nist.size()));
   for (const SessionNist& s : nist) {
-    fnv1a(h, static_cast<std::uint64_t>(s.sessionIdx));
-    fnv1a(h, s.iid);
-    fnv1a(h, s.subnet);
+    fnv1aMix(h, static_cast<std::uint64_t>(s.sessionIdx));
+    fnv1aMix(h, s.iid);
+    fnv1aMix(h, s.subnet);
   }
   return h;
 }

@@ -1,6 +1,6 @@
 // v6t::analysis — descriptive statistics used across the evaluation:
 // CDF series (Fig. 4), top-k port rankings (Table 4), cross-telescope
-// membership and its UpSet intersections (Fig. 8, Fig. 16, §8), and share
+// membership and its UpSet intersections (Fig. 8, Fig. 16), and share
 // helpers.
 #pragma once
 
@@ -67,8 +67,8 @@ struct PortRank {
 
 /// Which windows saw each key: every distinct key once, ascending by
 /// `operator<`, with bit w of `mask` set when window w saw it. The one
-/// cross-telescope membership statistic behind Fig. 8 (UpSet), Fig. 16
-/// (source overlap) and the §8 attractor-bias finding.
+/// cross-telescope membership statistic behind Fig. 8 (UpSet) and Fig. 16
+/// (source overlap).
 template <typename Key>
 struct Membership {
   struct Entry {

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <unordered_map>
 
 #include "analysis/capture_index.hpp"
 #include "analysis/parallel.hpp"
-#include "analysis/stats.hpp"
 #include "telescope/digest.hpp"
 
 namespace v6t::analysis {
@@ -21,18 +19,15 @@ std::span<const double> countBounds() {
   return bounds;
 }
 
-void mixDouble(std::uint64_t& h, double d) {
-  telescope::fnv1aMix(h, std::bit_cast<std::uint64_t>(d));
-}
-
 } // namespace
 
 std::uint64_t StreamingResult::digest() const {
   using telescope::fnv1aMix;
+  using telescope::fnv1aMixDouble;
   std::uint64_t h = telescope::kFnvBasis;
   fnv1aMix(h, totalPackets);
   fnv1aMix(h, sources.size());
-  for (const StreamingSourceReport& r : sources) {
+  for (const SourceAggregate& r : sources) {
     fnv1aMix(h, r.source.addr.hi64());
     fnv1aMix(h, r.source.addr.lo64());
     fnv1aMix(h, telescope::bits(r.source.agg));
@@ -49,15 +44,15 @@ std::uint64_t StreamingResult::digest() const {
     fnv1aMix(h, hh.source.lo64());
     fnv1aMix(h, hh.asn.value());
     fnv1aMix(h, hh.packets);
-    mixDouble(h, hh.shareOfTelescope);
+    fnv1aMixDouble(h, hh.shareOfTelescope);
     fnv1aMix(h, hh.sessions);
     fnv1aMix(h, static_cast<std::uint64_t>(hh.firstDay));
     fnv1aMix(h, static_cast<std::uint64_t>(hh.lastDay));
   }
   fnv1aMix(h, heavyHitterImpact.packets);
   fnv1aMix(h, heavyHitterImpact.sessions);
-  mixDouble(h, heavyHitterImpact.packetShare);
-  mixDouble(h, heavyHitterImpact.sessionShare);
+  fnv1aMixDouble(h, heavyHitterImpact.packetShare);
+  fnv1aMixDouble(h, heavyHitterImpact.sessionShare);
   fnv1aMix(h, sessionStats.opened);
   fnv1aMix(h, sessionStats.closedByTimeout);
   fnv1aMix(h, sessionStats.closedByGap);
@@ -67,17 +62,13 @@ std::uint64_t StreamingResult::digest() const {
 
 StreamingResult foldSummaries(
     std::vector<telescope::SessionSummary> summaries,
-    std::uint64_t totalPackets, telescope::Sessionizer::Stats stats,
+    std::uint64_t totalPackets, telescope::SessionStats stats,
     const StreamingOptions& opts) {
-  // Canonicalize: the exact (start, source address) order
-  // Sessionizer::finish() emits, so first-appearance grouping below
-  // reproduces groupBySource / CaptureIndex source order.
+  // Canonicalize: the order BasicSessionizer::finish() returns, so
+  // first-appearance grouping below reproduces groupBySource / CaptureIndex
+  // source order.
   std::stable_sort(summaries.begin(), summaries.end(),
-                   [](const telescope::SessionSummary& a,
-                      const telescope::SessionSummary& b) {
-                     if (a.start != b.start) return a.start < b.start;
-                     return a.source.addr < b.source.addr;
-                   });
+                   telescope::SessionOrder{});
 
   std::unordered_map<telescope::SourceKey, std::size_t> index;
   index.reserve(summaries.size());
@@ -97,7 +88,7 @@ StreamingResult foldSummaries(
   parallelFor(groups.size(), opts.threads,
               [&](unsigned /*worker*/, std::size_t i) {
                 const std::vector<std::uint32_t>& g = groups[i];
-                StreamingSourceReport r;
+                SourceAggregate r;
                 r.source = summaries[g.front()].source;
                 for (std::uint32_t si : g) {
                   r.packets += summaries[si].packets;
@@ -110,50 +101,16 @@ StreamingResult foldSummaries(
                 result.sources[i] = r;
               });
 
-  // Heavy hitters, replicating findHeavyHitters(index, ...) operand for
-  // operand so the shares are bitwise-equal doubles.
-  const auto total = static_cast<double>(totalPackets);
-  for (const StreamingSourceReport& r : result.sources) {
-    const double share =
-        total == 0.0 ? 0.0 : 100.0 * static_cast<double>(r.packets) / total;
-    if (share <= kHeavyHitterThresholdPercent) continue;
-    HeavyHitter h;
-    h.source = r.source.addr;
-    h.asn = r.asn;
-    h.packets = r.packets;
-    h.shareOfTelescope = share;
-    h.sessions = r.sessions;
-    h.firstDay = r.firstDay;
-    h.lastDay = r.lastDay;
-    result.heavyHitters.push_back(h);
-  }
-  std::stable_sort(result.heavyHitters.begin(), result.heavyHitters.end(),
-                   [](const HeavyHitter& a, const HeavyHitter& b) {
-                     return a.packets > b.packets;
-                   });
-
-  // Impact, replicating heavyHitterImpact(index, hitters).
-  for (const StreamingSourceReport& r : result.sources) {
-    const unsigned maskBits = telescope::bits(r.source.agg);
-    for (const HeavyHitter& h : result.heavyHitters) {
-      if (h.source.maskedTo(maskBits) == r.source.addr) {
-        result.heavyHitterImpact.packets += r.packets;
-        result.heavyHitterImpact.sessions += r.sessions;
-        break;
-      }
-    }
-  }
-  result.heavyHitterImpact.packetShare =
-      percent(result.heavyHitterImpact.packets, totalPackets);
-  result.heavyHitterImpact.sessionShare =
-      percent(result.heavyHitterImpact.sessions, summaries.size());
+  result.heavyHitters = findHeavyHitters(result.sources, totalPackets);
+  result.heavyHitterImpact = heavyHitterImpact(
+      result.sources, totalPackets, summaries.size(), result.heavyHitters);
   return result;
 }
 
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions opts)
-    : opts_(std::move(opts)), tracker_(telescope::SourceAgg::Addr128) {
+    : opts_(std::move(opts)), sessionizer_(telescope::SourceAgg::Addr128) {
   if (!opts_.captureGaps.empty()) {
-    tracker_.setCaptureGaps(opts_.captureGaps);
+    sessionizer_.setCaptureGaps(opts_.captureGaps);
   }
 }
 
@@ -162,15 +119,16 @@ void StreamingAnalyzer::ingest(const net::Packet& p) {
   if (windowPackets_ > 0 && idx != windowIdx_) closeWindow();
   windowIdx_ = idx;
   ++windowPackets_;
-  tracker_.offer(p);
+  // A summary keeps no packet index.
+  sessionizer_.offer(p, 0);
   ++totalPackets_;
 }
 
 void StreamingAnalyzer::closeWindow() {
   if (windowPackets_ == 0) return;
-  // Only sessions the tracker has closed leave it, so a session spanning a
-  // window edge is never split.
-  std::vector<telescope::SessionSummary> closed = tracker_.drainClosed();
+  // Only sessions the sessionizer has closed leave it, so a session
+  // spanning a window edge is never split.
+  std::vector<telescope::SessionSummary> closed = sessionizer_.drainClosed();
   summaries_.insert(summaries_.end(), closed.begin(), closed.end());
 
   if (opts_.metrics != nullptr) {
@@ -182,7 +140,7 @@ void StreamingAnalyzer::closeWindow() {
     opts_.metrics
         ->gauge("analysis.stream.open_sessions_high_water",
                 obs::GaugeMode::Max)
-        .set(static_cast<double>(tracker_.openSessions()));
+        .set(static_cast<double>(sessionizer_.openSessions()));
   }
   windowPackets_ = 0;
   ++windows_;
@@ -190,10 +148,10 @@ void StreamingAnalyzer::closeWindow() {
 
 StreamingResult StreamingAnalyzer::finish() {
   closeWindow();
-  std::vector<telescope::SessionSummary> tail = tracker_.finish();
+  std::vector<telescope::SessionSummary> tail = sessionizer_.finish();
   summaries_.insert(summaries_.end(), tail.begin(), tail.end());
   StreamingResult result = foldSummaries(std::move(summaries_),
-                                         totalPackets_, tracker_.stats(),
+                                         totalPackets_, sessionizer_.stats(),
                                          opts_);
   result.windows = windows_;
   summaries_.clear();
@@ -202,11 +160,11 @@ StreamingResult StreamingAnalyzer::finish() {
 
 StreamingResult analyzeOneShot(std::span<const net::Packet> packets,
                                const StreamingOptions& opts) {
-  // Deliberately a fully independent implementation on the in-memory
-  // machinery (Sessionizer, CaptureIndex, findHeavyHitters): the
-  // streaming == one-shot tests compare two code paths, not one path
-  // against itself.
-  telescope::Sessionizer::Stats stats;
+  // The in-memory machinery (the index form of the sessionizer,
+  // CaptureIndex) aggregates each source from its sessions' packet runs,
+  // independently of foldSummaries' summary fold: the streaming ==
+  // one-shot tests compare the two aggregations.
+  telescope::SessionStats stats;
   const std::vector<telescope::Session> sessions =
       telescope::sessionize(packets, telescope::SourceAgg::Addr128,
                             telescope::kSessionTimeout, &stats,
@@ -216,23 +174,7 @@ StreamingResult analyzeOneShot(std::span<const net::Packet> packets,
   StreamingResult result;
   result.totalPackets = packets.size();
   result.sessionStats = stats;
-  result.sources.resize(index.sourceCount());
-  parallelFor(index.sourceCount(), opts.threads,
-              [&](unsigned /*worker*/, std::size_t i) {
-                const CaptureIndex::SourceAggregates& agg =
-                    index.aggregatesOf(i);
-                StreamingSourceReport r;
-                r.source = index.source(i);
-                r.packets = agg.packets;
-                r.sessions = index.sessionsOf(i).size();
-                for (std::uint32_t si : index.sessionsOf(i)) {
-                  r.payloadPackets += index.payloadPacketsOf(si);
-                }
-                r.firstDay = agg.firstDay;
-                r.lastDay = agg.lastDay;
-                r.asn = agg.asn;
-                result.sources[i] = r;
-              });
+  result.sources.assign(index.aggregates().begin(), index.aggregates().end());
   result.heavyHitters = findHeavyHitters(index);
   result.heavyHitterImpact = heavyHitterImpact(index, result.heavyHitters);
   return result;

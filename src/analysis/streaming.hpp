@@ -3,13 +3,15 @@
 // The one-shot pipeline holds the whole merged packet vector in memory.
 // The streaming path consumes the canonical (ts, originId, originSeq)
 // packet stream — typically a SegmentStore cursor — one packet at a time:
-// the O(1)-state SessionTracker sessionizes it, and every 24 h window of
-// sim time only counts its packets and drains the sessions that closed
-// (no packet buffer, no CaptureIndex). Capture-level results are folded
-// from SessionSummary records, which are exactly the facts CaptureIndex
-// aggregates from full sessions — so the StreamingResult, and its digest,
-// is bitwise-identical to the one-shot reference (`analyzeOneShot`) at any
-// spill budget and any thread count (DESIGN.md §15).
+// the sessionizer's summary form (telescope::BasicSessionizer over
+// SessionSummary) sessionizes it, and every 24 h window of sim time only
+// counts its packets and drains the sessions that closed (no packet
+// buffer, no CaptureIndex). foldSummaries groups the summaries into the
+// per-source rows CaptureIndex builds from full sessions and runs the
+// same heavy-hitter selection over them — so the StreamingResult, and its
+// digest, is bitwise-identical to the one-shot reference
+// (`analyzeOneShot`) at any spill budget and any thread count
+// (DESIGN.md §15).
 //
 // Peak memory is O(open sessions + session summaries): the packet vector
 // never materializes.
@@ -35,32 +37,22 @@ namespace v6t::analysis {
 inline constexpr sim::Duration kStreamWindow = sim::hours(24);
 
 struct StreamingOptions {
-  /// Worker count for the per-source fold at finish(); 1 = serial
+  /// Worker count for foldSummaries' per-source fold; 1 = serial
   /// reference. The result is bitwise-identical for every value.
   unsigned threads = 1;
-  /// Declared capture outages (Sessionizer::setCaptureGaps semantics).
+  /// Declared capture outages (BasicSessionizer::setCaptureGaps
+  /// semantics).
   std::vector<std::pair<sim::SimTime, sim::SimTime>> captureGaps;
   obs::Registry* metrics = nullptr;
 };
 
-/// Capture-level per-source aggregate, in canonical (first-appearance)
-/// source order — the same values CaptureIndex::SourceAggregates carries.
-struct StreamingSourceReport {
-  telescope::SourceKey source;
-  std::uint64_t packets = 0;
-  std::uint64_t sessions = 0;
-  std::uint64_t payloadPackets = 0;
-  std::int64_t firstDay = 0;
-  std::int64_t lastDay = 0;
-  net::Asn asn;
-};
-
 struct StreamingResult {
   std::uint64_t totalPackets = 0;
-  std::vector<StreamingSourceReport> sources;
+  /// Per-source rows in canonical (first-appearance) source order.
+  std::vector<SourceAggregate> sources;
   std::vector<HeavyHitter> heavyHitters;
   HeavyHitterImpact heavyHitterImpact;
-  telescope::Sessionizer::Stats sessionStats;
+  telescope::SessionStats sessionStats;
   /// Windows that held packets. Zero for the one-shot reference; excluded
   /// from digest() so windowing cannot perturb equivalence.
   std::uint64_t windows = 0;
@@ -88,14 +80,14 @@ public:
     } while (c.advance());
   }
 
-  /// Close the open window, flush the tracker and fold. Call once.
+  /// Close the open window, flush the sessionizer and fold. Call once.
   [[nodiscard]] StreamingResult finish();
 
 private:
   void closeWindow();
 
   StreamingOptions opts_;
-  telescope::SessionTracker tracker_;
+  telescope::BasicSessionizer<telescope::SessionSummary> sessionizer_;
   std::int64_t windowIdx_ = 0;
   std::uint64_t windowPackets_ = 0; // 0 = no open window
   std::uint64_t windows_ = 0;
@@ -103,19 +95,21 @@ private:
   std::uint64_t totalPackets_ = 0;
 };
 
-/// The in-memory reference: sessionize the whole capture, build one
-/// CaptureIndex, reuse the pipeline's heavy-hitter machinery, and report
-/// the same capture-level fields the streaming fold produces. `packets`
-/// must be in canonical order (a merged CaptureStore is).
+/// The in-memory reference: sessionize the whole capture into its
+/// packet-index form, build one CaptureIndex, and report its per-source
+/// rows and the pipeline's heavy hitters. `packets` must be in canonical
+/// order (a merged CaptureStore is). Its per-source aggregation is the
+/// index's, independent of foldSummaries'; `opts.threads` is unused.
 [[nodiscard]] StreamingResult analyzeOneShot(
     std::span<const net::Packet> packets, const StreamingOptions& opts = {});
 
-/// Fold a summary set (any order) into the capture-level result — the
-/// common tail of StreamingAnalyzer::finish() and the building block the
-/// property tests drive directly.
+/// Fold a summary set (any order) into per-source rows and select heavy
+/// hitters over them — the tail of StreamingAnalyzer::finish() and the
+/// building block the property tests drive directly. `totalPackets` is
+/// the whole capture's packet count, the heavy-hitter share's base.
 [[nodiscard]] StreamingResult foldSummaries(
     std::vector<telescope::SessionSummary> summaries,
-    std::uint64_t totalPackets, telescope::Sessionizer::Stats stats,
+    std::uint64_t totalPackets, telescope::SessionStats stats,
     const StreamingOptions& opts);
 
 } // namespace v6t::analysis

@@ -1,6 +1,7 @@
 #include "core/guidance.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
@@ -9,7 +10,8 @@ namespace v6t::core {
 
 std::vector<Finding> GuidanceEngine::derive(
     const ExperimentRunner& runner, const ExperimentSummary& summary,
-    const analysis::TaxonomyResult& t1Taxonomy) {
+    const analysis::TaxonomyResult& t1Taxonomy,
+    const analysis::TaxonomyResult& t2Taxonomy) {
   std::vector<Finding> findings;
   const Period whole{sim::kEpoch, runner.experimentEnd()};
 
@@ -83,21 +85,26 @@ std::vector<Finding> GuidanceEngine::derive(
             analysis::fixed(after, 1) + "% once announced as prefixes"});
   }
 
-  // (iii) Different attractors draw different scanners.
+  // (iii) Different attractors draw different scanners. A /128 taxonomy
+  // profiles each source once, so its profiles are the telescope's sources.
   {
-    const std::span<const net::Packet> windows[] = {window(T1), window(T2)};
-    const auto sources = analysis::membership(
-        windows, [](const net::Packet& p) { return std::optional{p.src}; });
-    std::uint64_t shared = 0;
-    for (const auto& e : sources.entries) shared += e.mask == 0b11;
+    std::unordered_set<net::Ipv6Address> t1Sources;
+    t1Sources.reserve(t1Taxonomy.profiles.size());
+    for (const analysis::ScannerProfile& p : t1Taxonomy.profiles) {
+      t1Sources.insert(p.source.addr);
+    }
+    const auto shared = static_cast<std::uint64_t>(
+        std::ranges::count_if(t2Taxonomy.profiles, [&](const auto& p) {
+          return t1Sources.contains(p.source.addr);
+        }));
+    const std::uint64_t either =
+        t1Taxonomy.profiles.size() + t2Taxonomy.profiles.size() - shared;
     findings.push_back(Finding{
         "Attractor bias",
         "BGP announcements and DNS exposure attract largely disjoint "
         "scanner crowds; deploy the attractor matching the scanners you "
         "want to observe.",
-        "only " +
-            analysis::fixed(
-                analysis::percent(shared, sources.entries.size()), 1) +
+        "only " + analysis::fixed(analysis::percent(shared, either), 1) +
             "% of T1+T2 /128 sources appear at both telescopes"});
   }
 

@@ -23,14 +23,15 @@ struct Finding {
 
 class GuidanceEngine {
 public:
-  /// Derive the §8 guidance from a finished in-memory run. `t1Taxonomy` is
-  /// the caller's classification of T1 over `summary`'s /128 sessions;
-  /// guidance reads only its per-session address selection and per-scanner
-  /// target types, so a taxonomy built with or without the schedule will
-  /// do.
+  /// Derive the §8 guidance from a finished in-memory run. `t1Taxonomy`
+  /// and `t2Taxonomy` are the caller's classifications of T1 and T2 over
+  /// `summary`'s /128 sessions. Guidance reads T1's per-session address
+  /// selection and per-scanner target types, and the profiled sources of
+  /// both, so taxonomies built with or without the schedule will do.
   [[nodiscard]] static std::vector<Finding> derive(
       const ExperimentRunner& runner, const ExperimentSummary& summary,
-      const analysis::TaxonomyResult& t1Taxonomy);
+      const analysis::TaxonomyResult& t1Taxonomy,
+      const analysis::TaxonomyResult& t2Taxonomy);
 };
 
 } // namespace v6t::core

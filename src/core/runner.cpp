@@ -200,35 +200,16 @@ std::vector<const telescope::SegmentStore*> ExperimentRunner::spillStores(
 }
 
 telescope::KWayMerge<telescope::SegmentStore::Cursor>
-ExperimentRunner::streamCapture(std::size_t i) const {
+ExperimentRunner::streamCapture(std::size_t i,
+                                std::optional<sim::SimTime> from,
+                                std::optional<net::Ipv6Address> source) const {
   std::vector<telescope::SegmentStore::Cursor> cursors;
   cursors.reserve(spillStores_.size());
   for (const auto& shard : spillStores_) {
-    cursors.push_back(shard[i]->cursor());
-  }
-  return telescope::KWayMerge<telescope::SegmentStore::Cursor>{
-      std::move(cursors)};
-}
-
-telescope::KWayMerge<telescope::SegmentStore::Cursor>
-ExperimentRunner::streamCapture(std::size_t i, sim::SimTime from) const {
-  std::vector<telescope::SegmentStore::Cursor> cursors;
-  cursors.reserve(spillStores_.size());
-  for (const auto& shard : spillStores_) {
-    cursors.push_back(shard[i]->cursor(from));
-  }
-  return telescope::KWayMerge<telescope::SegmentStore::Cursor>{
-      std::move(cursors)};
-}
-
-telescope::KWayMerge<telescope::SegmentStore::Cursor>
-ExperimentRunner::streamCaptureForSource(
-    std::size_t i, const net::Ipv6Address& addr,
-    std::optional<sim::SimTime> from) const {
-  std::vector<telescope::SegmentStore::Cursor> cursors;
-  cursors.reserve(spillStores_.size());
-  for (const auto& shard : spillStores_) {
-    cursors.push_back(shard[i]->cursorForSource(addr, from));
+    const telescope::SegmentStore& store = *shard[i];
+    cursors.push_back(source ? store.cursorForSource(*source, from)
+                      : from ? store.cursor(*from)
+                             : store.cursor());
   }
   return telescope::KWayMerge<telescope::SegmentStore::Cursor>{
       std::move(cursors)};

@@ -130,21 +130,16 @@ public:
   /// Canonical-order stream over every shard's store for telescope `i` —
   /// the same (ts, originId, originSeq) order capture(i) holds in
   /// in-memory mode, without materializing the packet vector.
+  /// - `from`: start at the first packet with ts >= from (per-store
+  ///   sparse-index lower bounds; nothing before `from` is read off disk).
+  /// - `source`: each store skips the segments whose exact source tables
+  ///   hold nothing from that address (`--dump-captures --source`). The
+  ///   stream is still a superset of the source's packets, so callers
+  ///   filter per record.
   [[nodiscard]] telescope::KWayMerge<telescope::SegmentStore::Cursor>
-  streamCapture(std::size_t i) const;
-  /// Ranged variant: the same stream starting at the first packet with
-  /// ts >= `from` (per-store sparse-index lower bounds; nothing before
-  /// `from` is read off disk).
-  [[nodiscard]] telescope::KWayMerge<telescope::SegmentStore::Cursor>
-  streamCapture(std::size_t i, sim::SimTime from) const;
-  /// Source-pruned variant for `--dump-captures --source`: each shard
-  /// store contributes a cursorForSource stream, so segments that hold
-  /// nothing from `addr` (per their exact source tables) are never read.
-  /// Still a superset of the source's packets — callers filter per record.
-  [[nodiscard]] telescope::KWayMerge<telescope::SegmentStore::Cursor>
-  streamCaptureForSource(std::size_t i, const net::Ipv6Address& addr,
-                         std::optional<sim::SimTime> from = std::nullopt)
-      const;
+  streamCapture(std::size_t i,
+                std::optional<sim::SimTime> from = std::nullopt,
+                std::optional<net::Ipv6Address> source = std::nullopt) const;
   /// Packets captured by telescope `i`, valid in both modes.
   [[nodiscard]] std::uint64_t capturePacketCount(std::size_t i) const;
   [[nodiscard]] std::array<const telescope::CaptureStore*, 4> captures() const;

@@ -354,7 +354,7 @@ QueryEngine::Response QueryEngine::sourceDetail(
   }
   const std::size_t i = it->second;
   const analysis::CaptureIndex& idx = pipeline_.index();
-  const analysis::CaptureIndex::SourceAggregates& agg = idx.aggregatesOf(i);
+  const analysis::SourceAggregate& agg = idx.aggregatesOf(i);
   const auto starts = idx.sessionStartsOf(i);
   const analysis::TemporalResult& temporal = temporal_[i];
 

@@ -27,22 +27,13 @@ void CaptureStore::mergeFrom(std::vector<std::vector<net::Packet>> shards) {
   if (shards.size() == 1) {
     packets_ = std::move(shards.front());
   } else {
-    struct ShardCursor {
-      const std::vector<net::Packet>* packets;
-      std::size_t pos = 0;
-      [[nodiscard]] bool empty() const { return packets->empty(); }
-      [[nodiscard]] const net::Packet& head() const {
-        return (*packets)[pos];
-      }
-      bool advance() { return ++pos < packets->size(); }
-    };
-    std::vector<ShardCursor> cursors;
+    std::vector<SpanCursor> cursors;
     cursors.reserve(shards.size());
     for (const std::vector<net::Packet>& shard : shards) {
-      cursors.push_back(ShardCursor{&shard});
+      cursors.push_back(SpanCursor{shard});
     }
     packets_.reserve(total);
-    for (KWayMerge<ShardCursor> merge{std::move(cursors)}; !merge.done();
+    for (KWayMerge<SpanCursor> merge{std::move(cursors)}; !merge.done();
          merge.pop()) {
       packets_.push_back(merge.head());
     }

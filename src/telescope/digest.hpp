@@ -1,12 +1,13 @@
 // v6t::telescope — the capture digest primitives.
 //
 // Every equivalence proof in this repo bottoms out in one FNV-1a 64-bit
-// fold: CaptureStore::digest, the streaming analyzer's incremental capture
-// digest, the session tracker's per-session target digest, and the v6tseg
-// segment checksums all mix with the functions here, so "two digests are
-// equal" always means the same byte-for-byte statement.
+// fold: CaptureStore::digest and SegmentStore::digest, the v6tseg segment
+// checksums, and the result digests PipelineResult::digest and
+// StreamingResult::digest all mix with the functions here, so "two
+// digests are equal" always means the same byte-for-byte statement.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -23,6 +24,11 @@ inline void fnv1aMix(std::uint64_t& h, std::uint64_t v) {
     h ^= (v >> (8 * i)) & 0xff;
     h *= kFnvPrime;
   }
+}
+
+/// Fold a double into `h` by its bit pattern.
+inline void fnv1aMixDouble(std::uint64_t& h, double d) {
+  fnv1aMix(h, std::bit_cast<std::uint64_t>(d));
 }
 
 /// Fold a raw byte range into `h` — the segment file checksums.

@@ -2,11 +2,11 @@
 //
 // Two places need the same operation — merge canonical-key-sorted packet
 // runs into one canonical stream: CaptureStore::mergeFrom (per-shard
-// in-memory buffers) and the SegmentStore read cursor (on-disk segment
-// runs plus the memtable). Both instantiate KWayMerge below over their own
-// cursor type, so the merge order is definitionally identical across
-// in-memory and out-of-core paths — the bitwise-equality contract of
-// DESIGN.md §8/§15.
+// in-memory buffers, as SpanCursors) and the SegmentStore read cursor
+// (on-disk segment runs plus the memtable). Both instantiate KWayMerge
+// below, so the merge order is definitionally identical across in-memory
+// and out-of-core paths — the bitwise-equality contract of DESIGN.md
+// §8/§15.
 //
 // Cursor concept:
 //   bool empty() const              true when the cursor has no head at all
@@ -54,6 +54,20 @@ inline void sortCanonicalRuns(std::span<net::Packet> packets) {
     }
   }
 }
+
+/// Cursor over a packet run held in memory: a shard's buffer in
+/// CaptureStore::mergeFrom, or a merged capture from a start position in
+/// v6t_run's ranged dump.
+struct SpanCursor {
+  std::span<const net::Packet> rest;
+
+  [[nodiscard]] bool empty() const { return rest.empty(); }
+  [[nodiscard]] const net::Packet& head() const { return rest.front(); }
+  bool advance() {
+    rest = rest.subspan(1);
+    return !rest.empty();
+  }
+};
 
 /// Binary heap of k cursors, emitting the globally smallest canonical key
 /// first. k is the shard count, or a store's sealed segments (capture

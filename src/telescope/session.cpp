@@ -38,30 +38,20 @@ bool silenceSpansGap(
   return it != gaps.end() && now >= it->first;
 }
 
-void Sessionizer::setCaptureGaps(
-    std::vector<std::pair<sim::SimTime, sim::SimTime>> gaps) {
-  gaps_ = normalizeGapWindows(std::move(gaps));
-}
-
-bool Sessionizer::spansGap(sim::SimTime lastSeen, sim::SimTime now) const {
-  return silenceSpansGap(gaps_, lastSeen, now);
-}
-
-void Sessionizer::offer(const net::Packet& p, std::uint32_t idx) {
+template <typename Record>
+void BasicSessionizer<Record>::offer(const net::Packet& p, std::uint32_t idx) {
   const net::Ipv6Address key = p.src.maskedTo(bits(agg_));
-  auto it = open_.find(key);
-  if (it != open_.end()) {
-    Open& o = it->second;
-    const bool gapped = spansGap(o.lastSeen, p.ts);
-    if (p.ts - o.lastSeen <= timeout_ && !gapped) {
-      o.session.end = p.ts;
-      o.session.packetIdx.push_back(idx);
-      o.lastSeen = p.ts;
+  auto [it, fresh] = open_.try_emplace(key);
+  Record& open = it->second;
+  if (!fresh) {
+    const bool gapped = silenceSpansGap(gaps_, open.end, p.ts);
+    if (p.ts - open.end <= timeout_ && !gapped) {
+      open.end = p.ts;
+      open.add(p, idx);
       return;
     }
     // Timeout exceeded or a capture gap interposed: the session is done.
-    done_.push_back(std::move(o.session));
-    open_.erase(it);
+    done_.push_back(std::move(open));
     if (gapped) {
       ++stats_.closedByGap;
     } else {
@@ -69,111 +59,42 @@ void Sessionizer::offer(const net::Packet& p, std::uint32_t idx) {
     }
   }
   ++stats_.opened;
-  Open fresh;
-  fresh.session.source = SourceKey{key, agg_};
-  fresh.session.start = p.ts;
-  fresh.session.end = p.ts;
-  fresh.session.packetIdx = {idx};
-  fresh.lastSeen = p.ts;
-  open_.emplace(key, std::move(fresh));
+  open = Record{};
+  open.source = SourceKey{key, agg_};
+  open.start = p.ts;
+  open.end = p.ts;
+  open.add(p, idx);
 }
 
-std::vector<Session> Sessionizer::finish() {
-  stats_.openAtFinish += open_.size();
-  for (auto& [key, o] : open_) done_.push_back(std::move(o.session));
-  open_.clear();
-  std::vector<Session> out = std::move(done_);
+template <typename Record>
+std::vector<Record> BasicSessionizer<Record>::drainClosed() {
+  std::vector<Record> out = std::move(done_);
   done_.clear();
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Session& a, const Session& b) {
-                     if (a.start != b.start) return a.start < b.start;
-                     return a.source.addr < b.source.addr;
-                   });
   return out;
 }
 
+template <typename Record>
+std::vector<Record> BasicSessionizer<Record>::finish() {
+  stats_.openAtFinish += open_.size();
+  for (auto& [key, open] : open_) done_.push_back(std::move(open));
+  open_.clear();
+  std::vector<Record> out = drainClosed();
+  std::stable_sort(out.begin(), out.end(), SessionOrder{});
+  return out;
+}
+
+template class BasicSessionizer<Session>;
+template class BasicSessionizer<SessionSummary>;
+
 std::vector<Session> sessionize(
     std::span<const net::Packet> packets, SourceAgg agg,
-    sim::Duration timeout, Sessionizer::Stats* statsOut,
+    sim::Duration timeout, SessionStats* statsOut,
     std::vector<std::pair<sim::SimTime, sim::SimTime>> captureGaps) {
   Sessionizer s{agg, timeout};
   if (!captureGaps.empty()) s.setCaptureGaps(std::move(captureGaps));
   for (std::uint32_t i = 0; i < packets.size(); ++i) s.offer(packets[i], i);
   auto out = s.finish();
   if (statsOut != nullptr) *statsOut = s.stats();
-  return out;
-}
-
-void SessionTracker::setCaptureGaps(
-    std::vector<std::pair<sim::SimTime, sim::SimTime>> gaps) {
-  gaps_ = normalizeGapWindows(std::move(gaps));
-}
-
-void SessionTracker::offer(const net::Packet& p) {
-  // Mirrors Sessionizer::offer decision for decision — same continuation
-  // predicate, same stats — with O(1) per-session state.
-  const net::Ipv6Address key = p.src.maskedTo(bits(agg_));
-  auto it = open_.find(key);
-  if (it != open_.end()) {
-    Open& o = it->second;
-    const bool gapped = silenceSpansGap(gaps_, o.lastSeen, p.ts);
-    if (p.ts - o.lastSeen <= timeout_ && !gapped) {
-      o.summary.end = p.ts;
-      ++o.summary.packets;
-      if (p.hasPayload()) ++o.summary.payloadPackets;
-      o.lastSeen = p.ts;
-      return;
-    }
-    done_.push_back(o.summary);
-    open_.erase(it);
-    if (gapped) {
-      ++stats_.closedByGap;
-    } else {
-      ++stats_.closedByTimeout;
-    }
-  }
-  ++stats_.opened;
-  Open fresh;
-  fresh.summary.source = SourceKey{key, agg_};
-  fresh.summary.start = p.ts;
-  fresh.summary.end = p.ts;
-  fresh.summary.packets = 1;
-  fresh.summary.payloadPackets = p.hasPayload() ? 1 : 0;
-  fresh.summary.firstAsn = p.srcAsn;
-  fresh.lastSeen = p.ts;
-  open_.emplace(key, fresh);
-}
-
-std::vector<SessionSummary> SessionTracker::drainClosed() {
-  std::vector<SessionSummary> out = std::move(done_);
-  done_.clear();
-  return out;
-}
-
-std::vector<SessionSummary> SessionTracker::finish() {
-  stats_.openAtFinish += open_.size();
-  for (auto& [key, o] : open_) done_.push_back(o.summary);
-  open_.clear();
-  return drainClosed();
-}
-
-std::vector<SessionSummary> summarizeSessions(
-    std::span<const Session> sessions,
-    std::span<const net::Packet> packets) {
-  std::vector<SessionSummary> out;
-  out.reserve(sessions.size());
-  for (const Session& s : sessions) {
-    SessionSummary sum;
-    sum.source = s.source;
-    sum.start = s.start;
-    sum.end = s.end;
-    sum.packets = s.packetCount();
-    for (std::uint32_t idx : s.packetIdx) {
-      if (packets[idx].hasPayload()) ++sum.payloadPackets;
-    }
-    sum.firstAsn = packets[s.packetIdx.front()].srcAsn;
-    out.push_back(sum);
-  }
   return out;
 }
 

@@ -75,8 +75,11 @@ std::string goldenReport() {
       << " inconsistent="
       << taxonomy.scannersOf(analysis::NetworkSelection::Inconsistent) << "\n";
   // The numbers behind the five §8 findings.
+  const analysis::TaxonomyResult t2Taxonomy = analysis::classifyCapture(
+      runner.capture(T2).packets(), summary.telescope(T2).sessions128,
+      nullptr);
   for (const Finding& finding :
-       GuidanceEngine::derive(runner, summary, taxonomy)) {
+       GuidanceEngine::derive(runner, summary, taxonomy, t2Taxonomy)) {
     out << "guidance " << finding.evidence << "\n";
   }
 

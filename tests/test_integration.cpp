@@ -250,7 +250,11 @@ TEST_F(ExperimentTest, GuidanceDerivesAllFiveFindings) {
   const auto taxonomy = analysis::classifyCapture(
       runner_->capture(T1).packets(), summary_->telescope(T1).sessions128,
       &runner_->schedule());
-  const auto findings = GuidanceEngine::derive(*runner_, *summary_, taxonomy);
+  const auto t2Taxonomy = analysis::classifyCapture(
+      runner_->capture(T2).packets(), summary_->telescope(T2).sessions128,
+      nullptr);
+  const auto findings =
+      GuidanceEngine::derive(*runner_, *summary_, taxonomy, t2Taxonomy);
   ASSERT_EQ(findings.size(), 5u);
   for (const auto& finding : findings) {
     EXPECT_FALSE(finding.topic.empty());

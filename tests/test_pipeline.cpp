@@ -170,6 +170,7 @@ TEST_F(PipelineTest, IndexAgreesWithSessionTable) {
     ASSERT_EQ(sessionIdx.size(), starts.size());
     ASSERT_FALSE(sessionIdx.empty());
     std::uint64_t sourcePackets = 0;
+    std::uint64_t sourcePayloadPackets = 0;
     for (std::size_t k = 0; k < sessionIdx.size(); ++k) {
       const std::uint32_t si = sessionIdx[k];
       ASSERT_LT(si, sessions().size());
@@ -197,9 +198,12 @@ TEST_F(PipelineTest, IndexAgreesWithSessionTable) {
       }
       EXPECT_EQ(index.payloadPacketsOf(si), payloadPackets);
       EXPECT_EQ(index.firstPayloadOf(si), firstPayload);
+      sourcePayloadPackets += payloadPackets;
     }
-    const CaptureIndex::SourceAggregates& agg = index.aggregatesOf(i);
+    const SourceAggregate& agg = index.aggregatesOf(i);
     EXPECT_EQ(agg.packets, sourcePackets);
+    EXPECT_EQ(agg.sessions, sessionIdx.size());
+    EXPECT_EQ(agg.payloadPackets, sourcePayloadPackets);
     const telescope::Session& first = sessions()[sessionIdx.front()];
     const telescope::Session& last = sessions()[sessionIdx.back()];
     EXPECT_EQ(agg.firstDay, first.start.dayIndex());

@@ -1,15 +1,16 @@
 // Streaming windowed analysis vs the one-shot in-memory reference: the
 // StreamingResult digest must be bitwise-identical at every spill budget
 // and every thread count, with and without declared capture gaps
-// (DESIGN.md §15). Also the SessionTracker / Sessionizer
-// decision-equivalence the whole construction rests on, and the spilled
-// runner's contract with its spill directory.
+// (DESIGN.md §15). Also the agreement of the sessionizer's two record
+// forms (summary and packet-index) that the whole construction rests on,
+// and the spilled runner's contract with its spill directory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -90,8 +91,33 @@ std::vector<net::Packet> dropGapPackets(
   return packets;
 }
 
+/// A session table reduced to summaries (session-vector order), counting
+/// payloads from the packets themselves rather than through
+/// SessionSummary::add.
+std::vector<SessionSummary> summarizeSessions(
+    std::span<const telescope::Session> sessions,
+    std::span<const net::Packet> packets) {
+  std::vector<SessionSummary> out;
+  out.reserve(sessions.size());
+  for (const telescope::Session& s : sessions) {
+    SessionSummary sum;
+    sum.source = s.source;
+    sum.start = s.start;
+    sum.end = s.end;
+    sum.packets = s.packetCount();
+    for (std::uint32_t idx : s.packetIdx) {
+      if (packets[idx].hasPayload()) ++sum.payloadPackets;
+    }
+    sum.firstAsn = packets[s.packetIdx.front()].srcAsn;
+    out.push_back(sum);
+  }
+  return out;
+}
+
 // --- one-shot reference sanity -------------------------------------------
 
+// analyzeOneShot does not fan out: StreamingOptions::threads reaches only
+// foldSummaries, so the one-shot reference must not depend on it.
 TEST(Streaming, OneShotReferenceIsThreadCountInvariant) {
   const std::vector<net::Packet> packets = scannerCapture(7, 3000);
   StreamingOptions base;
@@ -223,7 +249,7 @@ TEST(Streaming, CaptureGapsPreserveEquivalence) {
   }
 }
 
-// --- SessionTracker == Sessionizer ---------------------------------------
+// --- summary form == packet-index form -----------------------------------
 
 std::vector<SessionSummary> canonicalized(std::vector<SessionSummary> v) {
   std::sort(v.begin(), v.end(),
@@ -236,7 +262,7 @@ std::vector<SessionSummary> canonicalized(std::vector<SessionSummary> v) {
   return v;
 }
 
-TEST(Streaming, SessionTrackerMatchesSessionizerSummaries) {
+TEST(Streaming, SummaryFormMatchesIndexForm) {
   constexpr std::int64_t kDay = 86'400'000;
   const std::vector<std::pair<sim::SimTime, sim::SimTime>> gaps{
       {sim::SimTime{3 * kDay}, sim::SimTime{3 * kDay + 20 * 60'000}},
@@ -249,20 +275,21 @@ TEST(Streaming, SessionTrackerMatchesSessionizerSummaries) {
       packets, telescope::SourceAgg::Addr128, telescope::kSessionTimeout,
       &refStats, gaps);
   const std::vector<SessionSummary> expected =
-      canonicalized(telescope::summarizeSessions(sessions, packets));
+      canonicalized(summarizeSessions(sessions, packets));
 
-  telescope::SessionTracker tracker{telescope::SourceAgg::Addr128};
-  tracker.setCaptureGaps(gaps);
+  telescope::BasicSessionizer<SessionSummary> sessionizer{
+      telescope::SourceAgg::Addr128};
+  sessionizer.setCaptureGaps(gaps);
   std::vector<SessionSummary> got;
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    tracker.offer(packets[i]);
+  for (std::uint32_t i = 0; i < packets.size(); ++i) {
+    sessionizer.offer(packets[i], i);
     if (i % 257 == 0) {
       // Drains at arbitrary points must not change what is produced.
-      auto drained = tracker.drainClosed();
+      auto drained = sessionizer.drainClosed();
       got.insert(got.end(), drained.begin(), drained.end());
     }
   }
-  auto tail = tracker.finish();
+  auto tail = sessionizer.finish();
   got.insert(got.end(), tail.begin(), tail.end());
   got = canonicalized(std::move(got));
 
@@ -276,7 +303,7 @@ TEST(Streaming, SessionTrackerMatchesSessionizerSummaries) {
         << "summary " << i;
     EXPECT_EQ(got[i].firstAsn, expected[i].firstAsn) << "summary " << i;
   }
-  const telescope::Sessionizer::Stats& stats = tracker.stats();
+  const telescope::Sessionizer::Stats& stats = sessionizer.stats();
   EXPECT_EQ(stats.opened, refStats.opened);
   EXPECT_EQ(stats.closedByTimeout, refStats.closedByTimeout);
   EXPECT_EQ(stats.closedByGap, refStats.closedByGap);
@@ -291,8 +318,7 @@ TEST(Streaming, FoldIsInvariantToSummaryArrivalOrder) {
   const std::vector<telescope::Session> sessions = telescope::sessionize(
       packets, telescope::SourceAgg::Addr128, telescope::kSessionTimeout,
       &stats);
-  std::vector<SessionSummary> summaries =
-      telescope::summarizeSessions(sessions, packets);
+  std::vector<SessionSummary> summaries = summarizeSessions(sessions, packets);
   StreamingOptions opts;
   const std::uint64_t reference =
       foldSummaries(summaries, packets.size(), stats, opts).digest();

@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> faultSeedOverride;
   std::string spillDir;
   std::uint64_t spillBytes = 0;
-  std::optional<std::int64_t> dumpFromMs;
+  std::optional<sim::SimTime> dumpFrom;
   std::optional<std::int64_t> dumpToMs;
   std::optional<net::Ipv6Address> dumpSource;
   constexpr std::uint64_t kU64Max = UINT64_MAX;
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--from") {
       if (++i >= argc) return usage();
       if (!flagU64("--from", argv[i], 0, kMsMax, number)) return usage();
-      dumpFromMs = static_cast<std::int64_t>(number);
+      dumpFrom = sim::SimTime{static_cast<std::int64_t>(number)};
     } else if (arg == "--to") {
       if (++i >= argc) return usage();
       if (!flagU64("--to", argv[i], 0, kMsMax, number)) return usage();
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (dumpFromMs && dumpToMs && *dumpToMs <= *dumpFromMs) {
+  if (dumpFrom && dumpToMs && *dumpToMs <= dumpFrom->millis()) {
     std::cerr << "--to must be greater than --from\n";
     return usage();
   }
@@ -284,9 +284,9 @@ int main(int argc, char** argv) {
                  "capture.spill_dir)\n";
     return usage();
   }
-  if (!dumpCaptures && (outDir || dumpFromMs || dumpToMs || dumpSource)) {
+  if (!dumpCaptures && (outDir || dumpFrom || dumpToMs || dumpSource)) {
     std::cerr << (outDir       ? "--out"
-                  : dumpFromMs ? "--from"
+                  : dumpFrom   ? "--from"
                   : dumpToMs   ? "--to"
                                : "--source")
               << " requires --dump-captures\n";
@@ -453,6 +453,30 @@ int main(int argc, char** argv) {
     return true;
   };
 
+  // Every dump, in both capture modes, goes through this loop: `cursorOf(t)`
+  // starts at telescope t's first packet with ts >= --from, --to stops the
+  // ts-ordered stream early, and --source filters per record. The bytes
+  // written equal a full dump filtered to the range and the source.
+  const auto writeDumps = [&](const auto& cursorOf) {
+    std::filesystem::create_directories(dumpDir);
+    for (std::size_t t = 0; t < 4; ++t) {
+      const auto path = dumpDir / (names[t] + ".v6tcap");
+      std::ofstream out{path, std::ios::binary};
+      net::CaptureWriter writer{out};
+      auto cursor = cursorOf(t);
+      if (!cursor.empty()) {
+        do {
+          const net::Packet& p = cursor.head();
+          if (dumpToMs && p.ts.millis() >= *dumpToMs) break;
+          if (dumpSource && p.src != *dumpSource) continue;
+          writer.write(p);
+        } while (cursor.advance());
+      }
+      std::cout << "wrote " << path.string() << " ("
+                << writer.recordsWritten() << " records)\n";
+    }
+  };
+
   // Spill mode: the in-memory captures drained to per-shard segment stores
   // during the run, so every downstream consumer streams the canonical
   // k-way merge instead of touching runner.capture() (which is empty). The
@@ -517,39 +541,12 @@ int main(int argc, char** argv) {
     printRunnerStats();
 
     if (dumpCaptures) {
-      std::filesystem::create_directories(dumpDir);
-      for (std::size_t t = 0; t < 4; ++t) {
-        const auto path = dumpDir / (names[t] + ".v6tcap");
-        std::ofstream out{path, std::ios::binary};
-        net::CaptureWriter writer{out};
-        // Ranged dump: the cursor starts at the sparse-index lower bound
-        // for --from, and --to stops the ts-ordered stream early; the
-        // bytes written equal a full dump filtered to [from, to). With
-        // --source the cursor also skips whole segments whose source
-        // tables prove they hold nothing from that address; the stream
-        // is a superset, so the per-record filter below still applies —
-        // which is exactly why the output is byte-identical to
-        // post-filtering a full dump (a filter over a subsequence-
-        // preserving stream equals a filter over the full stream).
-        const std::optional<sim::SimTime> fromTime =
-            dumpFromMs ? std::optional{sim::SimTime{*dumpFromMs}}
-                       : std::nullopt;
-        auto cursor =
-            dumpSource
-                ? runner.streamCaptureForSource(t, *dumpSource, fromTime)
-                : (fromTime ? runner.streamCapture(t, *fromTime)
-                            : runner.streamCapture(t));
-        if (!cursor.empty()) {
-          do {
-            const net::Packet& p = cursor.head();
-            if (dumpToMs && p.ts.millis() >= *dumpToMs) break;
-            if (dumpSource && p.src != *dumpSource) continue;
-            writer.write(p);
-          } while (cursor.advance());
-        }
-        std::cout << "wrote " << path.string() << " ("
-                  << writer.recordsWritten() << " records)\n";
-      }
+      // The segments' sparse time index places the start, and with
+      // --source each store skips the segments whose source tables prove
+      // they hold nothing from that address.
+      writeDumps([&](std::size_t t) {
+        return runner.streamCapture(t, dumpFrom, dumpSource);
+      });
     }
     return 0;
   }
@@ -584,12 +581,14 @@ int main(int argc, char** argv) {
   obs::trace::setWallTracer(nullptr);
   if (orderGateFailed(checker)) return 1;
 
-  // §8 operator guidance, from the T1 taxonomy the pipeline just built.
+  // §8 operator guidance, from the T1 and T2 taxonomies the pipeline just
+  // built.
   std::vector<core::Finding> findings;
   {
     obs::Span phaseSpan(metrics, "runner.phase.report_seconds");
     findings = core::GuidanceEngine::derive(runner, *summary,
-                                            reports[core::T1].taxonomy);
+                                            reports[core::T1].taxonomy,
+                                            reports[core::T2].taxonomy);
   }
 
   // The live exporter's ticks are done; the final post-analysis snapshot,
@@ -633,36 +632,15 @@ int main(int argc, char** argv) {
   printRunnerStats();
 
   if (dumpCaptures) {
-    std::filesystem::create_directories(dumpDir);
-    for (std::size_t t = 0; t < 4; ++t) {
-      const auto path = dumpDir / (names[t] + ".v6tcap");
-      std::ofstream out{path, std::ios::binary};
-      if (!dumpFromMs && !dumpToMs && !dumpSource) {
-        runner.capture(t).writeTo(out);
-        std::cout << "wrote " << path.string() << " ("
-                  << runner.capture(t).packetCount() << " records)\n";
-        continue;
-      }
-      // Ranged dump over the ts-ordered in-memory capture: one lower
-      // bound for --from, early stop at --to, linear --source filter;
-      // byte-identical to a full dump filtered the same way.
-      const std::vector<net::Packet>& pkts = runner.capture(t).packets();
-      auto it = pkts.begin();
-      if (dumpFromMs) {
-        it = std::lower_bound(pkts.begin(), pkts.end(), *dumpFromMs,
-                              [](const net::Packet& p, std::int64_t ms) {
-                                return p.ts.millis() < ms;
-                              });
-      }
-      net::CaptureWriter writer{out};
-      for (; it != pkts.end(); ++it) {
-        if (dumpToMs && it->ts.millis() >= *dumpToMs) break;
-        if (dumpSource && it->src != *dumpSource) continue;
-        writer.write(*it);
-      }
-      std::cout << "wrote " << path.string() << " ("
-                << writer.recordsWritten() << " records)\n";
-    }
+    // The in-memory capture is ts-ordered: one lower bound finds --from.
+    writeDumps([&](std::size_t t) {
+      const std::vector<net::Packet>& packets = runner.capture(t).packets();
+      const auto first =
+          dumpFrom ? std::ranges::lower_bound(packets, *dumpFrom, {},
+                                              &net::Packet::ts)
+                   : packets.begin();
+      return telescope::SpanCursor{{first, packets.end()}};
+    });
   }
   return 0;
 }
