@@ -6,7 +6,8 @@
 //           merge + analyzeOneShot. Peak RSS grows with capture size —
 //           this is the path that exceeds 0.9 GB at full scale.
 //   parent  the spilled path: SegmentStore under V6T_OOC_BUDGET_BYTES,
-//           then StreamingAnalyzer over the segment cursor. Peak RSS must
+//           sealed by a final spill, then StreamingAnalyzer over the merge
+//           of its segments (telescope::mergeSegments). Peak RSS must
 //           stay bounded by the budget (plus a fixed slack for the
 //           binary, the read buffers and open sessions) no matter how
 //           large the capture is.
@@ -178,21 +179,21 @@ int main(int argc, char** argv) {
       PacketGen gen{kSeed};
       const auto t0 = Clock::now();
       for (std::uint64_t i = 0; i < packets; ++i) store.append(gen.next(i));
+      store.spill(); // only sealed segments are readable
       ingestSeconds = secondsSince(t0);
     }
     segments = store.segmentCount();
     spilledBytes = store.spilledBytes();
     std::cout << "spilled: " << segments << " segments, "
-              << spilledBytes / (1024.0 * 1024.0) << " MiB on disk, memtable "
-              << store.memtableBytes() / (1024.0 * 1024.0) << " MiB, ingest "
+              << spilledBytes / (1024.0 * 1024.0) << " MiB on disk, ingest "
               << ingestSeconds << "s\n";
 
     v6t::analysis::StreamingOptions opts;
     opts.metrics = &metrics;
     v6t::analysis::StreamingAnalyzer analyzer{opts};
     const auto t0 = Clock::now();
-    auto cursor = store.cursor();
-    analyzer.ingestAll(cursor);
+    auto merge = v6t::telescope::mergeSegments(store.segments());
+    analyzer.ingestAll(merge);
     streamed = analyzer.finish();
     analyzeSeconds = secondsSince(t0);
   }

@@ -2,8 +2,8 @@
 //
 // The one-shot pipeline holds the whole merged packet vector in memory.
 // The streaming path consumes the canonical (ts, originId, originSeq)
-// packet stream — typically a SegmentStore cursor — one packet at a time:
-// the sessionizer's summary form (telescope::BasicSessionizer over
+// packet stream — typically a merge of sealed segments — one packet at a
+// time: the sessionizer's summary form (telescope::BasicSessionizer over
 // SessionSummary) sessionizes it, and every 24 h window of sim time only
 // counts its packets and drains the sessions that closed (no packet
 // buffer, no CaptureIndex). foldSummaries groups the summaries into the
@@ -70,8 +70,8 @@ public:
   /// Offer the next packet of the canonical stream (time-ordered).
   void ingest(const net::Packet& p);
 
-  /// Drain any kway_merge.hpp-style cursor (SegmentStore::Cursor, a
-  /// KWayMerge over per-shard stores, ...).
+  /// Drain any kway_merge.hpp-style cursor (a telescope::mergeSegments
+  /// merge, a SpanCursor, ...).
   template <typename Cursor>
   void ingestAll(Cursor& c) {
     if (c.empty()) return;

@@ -1,6 +1,8 @@
 #include "core/config.hpp"
 
 #include <charconv>
+#include <fstream>
+#include <iostream>
 #include <sstream>
 
 namespace v6t::core {
@@ -21,6 +23,14 @@ bool parseU64(const std::string& text, std::uint64_t& out) {
   const char* end = begin + text.size();
   const auto [ptr, ec] = std::from_chars(begin, end, out);
   return ec == std::errc{} && ptr == end;
+}
+
+bool flagU64(const char* flag, const char* text, std::uint64_t lo,
+             std::uint64_t hi, std::uint64_t& out) {
+  if (parseU64(text, out) && out >= lo && out <= hi) return true;
+  std::cerr << flag << " takes an integer in [" << lo << ", " << hi
+            << "], not '" << text << "'\n";
+  return false;
 }
 
 bool parseDouble(const std::string& text, double& out) {
@@ -269,6 +279,21 @@ ConfigParseResult parseExperimentConfig(std::istream& in) {
 ConfigParseResult parseExperimentConfig(const std::string& text) {
   std::istringstream in{text};
   return parseExperimentConfig(in);
+}
+
+std::optional<ExperimentConfig> loadConfigFile(const std::string& path) {
+  if (path.empty()) return ExperimentConfig{};
+  std::ifstream in{path};
+  if (!in) {
+    std::cerr << "cannot open " << path << "\n";
+    return std::nullopt;
+  }
+  const ConfigParseResult parsed = parseExperimentConfig(in);
+  for (const std::string& e : parsed.errors) {
+    std::cerr << path << ": " << e << "\n";
+  }
+  if (!parsed.ok()) return std::nullopt;
+  return parsed.config;
 }
 
 std::string formatExperimentConfig(const ExperimentConfig& c) {

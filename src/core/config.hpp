@@ -16,7 +16,9 @@
 // defaults). All keys are optional; defaults reproduce the paper.
 #pragma once
 
+#include <cstdint>
 #include <istream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,13 @@ struct ConfigParseResult {
 [[nodiscard]] ConfigParseResult parseExperimentConfig(
     const std::string& text);
 
+/// The config file of a command-line tool: the defaults for an empty
+/// path, else the parsed file. A file that cannot be opened or parsed is
+/// reported on std::cerr ("cannot open PATH", or one "PATH: error" line
+/// per error) and yields nullopt.
+[[nodiscard]] std::optional<ExperimentConfig> loadConfigFile(
+    const std::string& path);
+
 /// Serialize a config back to the file format (round-trips through the
 /// parser).
 [[nodiscard]] std::string formatExperimentConfig(const ExperimentConfig& c);
@@ -49,5 +58,11 @@ struct ConfigParseResult {
 /// over. Both return false on malformed input ("abc", "12x", "4x").
 [[nodiscard]] bool parseU64(const std::string& text, std::uint64_t& out);
 [[nodiscard]] bool parseDouble(const std::string& text, double& out);
+
+/// Reads a numeric command-line flag's value with parseU64; a malformed
+/// value or one outside [lo, hi] is reported on std::cerr and rejected.
+[[nodiscard]] bool flagU64(const char* flag, const char* text,
+                           std::uint64_t lo, std::uint64_t hi,
+                           std::uint64_t& out);
 
 } // namespace v6t::core

@@ -4,7 +4,6 @@
 #include <barrier>
 #include <chrono>
 #include <exception>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -97,33 +96,6 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Throws when a `shard-<s>/<telescope>` store under the spill directory
-/// already holds segment files. A store adopts the sealed segments it
-/// finds, so a second run into the same directory would count the first
-/// run's packets again; the old files are left as they are.
-void requireUnusedSpillDir(const std::filesystem::path& dir) {
-  namespace fs = std::filesystem;
-  if (!fs::is_directory(dir)) return;
-  for (const auto& shard : fs::directory_iterator{dir}) {
-    if (!shard.is_directory() ||
-        !shard.path().filename().string().starts_with("shard-")) {
-      continue;
-    }
-    for (const auto& store : fs::directory_iterator{shard.path()}) {
-      if (!store.is_directory()) continue;
-      for (const auto& file : fs::directory_iterator{store.path()}) {
-        if (file.path().filename().string().find(".v6tseg") !=
-            std::string::npos) {
-          throw std::runtime_error(
-              "spill directory " + dir.string() +
-              " already holds segment files of an earlier run (" +
-              file.path().string() + "); spill into an empty directory");
-        }
-      }
-    }
-  }
-}
-
 } // namespace
 
 ExperimentRunner::ExperimentRunner(RunnerConfig config)
@@ -191,34 +163,19 @@ std::array<const telescope::CaptureStore*, 4> ExperimentRunner::captures()
   return {&captures_[0], &captures_[1], &captures_[2], &captures_[3]};
 }
 
-std::vector<const telescope::SegmentStore*> ExperimentRunner::spillStores(
-    std::size_t i) const {
-  std::vector<const telescope::SegmentStore*> out;
-  out.reserve(spillStores_.size());
-  for (const auto& shard : spillStores_) out.push_back(shard[i].get());
-  return out;
-}
-
-telescope::KWayMerge<telescope::SegmentStore::Cursor>
+telescope::KWayMerge<telescope::SegmentCursor>
 ExperimentRunner::streamCapture(std::size_t i,
                                 std::optional<sim::SimTime> from,
                                 std::optional<net::Ipv6Address> source) const {
-  std::vector<telescope::SegmentStore::Cursor> cursors;
-  cursors.reserve(spillStores_.size());
-  for (const auto& shard : spillStores_) {
-    const telescope::SegmentStore& store = *shard[i];
-    cursors.push_back(source ? store.cursorForSource(*source, from)
-                      : from ? store.cursor(*from)
-                             : store.cursor());
-  }
-  return telescope::KWayMerge<telescope::SegmentStore::Cursor>{
-      std::move(cursors)};
+  return telescope::mergeSegments(spilled_[i], from, source);
 }
 
 std::uint64_t ExperimentRunner::capturePacketCount(std::size_t i) const {
   if (!spillEnabled()) return captures_[i].packetCount();
   std::uint64_t total = 0;
-  for (const auto& shard : spillStores_) total += shard[i]->recordCount();
+  for (const telescope::SegmentReader& seg : spilled_[i]) {
+    total += seg.meta().recordCount;
+  }
   return total;
 }
 
@@ -288,7 +245,9 @@ std::string ExperimentRunner::progressLine() const {
 void ExperimentRunner::run() {
   if (ran_) return;
   ran_ = true;
-  if (spillEnabled()) requireUnusedSpillDir(config_.experiment.captureSpillDir);
+  if (spillEnabled()) {
+    telescope::requireUnusedSpillRoot(config_.experiment.captureSpillDir);
+  }
 
   using Clock = std::chrono::steady_clock;
   const unsigned shardCount = std::max(1u, config_.experiment.threads);
@@ -309,7 +268,9 @@ void ExperimentRunner::run() {
 
   std::vector<std::unique_ptr<ShardWorld>> worlds(shardCount);
   stats_.shards.assign(shardCount, ShardStats{});
-  if (spillEnabled()) spillStores_.resize(shardCount);
+  // Spill mode: the sealed segments each shard leaves, [shard][telescope].
+  std::vector<std::array<std::vector<telescope::SegmentReader>, 4>>
+      shardSegments(shardCount);
   std::barrier<> barrier(static_cast<std::ptrdiff_t>(shardCount));
   std::mutex errorMutex;
   std::exception_ptr firstError;
@@ -337,20 +298,18 @@ void ExperimentRunner::run() {
       // Spill mode: one segment store per (shard, telescope); captures
       // drain into it at every epoch boundary, so shard memory stays
       // bounded by the memtable budget instead of growing with the run.
-      std::array<telescope::SegmentStore*, 4> stores{};
+      std::array<std::unique_ptr<telescope::SegmentStore>, 4> stores;
       if (spillEnabled()) {
         for (std::size_t i = 0; i < 4; ++i) {
           telescope::SegmentStoreOptions storeOptions;
-          storeOptions.dir =
-              std::filesystem::path{config_.experiment.captureSpillDir} /
-              ("shard-" + std::to_string(shardId)) / names_[i];
+          storeOptions.dir = telescope::spillStoreDir(
+              config_.experiment.captureSpillDir, shardId, names_[i]);
           if (config_.experiment.captureSpillBytes != 0) {
             storeOptions.spillBytes = config_.experiment.captureSpillBytes;
           }
           storeOptions.metrics = &metrics;
-          spillStores_[shardId][i] = std::make_unique<telescope::SegmentStore>(
+          stores[i] = std::make_unique<telescope::SegmentStore>(
               std::move(storeOptions));
-          stores[i] = spillStores_[shardId][i].get();
         }
       }
       auto drainCaptures = [&] {
@@ -454,9 +413,12 @@ void ExperimentRunner::run() {
           });
       closeEpoch();
       // Seal what the memtables still hold, so the spill directory holds
-      // the whole capture once run() returns.
-      for (telescope::SegmentStore* store : stores) {
-        if (store != nullptr) store->spill();
+      // the whole capture once run() returns; the readers of the sealed
+      // segments are all that outlives the stores.
+      if (spillEnabled()) {
+        for (std::size_t i = 0; i < 4; ++i) {
+          shardSegments[shardId][i] = std::move(*stores[i]).seal();
+        }
       }
       epochsDone_[shardId].store(totalEpochs_, std::memory_order_relaxed);
 
@@ -504,10 +466,15 @@ void ExperimentRunner::run() {
   {
     obs::Span mergeSpan(runnerMetrics_, "runner.phase.merge_seconds");
     if (spillEnabled()) {
-      // The packets already sit in per-shard segment stores in canonical
-      // per-shard order; the cross-shard merge happens lazily through
-      // streamCapture()'s k-way cursor, so nothing materializes here.
+      // The packets already sit in sealed segments, each in canonical
+      // order; streamCapture() merges them lazily, so nothing materializes
+      // here.
       for (std::size_t i = 0; i < 4; ++i) {
+        for (auto& shard : shardSegments) {
+          spilled_[i].insert(spilled_[i].end(),
+                             std::make_move_iterator(shard[i].begin()),
+                             std::make_move_iterator(shard[i].end()));
+        }
         stats_.packetsMerged += capturePacketCount(i);
       }
     } else {

@@ -114,7 +114,7 @@ public:
   }
   /// Merged capture of telescope `i` (TelescopeIndex), in canonical order.
   /// Empty in spill mode (`captureSpillEnabled`), where the packets live
-  /// in the per-shard segment stores instead — use streamCapture().
+  /// in sealed segments instead — use streamCapture().
   [[nodiscard]] const telescope::CaptureStore& capture(std::size_t i) const {
     return captures_[i];
   }
@@ -124,22 +124,19 @@ public:
   [[nodiscard]] bool spillEnabled() const {
     return config_.experiment.captureSpillEnabled();
   }
-  /// Per-shard segment stores of telescope `i`; empty unless spill mode.
-  [[nodiscard]] std::vector<const telescope::SegmentStore*> spillStores(
-      std::size_t i) const;
-  /// Canonical-order stream over every shard's store for telescope `i` —
-  /// the same (ts, originId, originSeq) order capture(i) holds in
-  /// in-memory mode, without materializing the packet vector.
-  /// - `from`: start at the first packet with ts >= from (per-store
-  ///   sparse-index lower bounds; nothing before `from` is read off disk).
-  /// - `source`: each store skips the segments whose exact source tables
-  ///   hold nothing from that address (`--dump-captures --source`). The
-  ///   stream is still a superset of the source's packets, so callers
-  ///   filter per record.
-  [[nodiscard]] telescope::KWayMerge<telescope::SegmentStore::Cursor>
-  streamCapture(std::size_t i,
-                std::optional<sim::SimTime> from = std::nullopt,
-                std::optional<net::Ipv6Address> source = std::nullopt) const;
+  /// Every shard's sealed segments of telescope `i`, under
+  /// `<spill dir>/shard-<s>/<name>`; empty unless spill mode.
+  [[nodiscard]] const std::vector<telescope::SegmentReader>& spilledSegments(
+      std::size_t i) const {
+    return spilled_[i];
+  }
+  /// Canonical-order stream over spilledSegments(i) — the same (ts,
+  /// originId, originSeq) order capture(i) holds in in-memory mode,
+  /// without materializing the packet vector. One telescope::mergeSegments
+  /// over every shard's segments; `from` and `source` as there.
+  [[nodiscard]] telescope::KWayMerge<telescope::SegmentCursor> streamCapture(
+      std::size_t i, std::optional<sim::SimTime> from = std::nullopt,
+      std::optional<net::Ipv6Address> source = std::nullopt) const;
   /// Packets captured by telescope `i`, valid in both modes.
   [[nodiscard]] std::uint64_t capturePacketCount(std::size_t i) const;
   [[nodiscard]] std::array<const telescope::CaptureStore*, 4> captures() const;
@@ -194,9 +191,8 @@ private:
   bgp::SplitSchedule schedule_;
   scanner::PopulationPlan plan_;
   std::array<telescope::CaptureStore, 4> captures_;
-  /// Spill mode: per-shard segment stores, indexed [shard][telescope].
-  std::vector<std::array<std::unique_ptr<telescope::SegmentStore>, 4>>
-      spillStores_;
+  /// Spill mode: every shard's sealed segments, per telescope.
+  std::array<std::vector<telescope::SegmentReader>, 4> spilled_;
   std::array<std::string, 4> names_{"T1", "T2", "T3", "T4"};
   bgp::IrrRegistry irr_;
   std::map<net::Prefix, sim::SimTime> hitlistListings_;

@@ -16,7 +16,7 @@ void CaptureStore::mergeFrom(std::vector<std::vector<net::Packet>> shards) {
   // after which one shard is the answer and several need only a k-way
   // merge. The run sort and the cursor heap are the shared kway_merge.hpp
   // machinery, so this path is definitionally order-identical to the
-  // out-of-core SegmentStore cursor.
+  // out-of-core read, mergeSegments.
   std::size_t total = 0;
   for (std::vector<net::Packet>& shard : shards) {
     sortCanonicalRuns(shard);

@@ -1,10 +1,11 @@
 // v6t::telescope — the capture digest primitives.
 //
 // Every equivalence proof in this repo bottoms out in one FNV-1a 64-bit
-// fold: CaptureStore::digest and SegmentStore::digest, the v6tseg segment
-// checksums, and the result digests PipelineResult::digest and
-// StreamingResult::digest all mix with the functions here, so "two
-// digests are equal" always means the same byte-for-byte statement.
+// fold: CaptureStore::digest (and the tests' digest of a merged segment
+// stream), the v6tseg segment checksums, and the result digests
+// PipelineResult::digest and StreamingResult::digest all mix with the
+// functions here, so "two digests are equal" always means the same
+// byte-for-byte statement.
 #pragma once
 
 #include <bit>

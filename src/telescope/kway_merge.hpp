@@ -2,20 +2,18 @@
 //
 // Two places need the same operation — merge canonical-key-sorted packet
 // runs into one canonical stream: CaptureStore::mergeFrom (per-shard
-// in-memory buffers, as SpanCursors) and the SegmentStore read cursor
-// (on-disk segment runs plus the memtable). Both instantiate KWayMerge
-// below, so the merge order is definitionally identical across in-memory
-// and out-of-core paths — the bitwise-equality contract of DESIGN.md
-// §8/§15.
+// in-memory buffers, as SpanCursors) and mergeSegments (sealed on-disk
+// segments, as SegmentCursors). Both instantiate KWayMerge below, so the
+// merge order is definitionally identical across in-memory and
+// out-of-core paths — the bitwise-equality contract of DESIGN.md §8/§15.
 //
 // Cursor concept:
 //   bool empty() const              true when the cursor has no head at all
 //   const net::Packet& head() const current packet (stable until advance)
 //   bool advance()                  step; false when exhausted
 //
-// KWayMerge itself satisfies the concept, so merges compose (the runner
-// merges per-shard SegmentStore cursors, each of which is itself a merge
-// over that shard's segments and memtable).
+// KWayMerge itself satisfies the concept, so a merge drains wherever a
+// cursor does (v6t_run's dump loop, StreamingAnalyzer::ingestAll).
 #pragma once
 
 #include <algorithm>
@@ -70,9 +68,9 @@ struct SpanCursor {
 };
 
 /// Binary heap of k cursors, emitting the globally smallest canonical key
-/// first. k is the shard count, or a store's sealed segments (capture
-/// bytes over the spill budget, tens at paper scale), so the heap stays
-/// cache-resident.
+/// first. k is the shard count, or a telescope's sealed segments across
+/// every shard (capture bytes over the spill budget, tens per shard at
+/// paper scale), so the heap stays cache-resident.
 template <typename Cursor>
 class KWayMerge {
 public:
@@ -99,7 +97,7 @@ public:
     }
   }
 
-  // Cursor-concept view of the merge itself, for composition.
+  // Cursor-concept view of the merge itself.
   [[nodiscard]] bool empty() const { return done(); }
   bool advance() {
     pop();

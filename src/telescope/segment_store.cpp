@@ -4,6 +4,7 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 
 #include "net/pcap.hpp"
 #include "telescope/digest.hpp"
@@ -138,6 +139,47 @@ std::uint64_t writeSegment(
   return seq;
 }
 
+/// The segment files of one store directory: the sealed `seg-N.v6tseg`
+/// names in sequence order, and the `seg-N.v6tseg.tmp` spills whose seal
+/// never happened. Every other file, `.quarantined` ones included, is
+/// neither.
+struct StoreListing {
+  std::vector<std::pair<std::uint64_t, fs::path>> sealed;
+  std::vector<fs::path> partial;
+};
+
+StoreListing listStore(const fs::path& dir) {
+  StoreListing listing;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".v6tseg.tmp")) {
+      listing.partial.push_back(entry.path());
+    } else if (const auto seq = parseSegmentSeq(name)) {
+      listing.sealed.emplace_back(*seq, entry.path());
+    }
+  }
+  std::sort(listing.sealed.begin(), listing.sealed.end());
+  return listing;
+}
+
+constexpr std::string_view kShardPrefix = "shard-";
+
+/// The `shard-<s>` directories under a spill root; none when `root` is
+/// not a directory.
+std::vector<fs::path> spillShardDirs(const fs::path& root) {
+  std::vector<fs::path> shards;
+  if (!fs::is_directory(root)) return shards;
+  for (const auto& entry : fs::directory_iterator(root)) {
+    if (entry.is_directory() &&
+        entry.path().filename().string().starts_with(kShardPrefix)) {
+      shards.push_back(entry.path());
+    }
+  }
+  std::sort(shards.begin(), shards.end());
+  return shards;
+}
+
 } // namespace
 
 // --- SegmentCursor --------------------------------------------------------
@@ -265,28 +307,23 @@ SegmentReader::SegmentReader(fs::path path) : path_(std::move(path)) {
   meta_ = std::move(*meta);
 }
 
-SegmentCursor SegmentReader::cursor() const {
-  return SegmentCursor{path_, meta_, 0, kHeaderBytes};
-}
-
-SegmentCursor SegmentReader::lowerBound(sim::SimTime t) const {
-  // Last sparse entry strictly before t: every record before it is <= its
-  // ts < t, so the scan to the first record with ts >= t is bounded by one
-  // index stride.
+SegmentCursor SegmentReader::cursor(std::optional<sim::SimTime> from) const {
+  // Last sparse entry strictly before `from`: every record before it is
+  // <= its ts < from, so the scan to the first record with ts >= from is
+  // bounded by one index stride.
   std::uint64_t rec = 0;
   std::uint64_t off = kHeaderBytes;
-  const auto it = std::partition_point(
-      meta_.sparse.begin(), meta_.sparse.end(),
-      [&](const SegmentIndexEntry& e) { return e.ts < t.millis(); });
-  if (it != meta_.sparse.begin()) {
-    const SegmentIndexEntry& e = *(it - 1);
-    rec = e.record;
-    off = e.offset;
+  if (from) {
+    const auto it = std::partition_point(
+        meta_.sparse.begin(), meta_.sparse.end(),
+        [&](const SegmentIndexEntry& e) { return e.ts < from->millis(); });
+    if (it != meta_.sparse.begin()) {
+      rec = (it - 1)->record;
+      off = (it - 1)->offset;
+    }
   }
   SegmentCursor c{path_, meta_, rec, off};
-  while (!c.empty() && c.head().ts < t) {
-    if (!c.advance()) break;
-  }
+  while (from && !c.empty() && c.head().ts < *from) c.advance();
   return c;
 }
 
@@ -315,36 +352,21 @@ fs::path SegmentStore::segmentPath(std::uint64_t seq) const {
 }
 
 void SegmentStore::recoverDir() {
-  std::vector<std::pair<std::uint64_t, fs::path>> sealed;
-  std::vector<fs::path> partial;
-  std::vector<fs::path> invalid;
-  for (const auto& entry : fs::directory_iterator(options_.dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.ends_with(".v6tseg.tmp")) {
-      partial.push_back(entry.path());
-    } else if (const auto seq = parseSegmentSeq(name)) {
-      if (SegmentReader::probe(entry.path())) {
-        sealed.emplace_back(*seq, entry.path());
-      } else {
-        invalid.push_back(entry.path());
-      }
-    }
-  }
+  const StoreListing listing = listStore(options_.dir);
   // A `.tmp` is a spill the process died inside of; an unreadable sealed
   // name is bit rot or a torn rename. Both are moved aside — never
   // deleted, the operator may want the bytes — and never read again.
-  for (const fs::path& p : partial) {
+  const auto quarantine = [&](const fs::path& p) {
     fs::rename(p, fs::path{p.string() + ".quarantined"});
     ++recovery_.quarantined;
-  }
-  for (const fs::path& p : invalid) {
-    fs::rename(p, fs::path{p.string() + ".quarantined"});
-    ++recovery_.quarantined;
-  }
-  std::sort(sealed.begin(), sealed.end());
-  segments_.reserve(sealed.size());
-  for (const auto& [seq, path] : sealed) {
+  };
+  for (const fs::path& p : listing.partial) quarantine(p);
+  segments_.reserve(listing.sealed.size());
+  for (const auto& [seq, path] : listing.sealed) {
+    if (!SegmentReader::probe(path)) {
+      quarantine(path);
+      continue;
+    }
     segments_.emplace_back(path);
     sealedRecords_ += segments_.back().meta().recordCount;
     nextSeq_ = std::max(nextSeq_, seq + 1);
@@ -397,99 +419,66 @@ std::uint64_t SegmentStore::spilledBytes() const {
   return total;
 }
 
-std::uint64_t SegmentStore::packetsFromSource(
-    const net::Ipv6Address& addr) const {
-  std::uint64_t total = 0;
-  for (const SegmentReader& seg : segments_) {
-    total += seg.packetsFromSource(addr);
-  }
-  for (const net::Packet& p : memtable_) {
-    if (p.src == addr) ++total;
-  }
-  return total;
-}
+// --- reads and the spill root --------------------------------------------
 
-SegmentStore::Cursor::Cursor(std::vector<SegmentCursor> segments,
-                             std::vector<net::Packet> memRun)
-    : merge_(std::move(segments)), memRun_(std::move(memRun)) {}
-
-bool SegmentStore::Cursor::empty() const {
-  return merge_.done() && memPos_ >= memRun_.size();
-}
-
-bool SegmentStore::Cursor::memFirst() const {
-  if (memPos_ >= memRun_.size()) return false;
-  if (merge_.done()) return true;
-  return canonicalKey(memRun_[memPos_]) < canonicalKey(merge_.head());
-}
-
-const net::Packet& SegmentStore::Cursor::head() const {
-  return memFirst() ? memRun_[memPos_] : merge_.head();
-}
-
-bool SegmentStore::Cursor::advance() {
-  if (memFirst()) {
-    ++memPos_;
-  } else {
-    merge_.pop();
-  }
-  return !empty();
-}
-
-SegmentStore::Cursor SegmentStore::cursor() const {
+KWayMerge<SegmentCursor> mergeSegments(std::span<const SegmentReader> segments,
+                                       std::optional<sim::SimTime> from,
+                                       std::optional<net::Ipv6Address> source) {
   std::vector<SegmentCursor> cursors;
-  cursors.reserve(segments_.size());
-  for (const SegmentReader& seg : segments_) cursors.push_back(seg.cursor());
-  std::vector<net::Packet> memRun = memtable_;
-  sortCanonicalRuns(memRun);
-  return Cursor{std::move(cursors), std::move(memRun)};
-}
-
-SegmentStore::Cursor SegmentStore::cursor(sim::SimTime from) const {
-  std::vector<SegmentCursor> cursors;
-  cursors.reserve(segments_.size());
-  for (const SegmentReader& seg : segments_) {
-    cursors.push_back(seg.lowerBound(from));
-  }
-  // The memtable is append-time-ordered, so the tail at or after `from` is
-  // one lower_bound away; dropping a ts-prefix cannot reorder what remains
-  // because ts is the canonical key's leading field.
-  const auto tail = std::lower_bound(
-      memtable_.begin(), memtable_.end(), from,
-      [](const net::Packet& p, sim::SimTime t) { return p.ts < t; });
-  std::vector<net::Packet> memRun(tail, memtable_.end());
-  sortCanonicalRuns(memRun);
-  return Cursor{std::move(cursors), std::move(memRun)};
-}
-
-SegmentStore::Cursor SegmentStore::cursorForSource(
-    const net::Ipv6Address& addr, std::optional<sim::SimTime> from) const {
-  std::vector<SegmentCursor> cursors;
-  for (const SegmentReader& seg : segments_) {
+  cursors.reserve(segments.size());
+  for (const SegmentReader& seg : segments) {
     // The source table is exact, so a zero count proves the segment holds
-    // nothing from `addr` — skipping it cannot change the filtered stream.
-    if (seg.packetsFromSource(addr) == 0) continue;
-    cursors.push_back(from ? seg.lowerBound(*from) : seg.cursor());
+    // nothing from `source` — skipping it cannot change the filtered
+    // stream.
+    if (source && seg.packetsFromSource(*source) == 0) continue;
+    cursors.push_back(seg.cursor(from));
   }
-  std::vector<net::Packet> memRun;
-  for (const net::Packet& p : memtable_) {
-    if (p.src != addr) continue;
-    if (from && p.ts < *from) continue;
-    memRun.push_back(p);
-  }
-  sortCanonicalRuns(memRun);
-  return Cursor{std::move(cursors), std::move(memRun)};
+  return KWayMerge<SegmentCursor>{std::move(cursors)};
 }
 
-std::uint64_t SegmentStore::digest() const {
-  std::uint64_t h = kFnvBasis;
-  Cursor c = cursor();
-  if (!c.empty()) {
-    do {
-      fnv1aPacket(h, c.head());
-    } while (c.advance());
+fs::path spillStoreDir(const fs::path& root, unsigned shard,
+                       const std::string& telescope) {
+  return root / (std::string{kShardPrefix} + std::to_string(shard)) /
+         telescope;
+}
+
+void requireUnusedSpillRoot(const fs::path& root) {
+  for (const fs::path& shard : spillShardDirs(root)) {
+    for (const auto& store : fs::directory_iterator{shard}) {
+      if (!store.is_directory()) continue;
+      for (const auto& file : fs::directory_iterator{store.path()}) {
+        if (file.path().filename().string().find(".v6tseg") !=
+            std::string::npos) {
+          throw std::runtime_error(
+              "spill directory " + root.string() +
+              " already holds segment files of an earlier run (" +
+              file.path().string() + "); spill into an empty directory");
+        }
+      }
+    }
   }
-  return h;
+}
+
+std::vector<SegmentReader> openSpilledSegments(const fs::path& root,
+                                               const std::string& telescope) {
+  const std::vector<fs::path> shards = spillShardDirs(root);
+  if (shards.empty()) {
+    throw std::runtime_error(root.string() +
+                             " is not a spill root: it holds no " +
+                             std::string{kShardPrefix} + "<s> directory");
+  }
+  std::vector<SegmentReader> segments;
+  for (const fs::path& shard : shards) {
+    const fs::path dir = shard / telescope;
+    if (!fs::is_directory(dir)) {
+      throw std::runtime_error("no telescope " + telescope + " in " +
+                               shard.string());
+    }
+    for (const auto& [seq, path] : listStore(dir).sealed) {
+      segments.emplace_back(path); // throws "invalid segment <path>"
+    }
+  }
+  return segments;
 }
 
 } // namespace v6t::telescope

@@ -8,17 +8,22 @@
 // segment carries a sparse (ts, offset) index, a per-source packet-count
 // table, min/max timestamps and FNV checksums (the RdbMap role). Each
 // record is written once, by the spill that seals it, and never rewritten.
-// Reads go through a merge cursor over every sealed segment plus the
-// memtable, built on the same kway_merge.hpp heap as the in-memory
-// CaptureStore::mergeFrom — so the streamed order, and therefore every
-// digest downstream, is bitwise-identical to the in-memory path.
+//
+// SegmentStore is the writer. Sealed segments have one read,
+// mergeSegments(): a KWayMerge over their cursors, the same kway_merge.hpp
+// heap as the in-memory CaptureStore::mergeFrom — so the streamed order,
+// and therefore every digest downstream, is bitwise-identical to the
+// in-memory path. What a store has not sealed is not readable; the runner
+// seals every store before run() returns.
 //
 // Crash consistency: a segment is written to `<name>.tmp` and renamed into
 // place only when fully durable, and a spill always drains the whole
 // memtable — so the sealed segments hold exactly the first
-// `recovery().durableRecords` appends. Reopening a directory quarantines
-// `*.tmp` leftovers and unreadable segments, and a writer replays its
-// input from that watermark to reach the reference state exactly.
+// `recovery().durableRecords` appends. A writer reopening a directory
+// quarantines `*.tmp` leftovers and unreadable segments and replays its
+// input from that watermark to reach the reference state exactly. A
+// reader (openSpilledSegments) renames nothing: it ignores `.tmp` and
+// `.quarantined` files and refuses an unreadable segment.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,7 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,10 +77,9 @@ struct SegmentMeta {
 
 /// Streams one sealed segment's records in canonical order (a
 /// kway_merge.hpp cursor). Self-contained: owns its ifstream, so it
-/// outlives the SegmentReader/SegmentStore that minted it. A cursor that
-/// started at record 0 folds the bytes it reads into the data checksum and
-/// throws on mismatch when it reaches the end — a full read IS a
-/// verification pass.
+/// outlives the SegmentReader that minted it. A cursor that started at
+/// record 0 folds the bytes it reads into the data checksum and throws on
+/// mismatch when it reaches the end — a full read IS a verification pass.
 class SegmentCursor {
 public:
   /// Cursor over `[firstRecord, recordCount)` starting at `startOffset`.
@@ -113,13 +118,12 @@ public:
   [[nodiscard]] const SegmentMeta& meta() const { return meta_; }
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
 
-  /// Stream every record from the start (checksum-verified at the end).
-  [[nodiscard]] SegmentCursor cursor() const;
-
-  /// Cursor positioned at the first record with ts >= t: binary search the
-  /// sparse index for the last entry at or before t, then scan at most
-  /// indexStride records. Not checksum-verified (mid-file start).
-  [[nodiscard]] SegmentCursor lowerBound(sim::SimTime t) const;
+  /// Cursor over the records with ts >= `from`, or over every record
+  /// without `from`. The start comes from the sparse index: the last entry
+  /// before `from`, then a scan of at most indexStride records. Only a
+  /// cursor that starts at record 0 can verify the data checksum.
+  [[nodiscard]] SegmentCursor cursor(
+      std::optional<sim::SimTime> from = std::nullopt) const;
 
   /// Packets this segment holds from `addr` (exact, from the source
   /// table); zero for unknown sources.
@@ -157,7 +161,8 @@ public:
 
   /// Opens (creating the directory if needed) and recovers: `*.tmp`
   /// leftovers and unreadable segments are renamed `*.quarantined`, valid
-  /// segments are adopted in sequence order.
+  /// segments are adopted in sequence order. A writer's step: readers
+  /// open sealed segments with openSpilledSegments, which renames nothing.
   explicit SegmentStore(SegmentStoreOptions options);
 
   [[nodiscard]] const Recovery& recovery() const { return recovery_; }
@@ -173,6 +178,14 @@ public:
   /// Auto-invoked when the byte budget is crossed.
   void spill();
 
+  /// A writer's last step: spill what the memtable holds and hand over
+  /// the readers of every sealed segment, moved rather than copied (their
+  /// source tables and sparse indexes are megabytes at paper scale).
+  [[nodiscard]] std::vector<SegmentReader> seal() && {
+    spill();
+    return std::move(segments_);
+  }
+
   [[nodiscard]] std::uint64_t recordCount() const {
     return sealedRecords_ + memtable_.size();
   }
@@ -187,54 +200,6 @@ public:
     return segments_;
   }
 
-  /// Packets from `addr` across sealed segments (source tables) plus the
-  /// memtable — the sparse-metadata lookup the tests check against a full
-  /// linear scan.
-  [[nodiscard]] std::uint64_t packetsFromSource(
-      const net::Ipv6Address& addr) const;
-
-  /// Canonical-order stream over sealed segments + memtable; itself a
-  /// kway_merge.hpp cursor, so per-shard stores compose into one run-wide
-  /// merge. Valid until the next append/spill.
-  class Cursor {
-  public:
-    Cursor(std::vector<SegmentCursor> segments,
-           std::vector<net::Packet> memRun);
-    [[nodiscard]] bool empty() const;
-    [[nodiscard]] const net::Packet& head() const;
-    bool advance();
-
-  private:
-    [[nodiscard]] bool memFirst() const;
-    KWayMerge<SegmentCursor> merge_;
-    std::vector<net::Packet> memRun_; // canonical-sorted memtable snapshot
-    std::size_t memPos_ = 0;
-  };
-  [[nodiscard]] Cursor cursor() const;
-
-  /// Cursor positioned at the first record with ts >= `from`: sparse-index
-  /// lowerBound per sealed segment plus a lower bound on the time-ordered
-  /// memtable. Streams exactly cursor()'s canonical order with the earlier
-  /// records dropped (ts leads the canonical key) — the ranged-dump path
-  /// of `v6t_run --dump-captures --from`.
-  [[nodiscard]] Cursor cursor(sim::SimTime from) const;
-
-  /// Pruned cursor for a per-source scan: sealed segments whose source
-  /// table shows zero packets from `addr` are skipped entirely (their
-  /// files are never opened), and the memtable snapshot keeps only that
-  /// source's packets. The stream is still a superset of the source's
-  /// packets — retained segments interleave other sources — so callers
-  /// filter per record; the win is that a rare source touches only the
-  /// few segments that actually hold it. With `from`, retained segments
-  /// start at their sparse-index lower bound, like cursor(from).
-  [[nodiscard]] Cursor cursorForSource(
-      const net::Ipv6Address& addr,
-      std::optional<sim::SimTime> from = std::nullopt) const;
-
-  /// Digest of the full canonical stream — equals CaptureStore::digest()
-  /// over the same packets, by construction.
-  [[nodiscard]] std::uint64_t digest() const;
-
 private:
   void recoverDir();
   [[nodiscard]] std::filesystem::path segmentPath(std::uint64_t seq) const;
@@ -246,5 +211,44 @@ private:
   std::uint64_t sealedRecords_ = 0;
   std::uint64_t nextSeq_ = 0;
 };
+
+/// The one read of sealed segments: a canonical-order merge of every
+/// segment's cursor(from), from any number of stores.
+/// - `from`: start at the first packet with ts >= from (each segment's
+///   sparse-index lower bound; nothing before `from` is read off disk).
+/// - `source`: skip each segment whose exact source table holds nothing
+///   from that address (`v6t_run --dump-captures --source`). The stream is
+///   still a superset of the source's packets, so callers filter per
+///   record.
+[[nodiscard]] KWayMerge<SegmentCursor> mergeSegments(
+    std::span<const SegmentReader> segments,
+    std::optional<sim::SimTime> from = std::nullopt,
+    std::optional<net::Ipv6Address> source = std::nullopt);
+
+// --- the spill root: `<root>/shard-<s>/<telescope>` ------------------------
+//
+// The runner gives every (shard, telescope) pair its own store directory
+// under the spill root; v6t_serve --spill-dir reads a telescope back from
+// the same layout (docs/FORMATS.md).
+
+/// The store directory of `telescope` in shard `shard` under `root`.
+[[nodiscard]] std::filesystem::path spillStoreDir(
+    const std::filesystem::path& root, unsigned shard,
+    const std::string& telescope);
+
+/// Throws std::runtime_error when a store under `root` already holds
+/// segment files. A store adopts the sealed segments it finds, so a second
+/// run into the same root would count the first run's packets again; the
+/// old files are left as they are. A missing root is unused.
+void requireUnusedSpillRoot(const std::filesystem::path& root);
+
+/// Every sealed segment of `telescope` under a spill root, read-only: the
+/// `seg-*.v6tseg` files of each `shard-<s>/<telescope>` store. `.tmp` and
+/// `.quarantined` files are ignored and nothing is renamed. Throws
+/// std::runtime_error, naming the path, when `root` holds no shard
+/// directory (a bare store directory is not a spill root), a shard has no
+/// `telescope` store, or a segment fails SegmentReader::probe.
+[[nodiscard]] std::vector<SegmentReader> openSpilledSegments(
+    const std::filesystem::path& root, const std::string& telescope);
 
 } // namespace v6t::telescope

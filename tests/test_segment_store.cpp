@@ -1,8 +1,9 @@
 // v6tseg disk format and the out-of-core SegmentStore: record round-trip
 // at the payload-length corners, malformed-file rejection, sparse-index
-// lookups against a linear-scan oracle, spill-schedule independence, and
-// crash recovery at the segment-flush boundary (DESIGN.md §15,
-// docs/FORMATS.md).
+// lookups against a linear-scan oracle, spill-schedule independence, crash
+// recovery at the segment-flush boundary, and the read-only opener of a
+// spill root (DESIGN.md §15, docs/FORMATS.md). Every read goes through
+// mergeSegments over sealed segments, after a final spill().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "telescope/capture_store.hpp"
+#include "telescope/digest.hpp"
 #include "telescope/segment_store.hpp"
 #include "test_util.hpp"
 
@@ -75,13 +77,17 @@ bool samePacket(const net::Packet& a, const net::Packet& b) {
   return lenA == lenB && std::equal(bufA, bufA + lenA, bufB);
 }
 
-std::vector<net::Packet> drain(SegmentStore::Cursor cursor) {
+std::vector<net::Packet> drain(KWayMerge<SegmentCursor> merge) {
   std::vector<net::Packet> out;
-  if (cursor.empty()) return out;
-  do {
-    out.push_back(cursor.head());
-  } while (cursor.advance());
+  for (; !merge.done(); merge.pop()) out.push_back(merge.head());
   return out;
+}
+
+/// CaptureStore::digest of a packet sequence.
+std::uint64_t digestOf(const std::vector<net::Packet>& packets) {
+  std::uint64_t h = kFnvBasis;
+  for (const net::Packet& p : packets) fnv1aPacket(h, p);
+  return h;
 }
 
 /// Reference canonical order: CaptureStore::mergeFrom over one shard — the
@@ -120,7 +126,7 @@ TEST(SegmentStore, RoundTripsPayloadLengthCorners) {
   EXPECT_EQ(store.segmentCount(), 1u);
   EXPECT_EQ(store.recordCount(), in.size());
 
-  const std::vector<net::Packet> out = drain(store.cursor());
+  const std::vector<net::Packet> out = drain(mergeSegments(store.segments()));
   ASSERT_EQ(out.size(), in.size());
   // Strictly increasing ts here, so canonical order == append order.
   for (std::size_t i = 0; i < in.size(); ++i) {
@@ -272,7 +278,8 @@ TEST(SegmentStore, LowerBoundMatchesLinearScanOracle) {
   ASSERT_EQ(store.segments().size(), 1u);
   const SegmentReader& reader = store.segments()[0];
 
-  const std::vector<net::Packet> canonical = drain(store.cursor());
+  const std::vector<net::Packet> canonical =
+      drain(mergeSegments(store.segments()));
   ASSERT_EQ(canonical.size(), packets.size());
 
   sim::Rng rng{62};
@@ -292,7 +299,7 @@ TEST(SegmentStore, LowerBoundMatchesLinearScanOracle) {
            canonical[oracle].ts.millis() < q) {
       ++oracle;
     }
-    SegmentCursor cursor = reader.lowerBound(sim::SimTime{q});
+    SegmentCursor cursor = reader.cursor(sim::SimTime{q});
     if (oracle == canonical.size()) {
       EXPECT_TRUE(cursor.empty()) << "query " << q;
       continue;
@@ -308,12 +315,11 @@ TEST(SegmentStore, PacketsFromSourceMatchesLinearScanOracle) {
   const std::vector<net::Packet> packets = makeCapture(71, 900);
   SegmentStoreOptions options;
   options.dir = dir.path();
-  options.spillBytes = 4096; // several sealed segments + a memtable tail
+  options.spillBytes = 4096; // several sealed segments
   SegmentStore store{options};
   for (const net::Packet& p : packets) store.append(p);
+  store.spill();
   ASSERT_GE(store.segmentCount(), 2u);
-  ASSERT_GT(store.recordCount() - store.sealedRecords(), 0u)
-      << "test wants a non-empty memtable too";
 
   std::vector<net::Ipv6Address> probes;
   for (std::uint64_t lo = 0; lo < 4; ++lo) {
@@ -328,24 +334,35 @@ TEST(SegmentStore, PacketsFromSourceMatchesLinearScanOracle) {
     for (const net::Packet& p : packets) {
       if (p.src == addr) ++oracle;
     }
-    EXPECT_EQ(store.packetsFromSource(addr), oracle);
+    std::uint64_t tables = 0;
+    for (const SegmentReader& seg : store.segments()) {
+      tables += seg.packetsFromSource(addr);
+    }
+    EXPECT_EQ(tables, oracle) << addr.toString();
+    // The source-pruned merge keeps every segment that holds the source.
+    std::uint64_t merged = 0;
+    for (const net::Packet& p :
+         drain(mergeSegments(store.segments(), std::nullopt, addr))) {
+      if (p.src == addr) ++merged;
+    }
+    EXPECT_EQ(merged, oracle) << addr.toString();
   }
 }
 
-TEST(SegmentStore, RangedCursorEqualsFilteredFullDumpByteForByte) {
+TEST(SegmentStore, RangedMergeEqualsFilteredFullDumpByteForByte) {
   ScopedTempDir dir;
   const std::vector<net::Packet> packets = makeCapture(65, 1500);
   SegmentStoreOptions options;
   options.dir = dir.path();
-  options.spillBytes = 8192; // several sealed segments + a memtable tail
+  options.spillBytes = 8192; // several sealed segments
   options.indexStride = 32;
   SegmentStore store{options};
   for (const net::Packet& p : packets) store.append(p);
+  store.spill();
   ASSERT_GE(store.segmentCount(), 2u);
-  ASSERT_GT(store.recordCount() - store.sealedRecords(), 0u)
-      << "test wants a non-empty memtable too";
 
-  const std::vector<net::Packet> canonical = drain(store.cursor());
+  const std::vector<net::Packet> canonical =
+      drain(mergeSegments(store.segments()));
   const std::int64_t lastTs = canonical.back().ts.millis();
 
   sim::Rng rng{66};
@@ -372,31 +389,29 @@ TEST(SegmentStore, RangedCursorEqualsFilteredFullDumpByteForByte) {
     std::ostringstream got;
     {
       net::CaptureWriter writer{got};
-      SegmentStore::Cursor cursor = store.cursor(sim::SimTime{from});
-      if (!cursor.empty()) {
-        do {
-          if (cursor.head().ts.millis() >= to) break;
-          writer.write(cursor.head());
-        } while (cursor.advance());
+      auto merge = mergeSegments(store.segments(), sim::SimTime{from});
+      for (; !merge.done(); merge.pop()) {
+        if (merge.head().ts.millis() >= to) break;
+        writer.write(merge.head());
       }
     }
     EXPECT_EQ(got.str(), want.str()) << "range [" << from << "," << to << ")";
   }
 }
 
-TEST(SegmentStore, SourceCursorEqualsFilteredFullDumpByteForByte) {
+TEST(SegmentStore, SourceMergeEqualsFilteredFullDumpByteForByte) {
   ScopedTempDir dir;
   const std::vector<net::Packet> packets = makeCapture(83, 1200);
   SegmentStoreOptions options;
   options.dir = dir.path();
-  options.spillBytes = 8192; // several sealed segments + a memtable tail
+  options.spillBytes = 8192; // several sealed segments
   SegmentStore store{options};
   for (const net::Packet& p : packets) store.append(p);
+  store.spill();
   ASSERT_GE(store.segmentCount(), 2u);
-  ASSERT_GT(store.recordCount() - store.sealedRecords(), 0u)
-      << "test wants a non-empty memtable too";
 
-  const std::vector<net::Packet> canonical = drain(store.cursor());
+  const std::vector<net::Packet> canonical =
+      drain(mergeSegments(store.segments()));
   std::vector<net::Ipv6Address> probes;
   for (std::uint64_t lo = 0; lo < 4; ++lo) {
     for (std::uint64_t hi = 0; hi < 16; ++hi) {
@@ -414,15 +429,13 @@ TEST(SegmentStore, SourceCursorEqualsFilteredFullDumpByteForByte) {
       }
     }
     // Pruned path, exactly as v6t_run --dump-captures --source drives it:
-    // the cursor skips sourceless segments, the caller filters per record.
+    // the merge skips sourceless segments, the caller filters per record.
     std::ostringstream got;
     {
       net::CaptureWriter writer{got};
-      SegmentStore::Cursor cursor = store.cursorForSource(addr);
-      if (!cursor.empty()) {
-        do {
-          if (cursor.head().src == addr) writer.write(cursor.head());
-        } while (cursor.advance());
+      for (auto merge = mergeSegments(store.segments(), std::nullopt, addr);
+           !merge.done(); merge.pop()) {
+        if (merge.head().src == addr) writer.write(merge.head());
       }
     }
     EXPECT_EQ(got.str(), want.str()) << addr.toString();
@@ -441,12 +454,9 @@ TEST(SegmentStore, SourceCursorEqualsFilteredFullDumpByteForByte) {
   std::ostringstream got;
   {
     net::CaptureWriter writer{got};
-    SegmentStore::Cursor cursor =
-        store.cursorForSource(addr, sim::SimTime{mid});
-    if (!cursor.empty()) {
-      do {
-        if (cursor.head().src == addr) writer.write(cursor.head());
-      } while (cursor.advance());
+    for (auto merge = mergeSegments(store.segments(), sim::SimTime{mid}, addr);
+         !merge.done(); merge.pop()) {
+      if (merge.head().src == addr) writer.write(merge.head());
     }
   }
   EXPECT_EQ(got.str(), want.str());
@@ -464,7 +474,8 @@ TEST(SegmentStore, RandomSpillSchedulesYieldByteIdenticalCapture) {
     sim::Rng rng{1000 + schedule};
     SegmentStoreOptions options;
     options.dir = dir.path();
-    // Budget sweep: never / tiny (spill every few packets) / medium.
+    // Budget sweep: only the final spill / tiny (spill every few packets) /
+    // medium.
     options.spillBytes =
         (schedule % 3 == 0) ? 0 : (schedule % 3 == 1) ? 2048 : 64 * 1024;
     options.indexStride = 1 + rng.below(64);
@@ -474,10 +485,12 @@ TEST(SegmentStore, RandomSpillSchedulesYieldByteIdenticalCapture) {
       // Random explicit spills on top of the automatic budget-driven ones.
       if (rng.below(200) == 0) store.spill();
     }
-    EXPECT_EQ(store.recordCount(), packets.size());
-    EXPECT_EQ(store.digest(), referenceDigest)
+    store.spill();
+    EXPECT_EQ(store.sealedRecords(), packets.size());
+    const std::vector<net::Packet> streamed =
+        drain(mergeSegments(store.segments()));
+    EXPECT_EQ(digestOf(streamed), referenceDigest)
         << "schedule " << schedule << " diverged from the in-memory digest";
-    const std::vector<net::Packet> streamed = drain(store.cursor());
     ASSERT_EQ(streamed.size(), reference.packets().size());
     for (std::size_t i = 0; i < streamed.size(); ++i) {
       ASSERT_TRUE(samePacket(streamed[i], reference.packets()[i]))
@@ -556,14 +569,16 @@ TEST(SegmentStore, CrashAtFlushBoundaryQuarantinesAndReplaysToReference) {
     EXPECT_EQ(quarantinedFiles, 1u) << "crash at seal " << crashAt;
 
     // Spills drain the whole memtable, so the sealed segments hold exactly
-    // the first durableRecords appends: replay the rest and the recovered
-    // store must reach the reference digest bit for bit.
+    // the first durableRecords appends: replay the rest, seal, and the
+    // recovered store must reach the reference digest bit for bit.
     for (std::size_t i = rec.durableRecords; i < packets.size(); ++i) {
       recovered.append(packets[i]);
     }
-    EXPECT_EQ(recovered.recordCount(), packets.size())
+    recovered.spill();
+    EXPECT_EQ(recovered.sealedRecords(), packets.size())
         << "crash at seal " << crashAt;
-    EXPECT_EQ(recovered.digest(), referenceDigest)
+    EXPECT_EQ(digestOf(drain(mergeSegments(recovered.segments()))),
+              referenceDigest)
         << "crash at seal " << crashAt;
   }
 }
@@ -575,7 +590,7 @@ TEST(SegmentStore, ReopenQuarantinesCorruptSealedSegment) {
     SegmentStoreOptions options;
     options.dir = dir.path();
     options.spillBytes = 8192;
-      SegmentStore store{options};
+    SegmentStore store{options};
     for (const net::Packet& p : packets) store.append(p);
     store.spill();
     ASSERT_GE(store.segmentCount(), 2u);
@@ -602,8 +617,68 @@ TEST(SegmentStore, ReopenQuarantinesCorruptSealedSegment) {
   EXPECT_EQ(recovered.recovery().durableRecords, recovered.recordCount());
   EXPECT_GT(recovered.recordCount(), 0u);
   EXPECT_LT(recovered.recordCount(), packets.size());
-  const std::vector<net::Packet> rest = drain(recovered.cursor());
+  const std::vector<net::Packet> rest =
+      drain(mergeSegments(recovered.segments()));
   EXPECT_EQ(rest.size(), recovered.recordCount());
+}
+
+// --- the spill root ------------------------------------------------------
+
+TEST(SegmentStore, SpillRootOpenerRenamesNothingAndRefusesBadInput) {
+  ScopedTempDir dir;
+  const std::vector<net::Packet> packets = makeCapture(111, 1200);
+  // Two shards, each appending every other packet, as the runner's shards
+  // each capture a slice of the population.
+  for (unsigned shard = 0; shard < 2; ++shard) {
+    SegmentStoreOptions options;
+    options.dir = spillStoreDir(dir.path(), shard, "T1");
+    options.spillBytes = 8192;
+    SegmentStore store{options};
+    for (std::size_t i = shard; i < packets.size(); i += 2) {
+      store.append(packets[i]);
+    }
+    store.spill();
+    ASSERT_GE(store.segmentCount(), 2u);
+  }
+  const fs::path store0 = spillStoreDir(dir.path(), 0, "T1");
+  // Leftovers of a writer: a spill that never sealed, a quarantined file.
+  std::ofstream{store0 / "seg-000099.v6tseg.tmp"} << "torn";
+  std::ofstream{store0 / "seg-000098.v6tseg.quarantined"} << "rot";
+  const auto listing = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::recursive_directory_iterator(dir.path())) {
+      names.push_back(entry.path().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> before = listing();
+
+  const std::vector<net::Packet> merged =
+      drain(mergeSegments(openSpilledSegments(dir.path(), "T1")));
+  EXPECT_EQ(digestOf(merged), canonicalReference(packets).digest());
+  EXPECT_EQ(listing(), before) << "a reader renamed or removed a file";
+
+  const auto refusal = [](const fs::path& root, const std::string& name) {
+    try {
+      (void)openSpilledSegments(root, name);
+    } catch (const std::runtime_error& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"(opened)"};
+  };
+  EXPECT_NE(refusal(dir.path(), "T9").find("no telescope T9"),
+            std::string::npos)
+      << refusal(dir.path(), "T9");
+  EXPECT_NE(refusal(store0, "T1").find("not a spill root"), std::string::npos)
+      << "a bare store directory must be refused: " << refusal(store0, "T1");
+
+  const fs::path victim = store0 / "seg-000001.v6tseg";
+  fs::resize_file(victim, fs::file_size(victim) - 7);
+  EXPECT_NE(refusal(dir.path(), "T1").find(victim.string()),
+            std::string::npos)
+      << refusal(dir.path(), "T1");
+  EXPECT_TRUE(fs::exists(victim)) << "a reader must not quarantine";
 }
 
 } // namespace

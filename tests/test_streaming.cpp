@@ -24,6 +24,7 @@
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "telescope/capture_store.hpp"
+#include "telescope/digest.hpp"
 #include "telescope/segment_store.hpp"
 #include "telescope/session.hpp"
 #include "test_util.hpp"
@@ -116,22 +117,30 @@ std::vector<SessionSummary> summarizeSessions(
 
 // --- one-shot reference sanity -------------------------------------------
 
-// analyzeOneShot does not fan out: StreamingOptions::threads reaches only
-// foldSummaries, so the one-shot reference must not depend on it.
-TEST(Streaming, OneShotReferenceIsThreadCountInvariant) {
+// The one-shot reference and foldSummaries aggregate per source
+// independently (CaptureIndex rows against summary groups); over one
+// summary set, the fold must equal the reference at every thread count.
+TEST(Streaming, OneShotReferenceEqualsFoldAtEveryThreadCount) {
   const std::vector<net::Packet> packets = scannerCapture(7, 3000);
-  StreamingOptions base;
-  const StreamingResult reference = analyzeOneShot(packets, base);
+  const StreamingResult reference = analyzeOneShot(packets);
   EXPECT_EQ(reference.totalPackets, packets.size());
   EXPECT_FALSE(reference.sources.empty());
   EXPECT_FALSE(reference.heavyHitters.empty())
       << "the dominant source must cross the 10% threshold";
   EXPECT_EQ(reference.windows, 0u) << "one-shot has no windows";
-  for (const unsigned threads : {2u, 8u}) {
+
+  telescope::Sessionizer::Stats stats;
+  const std::vector<telescope::Session> sessions = telescope::sessionize(
+      packets, telescope::SourceAgg::Addr128, telescope::kSessionTimeout,
+      &stats);
+  const std::vector<SessionSummary> summaries =
+      summarizeSessions(sessions, packets);
+  for (const unsigned threads : {1u, 2u, 8u}) {
     StreamingOptions opts;
     opts.threads = threads;
-    EXPECT_EQ(analyzeOneShot(packets, opts).digest(), reference.digest())
-        << "one-shot fold diverged at " << threads << " threads";
+    EXPECT_EQ(foldSummaries(summaries, packets.size(), stats, opts).digest(),
+              reference.digest())
+        << "fold diverged at " << threads << " threads";
   }
 }
 
@@ -183,8 +192,8 @@ TEST(Streaming, WindowReportsPartitionTheStream) {
 TEST(Streaming, SpilledStreamMatchesOneShotAcrossBudgetsAndThreads) {
   const std::vector<net::Packet> packets = scannerCapture(37, 3000);
   const std::uint64_t referenceDigest = analyzeOneShot(packets).digest();
-  // 0 = never auto-spill (pure memtable), tiny = a segment every few
-  // dozen packets, medium = a handful of segments.
+  // 0 = one segment, sealed by the final spill; tiny = a segment every
+  // few dozen packets; medium = a handful of segments.
   for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096},
                                      std::uint64_t{64 * 1024}}) {
     ScopedTempDir dir;
@@ -193,15 +202,14 @@ TEST(Streaming, SpilledStreamMatchesOneShotAcrossBudgetsAndThreads) {
     storeOptions.spillBytes = budget;
     telescope::SegmentStore store{storeOptions};
     for (const net::Packet& p : packets) store.append(p);
-    if (budget != 0) {
-      EXPECT_GT(store.segmentCount(), 0u) << "budget " << budget;
-    }
+    store.spill();
+    EXPECT_EQ(store.segmentCount() == 1, budget == 0) << "budget " << budget;
     for (const unsigned threads : {1u, 2u, 8u}) {
       StreamingOptions opts;
       opts.threads = threads;
       StreamingAnalyzer analyzer{opts};
-      auto cursor = store.cursor();
-      analyzer.ingestAll(cursor);
+      auto merge = telescope::mergeSegments(store.segments());
+      analyzer.ingestAll(merge);
       EXPECT_EQ(analyzer.finish().digest(), referenceDigest)
           << "budget=" << budget << " threads=" << threads;
     }
@@ -234,12 +242,13 @@ TEST(Streaming, CaptureGapsPreserveEquivalence) {
       storeOptions.spillBytes = budget;
       telescope::SegmentStore store{storeOptions};
       for (const net::Packet& p : packets) store.append(p);
+      store.spill();
       StreamingOptions opts;
       opts.threads = threads;
       opts.captureGaps = gaps;
       StreamingAnalyzer analyzer{opts};
-      auto cursor = store.cursor();
-      analyzer.ingestAll(cursor);
+      auto merge = telescope::mergeSegments(store.segments());
+      analyzer.ingestAll(merge);
       const StreamingResult result = analyzer.finish();
       EXPECT_EQ(result.digest(), reference.digest())
           << "budget=" << budget << " threads=" << threads;
@@ -347,36 +356,51 @@ core::RunnerConfig tinyRun() {
   return config;
 }
 
+/// Packet count and CaptureStore::digest of a merged segment stream.
+std::pair<std::uint64_t, std::uint64_t> countAndDigest(
+    telescope::KWayMerge<telescope::SegmentCursor> merge) {
+  std::uint64_t count = 0;
+  std::uint64_t h = telescope::kFnvBasis;
+  for (; !merge.done(); merge.pop()) {
+    telescope::fnv1aPacket(h, merge.head());
+    ++count;
+  }
+  return {count, h};
+}
+
 TEST(Streaming, SpilledRunLeavesTheWholeCaptureOnDisk) {
   core::ExperimentRunner inMemory{tinyRun()};
   inMemory.run();
 
   ScopedTempDir dir;
   core::RunnerConfig config = tinyRun();
+  config.experiment.threads = 2;
   config.experiment.captureSpillDir = dir.path().string();
   config.experiment.captureSpillBytes = 65536;
   core::ExperimentRunner spilled{config};
   spilled.run();
 
-  // Reopen each store as v6t_serve --spill-dir does: only sealed segments
-  // survive the process, so they must hold every captured packet.
+  // Both production reads: the runner's stream, and the spill root read
+  // back as v6t_serve --spill-dir reads it. Only sealed segments survive
+  // the process, so they must hold every captured packet of both shards.
   for (std::size_t t = 0; t < 4; ++t) {
-    telescope::SegmentStoreOptions options;
-    options.dir = dir.path() / "shard-0" / inMemory.telescopeName(t);
-    const telescope::SegmentStore store{options};
+    const std::string& name = inMemory.telescopeName(t);
     const telescope::CaptureStore& reference = inMemory.capture(t);
-    ASSERT_GT(reference.packetCount(), 0u) << inMemory.telescopeName(t);
-    EXPECT_EQ(store.recovery().quarantined, 0u) << inMemory.telescopeName(t);
-    EXPECT_EQ(store.recordCount(), reference.packetCount())
-        << inMemory.telescopeName(t);
-    EXPECT_EQ(store.digest(), reference.digest()) << inMemory.telescopeName(t);
+    ASSERT_GT(reference.packetCount(), 0u) << name;
+    const std::pair<std::uint64_t, std::uint64_t> want{
+        reference.packetCount(), reference.digest()};
+    EXPECT_EQ(countAndDigest(spilled.streamCapture(t)), want) << name;
+    EXPECT_EQ(countAndDigest(telescope::mergeSegments(
+                  telescope::openSpilledSegments(dir.path(), name))),
+              want)
+        << name;
   }
 }
 
 TEST(Streaming, SpilledRunRefusesADirectoryHoldingSegments) {
   namespace fs = std::filesystem;
   ScopedTempDir dir;
-  const fs::path storeDir = dir.path() / "shard-0" / "T3";
+  const fs::path storeDir = telescope::spillStoreDir(dir.path(), 0, "T3");
   {
     telescope::SegmentStoreOptions options;
     options.dir = storeDir;

@@ -132,16 +132,33 @@ TEST(Sessionizer, SourceKeyMasking) {
 }
 
 TEST(Sessionizer, SessionsSortedByStart) {
+  // 64 sources open in an order that is neither their address order nor
+  // their hash order, and reopen after a timeout in the reverse order, so
+  // the closed sessions and the open map both hold sessions out of start
+  // order: only finish()'s sort can put the output in SessionOrder.
+  constexpr std::uint64_t kSources = 64;
+  const auto source = [](std::uint64_t k) {
+    return Ipv6Address{0x20010db800000000ULL, (k * 37) % kSources};
+  };
+  const auto packetOf = [&](std::uint64_t k, sim::SimTime ts) {
+    Packet p = packetAt(ts, "2001:db8::", "3fff::1");
+    p.src = source(k);
+    return p;
+  };
   std::vector<Packet> packets;
-  packets.push_back(packetAt(sim::kEpoch, "2001:db8::a", "3fff::1"));
-  packets.push_back(
-      packetAt(sim::kEpoch + sim::minutes(5), "2001:db8::b", "3fff::1"));
-  packets.push_back(
-      packetAt(sim::kEpoch + sim::hours(3), "2001:db8::a", "3fff::1"));
+  for (std::uint64_t k = 0; k < kSources; ++k) {
+    packets.push_back(packetOf(k, sim::kEpoch + sim::minutes(k)));
+  }
+  for (std::uint64_t k = kSources; k-- > 0;) {
+    packets.push_back(packetOf(
+        k, sim::kEpoch + sim::hours(3) + sim::minutes(kSources - k)));
+  }
   const auto sessions = sessionize(packets, SourceAgg::Addr128);
-  ASSERT_EQ(sessions.size(), 3u);
-  EXPECT_LE(sessions[0].start, sessions[1].start);
-  EXPECT_LE(sessions[1].start, sessions[2].start);
+  ASSERT_EQ(sessions.size(), 2 * kSources);
+  for (std::size_t i = 1; i < sessions.size(); ++i) {
+    EXPECT_TRUE(SessionOrder{}(sessions[i - 1], sessions[i]))
+        << "sessions " << i - 1 << " and " << i << " out of order";
+  }
 }
 
 TEST(Sessionizer, GroupBySource) {

@@ -10,7 +10,8 @@
 // .v6tcap file per telescope into the output directory. --from/--to
 // restrict the dump to ts in [from, to) milliseconds; in spill mode the
 // start position comes from the segments' sparse time index
-// (SegmentReader::lowerBound), so nothing before `from` is read off disk.
+// (SegmentReader::cursor(from)), so nothing before `from` is read off
+// disk.
 // --out, --from, --to and --source without --dump-captures,
 // --metrics-interval without --metrics-out, and a spill budget
 // (--spill-bytes or capture.spill_bytes) without a spill directory are
@@ -111,16 +112,6 @@ int usage() {
   return 2;
 }
 
-/// Reads a numeric flag's value with the config file's checked parser; a
-/// malformed value or one outside [lo, hi] is reported and rejected.
-bool flagU64(const char* flag, const char* text, std::uint64_t lo,
-             std::uint64_t hi, std::uint64_t& out) {
-  if (v6t::core::parseU64(text, out) && out >= lo && out <= hi) return true;
-  std::cerr << flag << " takes an integer in [" << lo << ", " << hi
-            << "], not '" << text << "'\n";
-  return false;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -156,19 +147,19 @@ int main(int argc, char** argv) {
       faultsSpec = argv[i];
     } else if (arg == "--fault-seed") {
       if (++i >= argc) return usage();
-      if (!flagU64("--fault-seed", argv[i], 0, kU64Max, number)) {
+      if (!core::flagU64("--fault-seed", argv[i], 0, kU64Max, number)) {
         return usage();
       }
       faultSeedOverride = number;
     } else if (arg == "--threads") {
       if (++i >= argc) return usage();
-      if (!flagU64("--threads", argv[i], 1, 64, threadsOverride)) {
+      if (!core::flagU64("--threads", argv[i], 1, 64, threadsOverride)) {
         return usage();
       }
     } else if (arg == "--analysis-threads") {
       if (++i >= argc) return usage();
-      if (!flagU64("--analysis-threads", argv[i], 1, 64,
-                   analysisThreadsOverride)) {
+      if (!core::flagU64("--analysis-threads", argv[i], 1, 64,
+                         analysisThreadsOverride)) {
         return usage();
       }
     } else if (arg == "--spill-dir") {
@@ -176,7 +167,7 @@ int main(int argc, char** argv) {
       spillDir = argv[i];
     } else if (arg == "--spill-bytes") {
       if (++i >= argc) return usage();
-      if (!flagU64("--spill-bytes", argv[i], 1, kU64Max, spillBytes)) {
+      if (!core::flagU64("--spill-bytes", argv[i], 1, kU64Max, spillBytes)) {
         return usage();
       }
     } else if (arg == "--metrics-out") {
@@ -209,11 +200,11 @@ int main(int argc, char** argv) {
       obs::Logger::global().setLevel(obs::parseLevel(name));
     } else if (arg == "--from") {
       if (++i >= argc) return usage();
-      if (!flagU64("--from", argv[i], 0, kMsMax, number)) return usage();
+      if (!core::flagU64("--from", argv[i], 0, kMsMax, number)) return usage();
       dumpFrom = sim::SimTime{static_cast<std::int64_t>(number)};
     } else if (arg == "--to") {
       if (++i >= argc) return usage();
-      if (!flagU64("--to", argv[i], 0, kMsMax, number)) return usage();
+      if (!core::flagU64("--to", argv[i], 0, kMsMax, number)) return usage();
       dumpToMs = static_cast<std::int64_t>(number);
     } else if (arg == "--source") {
       if (++i >= argc) return usage();
@@ -242,22 +233,10 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  core::ExperimentConfig config;
-  if (!configPath.empty()) {
-    std::ifstream in{configPath};
-    if (!in) {
-      std::cerr << "cannot open " << configPath << "\n";
-      return 1;
-    }
-    const auto parsed = core::parseExperimentConfig(in);
-    if (!parsed.ok()) {
-      for (const auto& e : parsed.errors) {
-        std::cerr << configPath << ": " << e << "\n";
-      }
-      return 1;
-    }
-    config = parsed.config;
-  }
+  std::optional<core::ExperimentConfig> loaded =
+      core::loadConfigFile(configPath);
+  if (!loaded) return 1;
+  core::ExperimentConfig& config = *loaded;
   if (threadsOverride != 0) {
     config.threads = static_cast<unsigned>(threadsOverride);
   }
@@ -477,23 +456,20 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Spill mode: the in-memory captures drained to per-shard segment stores
-  // during the run, so every downstream consumer streams the canonical
-  // k-way merge instead of touching runner.capture() (which is empty). The
+  // Spill mode: the captures drained to per-shard segment stores during
+  // the run and were sealed, so every downstream consumer streams the one
+  // merge of the sealed segments instead of touching runner.capture()
+  // (which is empty). The
   // windowed analysis digest is bitwise-identical to the in-memory path
   // (DESIGN.md §15); the canonical-order gate applies the same rule to
   // each step of the stream.
   if (spillMode) {
     const unsigned analysisThreads = config.effectiveAnalysisThreads();
     std::array<analysis::StreamingResult, 4> results;
-    std::array<std::uint64_t, 4> segmentCounts{};
     fault::InvariantChecker checker;
     {
       obs::Span phaseSpan(metrics, "runner.phase.analyze_seconds");
       for (std::size_t t = 0; t < 4; ++t) {
-        for (const telescope::SegmentStore* store : runner.spillStores(t)) {
-          segmentCounts[t] += store->segmentCount();
-        }
         analysis::StreamingOptions opts;
         opts.threads = analysisThreads;
         opts.metrics = &metrics;
@@ -529,7 +505,7 @@ int main(int argc, char** argv) {
                     analysis::withThousands(r.sessionStats.opened),
                     analysis::withThousands(r.heavyHitters.size()),
                     analysis::withThousands(r.windows),
-                    analysis::withThousands(segmentCounts[t])});
+                    analysis::withThousands(runner.spilledSegments(t).size())});
     }
     table.render(std::cout);
     std::cout << "\ncapture digests (streamed, canonical order):\n";
@@ -542,7 +518,7 @@ int main(int argc, char** argv) {
 
     if (dumpCaptures) {
       // The segments' sparse time index places the start, and with
-      // --source each store skips the segments whose source tables prove
+      // --source the merge skips the segments whose source tables prove
       // they hold nothing from that address.
       writeDumps([&](std::size_t t) {
         return runner.streamCapture(t, dumpFrom, dumpSource);

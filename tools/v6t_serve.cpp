@@ -4,10 +4,10 @@
 //             [--telescope NAME] [--port N] [--threads N]
 //             [--analysis-threads N] [--cache-bytes N] [--no-schedule]
 //
-// Loads one telescope's capture — either an in-memory .v6tcap dump or a
-// spilled SegmentStore directory (a single store, or a runner spill root
-// with shard-*/NAME subdirectories merged in canonical order) — builds
-// the immutable analysis::CaptureIndex and every answer once (the
+// Loads one telescope's capture — either an in-memory .v6tcap dump or the
+// spill root a `v6t_run --spill-dir` run wrote, whose shard-<s>/NAME
+// segments are merged in canonical order (telescope::mergeSegments) —
+// builds the immutable analysis::CaptureIndex and every answer once (the
 // taxonomy, the heavy-hitter ranking, the rendered report bodies), and
 // serves the read-only JSON endpoints of DESIGN.md §17 over HTTP/1.1:
 //
@@ -30,15 +30,18 @@
 // bench/serve_load for the cached-vs-uncached contract.
 //
 // Numeric flags go through the config file's checked parser: "--port abc"
-// or "--threads 4x" is a usage error (exit 2), never a silent default. A
-// --capture file that is not a v6tcap capture, ends in a torn record or
-// has records that go back in time is refused (exit 1) instead of served.
+// or "--threads 4x" is a usage error (exit 2), never a silent default, and
+// so is --telescope without --spill-dir. A --capture file that is not a
+// v6tcap capture, ends in a torn record or has records that go back in
+// time is refused (exit 1) instead of served. A spill root is read, never
+// changed: `.tmp` and `.quarantined` files are ignored, and a root with no
+// shard directory, no store of the telescope or a corrupt segment is
+// refused (exit 1), naming what is wrong.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -56,7 +59,6 @@
 #include "serve/query.hpp"
 #include "serve/server.hpp"
 #include "sim/time.hpp"
-#include "telescope/kway_merge.hpp"
 #include "telescope/segment_store.hpp"
 #include "telescope/session.hpp"
 
@@ -70,23 +72,12 @@ int usage() {
          "                 [--no-schedule]\n"
          "\n"
          "--capture FILE     .v6tcap dump (v6t_run --dump-captures)\n"
-         "--spill-dir DIR    v6tseg SegmentStore dir, or a runner spill\n"
-         "                   root with shard-*/NAME subdirectories\n"
-         "--telescope NAME   telescope subdirectory in a spill root\n"
-         "                   (default T1)\n"
+         "--spill-dir DIR    spill root of a v6t_run --spill-dir run\n"
+         "--telescope NAME   telescope to load from the spill root\n"
+         "                   (default T1; needs --spill-dir)\n"
          "--no-schedule      serve without a split schedule\n"
          "                   (/reaction-delays returns 404)\n";
   return 2;
-}
-
-/// Reads a numeric flag's value with the config file's checked parser; a
-/// malformed value or one outside [lo, hi] is reported and rejected.
-bool flagU64(const char* flag, const char* text, std::uint64_t lo,
-             std::uint64_t hi, std::uint64_t& out) {
-  if (v6t::core::parseU64(text, out) && out >= lo && out <= hi) return true;
-  std::cerr << flag << " takes an integer in [" << lo << ", " << hi
-            << "], not '" << text << "'\n";
-  return false;
 }
 
 std::atomic<bool> gStop{false};
@@ -101,7 +92,7 @@ int main(int argc, char** argv) {
   std::string capturePath;
   std::string spillDir;
   std::string configPath;
-  std::string telescopeName = "T1";
+  std::optional<std::string> telescopeName; // default T1
   bool noSchedule = false;
   std::optional<std::uint64_t> portOverride; // 0 = ephemeral
   std::uint64_t threadsOverride = 0;
@@ -121,22 +112,22 @@ int main(int argc, char** argv) {
       telescopeName = argv[i];
     } else if (arg == "--port") {
       if (++i >= argc) return usage();
-      if (!flagU64("--port", argv[i], 0, 65535, number)) return usage();
+      if (!core::flagU64("--port", argv[i], 0, 65535, number)) return usage();
       portOverride = number;
     } else if (arg == "--threads") {
       if (++i >= argc) return usage();
-      if (!flagU64("--threads", argv[i], 1, 64, threadsOverride)) {
+      if (!core::flagU64("--threads", argv[i], 1, 64, threadsOverride)) {
         return usage();
       }
     } else if (arg == "--analysis-threads") {
       if (++i >= argc) return usage();
-      if (!flagU64("--analysis-threads", argv[i], 1, 64,
-                   analysisThreadsOverride)) {
+      if (!core::flagU64("--analysis-threads", argv[i], 1, 64,
+                         analysisThreadsOverride)) {
         return usage();
       }
     } else if (arg == "--cache-bytes") {
       if (++i >= argc) return usage();
-      if (!flagU64("--cache-bytes", argv[i], 0, UINT64_MAX, number)) {
+      if (!core::flagU64("--cache-bytes", argv[i], 0, UINT64_MAX, number)) {
         return usage();
       }
       cacheBytesOverride = number;
@@ -156,28 +147,21 @@ int main(int argc, char** argv) {
     std::cerr << "exactly one of --capture / --spill-dir is required\n";
     return usage();
   }
-
-  core::ExperimentConfig config;
-  if (!configPath.empty()) {
-    std::ifstream in{configPath};
-    if (!in) {
-      std::cerr << "cannot open " << configPath << "\n";
-      return 1;
-    }
-    const auto parsed = core::parseExperimentConfig(in);
-    if (!parsed.ok()) {
-      for (const auto& e : parsed.errors) {
-        std::cerr << configPath << ": " << e << "\n";
-      }
-      return 1;
-    }
-    config = parsed.config;
+  if (telescopeName && spillDir.empty()) {
+    std::cerr << "--telescope requires --spill-dir\n";
+    return usage();
   }
 
+  const std::optional<core::ExperimentConfig> loaded =
+      core::loadConfigFile(configPath);
+  if (!loaded) return 1;
+  const core::ExperimentConfig& config = *loaded;
+
   // Load the capture into one canonical-order packet vector. The spill
-  // path streams the same k-way merge the analysis uses, so the packets —
-  // and therefore every response — are identical to the in-memory path.
+  // path streams the same segment merge the analysis uses, so the packets
+  // — and therefore every response — are identical to the in-memory path.
   std::vector<net::Packet> packets;
+  std::string loadedFrom = capturePath;
   if (!capturePath.empty()) {
     std::ifstream in{capturePath, std::ios::binary};
     if (!in) {
@@ -192,61 +176,43 @@ int main(int argc, char** argv) {
                 << packets.size() << " packets\n";
       return 1;
     }
-    // The sessionizer and the classifiers assume time order; a capture
-    // that goes back in time would be answered with wrong sessions.
-    const auto back = std::adjacent_find(
-        packets.begin(), packets.end(),
-        [](const net::Packet& a, const net::Packet& b) { return b.ts < a.ts; });
-    if (back != packets.end()) {
-      const auto record = static_cast<std::size_t>(back - packets.begin()) + 2;
-      std::cerr << "cannot load " << capturePath << ": record " << record
-                << " (ts " << (back + 1)->ts.millis()
-                << " ms) is earlier than the record before it (ts "
-                << back->ts.millis()
-                << " ms); a v6tcap capture must be time-ordered\n";
-      return 1;
-    }
-    std::cout << "loaded " << packets.size() << " packets from "
-              << capturePath << "\n";
   } else {
-    namespace fs = std::filesystem;
-    if (!fs::is_directory(spillDir)) {
-      std::cerr << spillDir << " is not a directory\n";
+    const std::string name = telescopeName.value_or("T1");
+    loadedFrom = spillDir + " (" + name + ")";
+    try {
+      const std::vector<telescope::SegmentReader> segments =
+          telescope::openSpilledSegments(spillDir, name);
+      std::uint64_t total = 0;
+      for (const telescope::SegmentReader& seg : segments) {
+        total += seg.meta().recordCount;
+      }
+      packets.reserve(total);
+      // Reading each segment to its end verifies its data checksum; a
+      // mismatch or a torn record throws, naming the segment.
+      for (auto merge = telescope::mergeSegments(segments); !merge.done();
+           merge.pop()) {
+        packets.push_back(merge.head());
+      }
+    } catch (const std::exception& e) {
+      std::cerr << "cannot load " << loadedFrom << ": " << e.what() << "\n";
       return 1;
     }
-    // Runner spill roots hold shard-<s>/<telescope> stores; a bare store
-    // directory holds the segments directly.
-    std::vector<fs::path> storeDirs;
-    for (const auto& entry : fs::directory_iterator(spillDir)) {
-      if (entry.is_directory() &&
-          entry.path().filename().string().rfind("shard-", 0) == 0) {
-        const fs::path sub = entry.path() / telescopeName;
-        if (fs::is_directory(sub)) storeDirs.push_back(sub);
-      }
-    }
-    std::sort(storeDirs.begin(), storeDirs.end());
-    if (storeDirs.empty()) storeDirs.push_back(spillDir);
-    std::vector<std::unique_ptr<telescope::SegmentStore>> stores;
-    std::vector<telescope::SegmentStore::Cursor> cursors;
-    std::uint64_t total = 0;
-    for (const fs::path& dir : storeDirs) {
-      telescope::SegmentStoreOptions opts;
-      opts.dir = dir;
-      stores.push_back(std::make_unique<telescope::SegmentStore>(opts));
-      total += stores.back()->recordCount();
-      cursors.push_back(stores.back()->cursor());
-    }
-    packets.reserve(total);
-    telescope::KWayMerge<telescope::SegmentStore::Cursor> merge{
-        std::move(cursors)};
-    while (!merge.done()) {
-      packets.push_back(merge.head());
-      merge.pop();
-    }
-    std::cout << "loaded " << packets.size() << " packets from "
-              << storeDirs.size() << " segment store(s) under " << spillDir
-              << "\n";
   }
+  // The sessionizer and the classifiers assume time order; a capture that
+  // goes back in time would be answered with wrong sessions.
+  const auto back = std::adjacent_find(
+      packets.begin(), packets.end(),
+      [](const net::Packet& a, const net::Packet& b) { return b.ts < a.ts; });
+  if (back != packets.end()) {
+    const auto record = static_cast<std::size_t>(back - packets.begin()) + 2;
+    std::cerr << "cannot load " << loadedFrom << ": record " << record
+              << " (ts " << (back + 1)->ts.millis()
+              << " ms) is earlier than the record before it (ts "
+              << back->ts.millis() << " ms); a capture must be time-ordered\n";
+    return 1;
+  }
+  std::cout << "loaded " << packets.size() << " packets from " << loadedFrom
+            << "\n";
 
   // Sessions at /128 — the unit of classification (§3.3) the index is
   // built over, same as the analysis pipeline's default.
